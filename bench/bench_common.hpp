@@ -3,8 +3,9 @@
 // Every bench prints (a) a paper-style table of the simulated metrics it
 // reproduces — virtual latencies, message counts, detection quality — and
 // (b) google-benchmark wall-clock timings of the simulator itself. The
-// table is the artifact matching EXPERIMENTS.md; the timings document the
-// tool's own cost.
+// table is the artifact the numbers in docs/perf.md come from (end-to-end
+// workloads live in dsmr_bench/, see dsmr_bench/README.md); the timings
+// document the tool's own cost.
 // With `--json`, each bench additionally writes BENCH_<name>.json — a
 // machine-readable record (name, params, ns/op, bytes/op per entry) so the
 // performance trajectory stays comparable across PRs.

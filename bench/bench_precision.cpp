@@ -6,7 +6,7 @@
 //    recall < 1 (only the latest access is compared), area recall;
 //  * the single-clock ablation: read-read false positives (the paper's
 //    §IV.D motivation) and its read false negatives (V absorbs knowledge
-//    W never saw — see EXPERIMENTS.md);
+//    W never saw — the ablation table this bench prints counts both);
 //  * the Eraser-style lockset baseline: flags locking-discipline violations
 //    — false positives on message-/barrier-synchronized programs.
 #include <benchmark/benchmark.h>

@@ -168,11 +168,14 @@ void print_summary() {
       {"dual-clock+record", core::DetectorMode::kDualClock, true},
   };
   util::Table table({"config", "wall ns/op", "x off", "log B/op"});
-  const ThreadCost base = measure_thread(core::DetectorMode::kOff, false);
-  for (const auto& config : configs) {
-    const ThreadCost cost = measure_thread(config.mode, config.record);
+  std::vector<ThreadCost> costs;
+  for (const auto& config : configs) costs.push_back(measure_thread(config.mode, config.record));
+  const double off_ns = costs.front().wall_ns_per_op;  // the "off" row: x off = 1.00.
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    const Config& config = configs[i];
+    const ThreadCost& cost = costs[i];
     table.add_row({config.label, util::Table::fmt(cost.wall_ns_per_op, 0),
-                   util::Table::fmt(cost.wall_ns_per_op / base.wall_ns_per_op, 2),
+                   util::Table::fmt(cost.wall_ns_per_op / off_ns, 2),
                    util::Table::fmt(cost.log_bytes_per_op, 1)});
     json_add("record_op_wall",
              {{"backend", "thread"}, {"config", config.label}},

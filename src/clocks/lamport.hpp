@@ -1,7 +1,7 @@
 // Lamport scalar clock ([12] in the paper).
 //
-// Provided for completeness and for the clock-size ablation (EXPERIMENTS.md,
-// CLAIM-IV.C): a scalar clock totally orders what it sees and therefore can
+// Provided for completeness and for the clock-size ablation
+// (bench/bench_clock_size.cpp, CLAIM-IV.C): a scalar clock totally orders what it sees and therefore can
 // never *witness* concurrency — a detector built on it reports nothing. The
 // ablation bench quantifies that false-negative rate against vector clocks.
 #pragma once

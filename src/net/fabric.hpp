@@ -13,8 +13,8 @@
 namespace dsmr::net {
 
 /// Per-message-type traffic counters; the raw material for the
-/// communication-overhead experiment (paper §V.A / EXPERIMENTS.md
-/// CLAIM-V.A2).
+/// communication-overhead experiment (paper §V.A, CLAIM-V.A2 in
+/// bench/bench_overhead.cpp).
 struct TrafficCounters {
   std::map<MsgType, std::uint64_t> messages_by_type;
   std::uint64_t total_messages = 0;

@@ -167,20 +167,39 @@ struct VerdictSignature {
 /// Maps (home rank, per-segment AreaId) to the flat registration index the
 /// log speaks. Both recorder and replay maintain one; registration order is
 /// the allocation order, which is deterministic per program.
+///
+/// Every recorded op resolves its area here, so lookup is a dense table
+/// load: per-home AreaIds are allocated 0,1,2,... (PublicSegment), so
+/// `by_home_[home][id]` holds the flat index directly. Ids skipped by a
+/// caller leave `kAbsent` gaps.
 class AreaIndex {
  public:
   /// Registers the next area; returns its flat index.
   std::uint64_t add(Rank home, std::uint32_t id);
-  std::uint64_t at(Rank home, std::uint32_t id) const;  ///< REQUIREs presence.
-  bool contains(Rank home, std::uint32_t id) const;
-  std::size_t size() const { return flat_.size(); }
+
+  /// REQUIREs presence.
+  std::uint64_t at(Rank home, std::uint32_t id) const {
+    const std::uint64_t* slot = find(home, id);
+    if (slot == nullptr) [[unlikely]] missing(home, id);
+    return *slot;
+  }
+  bool contains(Rank home, std::uint32_t id) const { return find(home, id) != nullptr; }
+  std::size_t size() const { return size_; }
 
  private:
-  static std::uint64_t key(Rank home, std::uint32_t id) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(home)) << 32) |
-           id;
+  static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
+
+  const std::uint64_t* find(Rank home, std::uint32_t id) const {
+    // A negative rank wraps to a huge index and fails the first check.
+    const auto h = static_cast<std::size_t>(static_cast<std::uint32_t>(home));
+    if (h >= by_home_.size() || id >= by_home_[h].size()) return nullptr;
+    const std::uint64_t* slot = &by_home_[h][id];
+    return *slot == kAbsent ? nullptr : slot;
   }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> flat_;  // (key, index)
+  [[noreturn]] static void missing(Rank home, std::uint32_t id);
+
+  std::vector<std::vector<std::uint64_t>> by_home_;  ///< [home][id] → flat.
+  std::size_t size_ = 0;
 };
 
 /// Rebuilds the (home, AreaId) → flat mapping from a parsed log's area

@@ -1,6 +1,7 @@
 #include "record/recorder.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <tuple>
 
@@ -59,23 +60,46 @@ void Recorder::set_metadata(std::string key, std::string value) {
   log_.metadata.emplace_back(std::move(key), std::move(value));
 }
 
+void Recorder::merge_thread_buffers() {
+  // Each buffer is already in stamp order, so a min-heap over the buffers'
+  // next stamps (ties, impossible with fetch_add stamps, go to the lower
+  // rank) streams the events into the log in global order.
+  struct Head {
+    std::uint64_t seq;
+    std::size_t rank;
+    std::size_t next;  ///< index of this head in its buffer.
+    bool operator>(const Head& other) const {
+      return seq != other.seq ? seq > other.seq : rank > other.rank;
+    }
+  };
+  std::vector<Head> heap;
+  std::size_t total = 0;
+  for (std::size_t rank = 0; rank < thread_buffers_.size(); ++rank) {
+    const std::vector<Stamped>& events = thread_buffers_[rank].events;
+    total += events.size();
+    if (!events.empty()) heap.push_back(Head{events.front().seq, rank, 0});
+  }
+  log_.events.reserve(log_.events.size() + total);
+  std::make_heap(heap.begin(), heap.end(), std::greater<>());
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    Head& head = heap.back();
+    const std::vector<Stamped>& events = thread_buffers_[head.rank].events;
+    log_.events.push_back(events[head.next].event);
+    if (++head.next == events.size()) {
+      heap.pop_back();
+    } else {
+      head.seq = events[head.next].seq;
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    }
+  }
+  thread_buffers_.clear();
+}
+
 void Recorder::finish(const std::vector<core::RaceReport>& reports,
                       bool completed, std::vector<Rank> stuck_ranks) {
   DSMR_REQUIRE(!finished_, "recorder finished twice");
-  if (!thread_buffers_.empty()) {
-    std::vector<Stamped> merged;
-    std::size_t total = 0;
-    for (const auto& buffer : thread_buffers_) total += buffer.size();
-    merged.reserve(total);
-    for (const auto& buffer : thread_buffers_) {
-      merged.insert(merged.end(), buffer.begin(), buffer.end());
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const Stamped& a, const Stamped& b) { return a.seq < b.seq; });
-    log_.events.reserve(log_.events.size() + merged.size());
-    for (const Stamped& stamped : merged) log_.events.push_back(stamped.event);
-    thread_buffers_.clear();
-  }
+  merge_thread_buffers();
   log_.live = make_signature(areas_, reports, completed, std::move(stuck_ranks));
   finished_ = true;
 }

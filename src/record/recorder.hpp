@@ -59,14 +59,13 @@ class Recorder {
   // becomes field `a`.
   void record_thread(Rank rank, EventKind kind, std::uint64_t b = 0,
                      std::uint64_t c = 0, std::uint64_t d = 0) {
-    const std::uint64_t stamp = seq_.fetch_add(1, std::memory_order_seq_cst);
-    auto& buffer = thread_buffers_[static_cast<std::size_t>(rank)];
-    buffer.push_back(Stamped{
-        stamp, Event{kind, static_cast<std::uint64_t>(rank), b, c, d}});
+    const std::uint64_t stamp = seq_.value.fetch_add(1, std::memory_order_seq_cst);
+    thread_buffers_[static_cast<std::size_t>(rank)].events.push_back(
+        Stamped{stamp, Event{kind, static_cast<std::uint64_t>(rank), b, c, d}});
   }
 
-  /// Seals the log: merges thread buffers (if any) into global stamp order
-  /// and embeds the live verdict signature in the footer.
+  /// Seals the log: k-way merges the thread buffers (if any) into global
+  /// stamp order and embeds the live verdict signature in the footer.
   void finish(const std::vector<core::RaceReport>& reports, bool completed,
               std::vector<Rank> stuck_ranks);
 
@@ -79,11 +78,24 @@ class Recorder {
     std::uint64_t seq = 0;
     Event event;
   };
+  /// One rank's events, in stamp order (a thread's fetch_add results only
+  /// increase). Each header gets its own cache line, so one rank's push
+  /// never invalidates another rank's.
+  struct alignas(64) RankBuffer {
+    std::vector<Stamped> events;
+  };
+  /// The global sequence on a line of its own: every stamp writes it, and
+  /// every stamp reads the `thread_buffers_` header.
+  struct alignas(64) Sequence {
+    std::atomic<std::uint64_t> value{0};
+  };
+
+  void merge_thread_buffers();
 
   Log log_;
   AreaIndex areas_;
-  std::vector<std::vector<Stamped>> thread_buffers_;
-  std::atomic<std::uint64_t> seq_{0};
+  std::vector<RankBuffer> thread_buffers_;
+  Sequence seq_;
   bool finished_ = false;
 };
 

@@ -1,6 +1,6 @@
 // Cross-module integration: full workloads through the full stack, with the
 // clock detector, ground truth and the lockset baseline compared side by
-// side — the qualitative table EXPERIMENTS.md reports.
+// side — the qualitative table bench/bench_precision.cpp prints.
 #include <gtest/gtest.h>
 
 #include "analysis/ground_truth.hpp"

@@ -94,7 +94,7 @@ TEST_P(PropertySweep, P2_WriteVerdictsIdenticalAcrossModes) {
   // read-read false positives, §IV.D, but can also MISS true read-write
   // races — V may absorb knowledge through the home node that W never saw,
   // ordering the read against V while it stays concurrent with the last
-  // write. EXPERIMENTS.md quantifies both.)
+  // write. bench/bench_precision.cpp quantifies both.)
   World world(world_config());
   workload::spawn_random(world, contended_workload());
   ASSERT_TRUE(world.run().completed);

@@ -1,6 +1,7 @@
 // The record/replay subsystem: varint round-trips (the one shared integer
 // wire encoding), log serialize/parse round-trips, structured diagnostics
-// for every corruption mode, and the core equivalence — folding a recorded
+// for every corruption mode, the dense area index, the threaded seal's merge
+// into global stamp order, and the core equivalence — folding a recorded
 // event stream through core::check_access reproduces the live detector's
 // verdicts bit-identically, including for mode=off recordings folded under
 // full dual-clock detection (the always-on production story).
@@ -9,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fuzz/generate.hpp"
@@ -219,6 +221,127 @@ TEST(RecordLog, HeaderRangeIsValidated) {
   std::string error;
   EXPECT_FALSE(Log::parse(bytes, &error).has_value());
   EXPECT_TRUE(error.starts_with("[bad-field]")) << error;
+}
+
+// ---------------------------------------------------------------------------
+// AreaIndex: the (home, AreaId) → flat table every recorded op resolves.
+// ---------------------------------------------------------------------------
+
+TEST(AreaIndex, InterleavedHomesAndGapsResolve) {
+  AreaIndex index;
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.add(2, 0), 0u);
+  EXPECT_EQ(index.add(0, 0), 1u);
+  EXPECT_EQ(index.add(2, 1), 2u);
+  EXPECT_EQ(index.add(0, 3), 3u);  // ids 1 and 2 on home 0 stay gaps.
+  EXPECT_EQ(index.add(2, 5), 4u);
+  EXPECT_EQ(index.size(), 5u);
+
+  EXPECT_EQ(index.at(2, 0), 0u);
+  EXPECT_EQ(index.at(0, 0), 1u);
+  EXPECT_EQ(index.at(2, 1), 2u);
+  EXPECT_EQ(index.at(0, 3), 3u);
+  EXPECT_EQ(index.at(2, 5), 4u);
+  EXPECT_TRUE(index.contains(0, 3));
+  EXPECT_FALSE(index.contains(0, 1));   // gap.
+  EXPECT_FALSE(index.contains(2, 4));   // gap.
+  EXPECT_FALSE(index.contains(1, 0));   // home between two registered homes.
+  EXPECT_FALSE(index.contains(0, 4));   // id past the end.
+  EXPECT_FALSE(index.contains(3, 0));   // home past the end.
+  EXPECT_FALSE(index.contains(-1, 0));  // negative home.
+
+  // Filling a gap later gets the next flat index, not the gap's position.
+  EXPECT_EQ(index.add(0, 1), 5u);
+  EXPECT_EQ(index.at(0, 1), 5u);
+  EXPECT_EQ(index.size(), 6u);
+}
+
+TEST(AreaIndexDeathTest, DuplicatesAndMissingAreasPanic) {
+  AreaIndex index;
+  index.add(0, 0);
+  index.add(0, 2);
+  index.add(1, 0);
+  EXPECT_DEATH(index.add(0, 2), "area registered twice: home 0 id 2");
+  EXPECT_DEATH((void)index.at(2, 0),
+               "area not registered with the recorder: home 2 id 0");
+  EXPECT_DEATH((void)index.at(1, 1),
+               "area not registered with the recorder: home 1 id 1");
+  EXPECT_DEATH((void)index.at(0, 1),
+               "area not registered with the recorder: home 0 id 1");
+}
+
+TEST(AreaIndex, MakeAreaIndexRoundTripsAtScale) {
+  // Regression guard: a per-lookup scan of the table makes this quadratic
+  // (~5e9 compares); the dense table answers all 1e5 lookups in microseconds.
+  constexpr std::uint64_t kAreas = 100'000;
+  constexpr int kHomes = 4;
+  util::Rng rng(12);
+  std::vector<AreaEntry> areas;
+  std::vector<std::uint32_t> id_of;  ///< per flat index: its per-home AreaId.
+  std::vector<std::uint32_t> next_id(kHomes, 0);
+  areas.reserve(kAreas);
+  for (std::uint64_t i = 0; i < kAreas; ++i) {
+    const auto home = static_cast<Rank>(rng.below(kHomes));
+    areas.push_back(AreaEntry{home, 64, ""});
+    id_of.push_back(next_id[static_cast<std::size_t>(home)]++);
+  }
+  const AreaIndex index = make_area_index(areas);
+  ASSERT_EQ(index.size(), kAreas);
+  for (std::uint64_t flat = 0; flat < kAreas; ++flat) {
+    ASSERT_EQ(index.at(areas[flat].home, id_of[flat]), flat);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Threaded seal: per-rank buffers merged into global stamp order.
+// ---------------------------------------------------------------------------
+
+TEST(RecorderSeal, MergeFollowsGlobalStampOrder) {
+  // One thread stamps for every rank, so the call order IS the stamp order:
+  // runs of one rank, strict alternation, a rank that goes quiet early
+  // (rank 3 after the script) and one that starts late (rank 2).
+  Recorder recorder(4, Backend::kThread, core::DetectorMode::kOff, true, true);
+  std::vector<Event> expected;
+  const auto stamp = [&](Rank rank) {
+    const auto n = static_cast<std::uint64_t>(expected.size());
+    recorder.record_thread(rank, EventKind::kThreadPut, n % 5, n);
+    expected.push_back(Event{EventKind::kThreadPut, static_cast<std::uint64_t>(rank),
+                             n % 5, n});
+  };
+  for (const Rank rank : {0, 0, 0, 1, 3, 1, 3, 1, 0, 3, 3, 1, 1, 0}) stamp(rank);
+  util::Rng rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    const auto rank = static_cast<Rank>(rng.below(3));  // ranks 0..2
+    stamp(rank);
+  }
+  recorder.finish({}, true, {});
+  EXPECT_EQ(recorder.log().events, expected);
+}
+
+TEST(RecorderSeal, ConcurrentStampsKeepEveryEventInProgramOrder) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20'000;
+  Recorder recorder(kThreads, Backend::kThread, core::DetectorMode::kOff, true, true);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&recorder, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        recorder.record_thread(t, EventKind::kThreadGet, 0, i);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  recorder.finish({}, true, {});
+
+  const std::vector<Event>& events = recorder.log().events;
+  ASSERT_EQ(events.size(), kThreads * kPerThread);
+  std::vector<std::uint64_t> next(kThreads, 0);
+  for (const Event& event : events) {
+    ASSERT_LT(event.a, static_cast<std::uint64_t>(kThreads));
+    ASSERT_EQ(event.c, next[event.a]) << "rank " << event.a << " out of program order";
+    ++next[event.a];
+  }
+  EXPECT_EQ(next, std::vector<std::uint64_t>(kThreads, kPerThread));
 }
 
 // ---------------------------------------------------------------------------

@@ -186,9 +186,13 @@ TEST(ThreadBackend, StuckLockWaiterIsReportedNotWedged) {
   const auto area = world.alloc(0, 8, "held");
   world.spawn(0, [area](ThreadProcess& p) {
     p.lock(area);
+    p.signal(1, 7);     // rank 1 must queue behind this holder, not win the lock.
     p.wait_signal(99);  // blocks forever while holding the lock.
   });
-  world.spawn(1, [area](ThreadProcess& p) { p.lock(area); });
+  world.spawn(1, [area](ThreadProcess& p) {
+    p.wait_signal(7);
+    p.lock(area);
+  });
   const auto report = world.run();
   EXPECT_FALSE(report.completed);
   EXPECT_EQ(report.stuck_ranks, (std::vector<Rank>{0, 1}));
