@@ -44,7 +44,7 @@ struct ThreadCost {
 
 /// One threaded run: every rank hammers its own area with put+get pairs
 /// (disjoint areas — pure per-op engine + recorder cost, no contention
-/// beyond stripe sharing). Median of `reps` wall times.
+/// beyond detector-shard sharing). Median of `reps` wall times.
 ThreadCost measure_thread(core::DetectorMode mode, bool record, int reps = 3) {
   const double ops = static_cast<double>(kRanks) * kOpsPerRank * 2;
   std::vector<double> walls;

@@ -1,6 +1,6 @@
-// Epochs and adaptive detection state — the FastTrack idea (Flanagan &
-// Freund; cf. Ronsse & De Bosschere's on-the-fly detectors in PAPERS.md)
-// transplanted onto the paper's per-area clocks.
+// Epochs — the FastTrack idea (Flanagan & Freund; cf. Ronsse & De
+// Bosschere's on-the-fly detectors in PAPERS.md) transplanted onto the
+// paper's per-area clocks.
 //
 // An *epoch* (rank, value) names one event: the `value`-th event of process
 // `rank`. For the clock C(e) of an event e at process p, Fidge/Mattern give
@@ -13,12 +13,8 @@
 // accessor clock is the initiator's post-tick clock, an event at the
 // initiator. So the full four-way comparison of Algorithm 3 collapses to
 // two integer compares (core::check_access's fast path), and the stored
-// state can be *summarized* by its epoch.
-//
-// The adaptive rule: state produced by a single known event stays
-// epoch-summarized; merging in knowledge that is not totally ordered with
-// the current state (a concurrent read set union) *inflates* the state to a
-// plain vector clock, after which comparisons fall back to O(n).
+// state can be *summarized* by its epoch (detect::ShardedDetector keeps one
+// beside every stored clock).
 #pragma once
 
 #include <string>
@@ -54,67 +50,6 @@ struct Epoch {
   bool operator==(const Epoch&) const = default;
 
   std::string to_string() const;  ///< "P<rank>@<value>", or "-" when invalid.
-};
-
-/// Adaptive per-area detection state: a full vector clock plus, while the
-/// state is known to be the clock of one event (`store_event`), the epoch
-/// witnessing that event. While summarized, orderings against this state
-/// are decidable in O(1) and the modeled storage footprint is the compact
-/// clock + epoch; `merge_concurrent` inflates to a plain clock.
-class AdaptiveClock {
- public:
-  AdaptiveClock() = default;
-
-  /// Zero state for a system of `n` processes, owned by `owner` (the home
-  /// rank of the area this state guards). The zero clock *is* an event
-  /// clock — of the fictitious 0th event of the owner — so a fresh area
-  /// starts summarized.
-  AdaptiveClock(std::size_t n, Rank owner)
-      : full_(n), epoch_{owner, 0}, summarized_(true) {}
-
-  bool summarized() const { return summarized_; }
-
-  /// The epoch witness; invalid when the state has been inflated.
-  Epoch epoch() const { return summarized_ ? epoch_ : Epoch{}; }
-
-  const VectorClock& full() const { return full_; }
-
-  /// Overwrite with the clock of one known event at `owner` (the home NIC's
-  /// post-event clock). Keeps / restores the epoch summary.
-  void store_event(Rank owner, const VectorClock& clk) {
-    full_ = clk;
-    epoch_ = Epoch::of_event(owner, clk);
-    summarized_ = epoch_.valid();
-  }
-
-  /// The inflate rule: absorb knowledge not produced by a single event
-  /// totally ordered with the current state (concurrent readers). The state
-  /// becomes a componentwise max of multiple events' clocks, which is no
-  /// event's clock — the epoch summary is dropped.
-  ///
-  /// Not exercised by the paper's protocols (every live update is one home
-  /// event, so areas stay summarized); kept so the type stays sound for
-  /// representations that merge, e.g. an aggregated read set.
-  void merge_concurrent(const VectorClock& clk) {
-    if (full_.empty()) {
-      full_ = clk;
-    } else {
-      full_.merge_from(clk);
-    }
-    summarized_ = false;
-  }
-
-  /// Modeled storage footprint (what the §V.A storage-overhead accounting
-  /// charges): the compact-encoded clock, plus the epoch witness while
-  /// summarized.
-  std::size_t storage_bytes() const {
-    return full_.wire_size() + (summarized_ ? epoch_.wire_size() : 0);
-  }
-
- private:
-  VectorClock full_;
-  Epoch epoch_{};
-  bool summarized_ = false;
 };
 
 }  // namespace dsmr::clocks

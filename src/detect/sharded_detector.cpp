@@ -18,8 +18,7 @@ void ShardedDetector::register_area(AreaId id) {
   Shard& shard = shard_for(id);
   for (Lane* lane : {&shard.v, &shard.w}) {
     // Fresh state is the zero clock as an event clock — the fictitious 0th
-    // event of the home rank — so a cold area starts epoch-summarized,
-    // exactly like AdaptiveClock's zero state did.
+    // event of the home rank — so a cold area starts epoch-summarized.
     lane->epoch.push_back(clocks::Epoch{home_, 0});
     lane->prior.push_back(kInvalidRank);
     lane->event.push_back(0);
@@ -88,9 +87,9 @@ void ShardedDetector::store_lane(Shard& shard, Lane& lane, std::size_t slot,
     shard.pool[idx - 1] = clk;
   }
   lane.clock[slot] = &shard.pool[idx - 1];
-  // Same adaptive rule as AdaptiveClock::store_event: the stored state is
-  // the clock of one known event at `owner`, summarized by its epoch (which
-  // comes out invalid — full-compare fallback — if owner is out of range).
+  // The stored state is the clock of one known event at `owner`,
+  // summarized by its epoch (which comes out invalid — full-compare
+  // fallback — if owner is out of range).
   lane.epoch[slot] = clocks::Epoch::of_event(owner, clk);
   lane.prior[slot] = accessor;
   lane.event[slot] = event_id;

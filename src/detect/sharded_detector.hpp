@@ -12,9 +12,9 @@
 //    stable addresses via deque).
 //  * Sharding by `area_id % shards`. Each shard owns its slice of every
 //    lane plus one mutex; area id → (shard, slot) is two integer ops, and
-//    writers on different shards never contend. This subsumes PR 7's
-//    per-home-rank striped locking in ThreadWorld (the stripe count is now
-//    the shard count) and gives the sim backend the same layout at shards=1.
+//    writers on different shards never contend. ThreadWorld locks these
+//    shard mutexes on its put/get path; the sim backend and the offline
+//    fold use the same layout at shards=1.
 //  * Batched range checks. check_range walks each shard's contiguous lane
 //    slice through core::check_span: one epoch compare per *run* of
 //    state-identical areas (equal clock handle + epoch + prior rank), not
@@ -23,7 +23,9 @@
 // Concurrency contract: the detector does not lock for you on the per-area
 // fast path. check_one / store_access / the per-area accessors require the
 // caller to hold shard_mutex(id) when other threads may touch that shard
-// (the ThreadWorld path), and need no lock single-threaded (the sim path).
+// (the ThreadWorld path), and need no lock single-threaded (the sim path and
+// record::replay_fold). The transitions that drive them live in
+// detect/transitions.hpp.
 // check_range and store_range acquire each shard's mutex themselves as they
 // walk it.
 //
@@ -77,6 +79,7 @@ class ShardedDetector {
   ShardedDetector& operator=(const ShardedDetector&) = delete;
 
   std::size_t nprocs() const { return nprocs_; }
+  Rank home() const { return home_; }
   int shards() const { return static_cast<int>(shards_.size()); }
   std::size_t area_count() const { return areas_; }
 
@@ -90,7 +93,7 @@ class ShardedDetector {
 
   /// The mutex guarding `id`'s shard. Callers on the per-area path hold it
   /// across their check+store sequence (check / record / store must be one
-  /// atomic step, exactly as PR 7's stripe locks did).
+  /// atomic step).
   std::mutex& shard_mutex(AreaId id) const { return shard_for(id).mutex; }
 
   // ---- checks ----
@@ -154,9 +157,8 @@ class ShardedDetector {
   // ---- storage accounting (CLAIM-V.A1) ----
 
   /// Modeled detection-metadata bytes for one area: both lanes' compact
-  /// clock encodings plus their epoch witnesses — the same formula
-  /// clocks::AdaptiveClock::storage_bytes charged when this state lived in
-  /// mem::Area, so the §V.A accounting is unchanged by the extraction.
+  /// clock encodings plus their epoch witnesses while summarized — the
+  /// §V.A accounting this state was charged when it lived in mem::Area.
   std::size_t area_storage_bytes(AreaId id) const {
     return v_storage_bytes(id) + w_storage_bytes(id);
   }

@@ -120,7 +120,7 @@ bool dependent(const ExecutedStep& a, const ExecutedStep& b, int nprocs,
       return sa.area % nprocs == sb.area % nprocs;
     }
     if (sa.area == sb.area) return true;
-    if (sa.lock != -1 && sa.lock == sb.lock) return true;  // handoff overwrite.
+    if (sa.lock != -1 && sa.lock == sb.lock) return true;  // grant order shows.
     return false;
   }
 

@@ -19,7 +19,7 @@
 // free. docs/testing.md "Exhaustive exploration" spells out the contract.
 //
 // Independence is *finer* than the issue's sketch in one deliberate way:
-// same-area read/read pairs are DEPENDENT. AdaptiveClock::store_event
+// same-area read/read pairs are DEPENDENT. ShardedDetector::store_access
 // overwrites the stored V clock and last_access_rank on every access,
 // reads included, so two reads of one area do not commute in detector
 // state (the final V is the last reader's clock). The property test in
@@ -102,8 +102,8 @@ struct IndependenceOptions {
 /// the two executed transitions do NOT commute on detector state:
 ///  * same rank (program order);
 ///  * accesses to the same area — any kinds (see header comment), or both
-///    locked with the same lock area (the unlock handoff clock is an
-///    overwrite, so grant order shows);
+///    locked with the same lock area (the handoff merges releases, but
+///    grant order still decides which releases each acquirer merges);
 ///  * signals to the same (destination, tag) channel (FIFO append order);
 ///  * a wait and exactly the signal it consumed (covers the enabling
 ///    direction; a co-enabled same-channel signal/wait pair with an older

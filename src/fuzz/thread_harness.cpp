@@ -131,7 +131,7 @@ ThreadProgramOutcome run_program_threaded(const Program& program,
   config.mode = options.mode;
   config.lock_clock_handoff = options.lock_clock_handoff;
   config.acked_puts = options.acked_puts;
-  config.stripes = options.stripes;
+  config.shards = options.shards;
   config.run_timeout = options.timeout;
   // Areas are small and bump-allocated; size the segment to fit them.
   config.segment_bytes =

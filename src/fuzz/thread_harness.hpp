@@ -22,7 +22,7 @@
 //    honors; any flag on either backend is a divergence.
 //  * kRacy      — the planted area must be flagged on EVERY run of BOTH
 //    backends: the construction isolates the contested area from all
-//    clock-merge paths, so whichever side the stripe mutex serializes
+//    clock-merge paths, so whichever side the shard mutex serializes
 //    second observes a concurrent stored clock.
 //  * kSometimes — manifestation is schedule luck; real and simulated
 //    schedule spaces differ (the threaded backend has no home node clock
@@ -57,7 +57,7 @@ std::uint64_t boundary_signal_tag(std::size_t phase, std::uint32_t round);
 
 /// Knobs for one threaded execution of a program.
 struct ThreadRunOptions {
-  int stripes = 8;
+  int shards = 8;  ///< detector shards per home (ThreadWorldConfig::shards).
   std::chrono::milliseconds timeout{10'000};
   core::DetectorMode mode = core::DetectorMode::kDualClock;
   bool lock_clock_handoff = true;

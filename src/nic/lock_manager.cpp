@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "detect/transitions.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::nic {
@@ -57,18 +58,13 @@ bool LockManager::held_by(mem::AreaId area, LockToken token) const {
 }
 
 void LockManager::set_handoff(mem::AreaId area, const clocks::VectorClock& clock) {
-  AreaLock& lock = locks_[area];
-  if (lock.handoff.has_value()) {
-    lock.handoff->merge_from(clock);
-  } else {
-    lock.handoff = clock;
-  }
+  detect::hand_off(locks_[area].handoff, clock);
 }
 
 const clocks::VectorClock* LockManager::handoff(mem::AreaId area) const {
   const auto it = locks_.find(area);
-  if (it == locks_.end() || !it->second.handoff.has_value()) return nullptr;
-  return &*it->second.handoff;
+  if (it == locks_.end() || it->second.handoff.empty()) return nullptr;
+  return &it->second.handoff;
 }
 
 }  // namespace dsmr::nic

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <unordered_map>
 
 #include "clocks/vector_clock.hpp"
@@ -52,8 +51,9 @@ class LockManager {
   /// holder's rank — used for re-entrant grants to the holding rank.
   LockToken holder(mem::AreaId area) const;
 
-  /// Clock handoff (release→acquire happens-before edge): the releaser's
-  /// clock is remembered and handed to subsequent acquirers.
+  /// Clock handoff (release→acquire happens-before edge): the release joins
+  /// the area's handoff clock (detect::hand_off), which later acquirers
+  /// receive; null until the first release.
   void set_handoff(mem::AreaId area, const clocks::VectorClock& clock);
   const clocks::VectorClock* handoff(mem::AreaId area) const;
 
@@ -64,7 +64,7 @@ class LockManager {
     bool held = false;
     LockToken holder = 0;
     std::deque<std::pair<LockToken, sim::Promise<void>>> waiters;
-    std::optional<clocks::VectorClock> handoff;
+    clocks::VectorClock handoff;  ///< empty until the first release.
   };
 
   std::unordered_map<mem::AreaId, AreaLock> locks_;

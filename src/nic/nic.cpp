@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "detect/transitions.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -492,25 +493,20 @@ void Nic::handle_get_locked(const Message& m) {
 
 void Nic::apply_put(const Message& m) {
   mem::Area& area = segment_.area(m.area);
-  // The whole apply is one atomic home-side event — check, receive_event,
+  // The whole apply is one atomic home-side event — receive_event, check,
   // store, ack — so one recorded event covers it.
   if (recorder_ != nullptr) {
     recorder_->record(record::EventKind::kPutApply, m.src,
                       recorder_->area_index(rank_, m.area), m.data.size());
   }
-  bool raced = false;
-  if (m.flag && config_.mode != DetectorMode::kOff) {
-    const auto verdict =
-        detector_.check_one(config_.mode, AccessKind::kWrite, m.src, m.clock, m.area);
-    if (verdict.race) {
-      record_home_report(AccessKind::kWrite, m, area, verdict);
-      raced = true;
-    }
-  }
   clock_.receive_event(m.src, m.clock);
+  // m.flag: the home decides the verdict (home-side transport, detector on).
+  const bool raced = detect::home_apply(
+      detector_, config_.mode, AccessKind::kWrite, m.src, m.clock, clock_.vector(),
+      m.area, /*check=*/m.flag, m.event_id, [&](const core::Verdict& verdict) {
+        record_home_report(AccessKind::kWrite, m, area, verdict);
+      });
   segment_.write_bytes(area.offset + m.offset, m.data);
-  detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/true, m.src,
-                         m.event_id);
   events_.annotate_apply(m.event_id, clock_.vector());
 
   Message ack;
@@ -526,18 +522,12 @@ sim::Time Nic::serve_get(const Message& m) {
     recorder_->record(record::EventKind::kGetApply, m.src,
                       recorder_->area_index(rank_, m.area), m.length);
   }
-  bool raced = false;
-  if (m.flag && config_.mode != DetectorMode::kOff) {
-    const auto verdict =
-        detector_.check_one(config_.mode, AccessKind::kRead, m.src, m.clock, m.area);
-    if (verdict.race) {
-      record_home_report(AccessKind::kRead, m, area, verdict);
-      raced = true;
-    }
-  }
   clock_.receive_event(m.src, m.clock);
-  detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/false, m.src,
-                         m.event_id);
+  const bool raced = detect::home_apply(
+      detector_, config_.mode, AccessKind::kRead, m.src, m.clock, clock_.vector(),
+      m.area, /*check=*/m.flag, m.event_id, [&](const core::Verdict& verdict) {
+        record_home_report(AccessKind::kRead, m, area, verdict);
+      });
   events_.annotate_apply(m.event_id, clock_.vector());
 
   Message resp;

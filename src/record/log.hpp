@@ -9,7 +9,8 @@
 // a log captured at `DetectorMode::kOff` replays offline under the full
 // dual-clock detector with exactly the verdicts a live run on that schedule
 // would have produced. Replay folds the event stream through the same
-// `core::check_access` rules and compares against the live verdict footer.
+// transitions the live engines run (detect/transitions.hpp) and compares
+// against the live verdict footer.
 //
 // Wire layout (all integers LEB128 varints, util/varint.hpp):
 //
@@ -49,7 +50,7 @@ inline constexpr std::uint64_t kVersion = 1;
 /// Which execution engine produced the log. Event kinds are disjoint per
 /// backend because the two engines have different linearization points
 /// (the sim splits put/get/unlock across initiator and home NIC; the
-/// threaded backend commits each op atomically under a stripe lock).
+/// threaded backend commits each op atomically under a detector shard lock).
 enum class Backend : std::uint8_t {
   kSim = 0,
   kThread = 1,

@@ -7,7 +7,7 @@
 //                      order IS execution order. No synchronization.
 //  * `record_thread` — threaded backend. Each rank thread appends to its own
 //                      buffer; a global atomic sequence number stamped at the
-//                      op's linearization point (inside the stripe / user-lock
+//                      op's linearization point (inside the shard / user-lock
 //                      mutex) defines the total order. `finish` merges the
 //                      buffers by stamp.
 #pragma once

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <tuple>
 #include <utility>
 
-#include "clocks/epoch.hpp"
 #include "clocks/vector_clock.hpp"
-#include "core/rules.hpp"
+#include "detect/sharded_detector.hpp"
+#include "detect/transitions.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::record {
@@ -17,53 +18,44 @@ namespace {
 
 using clocks::VectorClock;
 
-/// The fold mirrors, field for field, the state the live engines keep:
-/// mem::Area's adaptive V/W clocks + last-initiator ranks, the per-node
-/// NodeClock (one per rank — in the sim a rank's Process and its home NIC
-/// share a clock, which is why puts and gets are split into issue/apply/
-/// completion events), the lock-manager handoff clocks, and the in-flight
-/// ack/response payloads. Identical state + identical check inputs =>
-/// bit-identical verdicts, including the epoch fast-path decisions.
-struct FoldState {
-  struct Area {
-    Rank home = kInvalidRank;
-    std::string name;
-    clocks::AdaptiveClock v;
-    clocks::AdaptiveClock w;
-    Rank last_access_rank = kInvalidRank;
-    Rank last_write_rank = kInvalidRank;
-    VectorClock handoff;
-    bool has_handoff = false;
-  };
+/// In-flight payload clocks keyed by (initiator, area). Each initiator op
+/// is a blocking await, so every queue's depth is at most 1; deques keep
+/// the fold honest if a malformed log violates that.
+using PayloadQueues =
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::deque<VectorClock>>;
 
-  std::vector<VectorClock> clocks;  // per rank
-  std::vector<Area> areas;
-  // In-flight payload clocks keyed by (initiator, area). Each initiator op
-  // is a blocking await, so every queue's depth is at most 1; deques keep
-  // the fold honest if a malformed log violates that.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::deque<VectorClock>>
-      put_issue, put_ack, get_issue, get_merge, unlock_release;
-  // Undelivered signal clocks keyed by (src, dst, tag). Matching is by the
-  // sender's own clock component (Event::d), not FIFO: same-channel signals
-  // can be reordered by perturbation or fault retries.
-  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-           std::deque<VectorClock>>
-      signals;
-};
-
+/// A validating driver over the live transitions (detect/transitions.hpp).
+/// Its state is the state the live engines keep: one detect::ShardedDetector
+/// per home rank (one shard — the fold is single-threaded), one clock per
+/// rank (in the sim a rank's Process and its home NIC share a clock, which
+/// is why puts and gets are split into issue/apply/completion events), the
+/// lock handoff clocks, and the in-flight ack/response payloads. Same state,
+/// same transitions => the live verdicts, bit for bit.
 class Folder {
  public:
   Folder(const Log& log, core::DetectorMode mode) : log_(log), mode_(mode) {
     const std::size_t n = log.header.nprocs;
-    state_.clocks.assign(n, VectorClock(n));
-    state_.areas.reserve(log.areas.size());
-    for (const AreaEntry& entry : log.areas) {
-      FoldState::Area area;
-      area.home = entry.home;
-      area.name = entry.name;
-      area.v = clocks::AdaptiveClock(n, entry.home);
-      area.w = clocks::AdaptiveClock(n, entry.home);
-      state_.areas.push_back(std::move(area));
+    clocks_.assign(n, VectorClock(n));
+    handoffs_.resize(log.areas.size());
+    where_.reserve(log.areas.size());
+    std::vector<std::size_t> per_home(n, 0);
+    for (std::size_t i = 0; i < log.areas.size(); ++i) {
+      const Rank home = log.areas[i].home;
+      if (home < 0 || static_cast<std::size_t>(home) >= n) {
+        result_.error = "[bad-trace] area " + std::to_string(i) + " home rank " +
+                        std::to_string(home) + " out of range";
+        return;
+      }
+      const auto h = static_cast<std::size_t>(home);
+      where_.push_back(Where{home, static_cast<detect::AreaId>(per_home[h]++)});
+    }
+    // Per-home area ids are dense in allocation order (the log's table
+    // order), so each detector registers its whole slice at once.
+    detectors_.reserve(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      detectors_.push_back(
+          std::make_unique<detect::ShardedDetector>(n, static_cast<Rank>(r), 1));
+      detectors_.back()->register_areas(per_home[r]);
     }
   }
 
@@ -91,6 +83,16 @@ class Folder {
   }
 
  private:
+  /// A flat area-table index resolved to its home detector's area id.
+  struct Where {
+    Rank home;
+    detect::AreaId id;
+  };
+
+  detect::ShardedDetector& detector(Where area) const {
+    return *detectors_[static_cast<std::size_t>(area.home)];
+  }
+
   void fail(const Event& event, const std::string& what) {
     if (!result_.ok()) return;
     result_.error = "[bad-trace] event #" + std::to_string(index_) + " (" +
@@ -98,23 +100,20 @@ class Folder {
   }
 
   bool valid_rank(const Event& event, std::uint64_t rank) {
-    if (rank < state_.clocks.size()) return true;
+    if (rank < clocks_.size()) return true;
     fail(event, "rank " + std::to_string(rank) + " out of range");
     return false;
   }
 
-  FoldState::Area* valid_area(const Event& event, std::uint64_t index) {
-    if (index < state_.areas.size()) return &state_.areas[index];
+  bool valid_area(const Event& event, std::uint64_t index) {
+    if (index < where_.size()) return true;
     fail(event, "area " + std::to_string(index) + " out of range");
-    return nullptr;
+    return false;
   }
 
   /// Pops the single in-flight payload of (rank, area) from `queue`.
-  bool pop(const Event& event,
-           std::map<std::pair<std::uint64_t, std::uint64_t>,
-                    std::deque<VectorClock>>& queue,
-           std::uint64_t rank, std::uint64_t area, VectorClock* out,
-           const char* what) {
+  bool pop(const Event& event, PayloadQueues& queue, std::uint64_t rank,
+           std::uint64_t area, VectorClock* out, const char* what) {
     auto it = queue.find({rank, area});
     if (it == queue.end() || it->second.empty()) {
       fail(event, std::string("no pending ") + what + " for rank " +
@@ -126,32 +125,23 @@ class Folder {
     return true;
   }
 
-  /// One access through the real predicate, with exactly the inputs the
-  /// live engine passes (pre-update stored state, post-tick event clock).
-  void check(std::uint64_t area_index, const FoldState::Area& area,
-             core::AccessKind kind, Rank accessor,
-             const VectorClock& accessor_clock) {
-    ++result_.checks;
-    const core::StoredClocks stored{area.v.full(),          area.w.full(),
-                                    area.last_access_rank,  area.last_write_rank,
-                                    area.v.epoch(),         area.w.epoch()};
-    const core::Verdict verdict =
-        core::check_access(mode_, kind, accessor, accessor_clock, stored);
-    if (!verdict.race) return;
+  /// Files the race the shared transition flagged on flat area `index`. It
+  /// runs before the store, so the detector still holds the compared clock.
+  void report(std::uint64_t index, core::AccessKind kind, Rank accessor,
+              const VectorClock& accessor_clock, const core::Verdict& verdict) {
+    const Where area = where_[index];
     core::RaceReport report;
     report.id = result_.reports.size() + 1;
     report.home = area.home;
     // The fold speaks flat area-table indices (per-segment ids are not in
     // the log); signatures are built in the same coordinates.
-    report.area = static_cast<std::uint32_t>(area_index);
-    report.area_name = area.name;
+    report.area = static_cast<std::uint32_t>(index);
+    report.area_name = log_.areas[index].name;
     report.accessor = accessor;
     report.kind = kind;
     report.accessor_clock = accessor_clock;
     report.against = verdict.against;
-    report.stored_clock = verdict.against == core::ComparedAgainst::kW
-                              ? area.w.full()
-                              : area.v.full();
+    report.stored_clock = detector(area).prior_clock(area.id, verdict.against);
     result_.reports.push_back(std::move(report));
   }
 
@@ -159,110 +149,93 @@ class Folder {
     switch (event.kind) {
       case EventKind::kTick: {
         if (!valid_rank(event, event.a)) return;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
+        clocks_[event.a].tick(static_cast<Rank>(event.a));
         return;
       }
       case EventKind::kPutIssue:
       case EventKind::kGetIssue: {
         if (!valid_rank(event, event.a) || !valid_area(event, event.b)) return;
-        auto& queue = event.kind == EventKind::kPutIssue ? state_.put_issue
-                                                         : state_.get_issue;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        queue[{event.a, event.b}].push_back(state_.clocks[event.a]);
+        PayloadQueues& queue =
+            event.kind == EventKind::kPutIssue ? put_issue_ : get_issue_;
+        clocks_[event.a].tick(static_cast<Rank>(event.a));
+        queue[{event.a, event.b}].push_back(clocks_[event.a]);
         return;
       }
-      case EventKind::kPutApply: {
-        FoldState::Area* area = valid_area(event, event.b);
-        if (!valid_rank(event, event.a) || area == nullptr) return;
-        VectorClock issue;
-        if (!pop(event, state_.put_issue, event.a, event.b, &issue,
-                 "put issue"))
-          return;
-        const auto src = static_cast<Rank>(event.a);
-        check(event.b, *area, core::AccessKind::kWrite, src, issue);
-        // Home NIC receive_event + store, unconditionally (mode-independent).
-        VectorClock& home_clock = state_.clocks[static_cast<std::size_t>(area->home)];
-        home_clock.tick(area->home);
-        home_clock.merge_from(issue);
-        area->v.store_event(area->home, home_clock);
-        area->w.store_event(area->home, home_clock);
-        area->last_access_rank = src;
-        area->last_write_rank = src;
-        if (log_.header.acked_puts) {
-          state_.put_ack[{event.a, event.b}].push_back(home_clock);
-        }
-        return;
-      }
+      case EventKind::kPutApply:
       case EventKind::kGetApply: {
-        FoldState::Area* area = valid_area(event, event.b);
-        if (!valid_rank(event, event.a) || area == nullptr) return;
+        if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
+        const bool put = event.kind == EventKind::kPutApply;
         VectorClock issue;
-        if (!pop(event, state_.get_issue, event.a, event.b, &issue,
-                 "get issue"))
+        if (!pop(event, put ? put_issue_ : get_issue_, event.a, event.b, &issue,
+                 put ? "put issue" : "get issue"))
           return;
         const auto src = static_cast<Rank>(event.a);
-        check(event.b, *area, core::AccessKind::kRead, src, issue);
-        VectorClock& home_clock = state_.clocks[static_cast<std::size_t>(area->home)];
-        home_clock.tick(area->home);
+        const auto kind = put ? core::AccessKind::kWrite : core::AccessKind::kRead;
+        const Where area = where_[event.b];
+        // The home NIC's receive_event, then the shared apply rule (its store
+        // is mode-independent, so an off recording folds at any mode).
+        VectorClock& home_clock = clocks_[static_cast<std::size_t>(area.home)];
+        home_clock.tick(area.home);
         home_clock.merge_from(issue);
-        area->v.store_event(area->home, home_clock);  // reads update V only
-        area->last_access_rank = src;
-        state_.get_merge[{event.a, event.b}].push_back(home_clock);
+        ++result_.checks;
+        detect::home_apply(detector(area), mode_, kind, src, issue, home_clock,
+                           area.id, /*check=*/true, /*event_id=*/0,
+                           [&](const core::Verdict& verdict) {
+                             report(event.b, kind, src, issue, verdict);
+                           });
+        if (!put) {
+          get_merge_[{event.a, event.b}].push_back(home_clock);
+        } else if (log_.header.acked_puts) {
+          put_ack_[{event.a, event.b}].push_back(home_clock);
+        }
         return;
       }
       case EventKind::kPutAck:
       case EventKind::kGetMerge: {
         if (!valid_rank(event, event.a) || !valid_area(event, event.b)) return;
-        auto& queue = event.kind == EventKind::kPutAck ? state_.put_ack
-                                                       : state_.get_merge;
+        PayloadQueues& queue =
+            event.kind == EventKind::kPutAck ? put_ack_ : get_merge_;
         VectorClock payload;
-        if (!pop(event, queue, event.a, event.b, &payload, "completion"))
-          return;
-        state_.clocks[event.a].merge_from(payload);
+        if (!pop(event, queue, event.a, event.b, &payload, "completion")) return;
+        clocks_[event.a].merge_from(payload);
         return;
       }
-      case EventKind::kLock: {
-        FoldState::Area* area = valid_area(event, event.b);
-        if (!valid_rank(event, event.a) || area == nullptr) return;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        if (area->has_handoff) state_.clocks[event.a].merge_from(area->handoff);
+      case EventKind::kLock:
+      case EventKind::kThreadLock: {
+        // Grant: tick, then merge the handoff. A handoff exists only when
+        // the log's regime hands clocks off (both backends gate the release).
+        if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
+        VectorClock& clock = clocks_[event.a];
+        clock.tick(static_cast<Rank>(event.a));
+        if (!handoffs_[event.b].empty()) clock.merge_from(handoffs_[event.b]);
         return;
       }
       case EventKind::kUnlockIssue: {
         if (!valid_rank(event, event.a) || !valid_area(event, event.b)) return;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
+        clocks_[event.a].tick(static_cast<Rank>(event.a));
         if (log_.header.lock_clock_handoff) {
-          state_.unlock_release[{event.a, event.b}].push_back(
-              state_.clocks[event.a]);
+          unlock_release_[{event.a, event.b}].push_back(clocks_[event.a]);
         }
         return;
       }
       case EventKind::kUnlockApply: {
-        FoldState::Area* area = valid_area(event, event.b);
-        if (!valid_rank(event, event.a) || area == nullptr) return;
+        if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
         VectorClock release;
-        if (!pop(event, state_.unlock_release, event.a, event.b, &release,
+        if (!pop(event, unlock_release_, event.a, event.b, &release,
                  "unlock release"))
           return;
-        // Sim LockManager::set_handoff MERGES successive releases.
-        if (area->has_handoff) {
-          area->handoff.merge_from(release);
-        } else {
-          area->handoff = std::move(release);
-          area->has_handoff = true;
-        }
+        detect::hand_off(handoffs_[event.b], release);
         return;
       }
       case EventKind::kSignal: {
         if (!valid_rank(event, event.a) || !valid_rank(event, event.b)) return;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        state_.signals[{event.a, event.b, event.c}].push_back(
-            state_.clocks[event.a]);
+        clocks_[event.a].tick(static_cast<Rank>(event.a));
+        signals_[{event.a, event.b, event.c}].push_back(clocks_[event.a]);
         return;
       }
       case EventKind::kWaitMatch: {
         if (!valid_rank(event, event.a) || !valid_rank(event, event.b)) return;
-        auto& queue = state_.signals[{event.b, event.a, event.c}];
+        auto& queue = signals_[{event.b, event.a, event.c}];
         // Match by the sender's own component at send time (field d): the
         // sender ticks before every signal, so the component names exactly
         // one send even when same-channel signals arrive reordered.
@@ -280,53 +253,35 @@ class Folder {
         }
         const VectorClock sender = std::move(*it);
         queue.erase(it);
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        state_.clocks[event.a].merge_from(sender);
+        clocks_[event.a].tick(static_cast<Rank>(event.a));
+        clocks_[event.a].merge_from(sender);
         return;
       }
       case EventKind::kThreadPut:
       case EventKind::kThreadGet: {
-        FoldState::Area* area = valid_area(event, event.b);
-        if (!valid_rank(event, event.a) || area == nullptr) return;
+        if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
         const auto rank = static_cast<Rank>(event.a);
-        VectorClock& clock = state_.clocks[event.a];
+        const auto kind = event.kind == EventKind::kThreadPut
+                              ? core::AccessKind::kWrite
+                              : core::AccessKind::kRead;
+        const Where area = where_[event.b];
+        VectorClock& clock = clocks_[event.a];
         clock.tick(rank);
-        if (event.kind == EventKind::kThreadPut) {
-          check(event.b, *area, core::AccessKind::kWrite, rank, clock);
-          // Completion clock = pre-update V ∨ W, exactly ThreadWorld's
-          // acked-put merge source.
-          VectorClock completion = area->v.full();
-          completion.merge_from(area->w.full());
-          area->v.store_event(rank, clock);
-          area->w.store_event(rank, clock);
-          area->last_access_rank = rank;
-          area->last_write_rank = rank;
-          if (log_.header.acked_puts) clock.merge_from(completion);
-        } else {
-          check(event.b, *area, core::AccessKind::kRead, rank, clock);
-          VectorClock reads_from = area->w.full();
-          area->v.store_event(rank, clock);
-          area->last_access_rank = rank;
-          clock.merge_from(reads_from);
-        }
-        return;
-      }
-      case EventKind::kThreadLock: {
-        FoldState::Area* area = valid_area(event, event.b);
-        if (!valid_rank(event, event.a) || area == nullptr) return;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        if (log_.header.lock_clock_handoff && area->has_handoff) {
-          state_.clocks[event.a].merge_from(area->handoff);
-        }
+        ++result_.checks;
+        const VectorClock merge = detect::thread_access(
+            detector(area), mode_, kind, rank, clock, area.id,
+            log_.header.acked_puts, /*event_id=*/0,
+            [&](const core::Verdict& verdict) {
+              report(event.b, kind, rank, clock, verdict);
+            });
+        if (!merge.empty()) clock.merge_from(merge);
         return;
       }
       case EventKind::kThreadUnlock: {
-        FoldState::Area* area = valid_area(event, event.b);
-        if (!valid_rank(event, event.a) || area == nullptr) return;
-        state_.clocks[event.a].tick(static_cast<Rank>(event.a));
-        // ThreadWorld's UserLock handoff is overwritten, not merged.
-        area->handoff = state_.clocks[event.a];
-        area->has_handoff = true;
+        if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
+        VectorClock& clock = clocks_[event.a];
+        clock.tick(static_cast<Rank>(event.a));
+        if (log_.header.lock_clock_handoff) detect::hand_off(handoffs_[event.b], clock);
         return;
       }
     }
@@ -335,7 +290,17 @@ class Folder {
 
   const Log& log_;
   core::DetectorMode mode_;
-  FoldState state_;
+  std::vector<VectorClock> clocks_;  ///< per rank.
+  std::vector<Where> where_;         ///< per flat area index.
+  std::vector<std::unique_ptr<detect::ShardedDetector>> detectors_;  ///< per home.
+  std::vector<VectorClock> handoffs_;  ///< per flat area; empty = none yet.
+  PayloadQueues put_issue_, put_ack_, get_issue_, get_merge_, unlock_release_;
+  /// Undelivered signal clocks keyed by (src, dst, tag). Matching is by the
+  /// sender's own clock component (Event::d), not FIFO: same-channel signals
+  /// can be reordered by perturbation or fault retries.
+  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
+           std::deque<VectorClock>>
+      signals_;
   ReplayResult result_;
   std::size_t index_ = 0;
 
@@ -344,31 +309,27 @@ class Folder {
   /// shows up, so two event orders commute iff their dumps match.
   std::string state_digest(const ReplayResult& result) const {
     std::ostringstream out;
-    for (std::size_t r = 0; r < state_.clocks.size(); ++r) {
-      out << "r" << r << "=" << state_.clocks[r].to_string() << "\n";
+    for (std::size_t r = 0; r < clocks_.size(); ++r) {
+      out << "r" << r << "=" << clocks_[r].to_string() << "\n";
     }
-    for (std::size_t i = 0; i < state_.areas.size(); ++i) {
-      const FoldState::Area& area = state_.areas[i];
-      out << "a" << i << " " << area.name << " home=" << area.home
-          << " v=" << area.v.full().to_string()
-          << " ve=" << epoch_digest(area.v)
-          << " w=" << area.w.full().to_string()
-          << " we=" << epoch_digest(area.w)
-          << " la=" << area.last_access_rank << " lw=" << area.last_write_rank;
-      out << " handoff=";
-      if (area.has_handoff) {
-        out << area.handoff.to_string();
-      } else {
-        out << "-";
-      }
-      out << "\n";
+    for (std::size_t i = 0; i < where_.size(); ++i) {
+      const Where area = where_[i];
+      const detect::ShardedDetector& det = detector(area);
+      out << "a" << i << " " << log_.areas[i].name << " home=" << area.home
+          << " v=" << det.v_clock(area.id).to_string()
+          << " ve=" << epoch_digest(det.v_epoch(area.id))
+          << " w=" << det.w_clock(area.id).to_string()
+          << " we=" << epoch_digest(det.w_epoch(area.id))
+          << " la=" << det.last_access_rank(area.id)
+          << " lw=" << det.last_write_rank(area.id) << " handoff="
+          << (handoffs_[i].empty() ? "-" : handoffs_[i].to_string()) << "\n";
     }
-    queue_digest(out, "put_issue", state_.put_issue);
-    queue_digest(out, "put_ack", state_.put_ack);
-    queue_digest(out, "get_issue", state_.get_issue);
-    queue_digest(out, "get_merge", state_.get_merge);
-    queue_digest(out, "unlock_release", state_.unlock_release);
-    for (const auto& [key, queue] : state_.signals) {
+    queue_digest(out, "put_issue", put_issue_);
+    queue_digest(out, "put_ack", put_ack_);
+    queue_digest(out, "get_issue", get_issue_);
+    queue_digest(out, "get_merge", get_merge_);
+    queue_digest(out, "unlock_release", unlock_release_);
+    for (const auto& [key, queue] : signals_) {
       if (queue.empty()) continue;
       out << "signal " << std::get<0>(key) << "->" << std::get<1>(key) << " t"
           << std::get<2>(key) << ":";
@@ -386,15 +347,13 @@ class Folder {
   }
 
  private:
-  static std::string epoch_digest(const clocks::AdaptiveClock& clock) {
-    if (!clock.summarized()) return "full";
-    const clocks::Epoch epoch = clock.epoch();
+  static std::string epoch_digest(clocks::Epoch epoch) {
+    if (!epoch.valid()) return "full";
     return std::to_string(epoch.rank) + "@" + std::to_string(epoch.value);
   }
 
-  template <typename Map>
   static void queue_digest(std::ostringstream& out, const char* label,
-                           const Map& map) {
+                           const PayloadQueues& map) {
     for (const auto& [key, queue] : map) {
       if (queue.empty()) continue;
       out << label << " (" << key.first << ",a" << key.second << "):";

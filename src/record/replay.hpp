@@ -1,11 +1,11 @@
 // Replay: re-derive the verdicts of a recorded run from its ordering log.
 //
 // `replay_fold` is the offline detector. It walks the event stream in the
-// recorded total order and reconstructs, step by step, exactly the state the
-// live engines maintain — per-rank vector clocks, per-area adaptive V/W
-// clocks with their epoch witnesses, last-initiator ranks, lock handoff
-// clocks, in-flight ack/response queues — and runs `core::check_access` at
-// each access event. Because clock evolution in the live engines is
+// recorded total order and drives, step by step, the transitions the live
+// engines run (detect/transitions.hpp) over the state they keep — per-rank
+// vector clocks, one detect::ShardedDetector per home, lock handoff clocks,
+// in-flight ack/response queues — validating every event first (logs are
+// disk input). Because clock evolution in the live engines is
 // mode-independent, the fold of a `mode=off` recording under
 // `DetectorMode::kDualClock` yields bit-identical verdicts to a live
 // dual-clock run of the same schedule. That equivalence is the fuzz-grid
@@ -52,8 +52,9 @@ struct ReplayResult {
 ReplayResult replay_fold(const Log& log, core::DetectorMode mode);
 
 /// Canonical rendering of the COMPLETE folded detector state after the
-/// last event: per-rank clocks, every area's V/W (full clock + epoch +
-/// summarized bit), last-access/last-write ranks, lock handoff clocks,
+/// last event: per-rank clocks, every area's V/W (full clock + epoch
+/// witness, or "full" when unsummarized), last-access/last-write ranks,
+/// lock handoff clocks,
 /// in-flight payload queues, undelivered signal clocks in queue order, and
 /// the race reports in fold order. Two event orders commute on detector
 /// state iff their digests are byte-identical — explore/'s DPOR

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "detect/transitions.hpp"
 #include "record/recorder.hpp"
 #include "record/replay.hpp"
 #include "util/assert.hpp"
@@ -26,12 +27,12 @@ std::chrono::microseconds capped(std::uint64_t virtual_ns,
 
 ThreadWorld::Node::Node(Rank rank, const ThreadWorldConfig& config)
     : segment(rank, config.segment_bytes, static_cast<std::size_t>(config.nprocs)),
-      detector(static_cast<std::size_t>(config.nprocs), rank, config.stripes) {}
+      detector(static_cast<std::size_t>(config.nprocs), rank, config.shards) {}
 
 ThreadWorld::ThreadWorld(ThreadWorldConfig config)
     : config_(config), fabric_(config.nprocs) {
   DSMR_REQUIRE(config_.nprocs > 0, "ThreadWorld needs at least one rank");
-  DSMR_REQUIRE(config_.stripes > 0, "ThreadWorld needs at least one detector shard");
+  DSMR_REQUIRE(config_.shards > 0, "ThreadWorld needs at least one detector shard");
   if (config_.recorder != nullptr) {
     const record::LogHeader& header = config_.recorder->header();
     DSMR_REQUIRE(header.backend == record::Backend::kThread &&
@@ -186,8 +187,7 @@ void ThreadWorld::replay_advance() {
 void ThreadWorld::record_race(core::AccessKind kind, Rank accessor, Rank home,
                               const mem::Area& area,
                               const clocks::VectorClock& accessor_clock,
-                              const core::Verdict& verdict, std::uint64_t event_id,
-                              std::uint64_t prior_event_id) {
+                              const core::Verdict& verdict, std::uint64_t event_id) {
   core::RaceReport report;
   report.home = home;
   report.area = area.id;
@@ -197,12 +197,11 @@ void ThreadWorld::record_race(core::AccessKind kind, Rank accessor, Rank home,
   report.event_id = event_id;
   report.accessor_clock = accessor_clock;
   report.against = verdict.against;
-  // Caller holds the area's shard mutex, so this read is under the same
-  // critical section as the verdict it explains.
-  report.stored_clock =
-      nodes_[static_cast<std::size_t>(home)]->detector.prior_clock(area.id,
-                                                                   verdict.against);
-  report.prior_event_id = prior_event_id;
+  // Caller holds the area's shard mutex and the store has not run yet, so
+  // these reads describe the access the verdict was decided against.
+  const detect::ShardedDetector& det = nodes_[static_cast<std::size_t>(home)]->detector;
+  report.stored_clock = det.prior_clock(area.id, verdict.against);
+  report.prior_event_id = det.prior_event(area.id, verdict.against);
   std::lock_guard<std::mutex> guard(races_mutex_);
   races_.record(std::move(report));
 }
@@ -259,18 +258,12 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
     if (rec != nullptr) {
       rec->record_thread(rank_, record::EventKind::kThreadPut, flat, data.size());
     }
-    const core::Verdict verdict = det.check_one(
-        world_.config_.mode, core::AccessKind::kWrite, rank_, clock_, area->id);
-    if (verdict.race) {
-      world_.record_race(core::AccessKind::kWrite, rank_, dst.rank, *area, clock_,
-                         verdict, event_id,
-                         det.prior_event(area->id, verdict.against));
-    }
-    if (acked) {
-      completion = det.v_clock(area->id);
-      completion.merge_from(det.w_clock(area->id));
-    }
-    det.store_access(area->id, rank_, clock_, /*is_write=*/true, rank_, event_id);
+    completion = detect::thread_access(
+        det, world_.config_.mode, core::AccessKind::kWrite, rank_, clock_, area->id,
+        acked, event_id, [&](const core::Verdict& verdict) {
+          world_.record_race(core::AccessKind::kWrite, rank_, dst.rank, *area, clock_,
+                             verdict, event_id);
+        });
     node->segment.write_bytes(dst.offset, data);
   }
   if (acked) clock_.merge_from(completion);
@@ -317,15 +310,12 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
     if (rec != nullptr) {
       rec->record_thread(rank_, record::EventKind::kThreadGet, flat, len);
     }
-    const core::Verdict verdict = det.check_one(
-        world_.config_.mode, core::AccessKind::kRead, rank_, clock_, area->id);
-    if (verdict.race) {
-      world_.record_race(core::AccessKind::kRead, rank_, src.rank, *area, clock_,
-                         verdict, event_id,
-                         det.prior_event(area->id, verdict.against));
-    }
-    reads_from = det.w_clock(area->id);
-    det.store_access(area->id, rank_, clock_, /*is_write=*/false, rank_, event_id);
+    reads_from = detect::thread_access(
+        det, world_.config_.mode, core::AccessKind::kRead, rank_, clock_, area->id,
+        world_.config_.acked_puts, event_id, [&](const core::Verdict& verdict) {
+          world_.record_race(core::AccessKind::kRead, rank_, src.rank, *area, clock_,
+                             verdict, event_id);
+        });
     data = node->segment.read_bytes(src.offset, len);
   }
   clock_.merge_from(reads_from);
@@ -372,9 +362,8 @@ void ThreadProcess::lock(mem::GlobalAddress addr) {
     throw ThreadWorld::StuckRank{};
   }
   clock_.tick(rank_);
-  if (world_.config_.lock_clock_handoff && user_lock.handoff.size() > 0) {
-    clock_.merge_from(user_lock.handoff);
-  }
+  // The handoff is non-empty only under lock_clock_handoff (see unlock).
+  if (!user_lock.handoff.empty()) clock_.merge_from(user_lock.handoff);
   // Stamped under the user-lock mutex: grant order IS the logged order.
   if (rec != nullptr) rec->record_thread(rank_, record::EventKind::kThreadLock, flat);
   net::Message request;
@@ -411,7 +400,7 @@ void ThreadProcess::unlock(mem::GlobalAddress addr) {
     std::lock_guard<std::mutex> guard(user_lock.mutex);
     DSMR_REQUIRE(user_lock.now_serving < user_lock.next_ticket,
                  "unlock of an unheld lock on area " << area->name);
-    user_lock.handoff = clock_;
+    if (world_.config_.lock_clock_handoff) detect::hand_off(user_lock.handoff, clock_);
     if (rec != nullptr) {
       rec->record_thread(rank_, record::EventKind::kThreadUnlock, flat);
     }

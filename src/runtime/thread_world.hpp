@@ -12,13 +12,11 @@
 //
 // Detection model. Each one-sided op ticks the initiator's thread-confined
 // vector clock and checks inline against the home's detect::ShardedDetector,
-// under that detector's shard mutex (shard = area id mod shards — the
-// detector's own partitioning, which replaced the ad-hoc per-home stripe
-// array this backend carried before the detector was extracted):
+// under that detector's shard mutex (shard = area id mod shards):
 //
-//   tick; lock shard; detector.check_one(issue clock vs V/W lane);
-//   detector.store_access(V, and W for writes) := issue clock;
-//   move the bytes; unlock.
+//   tick; lock shard; detect::thread_access (check the issue clock against
+//   the V/W lane, then store it into V, and W for writes — the transition
+//   replay_fold runs offline); move the bytes; unlock.
 //
 // The stored clock is the *initiator's issue clock* (a genuine event clock,
 // so the epoch O(1) fast path applies — and debug builds auto-cross-check
@@ -31,8 +29,9 @@
 // Happens-before edges beyond program order, all backed by real
 // synchronization (a mutex or mailbox the edge physically passes through):
 //  * signal → wait_signal delivers the sender's clock (receive event);
-//  * user lock release → next acquire merges the handoff clock (when
-//    lock_clock_handoff, as in the sim);
+//  * user lock release → next acquire merges the handoff clock, the join
+//    of the releases (detect::hand_off; when lock_clock_handoff, as in the
+//    sim);
 //  * a get merges the stored W it read from (reads-from edge);
 //  * an acked put merges the area's pre-update V ∨ W (completion edge),
 //    when acked_puts — matching the sim's ack-carries-home-clock regime.
@@ -83,14 +82,14 @@ struct ThreadWorldConfig {
   std::uint32_t segment_bytes = 1 << 20;  ///< public memory per rank.
   /// Shard count of each home's detect::ShardedDetector: concurrent ops on
   /// different areas of one home contend only when area ids collide mod
-  /// `stripes`. (Field name kept from the pre-extraction stripe array.)
-  int stripes = 8;
+  /// `shards`.
+  int shards = 8;
   /// Join watchdog: every blocking wait gives up this long after run()
   /// starts, turning any deadlock into stuck ranks instead of a hang.
   std::chrono::milliseconds run_timeout{20'000};
   bool print_races = false;  ///< echo race reports to stderr (§IV.D).
   /// Ordering recorder (record/recorder.hpp), or null. Each op stamps one
-  /// event at its linearization point (inside the stripe / user-lock mutex),
+  /// event at its linearization point (inside the shard / user-lock mutex),
   /// so the merged log is a legal linearization of the run — the one the
   /// offline fold and a gated replay reproduce.
   record::Recorder* recorder = nullptr;
@@ -161,7 +160,9 @@ class ThreadWorld {
     /// Tickets whose waiter hit the deadline and left; the serving counter
     /// skips them so one stuck rank doesn't wedge the whole queue.
     std::set<std::uint64_t> abandoned;
-    clocks::VectorClock handoff;  ///< empty until the first release.
+    /// Join of the releases (detect::hand_off); empty until the first
+    /// release, and always without lock_clock_handoff (as in the sim).
+    clocks::VectorClock handoff;
   };
 
   struct Node {
@@ -185,8 +186,7 @@ class ThreadWorld {
   void replay_advance();
   void record_race(core::AccessKind kind, Rank accessor, Rank home,
                    const mem::Area& area, const clocks::VectorClock& accessor_clock,
-                   const core::Verdict& verdict, std::uint64_t event_id,
-                   std::uint64_t prior_event_id);
+                   const core::Verdict& verdict, std::uint64_t event_id);
 
   ThreadWorldConfig config_;
   net::ThreadFabric fabric_;

@@ -228,126 +228,6 @@ TEST(Epoch, OfEventReadsTheOwnersComponent) {
   EXPECT_EQ(Epoch{}.to_string(), "-");
 }
 
-TEST(AdaptiveClock, FreshStateIsSummarizedAtTheZeroEpoch) {
-  const AdaptiveClock state(4, 2);
-  EXPECT_TRUE(state.summarized());
-  EXPECT_EQ(state.epoch(), (Epoch{2, 0}));
-  EXPECT_TRUE(state.full().is_zero());
-  EXPECT_EQ(state.full().size(), 4u);
-}
-
-TEST(AdaptiveClock, StoreEventKeepsTheSummary) {
-  AdaptiveClock state(3, 0);
-  const VectorClock event{4, 1, 0};
-  state.store_event(0, event);
-  EXPECT_TRUE(state.summarized());
-  EXPECT_EQ(state.epoch(), (Epoch{0, 4}));
-  EXPECT_EQ(state.full(), event);
-}
-
-TEST(AdaptiveClock, ConcurrentMergeInflatesToAFullClock) {
-  // The inflate rule: a componentwise max of two concurrent events' clocks
-  // is no event's clock, so the epoch summary must be dropped.
-  AdaptiveClock state(3, 0);
-  state.store_event(0, VectorClock{4, 1, 0});
-  state.merge_concurrent(VectorClock{0, 0, 3});
-  EXPECT_FALSE(state.summarized());
-  EXPECT_FALSE(state.epoch().valid());
-  EXPECT_EQ(state.full(), (VectorClock{4, 1, 3}));
-  // A later single-event store re-summarizes.
-  state.store_event(1, VectorClock{4, 2, 3});
-  EXPECT_TRUE(state.summarized());
-  EXPECT_EQ(state.epoch(), (Epoch{1, 2}));
-}
-
-TEST(AdaptiveClock, StorageBytesChargeCompactClockPlusEpoch) {
-  AdaptiveClock state(4, 1);
-  EXPECT_EQ(state.storage_bytes(), 4u + (Epoch{1, 0}).wire_size());
-  state.merge_concurrent(VectorClock{1, 0, 0, 0});
-  EXPECT_EQ(state.storage_bytes(), state.full().wire_size());  // no epoch.
-}
-
-TEST(AdaptiveClock, MergeAtTheEpochBoundaryStillInflates) {
-  // Merging the state's *own* clock back in (an epoch-boundary no-op on the
-  // values) is still a merge of "knowledge not known to be one event":
-  // merge_concurrent must drop the summary even though the clock is
-  // unchanged — the conservative direction, never unsound.
-  AdaptiveClock state(3, 0);
-  const VectorClock event{4, 1, 0};
-  state.store_event(0, event);
-  state.merge_concurrent(event);  // self-merge: values identical.
-  EXPECT_FALSE(state.summarized());
-  EXPECT_FALSE(state.epoch().valid());
-  EXPECT_EQ(state.full(), event);  // componentwise max with itself.
-}
-
-TEST(AdaptiveClock, MergeWithADominatedClockInflatesWithoutChangingValues) {
-  AdaptiveClock state(3, 1);
-  state.store_event(1, VectorClock{2, 5, 1});
-  state.merge_concurrent(VectorClock{1, 3, 0});  // strictly dominated.
-  EXPECT_FALSE(state.summarized());
-  EXPECT_EQ(state.full(), (VectorClock{2, 5, 1}));
-}
-
-TEST(AdaptiveClock, MergeIntoEmptyStateAdoptsTheClock) {
-  // A default-constructed (empty) state absorbing its first merge adopts
-  // the incoming clock but may not claim an epoch: nothing witnesses that
-  // the clock names a single event.
-  AdaptiveClock state;
-  state.merge_concurrent(VectorClock{0, 2, 1});
-  EXPECT_FALSE(state.summarized());
-  EXPECT_EQ(state.full(), (VectorClock{0, 2, 1}));
-}
-
-TEST(AdaptiveClock, SingleProcessSystemSummarizesAndInflates) {
-  // n = 1: every clock is one component, the owner's own. The epoch
-  // summary and the inflate rule must behave identically to wider systems.
-  AdaptiveClock state(1, 0);
-  EXPECT_TRUE(state.summarized());
-  EXPECT_EQ(state.epoch(), (Epoch{0, 0}));
-  state.store_event(0, VectorClock{3});
-  EXPECT_EQ(state.epoch(), (Epoch{0, 3}));
-  EXPECT_EQ(state.storage_bytes(), 1u + (Epoch{0, 3}).wire_size());
-  state.merge_concurrent(VectorClock{5});
-  EXPECT_FALSE(state.summarized());
-  EXPECT_EQ(state.full(), (VectorClock{5}));
-}
-
-TEST(AdaptiveClock, SmallBufferCrossoverKeepsTheSummaryMachinery) {
-  // n > kInlineCapacity spills VectorClock to heap storage; the adaptive
-  // state must be oblivious to the representation switch.
-  constexpr std::size_t n = VectorClock::kInlineCapacity + 2;
-  AdaptiveClock state(n, 3);
-  EXPECT_TRUE(state.summarized());
-  EXPECT_EQ(state.full().size(), n);
-
-  VectorClock event(n);
-  for (std::size_t i = 0; i < n; ++i) event[i] = static_cast<ClockValue>(i);
-  event[3] = 9;
-  state.store_event(3, event);
-  EXPECT_TRUE(state.summarized());
-  EXPECT_EQ(state.epoch(), (Epoch{3, 9}));
-  EXPECT_EQ(state.full(), event);
-  EXPECT_EQ(state.storage_bytes(), event.wire_size() + (Epoch{3, 9}).wire_size());
-
-  VectorClock other(n);
-  other[0] = 100;  // concurrent with `event` (ahead on 0, behind on 3).
-  state.merge_concurrent(other);
-  EXPECT_FALSE(state.summarized());
-  EXPECT_EQ(state.full()[0], 100u);
-  EXPECT_EQ(state.full()[3], 9u);
-}
-
-TEST(AdaptiveClock, StoreEventWithOutOfRangeOwnerDropsTheSummary) {
-  // Epoch::of_event is invalid when the owner is outside the clock — the
-  // state must then degrade to an unsummarized full clock, not misclaim.
-  AdaptiveClock state(3, 0);
-  const VectorClock event{1, 2, 3};
-  state.store_event(7, event);
-  EXPECT_FALSE(state.summarized());
-  EXPECT_EQ(state.full(), event);
-}
-
 // --- DSMR_ASSERT bounds checks (always-on, PR-1 hardening) ----------------
 
 using VectorClockDeathTest = ::testing::Test;

@@ -249,7 +249,7 @@ TEST(ShardEquivalence, ThreadedContractHoldsAcrossShardCounts) {
   // Real threads have no fixed schedule, so equivalence is by the verdict
   // contract: kClean programs stay race-free and kRacy programs flag the
   // planted area at every shard count (which also exercises real contention
-  // on shard mutexes shared by several areas at stripes=1 and 2).
+  // on shard mutexes shared by several areas at shards=1 and 2).
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     for (const bool plant : {false, true}) {
       fuzz::GenConfig gen;
@@ -262,20 +262,20 @@ TEST(ShardEquivalence, ThreadedContractHoldsAcrossShardCounts) {
       const fuzz::Program program = fuzz::generate_program(gen);
       if (plant && program.expect != fuzz::Expectation::kRacy) continue;
 
-      for (const int stripes : {1, 2, 8}) {
+      for (const int shards : {1, 2, 8}) {
         fuzz::ThreadRunOptions options;
-        options.stripes = stripes;
+        options.shards = shards;
         const auto outcome = fuzz::run_program_threaded(program, options);
         ASSERT_TRUE(outcome.report.completed)
-            << "seed " << seed << " stripes " << stripes;
+            << "seed " << seed << " shards " << shards;
         if (program.expect == fuzz::Expectation::kClean) {
           EXPECT_EQ(outcome.report.race_count, 0u)
-              << "seed " << seed << " stripes " << stripes;
+              << "seed " << seed << " shards " << shards;
         } else {
           ASSERT_TRUE(program.planted.has_value());
           const std::string planted_area = "fz" + std::to_string(program.planted->area);
           EXPECT_TRUE(outcome.racy_areas.count(planted_area) > 0)
-              << "seed " << seed << " stripes " << stripes << ": planted area "
+              << "seed " << seed << " shards " << shards << ": planted area "
               << planted_area << " not flagged";
         }
       }

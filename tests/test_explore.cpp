@@ -168,7 +168,7 @@ TEST(Independence, CommutationPropertyOnGeneratedSlice) {
   EXPECT_GT(total.pairs - total.dependent_pairs, 100u);
 }
 
-// Same-area read/read pairs are dependent: AdaptiveClock::store_event
+// Same-area read/read pairs are dependent: ShardedDetector::store_access
 // overwrites the stored V clock on every access, reads included, so the
 // orders do not commute in detector state. A relation marking them
 // independent would fail the property.

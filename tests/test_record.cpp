@@ -1,16 +1,20 @@
 // The record/replay subsystem: varint round-trips (the one shared integer
 // wire encoding), log serialize/parse round-trips, structured diagnostics
 // for every corruption mode, the dense area index, the threaded seal's merge
-// into global stamp order, and the core equivalence — folding a recorded
-// event stream through core::check_access reproduces the live detector's
-// verdicts bit-identically, including for mode=off recordings folded under
-// full dual-clock detection (the always-on production story).
+// into global stamp order, the one lock-handoff rule, and the core
+// equivalence — folding a recorded event stream through the live
+// transitions (detect/transitions.hpp) reproduces the live detector's
+// verdicts and reports, including for mode=off recordings folded under full
+// dual-clock detection (the always-on production story).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fuzz/generate.hpp"
@@ -538,6 +542,14 @@ TEST(RecordReplay, BadTraceFailsLoudly) {
   const ReplayResult folded = replay_fold(log, log.header.mode);
   EXPECT_FALSE(folded.ok());
   EXPECT_TRUE(folded.error.starts_with("[bad-trace]")) << folded.error;
+  // So is an in-memory area table naming a home past nprocs (Log::parse
+  // rejects it on disk input; the fold must not index past its detectors).
+  Log bad_home = record_sim(sim_config(2, core::DetectorMode::kDualClock),
+                            spawn_racy_pair);
+  bad_home.areas[0].home = 2;
+  const ReplayResult rejected = replay_fold(bad_home, bad_home.header.mode);
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.error.starts_with("[bad-trace]")) << rejected.error;
 }
 
 // ---------------------------------------------------------------------------
@@ -650,42 +662,136 @@ TEST(ThreadRecordReplay, ScheduleLuckRacesBecomeReplayable) {
   // against the area's LATEST access, so when R1 lands before R2 the read
   // clock rank 1's write sees is R2 (ordered → no flag) and the R1∥W race
   // is hidden; when R1 lands after R2 the write (or the late read) compares
-  // against a concurrent access and flags. Each attempt's `bias` sleep
-  // pushes the schedule toward one outcome so both manifest within a few
-  // tries.
+  // against a concurrent access and flags. An out-of-band handshake (an
+  // atomic the detector and the log never see) forces each attempt's order:
+  // the biased rank yields until the other rank's get has returned.
   const auto program = [](bool bias_race) {
     return [bias_race](ThreadWorld& world) {
       const GlobalAddress x = world.alloc(0, 8, "x");
-      world.spawn(0, [x, bias_race](ThreadProcess& p) {
-        if (bias_race) p.sleep(40'000);  // let rank 1's read land first.
+      const auto got = std::make_shared<std::atomic<bool>>(false);
+      const auto await_other_get = [got] {
+        while (!got->load()) std::this_thread::yield();
+      };
+      world.spawn(0, [x, bias_race, got, await_other_get](ThreadProcess& p) {
+        if (bias_race) await_other_get();  // R1 after R2.
         p.get(x, 8);  // R1 — races with W on every schedule (ground truth).
+        got->store(true);
       });
-      world.spawn(1, [x, bias_race](ThreadProcess& p) {
-        if (!bias_race) p.sleep(40'000);  // let rank 0's read land first.
-        p.get(x, 8);       // R2 — overwrites the area's read clock.
+      world.spawn(1, [x, bias_race, got, await_other_get](ThreadProcess& p) {
+        if (!bias_race) await_other_get();  // R2 after R1.
+        p.get(x, 8);          // R2 — overwrites the area's read clock.
+        got->store(true);
         p.put(x, bytes8(2));  // W — sees R2, not R1, on the clean order.
       });
     };
   };
   const ThreadWorldConfig config = thread_config(2, core::DetectorMode::kDualClock);
-  bool seen_race = false;
-  bool seen_clean = false;
-  for (int attempt = 0; attempt < 40 && !(seen_race && seen_clean); ++attempt) {
-    const bool bias_race = attempt % 2 == 0;
+  for (const bool bias_race : {true, false}) {
     const Log log = record_threaded(config, program(bias_race));
     ASSERT_TRUE(log.live.completed);
-    // Whatever the schedule produced, the invariant holds: the fold and a
-    // gated replay both reproduce this run's verdicts exactly.
+    EXPECT_EQ(log.live.races.empty(), !bias_race) << log.live.to_string();
+    // The fold and a gated replay both reproduce the run's verdicts: a
+    // manifested schedule-luck race is flagged again, a clean order of the
+    // same program replays clean.
     EXPECT_EQ(check_record_replay_bytes(log.serialize()), "");
     const VerdictSignature replayed = replay_threaded(config, log, program(bias_race));
     EXPECT_EQ(replayed, log.live)
         << replayed.to_string() << " vs " << log.live.to_string();
-    (log.live.races.empty() ? seen_clean : seen_race) = true;
   }
-  // A manifested schedule-luck race was recorded and flagged again on
-  // replay; a clean schedule of the same program replayed clean.
-  EXPECT_TRUE(seen_race);
-  EXPECT_TRUE(seen_clean);
+}
+
+TEST(ThreadRecordReplay, FoldedReportsMatchLiveReportsFieldByField) {
+  // The fold runs the live transition (detect::thread_access) over the same
+  // detector state, so each report it files is the live one: same accessor
+  // clock, stored clock, compared lane, area and kind. Event ids are not in
+  // the log. Report order may differ (live reports from different shards
+  // race to the report log), so both sides are compared sorted.
+  const auto program = [](ThreadWorld& world) {
+    const GlobalAddress x = world.alloc(0, 8, "x");
+    const GlobalAddress y = world.alloc(1, 8, "y");
+    for (const Rank r : {0, 1, 2}) {
+      world.spawn(r, [x, y, r](ThreadProcess& p) {
+        p.put(x, bytes8(static_cast<std::uint64_t>(r)));
+        p.get(y, 8);
+        p.put(y, bytes8(static_cast<std::uint64_t>(r)));
+        p.get(x, 8);
+      });
+    }
+  };
+  ThreadWorldConfig config = thread_config(3, core::DetectorMode::kDualClock);
+  Recorder recorder(3, Backend::kThread, config.mode, config.lock_clock_handoff,
+                    config.acked_puts);
+  config.recorder = &recorder;
+  ThreadWorld world(config);
+  program(world);
+  const runtime::ThreadRunReport run = world.run();
+  recorder.finish(world.races().reports(), run.completed, run.stuck_ranks);
+  const Log& log = recorder.log();
+  ASSERT_FALSE(world.races().reports().empty());
+
+  const ReplayResult folded = replay_fold(log, log.header.mode);
+  ASSERT_TRUE(folded.ok()) << folded.error;
+  using Key = std::tuple<Rank, std::uint64_t, Rank, int, std::string, int, std::string>;
+  const auto key = [](std::uint64_t flat_area, const core::RaceReport& report) {
+    return Key{report.home,
+               flat_area,
+               report.accessor,
+               static_cast<int>(report.kind),
+               report.accessor_clock.to_string(),
+               static_cast<int>(report.against),
+               report.stored_clock.to_string()};
+  };
+  const AreaIndex areas = make_area_index(log.areas);
+  std::vector<Key> live;
+  for (const core::RaceReport& report : world.races().reports()) {
+    live.push_back(key(areas.at(report.home, report.area), report));
+  }
+  std::vector<Key> offline;
+  for (const core::RaceReport& report : folded.reports) {
+    offline.push_back(key(report.area, report));
+  }
+  std::sort(live.begin(), live.end());
+  std::sort(offline.begin(), offline.end());
+  EXPECT_EQ(offline, live);
+}
+
+// ---------------------------------------------------------------------------
+// One lock-handoff rule: both backends' logs merge successive releases.
+// ---------------------------------------------------------------------------
+
+/// The `handoff=` value on area 0's line of a state digest.
+std::string area0_handoff(const std::string& digest) {
+  const std::size_t line = digest.find("\na0 ");
+  const std::size_t start = digest.find("handoff=", line) + 8;
+  return digest.substr(start, digest.find('\n', start) - start);
+}
+
+TEST(RecordReplay, HandoffJoinsReleasesOnBothBackends) {
+  // Ranks 1 and 2 both release area 0's lock with no acquire in between;
+  // rank 0 then acquires. The handoff must be the join of both releases
+  // (010 ∨ 001) on a sim log and a thread log alike, and the acquirer
+  // merges all of it.
+  Log sim;
+  sim.header.nprocs = 3;
+  sim.header.backend = Backend::kSim;
+  sim.areas = {{0, 8, "m"}};
+  sim.events = {
+      {EventKind::kUnlockIssue, 1, 0}, {EventKind::kUnlockIssue, 2, 0},
+      {EventKind::kUnlockApply, 1, 0}, {EventKind::kUnlockApply, 2, 0},
+      {EventKind::kLock, 0, 0},
+  };
+  Log thread = sim;
+  thread.header.backend = Backend::kThread;
+  thread.events = {
+      {EventKind::kThreadUnlock, 1, 0},
+      {EventKind::kThreadUnlock, 2, 0},
+      {EventKind::kThreadLock, 0, 0},
+  };
+  for (const Log* log : {&sim, &thread}) {
+    const std::string digest = replay_state_digest(*log, core::DetectorMode::kDualClock);
+    EXPECT_EQ(area0_handoff(digest), "011") << digest;
+    EXPECT_TRUE(digest.starts_with("r0=111\n")) << digest;
+  }
 }
 
 TEST(ThreadRecordReplay, OffRecordingReplaysUnderDualClock) {

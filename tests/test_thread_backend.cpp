@@ -205,7 +205,7 @@ TEST(ThreadBackend, StuckLockWaiterIsReportedNotWedged) {
 
 TEST(ThreadBackend, DroppedEdgeIsFlaggedInlineOnEveryRealSchedule) {
   // The kDroppedEdge shape by hand: two ranks write the same third-rank
-  // area with no synchronization. Whichever access the stripe mutex
+  // area with no synchronization. Whichever access the shard mutex
   // serializes second observes a concurrent stored clock — flagged on
   // every real schedule, whatever the interleaving.
   for (int rep = 0; rep < 16; ++rep) {

@@ -33,12 +33,13 @@
 //             [--faults PLAN;PLAN;...] [--verbose]
 //   dsmr_fuzz --replay FILE [--threads N]
 //   dsmr_fuzz --backend threaded|both [--thread-reps N] [--sim-seeds N]
-//             [--stripes N] [--thread-timeout-ms MS] [generation flags]
+//             [--shards N] [--thread-timeout-ms MS] [generation flags]
 //
 // `--backend` selects the execution backend (default `sim`, the full
 // conformance grid above). `threaded` runs each generated program on the
 // real-threads backend (runtime::ThreadWorld: one OS thread per rank, the
-// detector inline on the put/get path) and self-checks verdict signatures
+// detector inline on the put/get path under its shard mutexes; `--shards`
+// sets the detector shards per home) and self-checks verdict signatures
 // against the program's construction contract; `both` additionally runs
 // the sim backend as the oracle and counts any clean/always-racy signature
 // disagreement as a divergence (exit 1). Real schedules are not
@@ -200,7 +201,7 @@ int main(int argc, char** argv) {
                 "[--explore-max-interleavings N] [--fault PLAN] "
                 "[--faults PLAN;PLAN;...] "
                 "[--backend sim|threaded|both] [--thread-reps N] [--sim-seeds N] "
-                "[--stripes N] [--thread-timeout-ms MS] [--verbose] | "
+                "[--shards N] [--thread-timeout-ms MS] [--verbose] | "
                 "--replay FILE");
   const std::string replay_path = cli.get_string("replay", "");
   const auto threads =
@@ -303,15 +304,15 @@ int main(int argc, char** argv) {
   const std::string backend = cli.get_string("backend", "sim");
   const auto thread_reps = static_cast<int>(cli.get_int("thread-reps", 3));
   const auto sim_seeds = cli.get_uint("sim-seeds", 2);
-  const auto stripes = static_cast<int>(cli.get_int("stripes", 8));
+  const auto shards = static_cast<int>(cli.get_int("shards", 8));
   const auto thread_timeout_ms = cli.get_int("thread-timeout-ms", 10'000);
   if (backend != "sim" && backend != "threaded" && backend != "both") {
     std::fprintf(stderr, "unknown --backend %s (sim|threaded|both)\n", backend.c_str());
     return 2;
   }
-  if (thread_reps <= 0 || stripes <= 0 || thread_timeout_ms <= 0) {
+  if (thread_reps <= 0 || shards <= 0 || thread_timeout_ms <= 0) {
     std::fprintf(stderr,
-                 "--thread-reps, --stripes and --thread-timeout-ms must be positive\n");
+                 "--thread-reps, --shards and --thread-timeout-ms must be positive\n");
     return 2;
   }
   const bool verbose = cli.get_flag("verbose");
@@ -327,7 +328,7 @@ int main(int argc, char** argv) {
     tsweep.diff.thread_reps = thread_reps;
     tsweep.diff.sim_schedule_seeds = sim_seeds;
     tsweep.diff.compare_sim = backend == "both";
-    tsweep.diff.thread.stripes = stripes;
+    tsweep.diff.thread.shards = shards;
     tsweep.diff.thread.timeout = std::chrono::milliseconds(thread_timeout_ms);
 
     const auto start = std::chrono::steady_clock::now();
