@@ -68,7 +68,7 @@ ScenarioOutcome run_fig5b() {
 
 ScenarioOutcome run_fig5c() {
   auto config = world_config(4, core::DetectorMode::kDualClock, core::Transport::kHomeSide);
-  config.acked_puts = false;  // the paper's pure one-sided puts (DESIGN.md §4).
+  config.acked_puts = false;  // the paper's pure one-sided puts (WorldConfig::acked_puts).
   World world(config);
   const GlobalAddress x = world.alloc(1, 8, "x");
   const GlobalAddress y = world.alloc(2, 8, "y");

@@ -72,11 +72,6 @@ bool VectorClock::is_zero() const {
   return true;
 }
 
-bool VectorClock::lexicographic_less(const VectorClock& other) const {
-  return std::lexicographical_compare(data(), data() + size_, other.data(),
-                                      other.data() + other.size_);
-}
-
 void VectorClock::encode_compact(std::vector<std::byte>& out) const {
   const ClockValue* values = data();
   for (std::size_t i = 0; i < size_; ++i) util::put_varint(out, values[i]);

@@ -88,8 +88,8 @@ class VectorClock {
   void merge_from(const VectorClock& other);
 
   /// Componentwise `*this <= other` — the corrected reading of the paper's
-  /// Algorithm 3 (whose literal "<" in every component would mis-order
-  /// clocks that share any equal component; see DESIGN.md §4).
+  /// Algorithm 3, whose literal "<" in every component would mis-order
+  /// clocks that share any equal component: {1,0} happens before {1,1}.
   bool dominated_by(const VectorClock& other) const;
 
   /// Full four-way comparison under Mattern's partial order.
@@ -119,9 +119,6 @@ class VectorClock {
     }
     return true;
   }
-
-  /// Total order for use as a container key (NOT the causal order).
-  bool lexicographic_less(const VectorClock& other) const;
 
   // ---- wire encodings ----
   //

@@ -2,7 +2,7 @@
 //
 //   #include "dsmr.hpp"
 //
-// Layers (see DESIGN.md for the dependency structure):
+// Layers:
 //   runtime::World / runtime::Process — the simulated machine and the
 //     instrumented one-sided communication API (put/get/copy, area locks,
 //     signals); race reports in World::races(), access log in
@@ -18,8 +18,6 @@
 #include "analysis/ground_truth.hpp"
 #include "analysis/seed_sweep.hpp"
 #include "baseline/lockset.hpp"
-#include "clocks/lamport.hpp"
-#include "clocks/matrix_clock.hpp"
 #include "clocks/vector_clock.hpp"
 #include "core/event_log.hpp"
 #include "core/race_report.hpp"
@@ -32,7 +30,6 @@
 #include "net/sim_fabric.hpp"
 #include "nic/lock_manager.hpp"
 #include "nic/nic.hpp"
-#include "nic/node_clock.hpp"
 #include "pgas/collectives.hpp"
 #include "pgas/distribution.hpp"
 #include "pgas/shared_array.hpp"

@@ -230,8 +230,8 @@ std::string serialize_repro(const Repro& repro) {
       << " " << repro.perturb.salt << "\n";
   out << "shrunk " << (repro.shrunk ? 1 : 0) << "\n";
   out << "manifestation " << repro.manifested << " " << repro.schedules << "\n";
-  // v4: optional companion-log reference. The basename is resolved relative
-  // to the .repro file's own directory by the tools.
+  // Optional companion-log reference. The basename is resolved relative to
+  // the .repro file's own directory by the tools.
   if (!repro.record_log.empty()) out << "record " << repro.record_log << "\n";
   out << serialize(repro.program);
   return out.str();
@@ -258,13 +258,9 @@ std::optional<Repro> parse_repro(const std::string& text, std::string* error) {
     return line.substr(key.size() + 1);
   };
 
-  // v3 repros (no `record` line) are still produced by old artifacts and
-  // parse unchanged; v4 added the optional companion-log reference.
-  if (!next_line() ||
-      (line != "dsmr-fuzz-repro v3" && line != "dsmr-fuzz-repro v4")) {
-    return fail("expected header 'dsmr-fuzz-repro v3' or 'v4'");
+  if (!next_line() || line != "dsmr-fuzz-repro v4") {
+    return fail("expected header 'dsmr-fuzz-repro v4'");
   }
-  const bool v4 = line == "dsmr-fuzz-repro v4";
   Repro repro;
   if (!next_line()) return fail("truncated");
   const auto check = field("check");
@@ -331,10 +327,10 @@ std::optional<Repro> parse_repro(const std::string& text, std::string* error) {
   }
 
   // The rest of the file is the program's own canonical serialization,
-  // preceded (v4 only) by an optional `record <basename>` line.
+  // preceded by an optional `record <basename>` line.
   std::string program_text;
   if (next_line()) {
-    const auto record = v4 ? field("record") : std::nullopt;
+    const auto record = field("record");
     if (record) {
       if (record->empty() || record->find('/') != std::string::npos ||
           record->find(' ') != std::string::npos) {

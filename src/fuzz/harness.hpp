@@ -164,7 +164,7 @@ struct Repro {
   /// 0/0 when the grid never completed a run.
   std::uint64_t manifested = 0;
   std::uint64_t schedules = 0;
-  /// v4: basename of the companion ordering log recorded at this coordinate
+  /// Basename of the companion ordering log recorded at this coordinate
   /// ("" = none). The .repro + log pair replays byte-identically: re-running
   /// the coordinate in any process re-records the exact same bytes
   /// (check_repro_log).

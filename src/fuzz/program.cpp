@@ -64,6 +64,32 @@ std::vector<BugKind> all_bug_kinds() {
           BugKind::kAckWindow};
 }
 
+std::optional<std::vector<BugKind>> parse_bug_kinds(const std::string& text,
+                                                    std::string* error) {
+  const auto fail = [&](const std::string& what) -> std::optional<std::vector<BugKind>> {
+    if (error != nullptr) {
+      std::ostringstream out;
+      out << what << " (known: all, none";
+      for (const BugKind kind : all_bug_kinds()) out << ", " << to_string(kind);
+      out << ")";
+      *error = out.str();
+    }
+    return std::nullopt;
+  };
+  if (text.empty()) return fail("empty bug-kind list");
+  if (text == "all") return all_bug_kinds();
+  if (text == "none") return std::vector<BugKind>{};
+  std::vector<BugKind> kinds;
+  std::istringstream in(text);
+  std::string name;
+  while (std::getline(in, name, ',')) {
+    const auto kind = parse_bug_kind(name);
+    if (!kind) return fail("unknown bug kind '" + name + "'");
+    if (std::find(kinds.begin(), kinds.end(), *kind) == kinds.end()) kinds.push_back(*kind);
+  }
+  return kinds;
+}
+
 std::size_t Program::op_count() const {
   std::size_t count = 0;
   for (const auto& phase : phases) {

@@ -135,6 +135,11 @@ enum class BugKind : std::uint8_t {
 const char* to_string(BugKind kind);
 std::optional<BugKind> parse_bug_kind(const std::string& text);
 std::vector<BugKind> all_bug_kinds();
+/// Parses a bug-kind list: `all`, `none` (no kinds), or a comma list of
+/// kind names, duplicates dropped. Unknown or empty input yields nullopt,
+/// and `*error` (when non-null) names the bad entry and the known kinds.
+std::optional<std::vector<BugKind>> parse_bug_kinds(const std::string& text,
+                                                    std::string* error);
 
 /// Provenance of a planted bug: the deliberately unsynchronized conflicting
 /// pair. Informational — shrinking drops it (the shrunk program's status is

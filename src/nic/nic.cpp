@@ -31,7 +31,7 @@ core::StoredClocks stored_from(const Message& m, Rank home) {
 }  // namespace
 
 Nic::Nic(Rank rank, sim::Engine& engine, net::Fabric& fabric, mem::PublicSegment& segment,
-         detect::ShardedDetector& detector, NodeClock& clock, NicConfig config,
+         detect::ShardedDetector& detector, clocks::VectorClock& clock, NicConfig config,
          core::RaceLog& races, core::EventLog& events)
     : rank_(rank),
       engine_(engine),
@@ -431,14 +431,17 @@ void Nic::handle_clock_fetch(const Message& m) {
 void Nic::handle_clock_event(const Message& m) {
   // The home-side clock event: receiving the access is an event at the home
   // NIC (tick + merge, the values the paper's Fig. 5 annotates), and the
-  // resulting clock is stored as the area's V (and W for writes).
-  clock_.receive_event(m.src, m.clock);
-  detector_.store_access(m.area, rank_, clock_.vector(), /*is_write=*/m.flag,
-                         m.src, m.event_id);
-  events_.annotate_apply(m.event_id, clock_.vector());
+  // resulting clock is stored as the area's V (and W for writes). The
+  // initiator already decided the verdict, so home_apply does not check.
+  clock_.tick(rank_);
+  clock_.merge_from(m.clock);
+  detect::home_apply(detector_, config_.mode, m.flag ? AccessKind::kWrite : AccessKind::kRead,
+                     m.src, m.clock, clock_, m.area, /*check=*/false, m.event_id,
+                     [](const core::Verdict&) {});
+  events_.annotate_apply(m.event_id, clock_);
   Message ack;
   ack.type = MsgType::kClockEventAck;
-  ack.clock = clock_.vector();
+  ack.clock = clock_;
   reply(m, std::move(ack));
 }
 
@@ -493,25 +496,26 @@ void Nic::handle_get_locked(const Message& m) {
 
 void Nic::apply_put(const Message& m) {
   mem::Area& area = segment_.area(m.area);
-  // The whole apply is one atomic home-side event — receive_event, check,
-  // store, ack — so one recorded event covers it.
+  // The whole apply is one atomic home-side event — receive (tick + merge),
+  // check, store, ack — so one recorded event covers it.
   if (recorder_ != nullptr) {
     recorder_->record(record::EventKind::kPutApply, m.src,
                       recorder_->area_index(rank_, m.area), m.data.size());
   }
-  clock_.receive_event(m.src, m.clock);
+  clock_.tick(rank_);
+  clock_.merge_from(m.clock);
   // m.flag: the home decides the verdict (home-side transport, detector on).
   const bool raced = detect::home_apply(
-      detector_, config_.mode, AccessKind::kWrite, m.src, m.clock, clock_.vector(),
+      detector_, config_.mode, AccessKind::kWrite, m.src, m.clock, clock_,
       m.area, /*check=*/m.flag, m.event_id, [&](const core::Verdict& verdict) {
         record_home_report(AccessKind::kWrite, m, area, verdict);
       });
   segment_.write_bytes(area.offset + m.offset, m.data);
-  events_.annotate_apply(m.event_id, clock_.vector());
+  events_.annotate_apply(m.event_id, clock_);
 
   Message ack;
   ack.type = MsgType::kPutCommitAck;
-  ack.clock = clock_.vector();
+  ack.clock = clock_;
   ack.flag = raced;
   reply(m, std::move(ack));
 }
@@ -522,13 +526,14 @@ sim::Time Nic::serve_get(const Message& m) {
     recorder_->record(record::EventKind::kGetApply, m.src,
                       recorder_->area_index(rank_, m.area), m.length);
   }
-  clock_.receive_event(m.src, m.clock);
+  clock_.tick(rank_);
+  clock_.merge_from(m.clock);
   const bool raced = detect::home_apply(
-      detector_, config_.mode, AccessKind::kRead, m.src, m.clock, clock_.vector(),
+      detector_, config_.mode, AccessKind::kRead, m.src, m.clock, clock_,
       m.area, /*check=*/m.flag, m.event_id, [&](const core::Verdict& verdict) {
         record_home_report(AccessKind::kRead, m, area, verdict);
       });
-  events_.annotate_apply(m.event_id, clock_.vector());
+  events_.annotate_apply(m.event_id, clock_);
 
   Message resp;
   resp.type = MsgType::kGetLockedResponse;
@@ -537,7 +542,7 @@ sim::Time Nic::serve_get(const Message& m) {
   resp.op_id = m.op_id;
   resp.area = m.area;
   resp.data = segment_.read_bytes(area.offset + m.offset, m.length);
-  resp.clock = clock_.vector();
+  resp.clock = clock_;
   resp.flag = raced;
   resp.clocks_on_wire = config_.mode != DetectorMode::kOff;
   return fabric_.send(std::move(resp));

@@ -38,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "clocks/vector_clock.hpp"
 #include "core/event_log.hpp"
 #include "core/race_report.hpp"
 #include "core/rules.hpp"
@@ -47,7 +48,6 @@
 #include "mem/public_segment.hpp"
 #include "net/fabric.hpp"
 #include "nic/lock_manager.hpp"
-#include "nic/node_clock.hpp"
 #include "record/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/future.hpp"
@@ -88,14 +88,13 @@ struct UserLockResult {
 class Nic {
  public:
   Nic(Rank rank, sim::Engine& engine, net::Fabric& fabric, mem::PublicSegment& segment,
-      detect::ShardedDetector& detector, NodeClock& clock, NicConfig config,
+      detect::ShardedDetector& detector, clocks::VectorClock& clock, NicConfig config,
       core::RaceLog& races, core::EventLog& events);
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
 
   Rank rank() const { return rank_; }
-  NodeClock& node_clock() { return clock_; }
   mem::PublicSegment& segment() { return segment_; }
   detect::ShardedDetector& detector() { return detector_; }
   LockManager& locks() { return locks_; }
@@ -192,7 +191,7 @@ class Nic {
   net::Fabric& fabric_;
   mem::PublicSegment& segment_;
   detect::ShardedDetector& detector_;
-  NodeClock& clock_;
+  clocks::VectorClock& clock_;  ///< this rank's process clock (World::Node).
   NicConfig config_;
   core::RaceLog& races_;
   core::EventLog& events_;

@@ -32,7 +32,7 @@ sim::Time Process::now() const { return world_.engine().now(); }
 sim::Engine& Process::engine() { return world_.engine(); }
 
 const clocks::VectorClock& Process::clock() const {
-  return world_.node_clock(rank_).vector();
+  return world_.node_clock(rank_);
 }
 
 nic::Nic& Process::nic() { return world_.nic(rank_); }
@@ -41,7 +41,7 @@ const nic::Nic& Process::nic() const { return world_.nic(rank_); }
 nic::OpContext Process::begin_access(core::AccessKind kind, mem::GlobalAddress addr,
                                      std::uint32_t len) {
   // update_local_clock: the access is an event at this process.
-  world_.node_clock(rank_).tick();
+  world_.node_clock(rank_).tick(rank_);
 
   nic::OpContext ctx;
   ctx.issue_clock = clock();
@@ -78,13 +78,14 @@ sim::Future<void> Process::put_bytes(mem::GlobalAddress dst, std::vector<std::by
   const nic::PutResult result = co_await nic().put(dst, std::move(bytes), ctx);
   // With acked puts the completion ack carries knowledge: "put returned,
   // then I told someone" causally orders later accesses after this write.
-  // Without it, puts are the paper's pure one-sided writes (DESIGN.md §4).
+  // Without it, puts are the paper's pure one-sided writes
+  // (WorldConfig::acked_puts).
   if (world_.config().acked_puts) {
     if (world_.recorder() != nullptr) {
       world_.recorder()->record(record::EventKind::kPutAck, rank_,
                                 recorded_area(world_, nic(), dst));
     }
-    world_.node_clock(rank_).merge(dst.rank, result.home_clock);
+    world_.node_clock(rank_).merge_from(result.home_clock);
   }
 }
 
@@ -96,7 +97,7 @@ sim::Future<std::vector<std::byte>> Process::get(mem::GlobalAddress src,
     world_.recorder()->record(record::EventKind::kGetMerge, rank_,
                               recorded_area(world_, nic(), src));
   }
-  world_.node_clock(rank_).merge(src.rank, result.home_clock);
+  world_.node_clock(rank_).merge_from(result.home_clock);
   co_return result.data;
 }
 
@@ -118,8 +119,8 @@ sim::Future<void> Process::lock(mem::GlobalAddress addr) {
   if (auto* rec = world_.recorder()) {
     rec->record(record::EventKind::kLock, rank_, rec->area_index(addr.rank, area->id));
   }
-  world_.node_clock(rank_).tick();
-  if (!result.handoff.empty()) world_.node_clock(rank_).merge(addr.rank, result.handoff);
+  world_.node_clock(rank_).tick(rank_);
+  if (!result.handoff.empty()) world_.node_clock(rank_).merge_from(result.handoff);
   held_locks_.insert(identity);
 }
 
@@ -133,7 +134,7 @@ sim::Future<void> Process::unlock(mem::GlobalAddress addr) {
     rec->record(record::EventKind::kUnlockIssue, rank_,
                 rec->area_index(addr.rank, area->id));
   }
-  world_.node_clock(rank_).tick();  // release is an event.
+  world_.node_clock(rank_).tick(rank_);  // release is an event.
   nic().user_unlock(addr, clock());
   held_locks_.erase(identity);
   // The unlock message is fire-and-forget; co_return keeps the signature
@@ -146,7 +147,7 @@ void Process::signal(Rank to, std::uint64_t tag, std::span<const std::byte> payl
     world_.recorder()->record(record::EventKind::kSignal, rank_,
                               static_cast<std::uint64_t>(to), tag);
   }
-  world_.node_clock(rank_).tick();  // send is an event.
+  world_.node_clock(rank_).tick(rank_);  // send is an event.
   nic().send_signal(to, tag, clock(), {payload.begin(), payload.end()});
 }
 
@@ -160,7 +161,9 @@ sim::Future<std::vector<std::byte>> Process::wait_signal(std::uint64_t tag) {
                               static_cast<std::uint64_t>(msg.src), tag,
                               msg.clock[static_cast<std::size_t>(msg.src)]);
   }
-  world_.node_clock(rank_).receive_event(msg.src, msg.clock);
+  // Receive event: tick, then merge the sender's clock (paper Fig. 5).
+  world_.node_clock(rank_).tick(rank_);
+  world_.node_clock(rank_).merge_from(msg.clock);
   co_return msg.data;
 }
 
@@ -168,7 +171,7 @@ sim::Future<void> Process::compute(sim::Time duration) {
   if (world_.recorder() != nullptr) {
     world_.recorder()->record(record::EventKind::kTick, rank_);
   }
-  world_.node_clock(rank_).tick();  // a local event.
+  world_.node_clock(rank_).tick(rank_);  // a local event.
   // Wakeup skew (schedule perturbation): the computation "runs long" by a
   // seeded bounded amount — legal, since duration carries no ordering
   // semantics beyond the delay itself.

@@ -1,6 +1,5 @@
 #include "runtime/world.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -14,8 +13,7 @@ World::Node::Node(Rank rank, World& world)
     : segment(rank, world.config_.segment_bytes, static_cast<std::size_t>(world.config_.nprocs)),
       detector(static_cast<std::size_t>(world.config_.nprocs), rank,
                world.config_.detector_shards),
-      clock(static_cast<std::size_t>(world.config_.nprocs), rank,
-            world.config_.track_matrix_clocks),
+      clock(static_cast<std::size_t>(world.config_.nprocs)),
       nic(rank, world.engine_, world.fabric_, segment, detector, clock,
           nic::NicConfig{world.config_.mode, world.config_.transport,
                          world.config_.lock_clock_handoff},
@@ -152,7 +150,7 @@ nic::Nic& World::nic(Rank rank) {
   return nodes_[static_cast<std::size_t>(rank)]->nic;
 }
 
-nic::NodeClock& World::node_clock(Rank rank) {
+clocks::VectorClock& World::node_clock(Rank rank) {
   DSMR_REQUIRE(rank >= 0 && rank < config_.nprocs, "node_clock: bad rank " << rank);
   return nodes_[static_cast<std::size_t>(rank)]->clock;
 }
@@ -166,17 +164,6 @@ std::size_t World::total_clock_bytes() const {
   std::size_t total = 0;
   for (const auto& node : nodes_) total += node->detector.storage_bytes();
   return total;
-}
-
-clocks::VectorClock World::knowledge_frontier() const {
-  clocks::VectorClock frontier = nodes_.front()->clock.vector();
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    const auto& clock = nodes_[i]->clock.vector();
-    for (std::size_t k = 0; k < frontier.size(); ++k) {
-      frontier[k] = std::min(frontier[k], clock[k]);
-    }
-  }
-  return frontier;
 }
 
 }  // namespace dsmr::runtime

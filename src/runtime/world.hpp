@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "clocks/vector_clock.hpp"
 #include "core/event_log.hpp"
 #include "core/race_report.hpp"
 #include "core/types.hpp"
@@ -18,7 +19,6 @@
 #include "mem/public_segment.hpp"
 #include "net/sim_fabric.hpp"
 #include "nic/nic.hpp"
-#include "nic/node_clock.hpp"
 #include "sim/engine.hpp"
 #include "sim/perturb.hpp"
 #include "sim/task.hpp"
@@ -54,7 +54,6 @@ struct WorldConfig {
   /// fault) is the complete replay coordinate.
   net::FaultPlan fault{};
   bool lock_clock_handoff = true;
-  bool track_matrix_clocks = false;
   /// When true (default), a put's completion ack merges the home's clock
   /// into the initiator — puts behave as acknowledged/blocking writes, and
   /// produce-then-notify patterns are causally ordered. When false, puts are
@@ -129,7 +128,7 @@ class World {
   mem::PublicSegment& segment(Rank rank);
   detect::ShardedDetector& detector(Rank rank);
   nic::Nic& nic(Rank rank);
-  nic::NodeClock& node_clock(Rank rank);
+  clocks::VectorClock& node_clock(Rank rank);
   Process& process(Rank rank);
 
   /// The next wakeup skew under the configured perturbation (0 when
@@ -139,22 +138,15 @@ class World {
   /// Detection-metadata bytes across all ranks (CLAIM-V.A1).
   std::size_t total_clock_bytes() const;
 
-  /// The global knowledge frontier: componentwise minimum over all process
-  /// clocks. Every event whose issue clock is dominated by the frontier is
-  /// causally before *every* future event in the system — the sound pruning
-  /// horizon for race-candidate bookkeeping. Monotonically non-decreasing.
-  ///
-  /// With `track_matrix_clocks` enabled, each node can compute its own
-  /// conservative estimate distributively (MatrixClock::gc_frontier), which
-  /// is always dominated by this global value — asserted by tests.
-  clocks::VectorClock knowledge_frontier() const;
-
  private:
   struct Node {
     Node(Rank rank, World& world);
     mem::PublicSegment segment;
     detect::ShardedDetector detector;  ///< declared before nic (init order).
-    nic::NodeClock clock;
+    /// The process's logical clock. Paper §IV.B keeps a clock matrix V_{Pi}
+    /// per process and ticks V_{Pi}[i,i] before each event, but
+    /// Algorithms 1-3 only read the matrix's own row: this vector clock.
+    clocks::VectorClock clock;
     nic::Nic nic;
   };
 

@@ -1,7 +1,8 @@
 // Deterministic pseudo-random number generation.
 //
-// Simulation reproducibility is a hard requirement (DESIGN.md §2): every
-// random decision in the system flows from a single user-supplied seed.
+// Simulation reproducibility is a hard requirement (docs/testing.md: the
+// replay of a failing coordinate *is* the failure): every random decision
+// in the system flows from a single user-supplied seed.
 // We use xoshiro256** (public-domain, Blackman & Vigna) seeded through
 // SplitMix64, which is both faster and of higher statistical quality than
 // std::mt19937_64 and — unlike the standard distributions — produces

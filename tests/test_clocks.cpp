@@ -6,28 +6,12 @@
 #include <vector>
 
 #include "clocks/epoch.hpp"
-#include "clocks/lamport.hpp"
-#include "clocks/matrix_clock.hpp"
 #include "clocks/ordering.hpp"
 #include "clocks/vector_clock.hpp"
 #include "util/rng.hpp"
 
 namespace dsmr::clocks {
 namespace {
-
-TEST(Lamport, TickIncreases) {
-  LamportClock c;
-  EXPECT_EQ(c.time(), 0u);
-  EXPECT_EQ(c.tick(), 1u);
-  EXPECT_EQ(c.tick(), 2u);
-}
-
-TEST(Lamport, MergeTakesMaxPlusOne) {
-  LamportClock c;
-  c.tick();                      // 1
-  EXPECT_EQ(c.merge(10), 11u);   // max(1,10)+1
-  EXPECT_EQ(c.merge(3), 12u);    // max(11,3)+1
-}
 
 TEST(VectorClock, ZeroClockIsDominatedByEverything) {
   const VectorClock zero(3);
@@ -352,58 +336,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.seed) + "_n" +
              std::to_string(info.param.n);
     });
-
-// --- matrix clocks ---------------------------------------------------------
-
-TEST(MatrixClock, TickUpdatesOwnDiagonal) {
-  MatrixClock m(3, 1);
-  m.tick();
-  m.tick();
-  EXPECT_EQ(m.own_row(), (VectorClock{0, 2, 0}));
-  EXPECT_EQ(m.row(0), (VectorClock{0, 0, 0}));
-}
-
-TEST(MatrixClock, MergeRowAbsorbsSenderKnowledge) {
-  MatrixClock m(3, 0);
-  m.tick();
-  m.merge_row(2, VectorClock{0, 4, 7});
-  EXPECT_EQ(m.own_row(), (VectorClock{1, 4, 7}));
-  EXPECT_EQ(m.row(2), (VectorClock{0, 4, 7}));
-}
-
-TEST(MatrixClock, GcFrontierIsColumnMinimum) {
-  MatrixClock m(2, 0);
-  m.tick();  // own row {1,0}
-  // Rank 1 told us it has seen our first event.
-  m.merge_row(1, VectorClock{1, 3});
-  // rows: own {1,3}, row1 {1,3} → frontier = {1,3}.
-  EXPECT_EQ(m.gc_frontier(), (VectorClock{1, 3}));
-}
-
-TEST(MatrixClock, FrontierNeverExceedsOwnRow) {
-  util::Rng rng(99);
-  MatrixClock m(4, 2);
-  for (int step = 0; step < 200; ++step) {
-    if (rng.chance(0.5)) {
-      m.tick();
-    } else {
-      VectorClock row(4);
-      for (std::size_t j = 0; j < 4; ++j) row[j] = rng.below(20);
-      m.merge_row(static_cast<Rank>(rng.below(4)), row);
-    }
-    EXPECT_TRUE(m.gc_frontier().dominated_by(m.own_row()));
-  }
-}
-
-TEST(MatrixClock, MergeMatrixDominatesBothInputs) {
-  MatrixClock a(3, 0), b(3, 1);
-  a.tick();
-  b.tick();
-  b.tick();
-  a.merge_matrix(b);
-  EXPECT_TRUE(b.own_row().dominated_by(a.own_row()));
-  EXPECT_TRUE(b.row(1).dominated_by(a.row(1)));
-}
 
 }  // namespace
 }  // namespace dsmr::clocks

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -262,6 +263,32 @@ TEST(FuzzProgram, ParserRejectsMalformedNewSyntax) {
   ASSERT_NE(pos, std::string::npos);
   planted.replace(pos, 12, "no-such-kind");
   EXPECT_FALSE(parse_program(planted).has_value());
+}
+
+TEST(FuzzProgram, ParseBugKindsGrammar) {
+  // The --bug-kinds grammar shared by dsmr_fuzz and dsmr_explore.
+  using Kinds = std::vector<BugKind>;
+  struct Case {
+    std::string text;
+    std::optional<Kinds> expected;
+  };
+  const std::vector<Case> cases = {
+      {"all", all_bug_kinds()},
+      {"none", Kinds{}},
+      {"wrong-lock,ack-window,wrong-lock", Kinds{BugKind::kWrongLock, BugKind::kAckWindow}},
+      {"dropped-edge,bogus", std::nullopt},
+      {"", std::nullopt},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_EQ(parse_bug_kinds(c.text, &error), c.expected) << "'" << c.text << "'";
+    if (!c.expected) {
+      // The diagnostic lists every known kind.
+      for (const BugKind kind : all_bug_kinds()) {
+        EXPECT_NE(error.find(to_string(kind)), std::string::npos) << error;
+      }
+    }
+  }
 }
 
 TEST(FuzzProgram, OpCountCountsEveryRankAndPhase) {
@@ -712,6 +739,10 @@ TEST(FuzzRepro, ParserRejectsMalformedRepros) {
   ASSERT_NE(rate_pos, std::string::npos);
   no_rate.erase(rate_pos, no_rate.find('\n', rate_pos) - rate_pos + 1);
   bad.push_back(no_rate);
+  // A well-formed body under the retired v3 header is rejected too.
+  std::string v3 = text;
+  v3.replace(v3.find("repro v4"), 8, "repro v3");
+  bad.push_back(v3);
   for (const auto& candidate : bad) {
     std::string error;
     EXPECT_FALSE(parse_repro(candidate, &error).has_value());
@@ -747,19 +778,6 @@ TEST(FuzzRepro, V4CompanionLogReferenceRoundTrips) {
   EXPECT_EQ(parsed->record_log, repro.record_log);
   EXPECT_EQ(parsed->program, repro.program);
   EXPECT_EQ(serialize_repro(*parsed), text);
-}
-
-TEST(FuzzRepro, V3ReprosWithoutRecordLineStillParse) {
-  // Old artifacts on disk keep working: same grammar, no `record` line.
-  const auto repro = make_repro();
-  std::string v3 = serialize_repro(repro);
-  const auto pos = v3.find("repro v4");
-  ASSERT_NE(pos, std::string::npos);
-  v3.replace(pos, 8, "repro v3");
-  const auto parsed = parse_repro(v3);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->record_log.empty());
-  EXPECT_EQ(parsed->program, repro.program);
 }
 
 TEST(FuzzRepro, ParserRejectsEscapingRecordReference) {

@@ -370,93 +370,5 @@ TEST(Collectives, GatherThenScatterRoundTrip) {
   }
 }
 
-// --- knowledge frontier (matrix-clock extension) -----------------------------
-
-TEST(Frontier, GlobalFrontierIsMonotoneDuringRun) {
-  runtime::WorldConfig config = config_for(4);
-  World world(config);
-  const auto x = world.alloc(0, 8, "x");
-  std::vector<clocks::VectorClock> samples;
-  for (Rank r = 0; r < 4; ++r) {
-    world.spawn(r, [x, &world, &samples](Process& p) -> sim::Task {
-      pgas::Team team(p);
-      for (int i = 0; i < 3; ++i) {
-        if (p.rank() == 0) {
-          co_await p.put_value(x, static_cast<std::uint64_t>(i));
-          samples.push_back(world.knowledge_frontier());
-        }
-        co_await team.barrier();
-      }
-    });
-  }
-  EXPECT_TRUE(world.run().completed);
-  ASSERT_GE(samples.size(), 2u);
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_TRUE(samples[i - 1].dominated_by(samples[i]))
-        << samples[i - 1].to_string() << " -> " << samples[i].to_string();
-  }
-}
-
-TEST(Frontier, EventsBelowFrontierPrecedeAllLaterIssues) {
-  // Soundness: at any instant, an event whose issue clock is dominated by
-  // the frontier is causally before every event issued afterwards.
-  runtime::WorldConfig config = config_for(3);
-  World world(config);
-  const auto x = world.alloc(1, 8, "x");
-  clocks::VectorClock frontier_snapshot;
-  std::uint64_t events_before = 0;
-  for (Rank r = 0; r < 3; ++r) {
-    world.spawn(r, [x, r, &world, &frontier_snapshot, &events_before](Process& p)
-                    -> sim::Task {
-      pgas::Team team(p);
-      co_await p.put_value(x.plus(0), static_cast<std::uint64_t>(r));
-      co_await team.barrier();
-      if (p.rank() == 0) {
-        frontier_snapshot = world.knowledge_frontier();
-        events_before = world.events().size();
-      }
-      co_await team.barrier();
-      co_await p.get(x, 8);  // issued after the snapshot.
-    });
-  }
-  EXPECT_TRUE(world.run().completed);
-  const auto& events = world.events().events();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& e = events[i];
-    if (!e.issue_clock.dominated_by(frontier_snapshot)) continue;
-    // e is below the frontier: every event recorded after the snapshot
-    // must causally follow it.
-    for (std::size_t j = events_before; j < events.size(); ++j) {
-      EXPECT_TRUE(e.issue_clock.dominated_by(events[j].issue_clock));
-    }
-  }
-}
-
-TEST(Frontier, DistributedMatrixEstimateIsSound) {
-  // Each node's matrix-clock frontier never exceeds the true global
-  // frontier (stale knowledge only shrinks the estimate).
-  runtime::WorldConfig config = config_for(4);
-  config.track_matrix_clocks = true;
-  World world(config);
-  const auto x = world.alloc(0, 8, "x");
-  for (Rank r = 0; r < 4; ++r) {
-    world.spawn(r, [x](Process& p) -> sim::Task {
-      pgas::Team team(p);
-      for (int i = 0; i < 4; ++i) {
-        co_await p.put_value(x, static_cast<std::uint64_t>(i));
-        co_await team.barrier();
-      }
-    });
-  }
-  EXPECT_TRUE(world.run().completed);
-  const auto global = world.knowledge_frontier();
-  for (Rank r = 0; r < 4; ++r) {
-    const auto local = world.node_clock(r).matrix().gc_frontier();
-    EXPECT_TRUE(local.dominated_by(global))
-        << "P" << r << " estimate " << local.to_string() << " vs global "
-        << global.to_string();
-  }
-}
-
 }  // namespace
 }  // namespace dsmr::pgas

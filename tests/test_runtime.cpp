@@ -95,8 +95,8 @@ TEST(Runtime, Figure2MessageCounts) {
 }
 
 TEST(Runtime, TransportMessageCosts) {
-  // The detection-overhead ladder (DESIGN.md): separate 9, piggyback 4,
-  // home-side 2 messages per put.
+  // The detection-overhead ladder (the transport table in nic/nic.hpp):
+  // separate 9, piggyback 4, home-side 2 messages per put.
   const std::map<Transport, std::uint64_t> expected_put = {
       {Transport::kSeparate, 9}, {Transport::kPiggyback, 4}, {Transport::kHomeSide, 2}};
   for (const auto& [transport, messages] : expected_put) {

@@ -76,6 +76,7 @@
 #include "fuzz/harness.hpp"
 #include "net/fault.hpp"
 #include "record/log.hpp"
+#include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -92,32 +93,6 @@ std::vector<std::string> split_names(const std::string& csv) {
     if (!name.empty()) names.push_back(name);
   }
   return names;
-}
-
-/// Parses --bug-kinds ("all", "none", or a comma list); exits 2 on unknown
-/// names. "none" yields an all-clean slice — the only option below 3 ranks,
-/// where no bug kind is plantable.
-std::vector<fuzz::BugKind> parse_bug_kinds_or_die(const std::string& text) {
-  if (text == "all") return fuzz::all_bug_kinds();
-  if (text == "none") return {};
-  std::vector<fuzz::BugKind> kinds;
-  for (const auto& name : split_names(text)) {
-    const auto kind = fuzz::parse_bug_kind(name);
-    if (!kind.has_value()) {
-      std::fprintf(stderr, "unknown --bug-kinds entry '%s' (known: all", name.c_str());
-      for (const auto known : fuzz::all_bug_kinds()) {
-        std::fprintf(stderr, ", %s", fuzz::to_string(known));
-      }
-      std::fprintf(stderr, ")\n");
-      std::exit(2);
-    }
-    kinds.push_back(*kind);
-  }
-  if (kinds.empty()) {
-    std::fprintf(stderr, "--bug-kinds needs 'all' or a comma list of kinds\n");
-    std::exit(2);
-  }
-  return kinds;
 }
 
 struct ExhaustiveParams {
@@ -488,17 +463,12 @@ int run_exhaustive(const ExhaustiveParams& params) {
     json << ",\"witnesses\":[";
     for (std::size_t i = 0; i < witness_paths.size(); ++i) {
       if (i > 0) json << ",";
-      json << "\"" << witness_paths[i] << "\"";
+      json << "\"" << trace::json_escape(witness_paths[i]) << "\"";
     }
     json << "],\"failures\":[";
     for (std::size_t i = 0; i < failures.size(); ++i) {
       if (i > 0) json << ",";
-      std::string escaped = failures[i];
-      for (std::size_t pos = 0; (pos = escaped.find('"', pos)) != std::string::npos;
-           pos += 2) {
-        escaped.replace(pos, 1, "\\\"");
-      }
-      json << "\"" << escaped << "\"";
+      json << "\"" << trace::json_escape(failures[i]) << "\"";
     }
     json << "],\"limit_failures\":" << limit_failures.size() << "}\n";
     std::printf("wrote %s\n", params.json_path.c_str());
@@ -576,7 +546,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--planted-fraction must be in [0, 1]\n");
       return 2;
     }
-    params.kinds = parse_bug_kinds_or_die(bug_kinds_text);
+    // "none" yields an all-clean slice — the only option below 3 ranks,
+    // where no bug kind is plantable.
+    std::string bug_kinds_error;
+    const auto kinds = fuzz::parse_bug_kinds(bug_kinds_text, &bug_kinds_error);
+    if (!kinds) {
+      std::fprintf(stderr, "bad --bug-kinds: %s\n", bug_kinds_error.c_str());
+      return 2;
+    }
+    params.kinds = *kinds;
     return run_exhaustive(params);
   }
 

@@ -24,13 +24,12 @@
 //
 //   dsmr_fuzz [--seeds N|LO..HI] [--ranks N] [--areas N] [--phases N]
 //             [--ops N] [--area-bytes N] [--profile NAME]
-//             [--planted-fraction F] [--bug-kinds all|K1,K2,...]
+//             [--planted-fraction F] [--bug-kinds all|none|K1,K2,...]
 //             [--schedule uniform|coverage] [--corpus-dir DIR]
 //             [--schedule-seeds K] [--perturbations K] [--perturb-min NS]
 //             [--perturb-max NS] [--threads N] [--budget-ms MS]
 //             [--json FILE] [--repro-dir DIR] [--record-dir DIR]
-//             [--no-shrink] [--fault PLAN]
-//             [--faults PLAN;PLAN;...] [--verbose]
+//             [--no-shrink] [--faults PLAN;PLAN;...] [--verbose]
 //   dsmr_fuzz --replay FILE [--threads N]
 //   dsmr_fuzz --backend threaded|both [--thread-reps N] [--sim-seeds N]
 //             [--shards N] [--thread-timeout-ms MS] [generation flags]
@@ -49,7 +48,7 @@
 //
 // Exit status: 0 when every program conforms (or a --replay reproduces its
 // recorded check), 1 on any disagreement (or a failed replay), 2 on usage
-// errors. `--fault`/`--faults` take fault plans (net/fault.hpp: presets
+// errors. `--faults` takes a ';'-list of fault plans (net/fault.hpp: presets
 // like `loss1`, `dupdelay`, `crash-restart`, `blackhole`, or the full
 // `drop=PPM,...` grammar): wire-enabled plans run next to every fault-free
 // schedule and are held to fault-transparency (recoverable) or
@@ -159,33 +158,6 @@ struct FailureRecord {
   std::size_t ops_after = 0;
 };
 
-/// Parses `--bug-kinds` ("all" or a comma list); exits 2 on unknown names.
-std::vector<fuzz::BugKind> parse_bug_kinds_or_die(const std::string& text) {
-  if (text == "all") return fuzz::all_bug_kinds();
-  std::vector<fuzz::BugKind> kinds;
-  std::istringstream in(text);
-  std::string name;
-  while (std::getline(in, name, ',')) {
-    const auto kind = fuzz::parse_bug_kind(name);
-    if (!kind) {
-      std::fprintf(stderr, "unknown --bug-kinds entry '%s' (known: all", name.c_str());
-      for (const auto known : fuzz::all_bug_kinds()) {
-        std::fprintf(stderr, ",%s", fuzz::to_string(known));
-      }
-      std::fprintf(stderr, ")\n");
-      std::exit(2);
-    }
-    if (std::find(kinds.begin(), kinds.end(), *kind) == kinds.end()) {
-      kinds.push_back(*kind);
-    }
-  }
-  if (kinds.empty()) {
-    std::fprintf(stderr, "--bug-kinds needs 'all' or a comma list of kinds\n");
-    std::exit(2);
-  }
-  return kinds;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -193,13 +165,12 @@ int main(int argc, char** argv) {
                 "[--seeds N|LO..HI] [--ranks N] [--areas N] [--phases N] [--ops N] "
                 "[--area-bytes N] [--profile mixed|write-heavy|read-heavy|lock-heavy|"
                 "sync-sparse|sync-rich] [--planted-fraction F] "
-                "[--bug-kinds all|dropped-edge,wrong-lock,partial-barrier,ack-window] "
+                "[--bug-kinds all|none|dropped-edge,wrong-lock,partial-barrier,ack-window] "
                 "[--schedule uniform|coverage] [--corpus-dir DIR] [--schedule-seeds K] "
                 "[--perturbations K] [--perturb-min NS] [--perturb-max NS] "
                 "[--threads N] [--budget-ms MS] [--json FILE] [--repro-dir DIR] "
                 "[--record-dir DIR] [--no-shrink] [--exhaustive] "
-                "[--explore-max-interleavings N] [--fault PLAN] "
-                "[--faults PLAN;PLAN;...] "
+                "[--explore-max-interleavings N] [--faults PLAN;PLAN;...] "
                 "[--backend sim|threaded|both] [--thread-reps N] [--sim-seeds N] "
                 "[--shards N] [--thread-timeout-ms MS] [--verbose] | "
                 "--replay FILE");
@@ -237,11 +208,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string corpus_dir = cli.get_string("corpus-dir", "");
-  auto requested_kinds = parse_bug_kinds_or_die(cli.get_string("bug-kinds", "all"));
+  std::string bug_kinds_error;
+  const auto requested_kinds =
+      fuzz::parse_bug_kinds(cli.get_string("bug-kinds", "all"), &bug_kinds_error);
+  if (!requested_kinds) {
+    std::fprintf(stderr, "bad --bug-kinds: %s\n", bug_kinds_error.c_str());
+    return 2;
+  }
   // Drop the kinds this program shape cannot host (loudly). An explicit
   // request that leaves nothing plantable is a usage error.
   std::vector<fuzz::BugKind> bug_kinds;
-  for (const auto kind : requested_kinds) {
+  for (const auto kind : *requested_kinds) {
     if (fuzz::bug_kind_eligible(gen, kind)) {
       bug_kinds.push_back(kind);
     } else {
@@ -275,29 +252,17 @@ int main(int argc, char** argv) {
   // gate — pass --ranks 3 (or 2) for the invariant to bite.
   const bool exhaustive = cli.get_flag("exhaustive");
   const auto explore_cap = cli.get_uint("explore-max-interleavings", 1u << 20);
-  // --fault takes one plan (back-compatible with the old none|drop-live-
-  // reports modes via the plan parser's aliases); --faults a ';'-list.
-  // Both feed the same fault axis and may be combined.
-  std::vector<net::FaultPlan> fault_plans;
+  // --faults takes a ';'-list of plans (one plan, or the drop-live-reports
+  // alias, is a one-element list).
   std::string fault_error;
-  const std::string fault_text = cli.get_string("fault", "none");
-  const auto single_plan = net::parse_fault_plan(fault_text, &fault_error);
-  if (!single_plan) {
-    std::fprintf(stderr, "bad --fault '%s': %s\n", fault_text.c_str(),
+  const std::string faults_text = cli.get_string("faults", "");
+  const auto parsed_plans = net::parse_fault_plan_list(faults_text, &fault_error);
+  if (!parsed_plans) {
+    std::fprintf(stderr, "bad --faults '%s': %s\n", faults_text.c_str(),
                  fault_error.c_str());
     return 2;
   }
-  if (!(*single_plan == net::FaultPlan{})) fault_plans.push_back(*single_plan);
-  const std::string faults_text = cli.get_string("faults", "");
-  if (!faults_text.empty()) {
-    const auto list = net::parse_fault_plan_list(faults_text, &fault_error);
-    if (!list) {
-      std::fprintf(stderr, "bad --faults '%s': %s\n", faults_text.c_str(),
-                   fault_error.c_str());
-      return 2;
-    }
-    fault_plans.insert(fault_plans.end(), list->begin(), list->end());
-  }
+  const std::vector<net::FaultPlan>& fault_plans = *parsed_plans;
   const bool drop_live_armed =
       std::any_of(fault_plans.begin(), fault_plans.end(),
                   [](const net::FaultPlan& p) { return p.drop_live_reports; });
