@@ -96,6 +96,10 @@ class ShardedDetector {
   /// atomic step).
   std::mutex& shard_mutex(AreaId id) const { return shard_for(id).mutex; }
 
+  /// The record stamp of `id`'s shard (record::Recorder::record_thread's
+  /// sync slot): the last stamp taken under shard_mutex(id), which guards it.
+  std::uint64_t& record_stamp(AreaId id) const { return shard_for(id).record_stamp; }
+
   // ---- checks ----
 
   /// One area, one verdict. Caller-locked (see the concurrency contract).
@@ -188,6 +192,7 @@ class ShardedDetector {
 
   struct Shard {
     mutable std::mutex mutex;
+    std::uint64_t record_stamp = 0;  ///< guarded by `mutex`.
     Lane v;
     Lane w;
     /// Materialized clock storage; deque for stable addresses under growth.

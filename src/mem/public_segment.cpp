@@ -24,18 +24,17 @@ AreaId PublicSegment::register_area(std::uint32_t offset, std::uint32_t size,
       by_offset_.begin(), by_offset_.end(), offset,
       [](const IndexEntry& e, std::uint32_t o) { return e.offset < o; });
   if (next != by_offset_.end()) {
-    DSMR_REQUIRE(offset + size <= areas_[next->id].offset,
+    DSMR_REQUIRE(offset + size <= next->offset,
                  "area '" << name << "' overlaps area '" << areas_[next->id].name << "'");
   }
   if (next != by_offset_.begin()) {
     const auto prev = std::prev(next);
-    DSMR_REQUIRE(areas_[prev->id].end() <= offset,
+    DSMR_REQUIRE(prev->end <= offset,
                  "area '" << name << "' overlaps area '" << areas_[prev->id].name << "'");
   }
   for (const IndexEntry& entry : tail_) {
-    const Area& other = areas_[entry.id];
-    DSMR_REQUIRE(offset + size <= other.offset || other.end() <= offset,
-                 "area '" << name << "' overlaps area '" << other.name << "'");
+    DSMR_REQUIRE(offset + size <= entry.offset || entry.end <= offset,
+                 "area '" << name << "' overlaps area '" << areas_[entry.id].name << "'");
   }
 
   const auto id = static_cast<AreaId>(areas_.size());
@@ -45,12 +44,15 @@ AreaId PublicSegment::register_area(std::uint32_t offset, std::uint32_t size,
   area.size = size;
   area.name = std::move(name);
   areas_.push_back(std::move(area));
+  const IndexEntry entry{offset, offset + size, id};
   if (tail_.empty() && (by_offset_.empty() || by_offset_.back().offset < offset)) {
     // The bump-allocation path: offsets arrive in increasing order, so the
-    // sorted prefix grows by plain O(1) append.
-    by_offset_.push_back(IndexEntry{offset, id});
+    // sorted prefix grows by plain append and the table by this area's
+    // granules.
+    by_offset_.push_back(entry);
+    index_granules(by_offset_.size() - 1);
   } else {
-    tail_.push_back(IndexEntry{offset, id});
+    tail_.push_back(entry);
     if (tail_.size() >= kMaxTail) flush_tail();
   }
   bump_ = std::max(bump_, offset + size);
@@ -67,6 +69,19 @@ void PublicSegment::flush_tail() {
       by_offset_.end(),
       [](const IndexEntry& a, const IndexEntry& b) { return a.offset < b.offset; });
   tail_.clear();
+  first_by_granule_.clear();
+  index_granules(0);
+}
+
+void PublicSegment::index_granules(std::size_t from) {
+  // Areas are disjoint, so sorted starts mean sorted ends: each granule's
+  // first area ending past it is the first entry reached whose end does.
+  for (std::size_t i = from; i < by_offset_.size(); ++i) {
+    const std::uint64_t end = by_offset_[i].end;
+    while ((std::uint64_t{first_by_granule_.size()} << kGranuleShift) < end) {
+      first_by_granule_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
 }
 
 AreaId PublicSegment::allocate_area(std::uint32_t size, std::string name) {
@@ -84,18 +99,24 @@ const Area& PublicSegment::area(AreaId id) const {
 }
 
 Area* PublicSegment::find_area(std::uint32_t offset, std::uint32_t len) {
-  const auto it = std::upper_bound(
-      by_offset_.begin(), by_offset_.end(), offset,
-      [](std::uint32_t o, const IndexEntry& e) { return o < e.offset; });
-  if (it != by_offset_.begin()) {
-    Area& candidate = areas_[std::prev(it)->id];
-    if (offset >= candidate.offset && offset + len <= candidate.end()) return &candidate;
-  }
+  const std::uint64_t last = std::uint64_t{offset} + len;
+  // Every prefix entry before the granule's first one ends at or below the
+  // granule start, so the forward scan stops one past the last area that
+  // starts at or below `offset` — the only prefix area that can hold it.
+  const std::size_t granule = offset >> kGranuleShift;
+  std::size_t i = granule < first_by_granule_.size() ? first_by_granule_[granule]
+                                                     : by_offset_.size();
+  while (i < by_offset_.size() && by_offset_[i].offset <= offset) ++i;
+  if (i > 0 && last <= by_offset_[i - 1].end) return &areas_[by_offset_[i - 1].id];
   for (const IndexEntry& entry : tail_) {
-    Area& candidate = areas_[entry.id];
-    if (offset >= candidate.offset && offset + len <= candidate.end()) return &candidate;
+    if (offset >= entry.offset && last <= entry.end) return &areas_[entry.id];
   }
   return nullptr;
+}
+
+std::size_t PublicSegment::index_bytes() const {
+  return (by_offset_.capacity() + tail_.capacity()) * sizeof(IndexEntry) +
+         first_by_granule_.capacity() * sizeof(std::uint32_t);
 }
 
 std::span<std::byte> PublicSegment::bytes(std::uint32_t offset, std::uint32_t len) {

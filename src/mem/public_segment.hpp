@@ -11,13 +11,20 @@
 // paths.
 //
 // Area lookup is the single hottest metadata operation (every one-sided
-// access resolves its target area), so the index is a sorted vector probed
-// by binary search — with *amortized* insertion: bump-allocated areas (the
-// production path — monotonically increasing offsets) append straight to
-// the sorted prefix in O(1), and arbitrary-offset registrations go to a
-// bounded unsorted tail that is merged (sort + inplace_merge) only when it
-// fills. Lookups binary-search the prefix and linearly scan the ≤64-entry
-// tail. Areas live in a deque so `Area*` stays stable across registrations.
+// access resolves its target area), so it is O(1): a sorted index of
+// {offset, end, id} entries plus a granule table holding, for every 64-byte
+// granule of the registered extent [0, highest end), the first index
+// position whose area ends past that granule's start. A lookup reads one
+// table slot and scans forward over the few areas that end inside the
+// granule — no Area is touched until the hit. The table costs one uint32
+// per 64 registered bytes, however large the segment.
+//
+// Insertion is amortized: bump-allocated areas (the production path —
+// monotonically increasing offsets) append to the index and extend the
+// table in O(size / 64); arbitrary-offset registrations go to a bounded
+// unsorted tail, linearly scanned by lookups, that is merged (sort +
+// inplace_merge, then a table rebuild) only when it fills. Areas live in a
+// deque so `Area*` stays stable across registrations.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +79,10 @@ class PublicSegment {
   /// to call concurrently once registrations have quiesced.
   Area* find_area(std::uint32_t offset, std::uint32_t len);
 
+  /// Bytes held by the lookup index (sorted entries, tail and granule
+  /// table): grows with the registered extent, not with size().
+  std::size_t index_bytes() const;
+
   /// Raw byte access (bounds-checked).
   std::span<std::byte> bytes(std::uint32_t offset, std::uint32_t len);
   std::span<const std::byte> bytes(std::uint32_t offset, std::uint32_t len) const;
@@ -82,21 +93,28 @@ class PublicSegment {
  private:
   struct IndexEntry {
     std::uint32_t offset;
+    std::uint32_t end;  ///< offset + size: a miss never reads the Area.
     AreaId id;
   };
 
   /// Arbitrary-offset registrations buffer here until the tail fills, then
   /// merge into the sorted prefix — O(kMaxTail) worst-case lookup overhead,
-  /// amortized O(log n) insertion instead of the old O(n) vector::insert.
+  /// amortized insertion instead of an O(n) vector::insert per area.
   static constexpr std::size_t kMaxTail = 64;
+  static constexpr std::uint32_t kGranuleShift = 6;  ///< 64-byte granules.
 
   void flush_tail();
+  /// Extends the granule table over sorted entries [from, end).
+  void index_granules(std::size_t from);
 
   Rank home_;
   std::size_t nprocs_;
   std::vector<std::byte> bytes_;
   std::deque<Area> areas_;              ///< deque: stable Area* across growth.
-  std::vector<IndexEntry> by_offset_;   ///< sorted prefix; binary-searched.
+  std::vector<IndexEntry> by_offset_;   ///< sorted prefix.
+  /// granule g → first by_offset_ position whose area ends past g * 64;
+  /// covers the granules below the prefix's highest end.
+  std::vector<std::uint32_t> first_by_granule_;
   std::vector<IndexEntry> tail_;        ///< unsorted tail; linearly scanned.
   std::uint32_t bump_ = 0;
 };

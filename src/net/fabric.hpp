@@ -2,9 +2,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 
 #include "net/message.hpp"
 #include "sim/time.hpp"
@@ -16,7 +16,8 @@ namespace dsmr::net {
 /// communication-overhead experiment (paper §V.A, CLAIM-V.A2 in
 /// bench/bench_overhead.cpp).
 struct TrafficCounters {
-  std::map<MsgType, std::uint64_t> messages_by_type;
+  /// Messages charged per type, indexed by MsgType; see messages().
+  std::array<std::uint64_t, kMsgTypeCount> messages_by_type{};
   std::uint64_t total_messages = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t data_path_messages = 0;  ///< the messages Fig. 2 counts.
@@ -34,14 +35,24 @@ struct TrafficCounters {
   std::uint64_t faults_injected = 0;         ///< drops/corruptions/blackout losses.
   std::uint64_t undeliverable_messages = 0;  ///< retry cap exhausted.
 
-  void record(const Message& m) {
-    messages_by_type[m.type] += 1;
-    total_messages += 1;
-    total_bytes += m.wire_size();
-    payload_bytes += m.data.size();
-    clock_bytes += m.charged_clock_bytes();
-    if (is_data_path(m.type)) data_path_messages += 1;
+  std::uint64_t messages(MsgType type) const {
+    return messages_by_type[static_cast<std::size_t>(type)];
   }
+
+  /// Charges one message by its shape: the type, the user payload and the
+  /// clock bytes it carries (Message::charged_clock_bytes — 0 when no clock
+  /// is on the wire). The one counting rule; record() and the threaded
+  /// backend, which builds no Message, both go through it.
+  void charge(MsgType type, std::size_t payload, std::size_t clocks) {
+    messages_by_type[static_cast<std::size_t>(type)] += 1;
+    total_messages += 1;
+    total_bytes += Message::kHeaderBytes + payload + clocks;
+    payload_bytes += payload;
+    clock_bytes += clocks;
+    if (is_data_path(type)) data_path_messages += 1;
+  }
+
+  void record(const Message& m) { charge(m.type, m.data.size(), m.charged_clock_bytes()); }
 
   void reset() { *this = TrafficCounters{}; }
 
@@ -50,7 +61,9 @@ struct TrafficCounters {
   /// (single-writer, no atomics needed) and the owner folds the shards
   /// after the senders have quiesced (net::ThreadFabric does exactly this).
   void merge(const TrafficCounters& other) {
-    for (const auto& [type, n] : other.messages_by_type) messages_by_type[type] += n;
+    for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+      messages_by_type[t] += other.messages_by_type[t];
+    }
     total_messages += other.total_messages;
     total_bytes += other.total_bytes;
     data_path_messages += other.data_path_messages;
@@ -63,6 +76,8 @@ struct TrafficCounters {
     faults_injected += other.faults_injected;
     undeliverable_messages += other.undeliverable_messages;
   }
+
+  bool operator==(const TrafficCounters&) const = default;
 };
 
 /// The interconnection network. Implementations must deliver messages

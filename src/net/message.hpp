@@ -53,6 +53,10 @@ enum class MsgType : std::uint8_t {
   kSignal,
 };
 
+/// Number of MsgType values (they are dense from 0): the size of per-type
+/// counter arrays.
+inline constexpr std::size_t kMsgTypeCount = static_cast<std::size_t>(MsgType::kSignal) + 1;
+
 const char* to_string(MsgType type);
 
 /// True for the messages that move user payload (the ones Fig. 2 counts).

@@ -11,9 +11,10 @@
 //  * tagged signal delivery (signal / wait_signal with a deadline), the
 //    substrate for point-to-point sync edges and dissemination barriers;
 //  * traffic accounting equivalent to what the kHomeSide transport would
-//    put on a real wire, recorded into per-rank single-writer shards and
-//    folded on demand (TrafficCounters::merge) — concurrent senders never
-//    contend on, or race on, a shared ledger.
+//    put on a real wire, charged by message shape (TrafficCounters::charge:
+//    type, payload bytes, clock bytes — no Message is built) into per-rank
+//    single-writer shards and folded on demand (TrafficCounters::merge) —
+//    concurrent senders never contend on, or race on, a shared ledger.
 //
 // Every blocking wait takes an absolute deadline: a ThreadWorld run can
 // always join all of its threads, so an orphaned wait becomes a reported
@@ -41,6 +42,9 @@ struct ThreadSignal {
   Rank src = kInvalidRank;
   clocks::VectorClock clock;
   std::vector<std::byte> payload;
+  /// The send's record stamp (record::Recorder::record_thread; 0 when not
+  /// recording): the matching wait stamps after it.
+  std::uint64_t stamp = 0;
 };
 
 class ThreadFabric {

@@ -62,14 +62,15 @@ void Recorder::set_metadata(std::string key, std::string value) {
 
 void Recorder::merge_thread_buffers() {
   // Each buffer is already in stamp order, so a min-heap over the buffers'
-  // next stamps (ties, impossible with fetch_add stamps, go to the lower
-  // rank) streams the events into the log in global order.
+  // next stamps streams the events into the log in stamp order. Equal
+  // stamps belong to ops no sync object orders; the lower rank goes first,
+  // so a re-record that reproduces the stamps reproduces the log.
   struct Head {
-    std::uint64_t seq;
+    std::uint64_t stamp;
     std::size_t rank;
     std::size_t next;  ///< index of this head in its buffer.
     bool operator>(const Head& other) const {
-      return seq != other.seq ? seq > other.seq : rank > other.rank;
+      return stamp != other.stamp ? stamp > other.stamp : rank > other.rank;
     }
   };
   std::vector<Head> heap;
@@ -77,7 +78,7 @@ void Recorder::merge_thread_buffers() {
   for (std::size_t rank = 0; rank < thread_buffers_.size(); ++rank) {
     const std::vector<Stamped>& events = thread_buffers_[rank].events;
     total += events.size();
-    if (!events.empty()) heap.push_back(Head{events.front().seq, rank, 0});
+    if (!events.empty()) heap.push_back(Head{events.front().stamp, rank, 0});
   }
   log_.events.reserve(log_.events.size() + total);
   std::make_heap(heap.begin(), heap.end(), std::greater<>());
@@ -89,7 +90,7 @@ void Recorder::merge_thread_buffers() {
     if (++head.next == events.size()) {
       heap.pop_back();
     } else {
-      head.seq = events[head.next].seq;
+      head.stamp = events[head.next].stamp;
       std::push_heap(heap.begin(), heap.end(), std::greater<>());
     }
   }

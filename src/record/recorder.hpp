@@ -6,13 +6,20 @@
 //                      and executes one atomic event at a time, so append
 //                      order IS execution order. No synchronization.
 //  * `record_thread` — threaded backend. Each rank thread appends to its own
-//                      buffer; a global atomic sequence number stamped at the
-//                      op's linearization point (inside the shard / user-lock
-//                      mutex) defines the total order. `finish` merges the
-//                      buffers by stamp.
+//                      buffer under a Lamport stamp taken at the op's
+//                      linearization point: one more than the larger of the
+//                      rank's last stamp and the last stamp of the op's sync
+//                      object (the shard stamp, user lock or signal that
+//                      orders it against other ranks), written back to both.
+//                      Stamps rise along program order and along every sync
+//                      object's order, so `finish`, which merges the buffers
+//                      by (stamp, rank), yields a linear extension of program
+//                      order plus every mutex and mailbox order — all that
+//                      replay_fold and the ReplayGate depend on. No counter
+//                      is shared between ranks.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,19 +60,32 @@ class Recorder {
     log_.events.push_back(Event{kind, a, b, c, d});
   }
 
-  // --- threaded backend: per-rank buffers + atomic linearization stamp ---
+  // --- threaded backend: per-rank buffers + Lamport stamps ---
   // Must be called at the point where the op's effect on shared state is
-  // committed (inside the protecting mutex); `rank` is the acting rank and
-  // becomes field `a`.
-  void record_thread(Rank rank, EventKind kind, std::uint64_t b = 0,
-                     std::uint64_t c = 0, std::uint64_t d = 0) {
-    const std::uint64_t stamp = seq_.value.fetch_add(1, std::memory_order_seq_cst);
-    thread_buffers_[static_cast<std::size_t>(rank)].events.push_back(
+  // committed, inside the mutex that guards `sync` — the op's sync object
+  // slot, 0-initialized by its owner; `rank` is the acting rank and becomes
+  // field `a`. Returns the stamp, which is also left in `sync`.
+  std::uint64_t record_thread(Rank rank, std::uint64_t& sync, EventKind kind,
+                              std::uint64_t b = 0, std::uint64_t c = 0,
+                              std::uint64_t d = 0) {
+    RankBuffer& buffer = thread_buffers_[static_cast<std::size_t>(rank)];
+    const std::uint64_t stamp = std::max(buffer.last, sync) + 1;
+    buffer.last = stamp;
+    sync = stamp;
+    buffer.events.push_back(
         Stamped{stamp, Event{kind, static_cast<std::uint64_t>(rank), b, c, d}});
+    return stamp;
   }
 
-  /// Seals the log: k-way merges the thread buffers (if any) into global
-  /// stamp order and embeds the live verdict signature in the footer.
+  /// An op ordered by program order only (a tick, a signal send).
+  std::uint64_t record_thread(Rank rank, EventKind kind, std::uint64_t b = 0,
+                              std::uint64_t c = 0, std::uint64_t d = 0) {
+    std::uint64_t unshared = 0;
+    return record_thread(rank, unshared, kind, b, c, d);
+  }
+
+  /// Seals the log: k-way merges the thread buffers (if any) into
+  /// (stamp, rank) order and embeds the live verdict signature in the footer.
   void finish(const std::vector<core::RaceReport>& reports, bool completed,
               std::vector<Rank> stuck_ranks);
 
@@ -75,19 +95,15 @@ class Recorder {
 
  private:
   struct Stamped {
-    std::uint64_t seq = 0;
+    std::uint64_t stamp = 0;
     Event event;
   };
-  /// One rank's events, in stamp order (a thread's fetch_add results only
-  /// increase). Each header gets its own cache line, so one rank's push
-  /// never invalidates another rank's.
+  /// One rank's events, in stamp order (each stamp exceeds `last`). Each
+  /// buffer gets its own cache line, so one rank's push never invalidates
+  /// another rank's.
   struct alignas(64) RankBuffer {
     std::vector<Stamped> events;
-  };
-  /// The global sequence on a line of its own: every stamp writes it, and
-  /// every stamp reads the `thread_buffers_` header.
-  struct alignas(64) Sequence {
-    std::atomic<std::uint64_t> value{0};
+    std::uint64_t last = 0;  ///< the rank's latest stamp.
   };
 
   void merge_thread_buffers();
@@ -95,7 +111,6 @@ class Recorder {
   Log log_;
   AreaIndex areas_;
   std::vector<RankBuffer> thread_buffers_;
-  Sequence seq_;
   bool finished_ = false;
 };
 

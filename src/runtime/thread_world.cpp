@@ -226,10 +226,6 @@ ThreadProcess::Resolved ThreadProcess::resolve(mem::GlobalAddress addr,
   return Resolved{node, area};
 }
 
-void ThreadProcess::account(net::Message m) {
-  world_.fabric_.shard(rank_).record(m);
-}
-
 std::uint64_t ThreadProcess::recorded_area(Rank home, mem::AreaId area_id) const {
   // When replaying, the log's table is authoritative (a re-record run has
   // both attached, and alloc() keeps the two tables identical).
@@ -252,11 +248,12 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
     detect::ShardedDetector& det = node->detector;
     std::lock_guard<std::mutex> guard(det.shard_mutex(area->id));
     ++checks_;
-    // Linearization point: the stamp is taken under the shard mutex, so
-    // the merged log orders this op against every other op on the area
-    // exactly as the run did.
+    // Linearization point: the stamp is taken under the shard mutex, from
+    // the shard's stamp, so the merged log orders this op against every
+    // other op on the area exactly as the run did.
     if (rec != nullptr) {
-      rec->record_thread(rank_, record::EventKind::kThreadPut, flat, data.size());
+      rec->record_thread(rank_, det.record_stamp(area->id), record::EventKind::kThreadPut,
+                         flat, data.size());
     }
     completion = detect::thread_access(
         det, world_.config_.mode, core::AccessKind::kWrite, rank_, clock_, area->id,
@@ -269,26 +266,11 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
   if (acked) clock_.merge_from(completion);
 
   // Wire-equivalent accounting, kHomeSide shapes: one commit carrying the
-  // initiator clock, one ack (carrying the completion clock when acked).
-  net::Message commit;
-  commit.type = net::MsgType::kPutCommit;
-  commit.src = rank_;
-  commit.dst = dst.rank;
-  commit.area = area->id;
-  commit.data.resize(data.size());
-  commit.clock = clock_;
-  account(std::move(commit));
-  net::Message ack;
-  ack.type = net::MsgType::kPutCommitAck;
-  ack.src = dst.rank;
-  ack.dst = rank_;
-  ack.area = area->id;
-  if (acked) {
-    ack.clock = completion;
-  } else {
-    ack.clocks_on_wire = false;
-  }
-  account(std::move(ack));
+  // payload and the initiator clock, one ack (carrying the completion clock
+  // when acked).
+  net::TrafficCounters& traffic = world_.fabric_.shard(rank_);
+  traffic.charge(net::MsgType::kPutCommit, data.size(), clock_.wire_size());
+  traffic.charge(net::MsgType::kPutCommitAck, 0, acked ? completion.wire_size() : 0);
   world_.replay_advance();
 }
 
@@ -308,7 +290,8 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
     std::lock_guard<std::mutex> guard(det.shard_mutex(area->id));
     ++checks_;
     if (rec != nullptr) {
-      rec->record_thread(rank_, record::EventKind::kThreadGet, flat, len);
+      rec->record_thread(rank_, det.record_stamp(area->id), record::EventKind::kThreadGet,
+                         flat, len);
     }
     reads_from = detect::thread_access(
         det, world_.config_.mode, core::AccessKind::kRead, rank_, clock_, area->id,
@@ -320,21 +303,11 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
   }
   clock_.merge_from(reads_from);
 
-  net::Message request;
-  request.type = net::MsgType::kGetLockedRequest;
-  request.src = rank_;
-  request.dst = src.rank;
-  request.area = area->id;
-  request.clock = clock_;
-  account(std::move(request));
-  net::Message response;
-  response.type = net::MsgType::kGetLockedResponse;
-  response.src = src.rank;
-  response.dst = rank_;
-  response.area = area->id;
-  response.data.resize(len);
-  response.clock = reads_from;
-  account(std::move(response));
+  // A request carrying the reader clock; a response carrying the data and
+  // the W it read from.
+  net::TrafficCounters& traffic = world_.fabric_.shard(rank_);
+  traffic.charge(net::MsgType::kGetLockedRequest, 0, clock_.wire_size());
+  traffic.charge(net::MsgType::kGetLockedResponse, len, reads_from.wire_size());
   world_.replay_advance();
   return data;
 }
@@ -364,26 +337,17 @@ void ThreadProcess::lock(mem::GlobalAddress addr) {
   clock_.tick(rank_);
   // The handoff is non-empty only under lock_clock_handoff (see unlock).
   if (!user_lock.handoff.empty()) clock_.merge_from(user_lock.handoff);
-  // Stamped under the user-lock mutex: grant order IS the logged order.
-  if (rec != nullptr) rec->record_thread(rank_, record::EventKind::kThreadLock, flat);
-  net::Message request;
-  request.type = net::MsgType::kLockRequest;
-  request.src = rank_;
-  request.dst = addr.rank;
-  request.area = area->id;
-  request.clocks_on_wire = false;
-  account(std::move(request));
-  net::Message grant;
-  grant.type = net::MsgType::kLockGrant;
-  grant.src = addr.rank;
-  grant.dst = rank_;
-  grant.area = area->id;
-  if (world_.config_.lock_clock_handoff) {
-    grant.clock = clock_;
-  } else {
-    grant.clocks_on_wire = false;
+  // Stamped under the user-lock mutex, from the lock's stamp: grant order
+  // IS the logged order.
+  if (rec != nullptr) {
+    rec->record_thread(rank_, user_lock.record_stamp, record::EventKind::kThreadLock, flat);
   }
-  account(std::move(grant));
+  // A clockless request; a grant carrying the acquirer's clock when the
+  // handoff rides on it.
+  net::TrafficCounters& traffic = world_.fabric_.shard(rank_);
+  traffic.charge(net::MsgType::kLockRequest, 0, 0);
+  traffic.charge(net::MsgType::kLockGrant, 0,
+                 world_.config_.lock_clock_handoff ? clock_.wire_size() : 0);
   world_.replay_advance();
 }
 
@@ -402,7 +366,8 @@ void ThreadProcess::unlock(mem::GlobalAddress addr) {
                  "unlock of an unheld lock on area " << area->name);
     if (world_.config_.lock_clock_handoff) detect::hand_off(user_lock.handoff, clock_);
     if (rec != nullptr) {
-      rec->record_thread(rank_, record::EventKind::kThreadUnlock, flat);
+      rec->record_thread(rank_, user_lock.record_stamp, record::EventKind::kThreadUnlock,
+                         flat);
     }
     ++user_lock.now_serving;
     while (user_lock.abandoned.erase(user_lock.now_serving) > 0) {
@@ -410,13 +375,7 @@ void ThreadProcess::unlock(mem::GlobalAddress addr) {
     }
   }
   user_lock.turn.notify_all();
-  net::Message release;
-  release.type = net::MsgType::kUnlock;
-  release.src = rank_;
-  release.dst = addr.rank;
-  release.area = area->id;
-  release.clocks_on_wire = false;
-  account(std::move(release));
+  world_.fabric_.shard(rank_).charge(net::MsgType::kUnlock, 0, 0);
   world_.replay_advance();
 }
 
@@ -425,21 +384,16 @@ void ThreadProcess::signal(Rank to, std::uint64_t tag, std::vector<std::byte> pa
   world_.replay_enter(rank_, record::EventKind::kSignal,
                       static_cast<std::uint64_t>(to));
   clock_.tick(rank_);
-  // Stamped before the mailbox append: the matching wait stamps after its
-  // pop, and pop happens-after append, so send < wait in the merged log.
-  if (rec != nullptr) {
-    rec->record_thread(rank_, record::EventKind::kSignal,
-                       static_cast<std::uint64_t>(to), tag);
-  }
-  net::Message wire;
-  wire.type = net::MsgType::kSignal;
-  wire.src = rank_;
-  wire.dst = to;
-  wire.tag = tag;
-  wire.data.resize(payload.size());
-  wire.clock = clock_;
-  account(std::move(wire));
-  world_.fabric_.signal(to, tag, net::ThreadSignal{rank_, clock_, std::move(payload)});
+  // The send's stamp travels with the signal, and the matching wait stamps
+  // past it, so send < wait in the merged log.
+  const std::uint64_t stamp =
+      rec != nullptr ? rec->record_thread(rank_, record::EventKind::kSignal,
+                                          static_cast<std::uint64_t>(to), tag)
+                     : 0;
+  world_.fabric_.shard(rank_).charge(net::MsgType::kSignal, payload.size(),
+                                     clock_.wire_size());
+  world_.fabric_.signal(to, tag,
+                        net::ThreadSignal{rank_, clock_, std::move(payload), stamp});
   world_.replay_advance();
 }
 
@@ -457,7 +411,7 @@ std::vector<std::byte> ThreadProcess::wait_signal(std::uint64_t tag) {
   }
   if (!message) throw ThreadWorld::StuckRank{};
   if (rec != nullptr) {
-    rec->record_thread(rank_, record::EventKind::kWaitMatch,
+    rec->record_thread(rank_, message->stamp, record::EventKind::kWaitMatch,
                        static_cast<std::uint64_t>(message->src), tag,
                        message->clock[static_cast<std::size_t>(message->src)]);
   }

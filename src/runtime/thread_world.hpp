@@ -90,8 +90,10 @@ struct ThreadWorldConfig {
   bool print_races = false;  ///< echo race reports to stderr (§IV.D).
   /// Ordering recorder (record/recorder.hpp), or null. Each op stamps one
   /// event at its linearization point (inside the shard / user-lock mutex),
-  /// so the merged log is a legal linearization of the run — the one the
-  /// offline fold and a gated replay reproduce.
+  /// from the stamp of the sync object that orders it — the detector shard,
+  /// the user lock, or the signal it waits for — so the merged log is a
+  /// legal linearization of the run: the one the offline fold and a gated
+  /// replay reproduce.
   record::Recorder* recorder = nullptr;
   /// Recorded log to replay, or null. When set, every op first waits its
   /// turn at a ReplayGate built from the log's event sequence, which forces
@@ -140,7 +142,9 @@ class ThreadWorld {
   mem::PublicSegment& segment(Rank rank);
   detect::ShardedDetector& detector(Rank rank);
   ThreadProcess& process(Rank rank);
-  /// Folded traffic ledger (per-rank shards merged; see ThreadFabric).
+  /// Folded traffic ledger (per-rank shards merged; see ThreadFabric). Each
+  /// op charges the kHomeSide messages it stands for by shape
+  /// (TrafficCounters::charge) without building them.
   net::TrafficCounters traffic() const { return fabric_.fold(); }
 
  private:
@@ -163,6 +167,9 @@ class ThreadWorld {
     /// Join of the releases (detect::hand_off); empty until the first
     /// release, and always without lock_clock_handoff (as in the sim).
     clocks::VectorClock handoff;
+    /// Record stamp of the last lock/unlock (Recorder::record_thread's sync
+    /// slot), so an unlock's stamp precedes the next grant's.
+    std::uint64_t record_stamp = 0;
   };
 
   struct Node {
@@ -247,7 +254,6 @@ class ThreadProcess {
   };
   Resolved resolve(mem::GlobalAddress addr, std::uint32_t len);
   std::uint64_t next_event_id() { return (static_cast<std::uint64_t>(rank_) << 40) | ++ops_; }
-  void account(net::Message m);
   /// Flat area-table index for the recorder / replay gate. Valid only while
   /// a recorder or replay log is attached.
   std::uint64_t recorded_area(Rank home, mem::AreaId area_id) const;

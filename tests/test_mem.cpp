@@ -3,11 +3,13 @@
 
 #include <algorithm>
 #include <random>
+#include <thread>
 
 #include "detect/sharded_detector.hpp"
 #include "mem/public_segment.hpp"
 #include "nic/nic.hpp"
 #include "runtime/world.hpp"
+#include "util/rng.hpp"
 
 namespace dsmr::mem {
 namespace {
@@ -222,6 +224,148 @@ TEST(PublicSegmentDeath, OverlapWithUnflushedTailIsRejected) {
   seg.register_area(64, 32, "prefix");
   seg.register_area(0, 32, "tail");  // below the prefix: lands in the tail.
   EXPECT_DEATH(seg.register_area(16, 32, "hits-tail"), "overlaps");
+}
+
+/// A segment plus a byte → owner map, the brute-force reference for
+/// find_area: [offset, offset+len) resolves iff one area owns every byte.
+struct Layout {
+  explicit Layout(std::uint32_t size) : seg(0, size, 2), owner(size, -1) {}
+
+  bool free(std::uint32_t offset, std::uint32_t size) const {
+    if (std::uint64_t{offset} + size > owner.size()) return false;
+    return std::all_of(owner.begin() + offset, owner.begin() + offset + size,
+                       [](std::int64_t o) { return o < 0; });
+  }
+  void claim(AreaId id) {
+    const Area& area = seg.area(id);
+    if (area.offset < bump) ++below_bump;
+    std::fill(owner.begin() + area.offset, owner.begin() + area.end(), id);
+    bump = std::max(bump, area.end());
+  }
+  const Area* expected(std::uint32_t offset, std::uint32_t len) const {
+    if (len == 0 || std::uint64_t{offset} + len > owner.size()) return nullptr;
+    const std::int64_t first = owner[offset];
+    if (first < 0 || owner[offset + len - 1] != first) return nullptr;
+    return &seg.area(static_cast<AreaId>(first));
+  }
+
+  PublicSegment seg;
+  std::vector<std::int64_t> owner;
+  std::uint32_t bump = 0;  ///< highest registered end.
+  int below_bump = 0;      ///< registrations that went to the unsorted tail.
+};
+
+/// Registers a random mix: bump areas, areas past a gap, runs of 1-byte
+/// areas packed into one granule, and arbitrary-offset areas (usually below
+/// the highest end: these land in the unsorted tail and force flushes).
+void grow(Layout& layout, util::Rng& rng, int registrations) {
+  const auto size = static_cast<std::uint32_t>(layout.owner.size());
+  const auto add = [&](std::uint32_t offset, std::uint32_t bytes) {
+    if (!layout.free(offset, bytes)) return;
+    const std::string name = "a" + std::to_string(layout.seg.area_count());
+    layout.claim(layout.seg.register_area(offset, bytes, name));
+  };
+  for (int i = 0; i < registrations; ++i) {
+    switch (rng.below(5)) {
+      case 0:  // bump allocation: the next area starts at the highest end
+        add(layout.bump, static_cast<std::uint32_t>(1 + rng.below(200)));
+        break;
+      case 1:  // a gap, then an area
+        add(layout.bump + 1 + static_cast<std::uint32_t>(rng.below(300)),
+            static_cast<std::uint32_t>(1 + rng.below(100)));
+        break;
+      case 2: {  // 1-byte areas, several to a granule
+        const std::uint64_t n = 2 + rng.below(6);
+        for (std::uint64_t k = 0; k < n; ++k) {
+          add(layout.bump + static_cast<std::uint32_t>(rng.below(3)), 1);
+        }
+        break;
+      }
+      default:  // arbitrary offset
+        add(static_cast<std::uint32_t>(rng.below(size)),
+            static_cast<std::uint32_t>(1 + rng.below(rng.chance(0.5) ? 4 : 150)));
+        break;
+    }
+  }
+}
+
+/// Compares find_area with the reference on random ranges: hits, misses in
+/// gaps, ranges straddling area boundaries, and offsets past the end.
+void expect_lookups_match(Layout& layout, util::Rng& rng, int queries) {
+  const auto size = static_cast<std::uint32_t>(layout.owner.size());
+  for (int q = 0; q < queries; ++q) {
+    const auto offset = static_cast<std::uint32_t>(rng.below(size + 256));
+    const auto len = static_cast<std::uint32_t>(1 + rng.below(rng.chance(0.5) ? 8 : 300));
+    ASSERT_EQ(layout.seg.find_area(offset, len), layout.expected(offset, len))
+        << "find_area(" << offset << ", " << len << ") over " << layout.seg.area_count()
+        << " areas";
+  }
+  // Every area resolves from its first and last byte, and as a whole.
+  for (AreaId id = 0; id < layout.seg.area_count(); ++id) {
+    const Area& area = layout.seg.area(id);
+    ASSERT_EQ(layout.seg.find_area(area.offset, area.size), &area);
+    ASSERT_EQ(layout.seg.find_area(area.end() - 1, 1), &area);
+  }
+}
+
+TEST(PublicSegment, FindAreaMatchesBruteForceOverMixedLayouts) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(seed);
+    Layout layout(static_cast<std::uint32_t>(32768 + rng.below(32768)));
+    // Lookups interleave with registrations, as the sim's incremental
+    // allocations do; the arbitrary-offset registrations fill and flush
+    // the tail several times over.
+    for (int round = 0; round < 8; ++round) {
+      grow(layout, rng, 40);
+      expect_lookups_match(layout, rng, 400);
+      if (HasFatalFailure()) return;
+    }
+    // More tail registrations than the tail holds: at least one flush.
+    EXPECT_GT(layout.below_bump, 64) << "seed " << seed;
+  }
+}
+
+TEST(PublicSegment, ConcurrentLookupsAreExact) {
+  // Once registrations stop, find_area is read-only: four threads resolving
+  // at once (the ThreadWorld shape) must each see the single-threaded
+  // answers. Some areas stay in the unsorted tail, so that path runs too.
+  util::Rng rng(77);
+  Layout layout(16384);
+  grow(layout, rng, 300);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> queries;
+  std::vector<const Area*> answers;
+  for (int q = 0; q < 2000; ++q) {
+    const auto offset = static_cast<std::uint32_t>(rng.below(16384 + 64));
+    const auto len = static_cast<std::uint32_t>(1 + rng.below(64));
+    queries.emplace_back(offset, len);
+    answers.push_back(layout.expected(offset, len));
+  }
+  std::vector<int> wrong(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int pass = 0; pass < 20; ++pass) {
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          const std::size_t i = (q + static_cast<std::size_t>(t) * 500) % queries.size();
+          if (layout.seg.find_area(queries[i].first, queries[i].second) != answers[i]) {
+            ++wrong[static_cast<std::size_t>(t)];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(wrong[static_cast<std::size_t>(t)], 0) << "thread " << t;
+}
+
+TEST(PublicSegment, IndexGrowsWithRegisteredBytesNotSegmentSize) {
+  // 64 KB registered in a 16 MB segment: the granule table covers the
+  // registered extent only (one uint32 per 64 bytes would be 1 MB here).
+  PublicSegment seg(0, 16u << 20, 2);
+  for (int i = 0; i < 1000; ++i) seg.allocate_area(64, "a" + std::to_string(i));
+  EXPECT_LT(seg.index_bytes(), 64u * 1024u);
+  EXPECT_EQ(seg.find_area(999 * 64, 64)->id, 999u);
+  EXPECT_EQ(seg.find_area(1000 * 64, 1), nullptr);
 }
 
 TEST(GlobalAddress, PlusAndToString) {

@@ -7,6 +7,7 @@
 #include "net/message.hpp"
 #include "net/sim_fabric.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace dsmr::net {
 namespace {
@@ -129,7 +130,7 @@ TEST(TrafficCounters, CountsMessagesBytesAndDataPath) {
   EXPECT_EQ(counters.total_messages, 2u);
   EXPECT_EQ(counters.data_path_messages, 1u);
   EXPECT_EQ(counters.payload_bytes, 100u);
-  EXPECT_EQ(counters.messages_by_type.at(MsgType::kPutData), 1u);
+  EXPECT_EQ(counters.messages(MsgType::kPutData), 1u);
   EXPECT_GT(counters.total_bytes, 100u);  // headers included.
 }
 
@@ -155,6 +156,62 @@ TEST(TrafficCounters, ClockBytesChargedOnlyWhenOnWire) {
   engine.run();
   EXPECT_GT(clock_wire, 0u);  // the scheduled lambda actually ran.
   EXPECT_EQ(fabric.counters().clock_bytes, clock_wire);
+}
+
+clocks::VectorClock random_clock(util::Rng& rng, std::size_t n) {
+  clocks::VectorClock clock(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Mixed magnitudes, so the LEB128 charge spans one to five bytes.
+    clock[i] = rng.below(std::uint64_t{1} << (4 * rng.below(9)));
+  }
+  return clock;
+}
+
+TEST(TrafficCounters, ChargeByShapeMatchesRecordFieldForField) {
+  // The threaded backend charges messages it never builds: charge() with
+  // the type, payload bytes and clock bytes a Message would report must
+  // leave every counter exactly where record(Message) leaves it.
+  util::Rng rng(16);
+  TrafficCounters recorded;
+  TrafficCounters charged;
+  for (int i = 0; i < 5000; ++i) {
+    Message m = make_msg(static_cast<MsgType>(rng.below(kMsgTypeCount)), 0, 1,
+                         rng.below(4) == 0 ? 0 : rng.below(300));
+    const std::size_t n = rng.below(7);  // 0 = empty clocks.
+    switch (rng.below(4)) {
+      case 0:  // no clock at all
+        break;
+      case 1:  // one clock, as every threaded message carries
+        m.clock = random_clock(rng, n);
+        break;
+      case 2: {  // dual clocks: W near V, charged as a delta
+        m.clock = random_clock(rng, n);
+        m.clock2 = m.clock;
+        if (n > 0 && rng.chance(0.5)) m.clock2[rng.below(n)] += 1 + rng.below(1000);
+        break;
+      }
+      default:  // dual clocks of unrelated widths
+        m.clock = random_clock(rng, n);
+        m.clock2 = random_clock(rng, rng.below(7));
+        break;
+    }
+    m.clocks_on_wire = rng.below(4) != 0;
+    // What the threaded backend passes: 0 with no clock on the wire, the
+    // lone clock's wire_size() for its single-clock messages.
+    std::size_t clock_bytes = m.charged_clock_bytes();
+    if (!m.clocks_on_wire) {
+      clock_bytes = 0;
+    } else if (m.clock2.empty()) {
+      clock_bytes = m.clock.wire_size();
+    }
+    recorded.record(m);
+    charged.charge(m.type, m.data.size(), clock_bytes);
+    ASSERT_EQ(charged, recorded) << "after " << m.describe();
+  }
+  for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+    const auto type = static_cast<MsgType>(t);
+    EXPECT_GT(recorded.messages(type), 0u) << to_string(type);
+  }
 }
 
 TEST(Message, DescribeIsHumanReadable) {

@@ -1,7 +1,7 @@
 // The record/replay subsystem: varint round-trips (the one shared integer
 // wire encoding), log serialize/parse round-trips, structured diagnostics
 // for every corruption mode, the dense area index, the threaded seal's merge
-// into global stamp order, the one lock-handoff rule, and the core
+// into Lamport stamp order, the one lock-handoff rule, and the core
 // equivalence — folding a recorded event stream through the live
 // transitions (detect/transitions.hpp) reproduces the live detector's
 // verdicts and reports, including for mode=off recordings folded under full
@@ -17,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "detect/sharded_detector.hpp"
 #include "fuzz/generate.hpp"
 #include "fuzz/program.hpp"
 #include "net/fault.hpp"
@@ -297,18 +298,20 @@ TEST(AreaIndex, MakeAreaIndexRoundTripsAtScale) {
 }
 
 // ---------------------------------------------------------------------------
-// Threaded seal: per-rank buffers merged into global stamp order.
+// Threaded seal: per-rank buffers merged into Lamport stamp order.
 // ---------------------------------------------------------------------------
 
-TEST(RecorderSeal, MergeFollowsGlobalStampOrder) {
-  // One thread stamps for every rank, so the call order IS the stamp order:
-  // runs of one rank, strict alternation, a rank that goes quiet early
-  // (rank 3 after the script) and one that starts late (rank 2).
+TEST(RecorderSeal, OpsSharingASyncObjectMergeInCallOrder) {
+  // One thread stamps for every rank through one shared sync slot, so the
+  // call order IS the stamp order: runs of one rank, strict alternation, a
+  // rank that goes quiet early (rank 3 after the script) and one that
+  // starts late (rank 2).
   Recorder recorder(4, Backend::kThread, core::DetectorMode::kOff, true, true);
   std::vector<Event> expected;
+  std::uint64_t sync = 0;
   const auto stamp = [&](Rank rank) {
     const auto n = static_cast<std::uint64_t>(expected.size());
-    recorder.record_thread(rank, EventKind::kThreadPut, n % 5, n);
+    recorder.record_thread(rank, sync, EventKind::kThreadPut, n % 5, n);
     expected.push_back(Event{EventKind::kThreadPut, static_cast<std::uint64_t>(rank),
                              n % 5, n});
   };
@@ -320,6 +323,56 @@ TEST(RecorderSeal, MergeFollowsGlobalStampOrder) {
   }
   recorder.finish({}, true, {});
   EXPECT_EQ(recorder.log().events, expected);
+}
+
+TEST(RecorderSeal, SyncObjectsOrderTheMergedLog) {
+  // Ranks 0 and 2 run far ahead in program order before they synchronize,
+  // so their stamps are high; each partner, fresh at stamp 0, must still
+  // merge after the op it synchronized with. Field c numbers every call.
+  Recorder recorder(4, Backend::kThread, core::DetectorMode::kOff, true, true);
+  detect::ShardedDetector detector(4, /*home=*/0, /*shards=*/8);
+  detector.register_areas(16);
+  std::uint64_t lock_stamp = 0;  // one user lock
+  std::uint64_t call = 0;
+  const auto tick = [&](Rank rank) { recorder.record_thread(rank, EventKind::kTick, 0, call++); };
+
+  for (int i = 0; i < 20; ++i) tick(0);
+  recorder.record_thread(0, lock_stamp, EventKind::kThreadLock, 0, call++);
+  const std::uint64_t put = call;
+  recorder.record_thread(0, detector.record_stamp(1), EventKind::kThreadPut, 1, call++);
+  const std::uint64_t unlock = call;
+  recorder.record_thread(0, lock_stamp, EventKind::kThreadUnlock, 0, call++);
+  const std::uint64_t lock = call;
+  recorder.record_thread(1, lock_stamp, EventKind::kThreadLock, 0, call++);
+  // Area 9 shares area 1's shard (9 mod 8): the get is ordered after the put.
+  const std::uint64_t get = call;
+  recorder.record_thread(1, detector.record_stamp(9), EventKind::kThreadGet, 9, call++);
+
+  for (int i = 0; i < 30; ++i) tick(2);
+  const std::uint64_t signal = call;
+  std::uint64_t carried = recorder.record_thread(2, EventKind::kSignal, 3, call++);
+  tick(3);
+  const std::uint64_t wait = call;
+  recorder.record_thread(3, carried, EventKind::kWaitMatch, 2, call++);
+  for (int i = 0; i < 5; ++i) {
+    tick(1);
+    tick(3);
+  }
+  recorder.finish({}, true, {});
+
+  std::vector<std::size_t> at(call);  // call number → position in the log
+  std::vector<std::vector<std::uint64_t>> by_rank(4);
+  const std::vector<Event>& events = recorder.log().events;
+  ASSERT_EQ(events.size(), call);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    at[events[i].c] = i;
+    by_rank[events[i].a].push_back(events[i].c);
+  }
+  EXPECT_LT(at[unlock], at[lock]) << "unlock must precede the next lock";
+  EXPECT_LT(at[put], at[get]) << "same-shard put must precede the get";
+  EXPECT_LT(at[signal], at[wait]) << "signal must precede its wait";
+  // Every rank, related to the others or not, keeps its program order.
+  for (const auto& calls : by_rank) EXPECT_TRUE(std::is_sorted(calls.begin(), calls.end()));
 }
 
 TEST(RecorderSeal, ConcurrentStampsKeepEveryEventInProgramOrder) {
@@ -753,6 +806,80 @@ TEST(ThreadRecordReplay, FoldedReportsMatchLiveReportsFieldByField) {
   std::sort(live.begin(), live.end());
   std::sort(offline.begin(), offline.end());
   EXPECT_EQ(offline, live);
+}
+
+/// Every field of a race report, in a sortable form.
+using ReportKey = std::tuple<Rank, std::uint32_t, std::string, Rank, int, std::uint64_t,
+                             std::string, int, std::string, std::uint64_t>;
+
+std::vector<ReportKey> report_keys(const std::vector<core::RaceReport>& reports) {
+  std::vector<ReportKey> keys;
+  for (const core::RaceReport& r : reports) {
+    keys.emplace_back(r.home, r.area, r.area_name, r.accessor, static_cast<int>(r.kind),
+                      r.event_id, r.accessor_clock.to_string(), static_cast<int>(r.against),
+                      r.stored_clock.to_string(), r.prior_event_id);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(ThreadRecordReplay, LocksSignalsAndRacesReplayFieldForField) {
+  // Every sync object the recorder stamps through — detector shards, a user
+  // lock, signals — in one run, plus a racy area, so the merged log must
+  // order all three kinds of edge. The fold and two gated replays must
+  // reproduce the live verdicts; a replay that records again must
+  // reproduce the log itself, stamps and all.
+  constexpr int kRanks = 4;
+  const auto program = [](ThreadWorld& world) {
+    const GlobalAddress guarded = world.alloc(0, 8, "guarded");
+    const GlobalAddress racy = world.alloc(1, 8, "racy");
+    for (Rank r = 0; r < kRanks; ++r) {
+      world.spawn(r, [=](ThreadProcess& p) {
+        for (int i = 0; i < 3; ++i) {
+          p.lock(guarded);
+          p.get(guarded, 8);
+          p.put(guarded, bytes8(static_cast<std::uint64_t>(r)));
+          p.unlock(guarded);
+          p.put(racy, bytes8(static_cast<std::uint64_t>(i)));
+          p.signal(static_cast<Rank>((r + 1) % kRanks), 3);
+          p.wait_signal(3);
+          p.get(racy, 8);
+          p.compute(100);
+        }
+      });
+    }
+  };
+  ThreadWorldConfig config = thread_config(kRanks, core::DetectorMode::kDualClock);
+  Recorder recorder(kRanks, Backend::kThread, config.mode, config.lock_clock_handoff,
+                    config.acked_puts);
+  config.recorder = &recorder;
+  std::vector<ReportKey> live;
+  {
+    ThreadWorld world(config);
+    program(world);
+    const runtime::ThreadRunReport run = world.run();
+    recorder.finish(world.races().reports(), run.completed, run.stuck_ranks);
+    live = report_keys(world.races().reports());
+  }
+  const Log& log = recorder.log();
+  ASSERT_TRUE(log.live.completed);
+  ASSERT_FALSE(log.live.races.empty());
+  EXPECT_EQ(check_record_replay_bytes(log.serialize()), "");
+
+  for (int replay = 0; replay < 2; ++replay) {
+    Recorder again(kRanks, Backend::kThread, config.mode, config.lock_clock_handoff,
+                   config.acked_puts);
+    ThreadWorldConfig gated = config;
+    gated.replay = &log;
+    gated.recorder = &again;
+    ThreadWorld world(gated);
+    program(world);
+    const runtime::ThreadRunReport run = world.run();
+    again.finish(world.races().reports(), run.completed, run.stuck_ranks);
+    EXPECT_EQ(again.log().live, log.live) << "replay " << replay;
+    EXPECT_EQ(report_keys(world.races().reports()), live) << "replay " << replay;
+    EXPECT_EQ(again.log().events, log.events) << "replay " << replay;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -328,11 +328,11 @@ TEST(ThreadBackend, TrafficShardsFoldToExactPerTypeCounts) {
   const auto report = world.run();
   ASSERT_TRUE(report.completed);
   const auto traffic = world.traffic();
-  EXPECT_EQ(traffic.messages_by_type.at(net::MsgType::kPutCommit), 4u * 3u);
-  EXPECT_EQ(traffic.messages_by_type.at(net::MsgType::kPutCommitAck), 4u * 3u);
-  EXPECT_EQ(traffic.messages_by_type.at(net::MsgType::kGetLockedRequest), 4u * 2u);
-  EXPECT_EQ(traffic.messages_by_type.at(net::MsgType::kGetLockedResponse), 4u * 2u);
-  EXPECT_EQ(traffic.messages_by_type.at(net::MsgType::kSignal), 4u);
+  EXPECT_EQ(traffic.messages(net::MsgType::kPutCommit), 4u * 3u);
+  EXPECT_EQ(traffic.messages(net::MsgType::kPutCommitAck), 4u * 3u);
+  EXPECT_EQ(traffic.messages(net::MsgType::kGetLockedRequest), 4u * 2u);
+  EXPECT_EQ(traffic.messages(net::MsgType::kGetLockedResponse), 4u * 2u);
+  EXPECT_EQ(traffic.messages(net::MsgType::kSignal), 4u);
   EXPECT_EQ(traffic.total_messages, 4u * (3u + 3u + 2u + 2u) + 4u);
   // One inline check per one-sided data op.
   EXPECT_EQ(report.checks, 4u * (3u + 2u));
@@ -352,7 +352,7 @@ TEST(ThreadBackend, TrafficCountersMergeAddsEveryField) {
   b.retry_messages = 3;
   b.faults_injected = 2;
   a.merge(b);
-  EXPECT_EQ(a.messages_by_type.at(net::MsgType::kPutCommit), 3u);
+  EXPECT_EQ(a.messages(net::MsgType::kPutCommit), 3u);
   EXPECT_EQ(a.total_messages, 3u);
   EXPECT_EQ(a.payload_bytes, 48u);
   EXPECT_EQ(a.retry_messages, 3u);
