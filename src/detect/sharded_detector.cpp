@@ -127,6 +127,39 @@ void ShardedDetector::store_range(AreaSpan span, Rank owner,
   }
 }
 
+LaneSnapshot ShardedDetector::lane_snapshot(AreaId id, bool w) const {
+  DSMR_ASSERT(id < areas_);
+  const Shard& shard = shard_for(id);
+  const Lane& lane = w ? shard.w : shard.v;
+  const std::size_t slot = slot_of(id);
+  LaneSnapshot snap;
+  snap.epoch = lane.epoch[slot];
+  snap.prior = lane.prior[slot];
+  snap.event = lane.event[slot];
+  snap.zero = lane.clock[slot] == &zero_clock_;
+  if (!snap.zero) snap.clock = *lane.clock[slot];
+  return snap;
+}
+
+void ShardedDetector::restore_lane(AreaId id, bool w, const LaneSnapshot& snap) {
+  DSMR_ASSERT(id < areas_);
+  Shard& shard = shard_for(id);
+  Lane& lane = w ? shard.w : shard.v;
+  const std::size_t slot = slot_of(id);
+  lane.epoch[slot] = snap.epoch;
+  lane.prior[slot] = snap.prior;
+  lane.event[slot] = snap.event;
+  if (snap.zero) {
+    lane.clock[slot] = &zero_clock_;
+    return;
+  }
+  // A slot that held its own clock at snapshot time still owns a pool slot.
+  const std::uint32_t idx = lane.owned[slot];
+  DSMR_CHECK_MSG(idx != 0, "restore_lane of an owned clock into a slot with no pool clock");
+  shard.pool[idx - 1] = snap.clock;
+  lane.clock[slot] = &shard.pool[idx - 1];
+}
+
 clocks::Epoch ShardedDetector::v_epoch(AreaId id) const {
   return shard_for(id).v.epoch[slot_of(id)];
 }

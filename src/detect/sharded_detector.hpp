@@ -60,6 +60,17 @@ struct AreaSpan {
   std::uint32_t count = 0;
 };
 
+/// One lane (V or W) of one area, by value: what restore_lane needs to put
+/// the slot back exactly, including whether it aliased the shared zero
+/// clock (a cold slot) or held its own clock.
+struct LaneSnapshot {
+  clocks::Epoch epoch;
+  Rank prior = kInvalidRank;
+  std::uint64_t event = 0;
+  clocks::VectorClock clock;  ///< unset while `zero`.
+  bool zero = true;
+};
+
 /// What one check_range call found and did.
 struct BatchVerdict {
   std::uint64_t checked = 0;        ///< areas covered (== span.count).
@@ -138,6 +149,13 @@ class ShardedDetector {
   void store_range(AreaSpan span, Rank owner, const clocks::VectorClock& clk,
                    bool is_write, Rank accessor, std::uint64_t event_id);
 
+  // ---- lane undo (caller-locked under concurrency) ----
+
+  /// Area `id`'s W lane when `w`, else its V lane. record::Folder saves the
+  /// lanes a step is about to store into, and restores them on undo.
+  LaneSnapshot lane_snapshot(AreaId id, bool w) const;
+  void restore_lane(AreaId id, bool w, const LaneSnapshot& snap);
+
   // ---- per-area state accessors (caller-locked under concurrency) ----
 
   const clocks::VectorClock& v_clock(AreaId id) const { return *slot_ref(id).v_clock; }
@@ -178,10 +196,11 @@ class ShardedDetector {
  private:
   /// One comparison lane (V or W) of one shard, struct-of-arrays. `clock`
   /// entries alias either the detector's shared zero clock or this shard's
-  /// pool; `owned[slot]` is 1 + the pool index of the slot's owned clock, or
-  /// 0 while the slot still aliases the zero clock. Each lane owns its pool
-  /// slot separately — V and W must not share storage, or a later V-only
-  /// event would retroactively corrupt W.
+  /// pool; `owned[slot]` is 1 + the pool index of the slot's pool clock, or
+  /// 0 before the slot's first store. A slot keeps its pool clock once it
+  /// has one, even when restore_lane points it back at the zero clock. Each
+  /// lane owns its pool slot separately — V and W must not share storage, or
+  /// a later V-only event would retroactively corrupt W.
   struct Lane {
     std::vector<clocks::Epoch> epoch;
     std::vector<Rank> prior;

@@ -1,30 +1,99 @@
 #include "explore/dpor.hpp"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <utility>
 
+#include "clocks/vector_clock.hpp"
+#include "record/replay.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::explore {
 
 namespace {
 
-using HbClock = std::vector<std::uint64_t>;
+using clocks::VectorClock;
 
-/// One frame of the DFS path. Persistent across re-executions: the
-/// explorer is stateless in the model-checking sense (it re-runs the
-/// prefix from scratch after every backtrack), but the search frames — who
-/// was enabled, which choices are done, which are asleep, where DPOR wants
-/// to backtrack — live here.
+/// A set of ranks, bit r = rank r (the explorer REQUIREs nprocs <= 64).
+using RankSet = std::uint64_t;
+
+constexpr RankSet bit(Rank rank) { return RankSet{1} << rank; }
+
+/// Calls `fn(rank)` for every rank in `set`, ascending.
+template <typename Fn>
+void for_each_rank(RankSet set, Fn&& fn) {
+  while (set != 0) {
+    fn(static_cast<Rank>(std::countr_zero(set)));
+    set &= set - 1;
+  }
+}
+
+/// The lowest rank in `set`, kInvalidRank when empty.
+Rank first_rank(RankSet set) {
+  return set == 0 ? kInvalidRank : static_cast<Rank>(std::countr_zero(set));
+}
+
+/// A 64-bit Bloom mask over what an executed transition touches: its area
+/// (its area's home under coarse_same_home), its lock, the signal channel
+/// it sends on, and the send stamp it creates or consumes. Two transitions
+/// of different ranks that dependent() relates always share a bit, so a
+/// disjoint pair can skip the call. Ticks touch nothing.
+std::uint64_t footprint(const ExecutedStep& exec, int nprocs,
+                        const IndependenceOptions& independence) {
+  const auto hash_bit = [](std::uint64_t tag, std::uint64_t x, std::uint64_t y) {
+    std::uint64_t h = (tag << 56) ^ (x * 0x9E3779B97F4A7C15ull) ^
+                      (y * 0xC2B2AE3D27D4EB4Full);
+    h ^= h >> 29;
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 32;
+    return std::uint64_t{1} << (h & 63);
+  };
+  const Step& step = exec.step;
+  switch (step.kind) {
+    case StepKind::kTick:
+      return 0;
+    case StepKind::kAccess: {
+      if (independence.coarse_same_home) {
+        return hash_bit(1, static_cast<std::uint64_t>(step.area % nprocs), 0);
+      }
+      std::uint64_t mask = hash_bit(2, static_cast<std::uint64_t>(step.area), 0);
+      if (step.lock != -1) mask |= hash_bit(3, static_cast<std::uint64_t>(step.lock), 0);
+      return mask;
+    }
+    case StepKind::kSignal:
+      return hash_bit(4, static_cast<std::uint64_t>(step.peer), step.tag) |
+             hash_bit(5, static_cast<std::uint64_t>(exec.rank), exec.sent_d);
+    case StepKind::kWait:
+      return hash_bit(5, static_cast<std::uint64_t>(exec.matched_src), exec.matched_d);
+  }
+  return ~std::uint64_t{0};
+}
+
+/// One frame of the DFS path. The search is stateful: the executor and the
+/// fold move forward one transition per frame and back one transition per
+/// frame, so each DFS edge is executed and folded exactly once. A frame
+/// keeps what it needs to step back — the fold mark taken before its
+/// transition and its rank's previous happens-before clock — next to the
+/// search sets: who was enabled, which choices are done, which are asleep,
+/// where DPOR wants to backtrack.
 struct Node {
-  std::vector<Rank> enabled;  ///< at node creation, ascending.
-  std::set<Rank> sleep;       ///< inherited-filtered + completed choices.
-  std::set<Rank> backtrack;   ///< DPOR backtrack set (subset of enabled).
-  std::set<Rank> done;        ///< choices whose subtree is explored.
-  Rank chosen = kInvalidRank; ///< the choice the current path takes.
-  ExecutedStep exec;          ///< `chosen`'s executed transition.
-  HbClock clock;              ///< exec's HB clock over dependent().
+  RankSet enabled = 0;         ///< at node creation.
+  RankSet sleep = 0;           ///< inherited-filtered + completed choices.
+  RankSet backtrack = 0;       ///< DPOR backtrack set (subset of enabled).
+  RankSet done = 0;            ///< choices whose subtree is explored.
+  Rank chosen = kInvalidRank;  ///< the choice the current path takes.
+  ExecutedStep exec;           ///< `chosen`'s executed transition.
+  std::uint64_t footprint = 0; ///< Bloom mask of exec (see footprint()).
+  VectorClock clock;           ///< exec's HB clock over dependent().
+  VectorClock pre;             ///< cv_[exec.rank] before exec.
+  record::Folder::Mark mark;   ///< fold state before exec.
+};
+
+/// A verdict signature already seen, with what the report needs from it.
+struct Sighting {
+  record::VerdictSignature signature;
+  bool racy = false;
+  bool planted_hit = false;
 };
 
 class Explorer {
@@ -34,7 +103,14 @@ class Explorer {
         options_(options),
         flat_(flatten_program(program)),
         executor_(&flat_),
-        planted_(planted_area_name(program)) {}
+        shell_(make_witness_log(flat_, {}, options.mode, {})),
+        folder_(shell_, options.mode),
+        planted_(planted_area_name(program)) {
+    DSMR_REQUIRE(flat_.nprocs <= 64,
+                 "exploration tracks ranks in 64-bit sets; got " << flat_.nprocs);
+    const auto n = static_cast<std::size_t>(flat_.nprocs);
+    cv_.assign(n, VectorClock(n));
+  }
 
   ExploreReport run() {
     while (true) {
@@ -63,107 +139,98 @@ class Explorer {
     return false;
   }
 
-  /// Re-executes the stored prefix (the last node under its — possibly
-  /// new — choice), then extends the path with smallest-first choices
-  /// until the run is maximal or sleep-blocked.
+  /// Executes the last frame's (new) choice — backtrack() left the
+  /// executor and the fold just before it — then extends the path with
+  /// smallest-first choices until the run is maximal or sleep-blocked.
   void descend() {
-    executor_.reset();
-    const auto n = static_cast<std::size_t>(flat_.nprocs);
-    cv_.assign(n, HbClock(n, 0));
-    std::set<Rank> next_sleep;
-    for (std::size_t depth = 0; depth < nodes_.size(); ++depth) {
-      Node& node = nodes_[depth];
-      const bool fresh = depth + 1 == nodes_.size() && node.clock.empty();
-      if (fresh) {
-        next_sleep = execute_choice(node, depth);
-      } else {
-        // Unchanged prefix: replay the stored transition; its clock and
-        // backtrack contributions were computed when it was first taken.
-        executor_.execute(node.chosen);
-        ++report_.transitions;
-        cv_[static_cast<std::size_t>(node.exec.rank)] = node.clock;
-        // next_sleep of an interior node is only needed at the frontier;
-        // the children frames already exist.
-      }
-    }
-    // Extend to a maximal run.
+    RankSet next_sleep = 0;
+    if (!nodes_.empty()) next_sleep = execute_choice(nodes_.back(), nodes_.size() - 1);
     while (true) {
-      std::vector<Rank> enabled = executor_.enabled();
-      if (enabled.empty()) {
+      const RankSet enabled = executor_.enabled_mask();
+      if (enabled == 0) {
         record_terminal();
         return;
       }
-      Rank pick = kInvalidRank;
-      for (const Rank r : enabled) {
-        if (next_sleep.count(r) == 0) {
-          pick = r;
-          break;
-        }
-      }
+      const Rank pick = first_rank(enabled & ~next_sleep);
       if (pick == kInvalidRank) {
         // Every enabled transition sleeps: this prefix is covered by
         // already-explored sibling orders.
         ++report_.sleep_blocked;
         return;
       }
-      Node node;
-      node.enabled = std::move(enabled);
-      node.sleep = std::move(next_sleep);
+      Node& node = nodes_.emplace_back();
+      node.enabled = enabled;
+      node.sleep = next_sleep;
       node.chosen = pick;
-      node.done.insert(pick);
-      if (options_.dpor) {
-        node.backtrack.insert(pick);
-      } else {
-        node.backtrack.insert(node.enabled.begin(), node.enabled.end());
-      }
-      nodes_.push_back(std::move(node));
-      next_sleep = execute_choice(nodes_.back(), nodes_.size() - 1);
+      node.done = bit(pick);
+      node.backtrack = options_.dpor ? bit(pick) : enabled;
+      next_sleep = execute_choice(node, nodes_.size() - 1);
     }
   }
 
-  /// Executes node.chosen, computes its HB clock, applies the DPOR
-  /// backtrack rule against the prefix, and returns the child's sleep set.
-  std::set<Rank> execute_choice(Node& node, std::size_t depth) {
+  /// Executes and folds node.chosen, computes its HB clock, applies the
+  /// DPOR backtrack rule against the prefix, and returns the child's sleep
+  /// set.
+  RankSet execute_choice(Node& node, std::size_t depth) {
     // Pending transitions of sleeping ranks, peeked BEFORE the choice
     // executes: the child keeps exactly the sleepers that commute with it.
-    std::vector<std::pair<Rank, ExecutedStep>> sleepers;
+    sleepers_.clear();
     if (options_.sleep_sets) {
-      sleepers.reserve(node.sleep.size());
-      for (const Rank r : node.sleep) {
-        sleepers.emplace_back(r, executor_.peek_executed(r));
-      }
+      for_each_rank(node.sleep, [&](Rank r) {
+        sleepers_.emplace_back(r, executor_.peek_executed(r));
+      });
     }
+    node.mark = folder_.checkpoint();
+    const std::size_t first_event = executor_.events().size();
     node.exec = executor_.execute(node.chosen);
     ++report_.transitions;
+    const std::vector<record::Event>& events = executor_.events();
+    for (std::size_t i = first_event; i < events.size(); ++i) {
+      DSMR_CHECK_MSG(folder_.step(events[i]),
+                     "synthesized interleaving does not fold: " << folder_.error());
+    }
 
     const auto p = static_cast<std::size_t>(node.exec.rank);
-    const HbClock pre = cv_[p];
-    HbClock clock = pre;
+    node.footprint = footprint(node.exec, flat_.nprocs, options_.independence);
+    node.pre = cv_[p];
+    VectorClock& clock = cv_[p];
+    // Only priors of another rank with an overlapping footprint can be
+    // dependent. Same-rank priors are dependent by program order, but they
+    // cannot add a backtrack point (that needs q != p) and their clocks are
+    // already <= cv_[p]; ticks have an empty footprint and depend on no
+    // other rank's transition.
     for (std::size_t j = 0; j < depth; ++j) {
       const Node& prior = nodes_[j];
-      if (!dependent(prior.exec, node.exec, flat_.nprocs,
-                     options_.independence)) {
+      if ((prior.footprint & node.footprint) == 0 || prior.exec.rank == node.exec.rank) {
+        continue;
+      }
+      if (!dependent(prior.exec, node.exec, flat_.nprocs, options_.independence)) {
         continue;
       }
       const auto q = static_cast<std::size_t>(prior.exec.rank);
-      if (options_.dpor && q != p && prior.clock[q] > pre[q]) {
-        add_backtrack(j, node.exec.rank, pre);
+      if (options_.dpor && prior.clock[q] > node.pre[q]) {
+        add_backtrack(j, node.exec.rank, node.pre);
       }
-      for (std::size_t i = 0; i < clock.size(); ++i) {
-        clock[i] = std::max(clock[i], prior.clock[i]);
-      }
+      clock.merge_from(prior.clock);
     }
-    ++clock[p];
+    clock.tick(node.exec.rank);
     node.clock = clock;
-    cv_[p] = std::move(clock);
 
-    std::set<Rank> child_sleep;
-    for (const auto& [r, pending] : sleepers) {
+    RankSet child_sleep = 0;
+    for (const auto& [r, pending] : sleepers_) {
       if (!dependent(pending, node.exec, flat_.nprocs, options_.independence)) {
-        child_sleep.insert(r);
+        child_sleep |= bit(r);
       }
     }
     return child_sleep;
+  }
+
+  /// Steps the executor, the fold and the HB clocks back over `node`'s
+  /// transition.
+  void undo(const Node& node) {
+    executor_.undo(node.exec);
+    folder_.restore(node.mark);
+    cv_[static_cast<std::size_t>(node.exec.rank)] = node.pre;
   }
 
   /// The DPOR rule: transition `p` (about to extend the path) is dependent
@@ -171,51 +238,49 @@ class Explorer {
   /// `p`'s branch must also be tried at j. Prefer a rank whose transition
   /// at j happens-before p's branch (p itself qualifies); if none is
   /// enabled at j, conservatively backtrack into everything enabled there.
-  void add_backtrack(std::size_t j, Rank p, const HbClock& pre) {
+  void add_backtrack(std::size_t j, Rank p, const VectorClock& pre) {
     Node& target = nodes_[j];
-    std::set<Rank> candidates;
-    for (const Rank q : target.enabled) {
+    Rank candidate = kInvalidRank;
+    for_each_rank(target.enabled, [&](Rank q) {
+      if (candidate != kInvalidRank) return;
       if (q == p) {
-        candidates.insert(q);
-        continue;
+        candidate = q;
+        return;
       }
-      for (std::size_t m = j + 1; m < nodes_.size(); ++m) {
-        const auto qi = static_cast<std::size_t>(q);
+      const auto qi = static_cast<std::size_t>(q);
+      // The frame being executed (the last one) has rank p, never q.
+      for (std::size_t m = j + 1; m + 1 < nodes_.size(); ++m) {
         if (nodes_[m].exec.rank == q && nodes_[m].clock[qi] <= pre[qi]) {
-          candidates.insert(q);
-          break;
+          candidate = q;
+          return;
         }
       }
-    }
-    if (!candidates.empty()) {
-      target.backtrack.insert(*candidates.begin());
-    } else {
-      target.backtrack.insert(target.enabled.begin(), target.enabled.end());
-    }
+    });
+    target.backtrack |= candidate != kInvalidRank ? bit(candidate) : target.enabled;
   }
 
-  /// Folds the maximal run into the report (and a witness, when racy and
-  /// its signature is new).
+  /// Counts the maximal run into the report (and a witness, when racy and
+  /// its signature is new). The signature comes from the fold the search
+  /// already keeps; only a first sighting renders or scans it.
   void record_terminal() {
     const bool completed = executor_.all_done();
-    const std::vector<Rank> stuck = executor_.unfinished();
-    record::Log log = make_witness_log(flat_, executor_.events(),
-                                       options_.mode, completed, stuck);
     ++report_.interleavings;
     if (!completed) ++report_.deadlocks;
-    const bool racy = !log.live.races.empty();
-    const bool fresh_signature =
-        report_.signatures.insert(log.live.to_string()).second;
-    if (!racy) return;
+    record::VerdictSignature signature;
+    signature.completed = completed;
+    signature.stuck_ranks = executor_.unfinished();
+    signature.races = folder_.race_counts();
+    const auto seen = std::find_if(
+        sightings_.begin(), sightings_.end(),
+        [&](const Sighting& sighting) { return sighting.signature == signature; });
+    const bool fresh_signature = seen == sightings_.end();
+    const Sighting& sighting = fresh_signature ? first_sighting(signature) : *seen;
+    if (!sighting.racy) return;
     ++report_.racy_interleavings;
-    bool planted_hit = false;
-    for (const record::RaceCount& race : log.live.races) {
-      const std::string& name = log.areas[race.area].name;
-      report_.racy_areas.insert(name);
-      planted_hit = planted_hit || name == planted_;
-    }
-    if (planted_hit && !planted_.empty()) ++report_.planted_flagged;
+    if (sighting.planted_hit) ++report_.planted_flagged;
     if (fresh_signature && report_.witnesses.size() < options_.max_witnesses) {
+      record::Log log = make_witness_log(flat_, executor_.events(), options_.mode,
+                                         std::move(signature));
       log.metadata.emplace_back("tool", "dsmr_explore --exhaustive");
       log.metadata.emplace_back("program", fuzz::serialize(program_));
       log.metadata.emplace_back("schedule", schedule_string());
@@ -223,6 +288,22 @@ class Explorer {
                                 std::to_string(report_.interleavings - 1));
       report_.witnesses.push_back(std::move(log));
     }
+  }
+
+  /// Files a signature seen for the first time: its rendering and the
+  /// area names it flags go into the report.
+  const Sighting& first_sighting(const record::VerdictSignature& signature) {
+    Sighting& sighting = sightings_.emplace_back();
+    sighting.signature = signature;
+    sighting.racy = !signature.races.empty();
+    report_.signatures.insert(signature.to_string());
+    for (const record::RaceCount& race : signature.races) {
+      const std::string& name = shell_.areas[race.area].name;
+      report_.racy_areas.insert(name);
+      sighting.planted_hit = sighting.planted_hit || name == planted_;
+    }
+    sighting.planted_hit = sighting.planted_hit && !planted_.empty();
+    return sighting;
   }
 
   std::string schedule_string() const {
@@ -234,29 +315,26 @@ class Explorer {
     return out;
   }
 
-  /// Pops exhausted frames, moving each completed choice into the sleep
-  /// set, until a frame has an unexplored backtrack choice. Returns false
-  /// when the whole tree is exhausted.
+  /// Steps back out of exhausted frames, moving each completed choice into
+  /// the sleep set, until a frame has an unexplored backtrack choice; that
+  /// frame is left undone, ready for descend() to execute the new choice.
+  /// Returns false when the whole tree is exhausted.
   bool backtrack() {
     while (!nodes_.empty()) {
       Node& node = nodes_.back();
-      node.sleep.insert(node.chosen);
-      Rank next = kInvalidRank;
-      for (const Rank r : node.backtrack) {
-        if (node.done.count(r) != 0) continue;
-        if (options_.sleep_sets && node.sleep.count(r) != 0) continue;
-        next = r;
-        break;
-      }
+      undo(node);
+      node.sleep |= bit(node.chosen);
+      RankSet open = node.backtrack & ~node.done;
+      if (options_.sleep_sets) open &= ~node.sleep;
+      const Rank next = first_rank(open);
       if (next != kInvalidRank) {
         node.chosen = next;
-        node.done.insert(next);
-        node.exec = ExecutedStep{};
-        node.clock.clear();  // marks the frame fresh for descend().
+        node.done |= bit(next);
         return true;
       }
-      report_.pruned_branches +=
-          node.enabled.size() - std::min(node.enabled.size(), node.done.size());
+      report_.pruned_branches += static_cast<std::uint64_t>(
+          std::popcount(node.enabled) - std::min(std::popcount(node.enabled),
+                                                 std::popcount(node.done)));
       nodes_.pop_back();
     }
     return false;
@@ -266,9 +344,14 @@ class Explorer {
   const ExploreOptions& options_;
   FlatProgram flat_;
   Executor executor_;
+  /// The witness header and area table, no events: what folder_ reads.
+  record::Log shell_;
+  record::Folder folder_;
   std::string planted_;
   std::vector<Node> nodes_;
-  std::vector<HbClock> cv_;  ///< per rank: clock of its last transition.
+  std::vector<VectorClock> cv_;  ///< per rank: clock of its last transition.
+  std::vector<std::pair<Rank, ExecutedStep>> sleepers_;  ///< execute_choice scratch.
+  std::vector<Sighting> sightings_;
   ExploreReport report_;
 };
 

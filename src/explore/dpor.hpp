@@ -1,10 +1,14 @@
-// Stateless exhaustive exploration with dynamic partial-order reduction
+// Stateful exhaustive exploration with dynamic partial-order reduction
 // and sleep sets (Flanagan & Godefroid; Godefroid's sleep-set discipline;
-// CDSChecker is the engineering exemplar — see ROADMAP item 4).
+// CDSChecker is the engineering exemplar — see ROADMAP item 3).
 //
 // The explorer drives explore::Executor through a depth-first search over
-// scheduling choices. Every maximal run is folded through
-// record::replay_fold and its verdict signature collected; DPOR computes
+// scheduling choices. The search is stateful: each transition's events
+// are folded through one record::Folder as soon as the transition
+// executes, and stepping back out of a frame undoes both
+// (Executor::undo, Folder::restore to the frame's checkpoint), so every
+// DFS edge is executed and folded exactly once — no prefix is re-run. Every
+// maximal run's verdict signature is read off the fold; DPOR computes
 // backtrack points from explore::dependent() over the executed trace's
 // happens-before clocks, and sleep sets kill branches whose first step
 // commutes with an already-explored sibling subtree. With both on, the
@@ -39,7 +43,9 @@ struct ExploreOptions {
   /// Explored + sleep-blocked prefixes budget; tripping it leaves
   /// ExploreReport::limit set and the exploration incomplete.
   std::uint64_t max_interleavings = 1u << 20;
-  /// Total executed transitions budget (0 = unlimited).
+  /// Budget on ExploreReport::transitions (0 = unlimited). Each DFS edge
+  /// counts once, so a given budget admits more of the search than it did
+  /// when every backtrack re-ran its prefix.
   std::uint64_t max_transitions = 0;
   /// Witness logs kept (one per distinct racy signature, first sighting).
   std::size_t max_witnesses = 4;
@@ -55,7 +61,7 @@ struct ExploreReport {
   std::uint64_t interleavings = 0;       ///< maximal runs executed.
   std::uint64_t deadlocks = 0;           ///< runs that did not complete.
   std::uint64_t sleep_blocked = 0;       ///< prefixes killed by sleep sets.
-  std::uint64_t transitions = 0;         ///< transitions executed (with replays).
+  std::uint64_t transitions = 0;         ///< DFS edges: each executed once.
   std::uint64_t pruned_branches = 0;     ///< enabled-but-never-explored choices.
   std::uint64_t racy_interleavings = 0;  ///< runs with >= 1 race report.
   std::uint64_t planted_flagged = 0;     ///< runs flagging the planted area.

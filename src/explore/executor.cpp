@@ -1,22 +1,14 @@
 #include "explore/executor.hpp"
 
-#include "record/replay.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::explore {
 
 Executor::Executor(const FlatProgram* program) : program_(program) {
   DSMR_REQUIRE(program != nullptr, "executor needs a program");
-  reset();
-}
-
-void Executor::reset() {
   const auto n = static_cast<std::size_t>(program_->nprocs);
   cursor_.assign(n, 0);
   count_.assign(n, 0);
-  mail_.clear();
-  events_.clear();
-  steps_executed_ = 0;
 }
 
 bool Executor::rank_done(Rank rank) const {
@@ -51,6 +43,15 @@ std::vector<Rank> Executor::enabled() const {
     if (step_enabled(r)) out.push_back(r);
   }
   return out;
+}
+
+std::uint64_t Executor::enabled_mask() const {
+  DSMR_CHECK_MSG(program_->nprocs <= 64, "enabled_mask needs nprocs <= 64");
+  std::uint64_t mask = 0;
+  for (Rank r = 0; r < program_->nprocs; ++r) {
+    if (step_enabled(r)) mask |= std::uint64_t{1} << r;
+  }
+  return mask;
 }
 
 std::vector<Rank> Executor::unfinished() const {
@@ -142,6 +143,37 @@ ExecutedStep Executor::execute(Rank rank) {
   return exec;
 }
 
+void Executor::undo(const ExecutedStep& exec) {
+  const auto r = static_cast<std::size_t>(exec.rank);
+  DSMR_CHECK_MSG(r < cursor_.size() && cursor_[r] == exec.step_index + 1,
+                 "undo of a step that is not rank " << exec.rank << "'s last");
+  const Step& step = exec.step;
+  const std::size_t events =
+      step.kind == StepKind::kAccess && step.lock != -1 ? 3 : 1;
+  DSMR_CHECK_MSG(events_.size() >= events && count_[r] >= events &&
+                     events_.back().a == static_cast<std::uint64_t>(exec.rank),
+                 "undo of a step that is not the last one executed");
+  switch (step.kind) {
+    case StepKind::kTick:
+    case StepKind::kAccess:
+      break;
+    case StepKind::kSignal: {
+      auto& queue = mail_[{step.peer, step.tag}];
+      DSMR_CHECK_MSG(!queue.empty() && queue.back() == std::make_pair(exec.rank, exec.sent_d),
+                     "undo of a signal that is not at its mailbox's back");
+      queue.pop_back();
+      break;
+    }
+    case StepKind::kWait:
+      mail_[{exec.rank, step.tag}].push_front({exec.matched_src, exec.matched_d});
+      break;
+  }
+  count_[r] -= events;
+  events_.resize(events_.size() - events);
+  --cursor_[r];
+  --steps_executed_;
+}
+
 std::string Executor::scheduler_digest() const {
   std::string out;
   for (std::size_t r = 0; r < cursor_.size(); ++r) {
@@ -162,8 +194,7 @@ std::string Executor::scheduler_digest() const {
 
 record::Log make_witness_log(const FlatProgram& program,
                              const std::vector<record::Event>& events,
-                             core::DetectorMode mode, bool completed,
-                             const std::vector<Rank>& stuck) {
+                             core::DetectorMode mode, record::VerdictSignature live) {
   record::Log log;
   log.header.nprocs = static_cast<std::uint32_t>(program.nprocs);
   log.header.backend = record::Backend::kThread;
@@ -178,12 +209,7 @@ record::Log make_witness_log(const FlatProgram& program,
     log.areas.push_back(entry);
   }
   log.events = events;
-  log.live.completed = completed;
-  log.live.stuck_ranks = stuck;
-  const record::ReplayResult folded = record::replay_fold(log, mode);
-  DSMR_CHECK_MSG(folded.ok(), "synthesized interleaving does not fold: "
-                                  << folded.error);
-  log.live = folded.signature;
+  log.live = std::move(live);
   return log;
 }
 

@@ -5,10 +5,12 @@
 // The executor holds ONLY scheduling state — per-rank step cursors,
 // per-rank event counts (each log event ticks the folding clock exactly
 // once, so a rank's clock component IS its event count), and FIFO signal
-// mailboxes per (destination, tag). It never touches detector state: at
-// the end of a run the caller folds the synthesized log through
-// record::replay_fold, the single source of truth for verdicts. That keeps
-// the explorer and the detector impossible to diverge by construction.
+// mailboxes per (destination, tag). It never touches detector state: the
+// caller folds the synthesized events through record::Folder, the single
+// source of truth for verdicts. That keeps the explorer and the detector
+// impossible to diverge by construction. `undo` takes back the last
+// executed step exactly, so a depth-first search walks back up its path
+// instead of re-running it from the start.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +27,8 @@ namespace dsmr::explore {
 
 class Executor {
  public:
+  /// The initial state: every rank at its first step, no mail.
   explicit Executor(const FlatProgram* program);
-
-  void reset();
 
   int nprocs() const { return program_->nprocs; }
   bool rank_done(Rank rank) const;
@@ -43,6 +44,9 @@ class Executor {
   /// All enabled ranks, ascending.
   std::vector<Rank> enabled() const;
 
+  /// The same set as a bitmask (bit r = rank r); needs nprocs <= 64.
+  std::uint64_t enabled_mask() const;
+
   /// Ranks with unexecuted steps (enabled or blocked), ascending.
   std::vector<Rank> unfinished() const;
 
@@ -50,6 +54,13 @@ class Executor {
   /// events and returning the executed-transition record (with the dynamic
   /// signal/wait match fields filled in).
   ExecutedStep execute(Rank rank);
+
+  /// Reverts `exec`, which must be the most recently executed step not yet
+  /// undone (what execute() returned): its cursor, event count and log
+  /// events, and the signal it queued (popped from the back) or the one it
+  /// consumed (pushed back at the front). Afterwards every observable —
+  /// scheduler_digest(), events() — is as it was before the execute.
+  void undo(const ExecutedStep& exec);
 
   /// For an enabled kWait next step: the (sender, stamp) it would consume.
   std::pair<Rank, std::uint64_t> peek_match(Rank rank) const;
@@ -87,11 +98,11 @@ class Executor {
 /// Seals an explored interleaving as a replayable witness log: kThread
 /// header (dual-clock, lock handoff, acked puts — the thread harness
 /// defaults), the program's "fz<i>" area table, the synthesized events,
-/// and the folded verdict signature in the live footer (the caller adds
-/// forensic metadata — program text, schedule — before export).
+/// and `live` — the verdict signature the caller folded from those events
+/// — in the live footer (the caller adds forensic metadata — program text,
+/// schedule — before export).
 record::Log make_witness_log(const FlatProgram& program,
                              const std::vector<record::Event>& events,
-                             core::DetectorMode mode, bool completed,
-                             const std::vector<Rank>& stuck);
+                             core::DetectorMode mode, record::VerdictSignature live);
 
 }  // namespace dsmr::explore

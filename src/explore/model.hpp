@@ -3,9 +3,9 @@
 // Exploration enumerates interleavings of the *threaded-backend op model*:
 // each transition is one atomic micro-op of fuzz/thread_harness.cpp's
 // run_rank — a put/get (with its lock/unlock fused in), a signal, a wait,
-// or a tick — and every explored interleaving is materialized as a
-// record::Log of kThread* events, so the verdict comes from the one true
-// detector fold (record::replay_fold) and every racy interleaving is a
+// or a tick — and every explored interleaving is a stream of kThread*
+// record events, so the verdict comes from the one true detector fold
+// (record::Folder, which replay_fold runs) and every racy interleaving is a
 // witness that replays byte-for-byte through dsmr_replay AND back onto
 // real OS threads via ReplayGate.
 //

@@ -1,15 +1,18 @@
 // Replay: re-derive the verdicts of a recorded run from its ordering log.
 //
-// `replay_fold` is the offline detector. It walks the event stream in the
-// recorded total order and drives, step by step, the transitions the live
+// `Folder` is the offline detector. It takes the event stream one event at
+// a time, in the recorded total order, and drives the transitions the live
 // engines run (detect/transitions.hpp) over the state they keep — per-rank
 // vector clocks, one detect::ShardedDetector per home, lock handoff clocks,
 // in-flight ack/response queues — validating every event first (logs are
-// disk input). Because clock evolution in the live engines is
-// mode-independent, the fold of a `mode=off` recording under
-// `DetectorMode::kDualClock` yields bit-identical verdicts to a live
-// dual-clock run of the same schedule. That equivalence is the fuzz-grid
-// invariant (`check_record_replay`).
+// disk input). It can also take back what it folded: `checkpoint` marks
+// the state and `restore` returns to the mark through an undo trail, so a
+// search over event orders (explore/dpor.cpp) folds each event once.
+// `replay_fold` is a Folder run over a whole log. Because clock evolution
+// in the live engines is mode-independent, the fold of a `mode=off`
+// recording under `DetectorMode::kDualClock` yields bit-identical verdicts
+// to a live dual-clock run of the same schedule. That equivalence is the
+// fuzz-grid invariant (`check_record_replay`).
 //
 // `ReplayGate` is the other half of the threaded-backend story: it forces a
 // live `runtime::ThreadWorld` to re-execute its ops in a recorded log's
@@ -20,12 +23,20 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "clocks/vector_clock.hpp"
 #include "core/race_report.hpp"
 #include "core/types.hpp"
+#include "detect/sharded_detector.hpp"
 #include "record/log.hpp"
 #include "util/types.hpp"
 
@@ -44,6 +55,127 @@ struct ReplayResult {
   std::vector<core::RaceReport> reports;
   std::uint64_t checks = 0;   ///< accesses run through check_access.
   std::uint64_t events = 0;   ///< events folded.
+};
+
+/// A validating, incremental driver over the live transitions. Its state is
+/// the state the live engines keep: one detect::ShardedDetector per home
+/// rank (one shard — the fold is single-threaded), one clock per rank (in
+/// the sim a rank's Process and its home NIC share a clock, which is why
+/// puts and gets are split into issue/apply/completion events), the lock
+/// handoff clocks, and the in-flight ack/response payloads. Same state,
+/// same transitions => the live verdicts, bit for bit.
+class Folder {
+ public:
+  /// A point to restore to: the trail length and the result counters.
+  struct Mark {
+    std::size_t trail = 0;
+    std::size_t reports = 0;
+    std::uint64_t checks = 0;
+    std::uint64_t events = 0;
+    bool ok = true;
+  };
+
+  /// Reads `log`'s header and area table, not its events; `log` must
+  /// outlive the folder. A bad area table fails the fold up front.
+  Folder(const Log& log, core::DetectorMode mode);
+
+  /// Folds one event. Returns false, folding nothing, once the fold has
+  /// failed; error() then names the first event that could not be folded.
+  bool step(const Event& event);
+
+  /// Marks the current state. From the first checkpoint on, every step
+  /// saves what it is about to overwrite; until then steps keep no trail.
+  Mark checkpoint();
+
+  /// Undoes every step folded since `mark`, restoring state, reports,
+  /// counters and error exactly as they were at checkpoint time.
+  void restore(const Mark& mark);
+
+  bool ok() const { return result_.ok(); }
+  const std::string& error() const { return result_.error; }
+
+  /// The races folded so far, counted per (area, accessor, kind) and sorted
+  /// — VerdictSignature::races.
+  std::vector<RaceCount> race_counts() const;
+
+  /// Canonical rendering of the COMPLETE fold state (see
+  /// replay_state_digest).
+  std::string state_digest() const;
+
+  /// The result, with `completed` and `stuck` as the signature's liveness
+  /// (the fold replays exactly the recorded prefix, so liveness is the
+  /// recording's to report). The signature stays empty when the fold
+  /// failed.
+  ReplayResult finish(bool completed, std::vector<Rank> stuck) &&;
+
+ private:
+  /// In-flight payload clocks keyed by (initiator, area). Each initiator op
+  /// is a blocking await, so every queue's depth is at most 1; deques keep
+  /// the fold honest if a malformed log violates that.
+  using Queue = std::deque<clocks::VectorClock>;
+  using PayloadQueues = std::map<std::pair<std::uint64_t, std::uint64_t>, Queue>;
+
+  /// A flat area-table index resolved to its home detector's area id.
+  struct Where {
+    Rank home;
+    detect::AreaId id;
+  };
+
+  /// One trail entry: the value a step overwrote, and where it lives.
+  struct Undo {
+    enum class Kind : std::uint8_t {
+      kClock,    ///< clocks_[index] held `clock`.
+      kHandoff,  ///< handoffs_[index] held `clock`.
+      kLane,     ///< flat area `index`'s V (or W, when `w`) lane held `lane`.
+      kPush,     ///< `queue` had an entry pushed at its back.
+      kPop,      ///< `queue` had `clock` popped from its front.
+      kErase,    ///< `queue` had `clock` erased at position `index`.
+    };
+    Kind kind = Kind::kClock;
+    bool w = false;
+    std::size_t index = 0;
+    Queue* queue = nullptr;
+    clocks::VectorClock clock;
+    detect::LaneSnapshot lane;
+  };
+
+  detect::ShardedDetector& detector(Where area) const {
+    return *detectors_[static_cast<std::size_t>(area.home)];
+  }
+
+  void fold(const Event& event);
+  void fail(const Event& event, const std::string& what);
+  bool valid_rank(const Event& event, std::uint64_t rank);
+  bool valid_area(const Event& event, std::uint64_t index);
+  bool pop(const Event& event, PayloadQueues& queue, std::uint64_t rank,
+           std::uint64_t area, clocks::VectorClock* out, const char* what);
+  void push(Queue& queue, const clocks::VectorClock& clock);
+  void report(std::uint64_t index, core::AccessKind kind, Rank accessor,
+              const clocks::VectorClock& accessor_clock, const core::Verdict& verdict);
+
+  // Trail writers: each saves the current value before the step changes it.
+  void save_clock(std::uint64_t rank);
+  void save_handoff(std::uint64_t index);
+  void save_lanes(std::uint64_t index, bool write);
+
+  static std::string epoch_digest(clocks::Epoch epoch);
+  static void queue_digest(std::ostringstream& out, const char* label,
+                           const PayloadQueues& map);
+
+  const Log& log_;
+  core::DetectorMode mode_;
+  std::vector<clocks::VectorClock> clocks_;  ///< per rank.
+  std::vector<Where> where_;                 ///< per flat area index.
+  std::vector<std::unique_ptr<detect::ShardedDetector>> detectors_;  ///< per home.
+  std::vector<clocks::VectorClock> handoffs_;  ///< per flat area; empty = none yet.
+  PayloadQueues put_issue_, put_ack_, get_issue_, get_merge_, unlock_release_;
+  /// Undelivered signal clocks keyed by (src, dst, tag). Matching is by the
+  /// sender's own clock component (Event::d), not FIFO: same-channel signals
+  /// can be reordered by perturbation or fault retries.
+  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>, Queue> signals_;
+  ReplayResult result_;
+  bool trailing_ = false;  ///< set by the first checkpoint.
+  std::vector<Undo> trail_;
 };
 
 /// Folds `log` under detector `mode`. Pass `log.header.mode` to reproduce

@@ -5,8 +5,10 @@
 // exploration cross-checked against naive full enumeration (same verdict
 // signature set, strictly fewer interleavings), witness logs that replay
 // through the offline fold AND back onto real OS threads via ReplayGate,
-// deterministic counters, the eligibility size gate, and the fuzz-harness
-// integration (FuzzCheckOptions::exhaustive).
+// deterministic counters, pinned totals for the stateful search (each DFS
+// edge executed once, the reduced space unchanged), Executor::undo as the
+// exact inverse of execute, the eligibility size gate, and the
+// fuzz-harness integration (FuzzCheckOptions::exhaustive).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -78,13 +80,25 @@ fuzz::GenConfig slice_config(std::uint64_t seed, int nprocs = 3) {
   return config;
 }
 
+/// slice_config with dsmr_explore's default planting: half the seeds get a
+/// partial-barrier or ack-window bug.
+fuzz::GenConfig planted_slice_config(std::uint64_t seed) {
+  fuzz::GenConfig config = slice_config(seed);
+  if (fuzz::plant_for_seed(seed, 0.5)) {
+    config.plant_bug = true;
+    config.bug_kind = fuzz::kind_for_seed(
+        seed, {fuzz::BugKind::kPartialBarrier, fuzz::BugKind::kAckWindow});
+  }
+  return config;
+}
+
 /// Full model state under one interleaving: scheduler state (cursors,
 /// counts, mailbox FIFO order) + the detector fold state of the synthesized
 /// event stream. Two interleavings are equivalent iff these match.
 std::string model_state_digest(const Executor& executor, const FlatProgram& flat) {
-  const record::Log log =
-      make_witness_log(flat, executor.events(), core::DetectorMode::kDualClock,
-                       /*completed=*/false, /*stuck=*/{});
+  // The footer plays no part in the fold digest.
+  const record::Log log = make_witness_log(flat, executor.events(),
+                                           core::DetectorMode::kDualClock, {});
   return executor.scheduler_digest() + "\n--- fold ---\n" +
          record::replay_state_digest(log, core::DetectorMode::kDualClock);
 }
@@ -146,13 +160,7 @@ PropertyResult check_independence_property(const fuzz::Program& program,
 TEST(Independence, CommutationPropertyOnGeneratedSlice) {
   PropertyResult total;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    fuzz::GenConfig config = slice_config(seed);
-    if (fuzz::plant_for_seed(seed, 0.5)) {
-      config.plant_bug = true;
-      config.bug_kind = fuzz::kind_for_seed(
-          seed, {fuzz::BugKind::kPartialBarrier, fuzz::BugKind::kAckWindow});
-    }
-    const fuzz::Program program = fuzz::generate_program(config);
+    const fuzz::Program program = fuzz::generate_program(planted_slice_config(seed));
     for (std::uint64_t walk = 0; walk < 3; ++walk) {
       const auto result =
           check_independence_property(program, seed * 100 + walk, {});
@@ -283,13 +291,7 @@ TEST(Dpor, SleepSetsPreserveSignatures) {
 TEST(Exhaustive, PlantedBugsFoundAndCleanCertifiedOnSlice) {
   std::uint64_t sometimes = 0, clean = 0;
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    fuzz::GenConfig config = slice_config(seed);
-    if (fuzz::plant_for_seed(seed, 0.5)) {
-      config.plant_bug = true;
-      config.bug_kind = fuzz::kind_for_seed(
-          seed, {fuzz::BugKind::kPartialBarrier, fuzz::BugKind::kAckWindow});
-    }
-    const fuzz::Program program = fuzz::generate_program(config);
+    const fuzz::Program program = fuzz::generate_program(planted_slice_config(seed));
     const Eligibility eligibility = exhaustive_eligible(program);
     ASSERT_TRUE(eligibility.eligible) << "seed " << seed << ": " << eligibility.reason;
     const ExploreReport report = explore_program(program);
@@ -330,6 +332,57 @@ TEST(Exhaustive, DeterministicAcrossRuns) {
   EXPECT_EQ(a.signatures, b.signatures);
   EXPECT_EQ(a.racy_areas, b.racy_areas);
   EXPECT_EQ(a.witnesses.size(), b.witnesses.size());
+}
+
+// The reduced space is pinned exactly: the totals dsmr_explore's 64-seed
+// rank-3 certificate and its 32-seed rank-2 naive cross-check report (CI
+// asserts the same numbers on the CLI's JSON). A change to the reduction
+// must restate these.
+TEST(Exhaustive, CertificateAndCrossCheckTotalsArePinned) {
+  std::uint64_t interleavings = 0, sleep_blocked = 0, pruned = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const ExploreReport report =
+        explore_program(fuzz::generate_program(planted_slice_config(seed)));
+    ASSERT_TRUE(report.complete) << "seed " << seed << ": " << report.limit;
+    interleavings += report.interleavings;
+    sleep_blocked += report.sleep_blocked;
+    pruned += report.pruned_branches;
+  }
+  EXPECT_EQ(interleavings, 137u);
+  EXPECT_EQ(sleep_blocked, 554u);
+  EXPECT_EQ(pruned, 3571u);
+
+  ExploreOptions naive;
+  naive.dpor = false;
+  naive.sleep_sets = false;
+  std::uint64_t reduced_total = 0, naive_total = 0;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    const fuzz::Program program = fuzz::generate_program(slice_config(seed, 2));
+    reduced_total += explore_program(program).interleavings;
+    naive_total += explore_program(program, naive).interleavings;
+  }
+  EXPECT_EQ(reduced_total, 43u);
+  EXPECT_EQ(naive_total, 1880u);
+}
+
+// The search is stateful: `transitions` counts DFS edges, each executed
+// once. Rank 0 ticks twice, then both ranks put area 0. The first run takes
+// tick, tick, put(r0), put(r1) (4 edges); DPOR backtracks at the third
+// frame, and the second run adds put(r1), put(r0) below the shared tick
+// prefix (2 edges). A search that re-ran the prefix would count 8.
+TEST(Exhaustive, EachDfsEdgeExecutesOnce) {
+  const fuzz::Program program = make_program(
+      2, 1,
+      {{make_sleep(), make_sleep(), make_access(fuzz::OpKind::kPut, 0)},
+       {make_access(fuzz::OpKind::kPut, 0)}},
+      fuzz::Expectation::kRacy);
+  const ExploreReport report = explore_program(program);
+  ASSERT_TRUE(report.complete) << report.limit;
+  EXPECT_EQ(report.interleavings, 2u);
+  EXPECT_EQ(report.sleep_blocked, 0u);
+  EXPECT_EQ(report.pruned_branches, 2u);  // rank 1 at each tick frame.
+  EXPECT_EQ(report.transitions, 6u);
+  EXPECT_EQ(report.racy_interleavings, 2u);
 }
 
 // Tripping --max-interleavings leaves the report incomplete and
@@ -398,6 +451,104 @@ TEST(Witness, ReplaysThroughFoldAndRealThreads) {
           << " vs witness " << parsed.live.to_string();
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Executor::undo: the exact inverse of execute.
+// ---------------------------------------------------------------------------
+
+/// Random descents and climbs over `program`: execute up to a few enabled
+/// steps, saving the scheduler digest and event stream at every level,
+/// then undo some of them in reverse and require each level's saved state
+/// back. Returns the number of undos checked.
+std::uint64_t check_undo_contract(const fuzz::Program& program, std::uint64_t seed) {
+  const FlatProgram flat = flatten_program(program);
+  util::Rng rng(seed);
+  Executor executor(&flat);
+  struct Level {
+    ExecutedStep exec;
+    std::string digest;  ///< before exec.
+    std::vector<record::Event> events;
+  };
+  std::vector<Level> path;
+  std::uint64_t undos = 0;
+  for (int round = 0; round < 40; ++round) {
+    const auto down = 1 + rng.below(6);
+    for (std::uint64_t k = 0; k < down; ++k) {
+      const std::vector<Rank> enabled = executor.enabled();
+      if (enabled.empty()) break;
+      const Rank rank = enabled[rng.below(enabled.size())];
+      Level level{{}, executor.scheduler_digest(), executor.events()};
+      level.exec = executor.execute(rank);
+      path.push_back(std::move(level));
+    }
+    const auto up = rng.below(path.size() + 1);
+    for (std::uint64_t k = 0; k < up; ++k) {
+      executor.undo(path.back().exec);
+      EXPECT_EQ(executor.scheduler_digest(), path.back().digest);
+      EXPECT_EQ(executor.events(), path.back().events);
+      path.pop_back();
+      ++undos;
+    }
+  }
+  while (!path.empty()) {
+    executor.undo(path.back().exec);
+    EXPECT_EQ(executor.scheduler_digest(), path.back().digest);
+    EXPECT_EQ(executor.events(), path.back().events);
+    path.pop_back();
+    ++undos;
+  }
+  EXPECT_EQ(executor.steps_executed(), 0u);
+  EXPECT_EQ(executor.scheduler_digest(), Executor(&flat).scheduler_digest());
+  return undos;
+}
+
+TEST(Executor, UndoRevertsRandomSchedulesOfFuzzedPrograms) {
+  std::uint64_t undos = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    undos += check_undo_contract(fuzz::generate_program(planted_slice_config(seed)), seed);
+    fuzz::GenConfig bigger = planted_slice_config(seed);
+    bigger.phases = 3;
+    bigger.max_ops_per_rank = 2;
+    undos += check_undo_contract(fuzz::generate_program(bigger), seed + 1000);
+  }
+  EXPECT_GT(undos, 1000u);
+}
+
+// Two senders on one (destination, tag) channel: the mailbox is FIFO, so
+// undo must put a consumed signal back at the FRONT and take a queued one
+// off the BACK, or the next wait would consume the wrong send.
+TEST(Executor, UndoKeepsSameChannelMailboxOrder) {
+  fuzz::Op wait;
+  wait.kind = fuzz::OpKind::kWait;
+  wait.tag = 5;
+  fuzz::Op signal;
+  signal.kind = fuzz::OpKind::kSignal;
+  signal.peer = 0;
+  signal.tag = 5;
+  const fuzz::Program program = make_program(3, 1, {{wait, wait}, {signal}, {signal}});
+  const FlatProgram flat = flatten_program(program);
+  Executor executor(&flat);
+  const std::string empty = executor.scheduler_digest();
+  const ExecutedStep s1 = executor.execute(1);
+  const ExecutedStep s2 = executor.execute(2);
+  const std::string both = executor.scheduler_digest();
+  EXPECT_NE(both.find("mail r0 t5: 1@1 2@1"), std::string::npos) << both;
+  const ExecutedStep w1 = executor.execute(0);
+  EXPECT_EQ(w1.matched_src, 1);
+  executor.undo(w1);
+  EXPECT_EQ(executor.scheduler_digest(), both);
+  const ExecutedStep again = executor.execute(0);
+  EXPECT_EQ(again.matched_src, 1);  // still rank 1's send first.
+  const ExecutedStep w2 = executor.execute(0);
+  EXPECT_EQ(w2.matched_src, 2);
+  executor.undo(w2);
+  executor.undo(again);
+  EXPECT_EQ(executor.scheduler_digest(), both);
+  executor.undo(s2);
+  executor.undo(s1);
+  EXPECT_EQ(executor.scheduler_digest(), empty);
+  EXPECT_TRUE(executor.events().empty());
 }
 
 // ---------------------------------------------------------------------------

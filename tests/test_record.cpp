@@ -5,7 +5,8 @@
 // equivalence — folding a recorded event stream through the live
 // transitions (detect/transitions.hpp) reproduces the live detector's
 // verdicts and reports, including for mode=off recordings folded under full
-// dual-clock detection (the always-on production story).
+// dual-clock detection (the always-on production story) — and the
+// incremental Folder's checkpoint/restore contract behind the explorer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "detect/sharded_detector.hpp"
 #include "fuzz/generate.hpp"
 #include "fuzz/program.hpp"
+#include "fuzz/thread_harness.hpp"
 #include "net/fault.hpp"
 #include "record/log.hpp"
 #include "record/recorder.hpp"
@@ -959,6 +961,222 @@ TEST(ThreadRecordReplay, StuckRecordingReproducesStuckRanksFast) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(replayed, log.live);
   EXPECT_LT(elapsed, std::chrono::milliseconds(5'000));
+}
+
+// ---------------------------------------------------------------------------
+// record::Folder: checkpoint / step / restore.
+// ---------------------------------------------------------------------------
+
+/// Fuzzed sim recordings over all three transports. Recording needs the
+/// home-side wire layout at a detecting mode, so the separate and piggyback
+/// logs are recorded with the detector off (and fold at any mode). The
+/// regimes vary so unacked puts and handoff-free unlocks appear too.
+std::vector<Log> fuzzed_sim_logs() {
+  std::vector<Log> logs;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    fuzz::GenConfig gen;
+    gen.seed = seed;
+    gen.plant_bug = seed % 2 == 0;
+    gen.nprocs = 3 + static_cast<int>(seed % 2);
+    gen.areas = gen.nprocs + 1;
+    gen.phases = 2;
+    gen.max_ops_per_rank = 4;
+    const auto program =
+        std::make_shared<const fuzz::Program>(fuzz::generate_program(gen));
+    for (const core::Transport transport :
+         {core::Transport::kSeparate, core::Transport::kPiggyback,
+          core::Transport::kHomeSide}) {
+      WorldConfig config = sim_config(
+          program->nprocs, transport == core::Transport::kHomeSide
+                               ? core::DetectorMode::kDualClock
+                               : core::DetectorMode::kOff);
+      config.transport = transport;
+      config.seed = seed;
+      config.perturb = sim::PerturbConfig{0, 4'000, seed};
+      config.acked_puts = seed % 4 != 1;
+      config.lock_clock_handoff = seed % 3 != 2;
+      logs.push_back(record_sim(config, [&](World& world) {
+        fuzz::spawn_program(world, program);
+      }));
+    }
+  }
+  return logs;
+}
+
+/// Threaded recordings of fuzzed programs (whatever schedule the OS picks).
+std::vector<Log> fuzzed_thread_logs() {
+  std::vector<Log> logs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    fuzz::GenConfig gen;
+    gen.seed = seed + 50;
+    gen.plant_bug = seed % 2 == 1;
+    gen.nprocs = 3;
+    gen.areas = 4;
+    gen.phases = 2;
+    gen.max_ops_per_rank = 4;
+    const fuzz::Program program = fuzz::generate_program(gen);
+    fuzz::ThreadRunOptions options;
+    options.mode = seed % 3 == 0 ? core::DetectorMode::kOff : core::DetectorMode::kDualClock;
+    Recorder recorder(static_cast<std::uint32_t>(program.nprocs), Backend::kThread,
+                      options.mode, options.lock_clock_handoff, options.acked_puts);
+    options.recorder = &recorder;
+    fuzz::run_program_threaded(program, options);
+    logs.push_back(recorder.log());
+  }
+  return logs;
+}
+
+/// Every report field the fold fills, one line per report.
+std::string render_reports(const std::vector<core::RaceReport>& reports) {
+  std::string out;
+  for (const core::RaceReport& r : reports) {
+    out += std::to_string(r.id) + " h" + std::to_string(r.home) + " a" +
+           std::to_string(r.area) + " " + r.area_name + " r" +
+           std::to_string(r.accessor) + " k" + std::to_string(static_cast<int>(r.kind)) +
+           " " + r.accessor_clock.to_string() + " vs" +
+           std::to_string(static_cast<int>(r.against)) + " " +
+           r.stored_clock.to_string() + "\n";
+  }
+  return out;
+}
+
+/// A random walk of checkpoints, steps and restores over `log`: every
+/// restore must bring back the digest taken at its checkpoint. Then the
+/// walk climbs back to its oldest mark and folds on to the end, which must
+/// equal a plain replay_fold. Returns the number of restores checked.
+int check_checkpoint_contract(const Log& log, core::DetectorMode mode,
+                              std::uint64_t seed) {
+  struct Saved {
+    Folder::Mark mark;
+    std::string digest;
+    std::size_t next;  ///< index of the next event to fold.
+  };
+  Folder folder(log, mode);
+  util::Rng rng(seed);
+  std::vector<Saved> marks;
+  std::size_t next = 0;
+  int restores = 0;
+  const auto restore_back = [&] {
+    folder.restore(marks.back().mark);
+    EXPECT_EQ(folder.state_digest(), marks.back().digest) << "event " << next;
+    next = marks.back().next;
+    marks.pop_back();
+    ++restores;
+  };
+  for (int guard = 0; next < log.events.size() && guard < 100'000; ++guard) {
+    const std::uint64_t move = rng.below(6);
+    if (move == 0) {
+      marks.push_back({folder.checkpoint(), folder.state_digest(), next});
+    } else if (move == 1 && !marks.empty()) {
+      restore_back();
+    } else {
+      EXPECT_TRUE(folder.step(log.events[next])) << folder.error();
+      ++next;
+    }
+  }
+  while (!marks.empty()) restore_back();
+  for (; next < log.events.size(); ++next) {
+    EXPECT_TRUE(folder.step(log.events[next])) << folder.error();
+  }
+  const ReplayResult plain = replay_fold(log, mode);
+  EXPECT_EQ(folder.state_digest(), replay_state_digest(log, mode));
+  const ReplayResult folded =
+      std::move(folder).finish(log.live.completed, log.live.stuck_ranks);
+  EXPECT_EQ(folded.error, plain.error);
+  EXPECT_EQ(folded.signature, plain.signature);
+  EXPECT_EQ(folded.checks, plain.checks);
+  EXPECT_EQ(folded.events, plain.events);
+  EXPECT_EQ(render_reports(folded.reports), render_reports(plain.reports));
+  return restores;
+}
+
+TEST(Folder, CheckpointRestoreOnFuzzedSimLogs) {
+  int restores = 0;
+  std::uint64_t seed = 0;
+  for (const Log& log : fuzzed_sim_logs()) {
+    for (const core::DetectorMode mode :
+         {core::DetectorMode::kDualClock, core::DetectorMode::kSingleClock}) {
+      restores += check_checkpoint_contract(log, mode, ++seed);
+    }
+  }
+  EXPECT_GT(restores, 500);
+}
+
+TEST(Folder, CheckpointRestoreOnRecordedThreadLogs) {
+  int restores = 0;
+  std::uint64_t seed = 0;
+  for (const Log& log : fuzzed_thread_logs()) {
+    restores += check_checkpoint_contract(log, core::DetectorMode::kDualClock, ++seed);
+  }
+  EXPECT_GT(restores, 50);
+}
+
+// A failed step changes nothing, later steps are refused, and restoring a
+// mark taken before the failure clears the error.
+TEST(Folder, RestoreUndoesAFailedStep) {
+  const Log log =
+      record_sim(sim_config(2, core::DetectorMode::kDualClock), spawn_synced);
+  ASSERT_GT(log.events.size(), 4u);
+  const std::size_t half = log.events.size() / 2;
+  Folder folder(log, log.header.mode);
+  for (std::size_t i = 0; i < half; ++i) ASSERT_TRUE(folder.step(log.events[i]));
+  const Folder::Mark mark = folder.checkpoint();
+  const std::string digest = folder.state_digest();
+  EXPECT_FALSE(folder.step(Event{EventKind::kThreadPut, 0, 99, 8}));
+  EXPECT_TRUE(folder.error().starts_with("[bad-trace] event #" + std::to_string(half)))
+      << folder.error();
+  EXPECT_FALSE(folder.step(log.events[half]));  // a failed fold stays failed.
+  folder.restore(mark);
+  EXPECT_TRUE(folder.ok());
+  EXPECT_EQ(folder.state_digest(), digest);
+  for (std::size_t i = half; i < log.events.size(); ++i) {
+    ASSERT_TRUE(folder.step(log.events[i])) << folder.error();
+  }
+  const ReplayResult folded =
+      std::move(folder).finish(log.live.completed, log.live.stuck_ranks);
+  EXPECT_EQ(folded.signature, log.live);
+}
+
+// A wait may consume a later same-channel send first (reordering under
+// perturbation or faults); restore must put that send back at its own
+// position in the queue, not at the front.
+TEST(Folder, RestorePutsAReorderedSignalBackInPlace) {
+  Log log;
+  log.header.nprocs = 2;
+  log.header.backend = Backend::kThread;
+  log.areas = {{0, 8, "x"}};
+  log.events = {
+      {EventKind::kSignal, 1, 0, 7},       {EventKind::kSignal, 1, 0, 7},
+      {EventKind::kWaitMatch, 0, 1, 7, 2}, {EventKind::kWaitMatch, 0, 1, 7, 1},
+  };
+  Folder folder(log, core::DetectorMode::kDualClock);
+  ASSERT_TRUE(folder.step(log.events[0]));
+  ASSERT_TRUE(folder.step(log.events[1]));
+  const Folder::Mark mark = folder.checkpoint();
+  const std::string digest = folder.state_digest();
+  EXPECT_NE(digest.find("signal 1->0 t7: 01 02"), std::string::npos) << digest;
+  ASSERT_TRUE(folder.step(log.events[2]));
+  folder.restore(mark);
+  EXPECT_EQ(folder.state_digest(), digest);
+  ASSERT_TRUE(folder.step(log.events[2]));
+  ASSERT_TRUE(folder.step(log.events[3]));
+  EXPECT_EQ(folder.state_digest(), replay_state_digest(log, core::DetectorMode::kDualClock));
+}
+
+// replay_state_digest is a contract: the explorer's independence property
+// test and parent-vs-change checks compare digests byte for byte. This
+// pins the digests of the fuzzed sim logs (every event kind, all three
+// transports) at two fold modes.
+TEST(Folder, StateDigestsOfFuzzedSimLogsArePinned) {
+  std::string all;
+  for (const Log& log : fuzzed_sim_logs()) {
+    for (const core::DetectorMode mode :
+         {core::DetectorMode::kDualClock, core::DetectorMode::kOff}) {
+      all += replay_state_digest(log, mode);
+    }
+  }
+  const auto* bytes = reinterpret_cast<const std::byte*>(all.data());
+  EXPECT_EQ(fnv1a({bytes, all.size()}), 0x3338acab612abc96ull) << all.size() << " digest bytes";
 }
 
 }  // namespace
