@@ -12,9 +12,11 @@
 //    epoch comparison (two integer compares, O(1)) or the vectorized full
 //    comparison happens once, however many areas the run covers. This is
 //    what detect::ShardedDetector::check_range feeds per shard.
-//  * `check_access` — the legacy single-area entry point, kept as a thin
-//    wrapper over a one-element span so every existing call site (and the
-//    P-test/P8 bit-identity property suites) keeps working unchanged.
+//  * `check_access` — the legacy single-area entry point over arbitrary
+//    caller-assembled state, a thin wrapper over a one-element span. The
+//    protocols no longer call it (they go through detect/transitions.hpp);
+//    the offline ground truth (analysis/ground_truth.cpp), the gated kernel
+//    benches and the P-test/P8 bit-identity property suites do.
 //  * `check_access_oracle` — the original always-O(n) full-vector-clock
 //    path, kept as the property-test oracle: all entry points must return
 //    bit-identical verdicts on every input the protocols can produce (and

@@ -10,6 +10,9 @@
 //    clock the accessor merges on completion, store the accessor's clock.
 //  * home_apply    — a put/get applied at its home NIC: check the issue
 //    clock, store the home's post-receive clock.
+//  * initiator_check — the separate and piggyback transports' check at the
+//    initiator, against the V/W a grant or clock response fetched from the
+//    home: the same one-slot check the home-side apply makes.
 //  * hand_off      — a user-lock release reaching the lock's handoff clock.
 //
 // Race callbacks run before the store, so `detector.prior_clock` and
@@ -71,6 +74,28 @@ bool home_apply(ShardedDetector& detector, core::DetectorMode mode, core::Access
   detector.store_access(id, detector.home(), home_clock,
                         kind == core::AccessKind::kWrite, src, event_id);
   return raced;
+}
+
+/// Initiator-side check of `accessor`'s issue clock against the V/W
+/// fetched from `home`, with the initiator ranks of the events that stored
+/// them. The fetched clocks are the home's stored post-event clocks —
+/// event clocks of `home` — so their epochs are Epoch::of_event(home, ·)
+/// with no extra wire data, and the verdict comes from the same one-slot
+/// core::check_span call that ShardedDetector::check_one makes.
+inline core::Verdict initiator_check(core::DetectorMode mode, core::AccessKind kind,
+                                     Rank accessor, const clocks::VectorClock& issue_clock,
+                                     Rank home, const clocks::VectorClock& v,
+                                     const clocks::VectorClock& w, Rank prior_access_rank,
+                                     Rank prior_write_rank) {
+  const bool use_v = core::detail::compares_against_v(mode, kind);
+  const clocks::VectorClock* stored = use_v ? &v : &w;
+  const clocks::Epoch epoch = clocks::Epoch::of_event(home, *stored);
+  const Rank prior = use_v ? prior_access_rank : prior_write_rank;
+  core::Verdict verdict;
+  core::check_span(mode, kind, accessor, issue_clock, core::SpanLane{&epoch, &prior, &stored},
+                   1, /*trusted_epochs=*/true,
+                   [&](std::size_t, std::size_t, const core::Verdict& run) { verdict = run; });
+  return verdict;
 }
 
 /// Lock handoff: a release joins the lock's handoff clock (empty until the

@@ -7,16 +7,17 @@
 namespace dsmr::mem {
 
 PublicSegment::PublicSegment(Rank home, std::uint32_t size, std::size_t nprocs)
-    : home_(home), nprocs_(nprocs), bytes_(size) {
+    : home_(home), nprocs_(nprocs), capacity_(size) {
   DSMR_REQUIRE(nprocs > 0, "segment needs a positive process count");
+  bytes_.reserve(size);
 }
 
 AreaId PublicSegment::register_area(std::uint32_t offset, std::uint32_t size,
                                     std::string name) {
   DSMR_REQUIRE(size > 0, "area '" << name << "' must have positive size");
-  DSMR_REQUIRE(offset + size <= bytes_.size(),
+  DSMR_REQUIRE(std::uint64_t{offset} + size <= capacity_,
                "area '" << name << "' [" << offset << "," << offset + size
-                        << ") exceeds segment of " << bytes_.size() << " bytes");
+                        << ") exceeds segment of " << capacity_ << " bytes");
   // Overlap check against neighbours in the sorted prefix, then against
   // every entry of the (bounded) unsorted tail. Rejection stays immediate —
   // an overlapping registration must die here, not at some later flush.
@@ -56,6 +57,7 @@ AreaId PublicSegment::register_area(std::uint32_t offset, std::uint32_t size,
     if (tail_.size() >= kMaxTail) flush_tail();
   }
   bump_ = std::max(bump_, offset + size);
+  if (bump_ > bytes_.size()) bytes_.resize(bump_);  // within the reservation.
   return id;
 }
 
@@ -120,13 +122,15 @@ std::size_t PublicSegment::index_bytes() const {
 }
 
 std::span<std::byte> PublicSegment::bytes(std::uint32_t offset, std::uint32_t len) {
-  DSMR_REQUIRE(offset + len <= bytes_.size(), "byte range out of segment bounds");
+  DSMR_REQUIRE(std::uint64_t{offset} + len <= bytes_.size(),
+               "byte range out of the registered extent");
   return {bytes_.data() + offset, len};
 }
 
 std::span<const std::byte> PublicSegment::bytes(std::uint32_t offset,
                                                 std::uint32_t len) const {
-  DSMR_REQUIRE(offset + len <= bytes_.size(), "byte range out of segment bounds");
+  DSMR_REQUIRE(std::uint64_t{offset} + len <= bytes_.size(),
+               "byte range out of the registered extent");
   return {bytes_.data() + offset, len};
 }
 

@@ -25,6 +25,13 @@
 // unsorted tail, linearly scanned by lookups, that is merged (sort +
 // inplace_merge, then a table rebuild) only when it fills. Areas live in a
 // deque so `Area*` stays stable across registrations.
+//
+// Byte storage is materialized with the registrations, not the segment:
+// construction reserves the whole capacity without touching it, and
+// register_area zero-fills up to the highest registered end. The buffer
+// never reallocates, so spans into it stay valid, and a world whose
+// programs register a few hundred bytes no longer pays for zeroing a
+// megabyte per rank.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +64,8 @@ class PublicSegment {
   PublicSegment(Rank home, std::uint32_t size, std::size_t nprocs);
 
   Rank home() const { return home_; }
-  std::uint32_t size() const { return static_cast<std::uint32_t>(bytes_.size()); }
+  /// The segment's capacity: the bound registrations must fit in.
+  std::uint32_t size() const { return capacity_; }
   std::size_t nprocs() const { return nprocs_; }
 
   /// Registers [offset, offset+size) as a shared area. Areas must not
@@ -83,7 +91,8 @@ class PublicSegment {
   /// table): grows with the registered extent, not with size().
   std::size_t index_bytes() const;
 
-  /// Raw byte access (bounds-checked).
+  /// Raw byte access, bounds-checked against the materialized extent
+  /// (the highest registered area end).
   std::span<std::byte> bytes(std::uint32_t offset, std::uint32_t len);
   std::span<const std::byte> bytes(std::uint32_t offset, std::uint32_t len) const;
 
@@ -109,7 +118,8 @@ class PublicSegment {
 
   Rank home_;
   std::size_t nprocs_;
-  std::vector<std::byte> bytes_;
+  std::uint32_t capacity_;
+  std::vector<std::byte> bytes_;  ///< reserved to capacity_; sized to the extent.
   std::deque<Area> areas_;              ///< deque: stable Area* across growth.
   std::vector<IndexEntry> by_offset_;   ///< sorted prefix.
   /// granule g → first by_offset_ position whose area ends past g * 64;

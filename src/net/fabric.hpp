@@ -1,14 +1,12 @@
-// Abstract interconnect interface + traffic accounting.
+// Traffic accounting shared by both interconnects (net::SimFabric and
+// net::ThreadFabric).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "net/message.hpp"
-#include "sim/time.hpp"
-#include "util/types.hpp"
 
 namespace dsmr::net {
 
@@ -78,28 +76,6 @@ struct TrafficCounters {
   }
 
   bool operator==(const TrafficCounters&) const = default;
-};
-
-/// The interconnection network. Implementations must deliver messages
-/// between a given ordered pair of ranks in FIFO order — the paper's model
-/// (like InfiniBand/Myrinet channels) assumes ordered point-to-point links.
-class Fabric {
- public:
-  using Handler = std::function<void(const Message&)>;
-
-  virtual ~Fabric() = default;
-
-  /// Registers the receive handler (the NIC) for `rank`.
-  virtual void attach(Rank rank, Handler handler) = 0;
-
-  /// Sends `m` from m.src to m.dst; delivery is asynchronous. Returns the
-  /// virtual time at which the message will be delivered — the sending NIC
-  /// uses it to model transfer occupancy (an area stays locked until a get
-  /// response has fully arrived; paper Fig. 3).
-  virtual sim::Time send(Message m) = 0;
-
-  virtual const TrafficCounters& counters() const = 0;
-  virtual void reset_counters() = 0;
 };
 
 }  // namespace dsmr::net

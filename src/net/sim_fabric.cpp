@@ -36,7 +36,8 @@ SimFabric::SimFabric(sim::Engine& engine, int nranks, LatencyModel model,
       perturb_(perturb, seed, /*stream=*/0),
       fault_(std::move(fault)),
       fault_rng_(fault_stream_seed(seed, fault_.salt)),
-      handlers_(static_cast<std::size_t>(nranks)) {
+      handlers_(static_cast<std::size_t>(nranks)),
+      channel_front_(static_cast<std::size_t>(nranks) * static_cast<std::size_t>(nranks)) {
   DSMR_REQUIRE(nranks > 0, "fabric needs at least one rank");
 }
 
@@ -47,34 +48,43 @@ void SimFabric::attach(Rank rank, Handler handler) {
 }
 
 sim::Time SimFabric::send(Message m) {
-  DSMR_REQUIRE(m.src >= 0 && static_cast<std::size_t>(m.src) < handlers_.size(),
+  const std::size_t nranks = handlers_.size();
+  DSMR_REQUIRE(m.src >= 0 && static_cast<std::size_t>(m.src) < nranks,
                "send: bad src rank " << m.src);
-  DSMR_REQUIRE(m.dst >= 0 && static_cast<std::size_t>(m.dst) < handlers_.size(),
+  DSMR_REQUIRE(m.dst >= 0 && static_cast<std::size_t>(m.dst) < nranks,
                "send: bad dst rank " << m.dst);
-  counters_.record(m);
+  const std::size_t clock_bytes = m.charged_clock_bytes();
+  counters_.charge(m.type, m.data.size(), clock_bytes);
 
   // Perturbation skew is added to the raw cost, *before* the FIFO clamp
   // below — so exploration can reorder deliveries on distinct channels but
   // never violate the model's per-channel FIFO guarantee.
   const sim::Time cost =
-      model_.cost(m.wire_size(), m.src == m.dst, rng_) + perturb_.skew();
-  const auto key = std::make_pair(m.src, m.dst);
-  sim::Time deliver_at = engine_.now() + cost;
+      model_.cost(Message::kHeaderBytes + m.data.size() + clock_bytes, m.src == m.dst, rng_) +
+      perturb_.skew();
   // FIFO per ordered pair: never deliver before an earlier message on the
   // same channel. Strictly-after (+1ns) keeps same-channel deliveries at
   // distinct times, which makes traces easier to read.
-  const auto it = channel_front_.find(key);
-  if (it != channel_front_.end() && deliver_at <= it->second) {
-    deliver_at = it->second + 1;
-  }
-  channel_front_[key] = deliver_at;
+  sim::Time& front =
+      channel_front_[static_cast<std::size_t>(m.src) * nranks + static_cast<std::size_t>(m.dst)];
+  const sim::Time deliver_at = std::max(engine_.now() + cost, front);
+  front = deliver_at + 1;
 
   if (tap_) tap_(engine_.now(), deliver_at, m);
 
   if (!fault_.wire_enabled()) {
     // Perfect ordered wire: the original model, bit-identical to a fabric
     // built without a plan.
-    engine_.schedule_at(deliver_at, [this, m = std::move(m)]() { deliver(m); });
+    std::uint64_t slot;
+    if (free_slots_.empty()) {
+      slot = in_flight_.size();
+      in_flight_.push_back(std::move(m));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      in_flight_[slot] = std::move(m);
+    }
+    engine_.schedule_call(deliver_at, &SimFabric::deliver_parked, this, slot);
     return deliver_at;
   }
 
@@ -84,11 +94,18 @@ sim::Time SimFabric::send(Message m) {
   // The returned time models the first transmission's occupancy (Fig. 3);
   // if a fault swallows that attempt, the actual delivery happens on a
   // retransmission.
-  auto& sender = senders_[key];
+  auto& sender = senders_[std::make_pair(m.src, m.dst)];
   m.transport_seq = sender.assign_seq();
   launch(m, 1, deliver_at);
   sender.register_send(std::move(m), engine_.now());
   return deliver_at;
+}
+
+void SimFabric::deliver_parked(void* fabric, std::uint64_t slot) {
+  auto& self = *static_cast<SimFabric*>(fabric);
+  Message m = std::move(self.in_flight_[slot]);
+  self.free_slots_.push_back(static_cast<std::uint32_t>(slot));
+  self.deliver(std::move(m));
 }
 
 bool SimFabric::blacked_out(Rank src, Rank dst, sim::Time t) const {
@@ -160,7 +177,7 @@ void SimFabric::on_wire_arrival(Message m, bool corrupted) {
       receiver.buffer(std::move(m));
       break;  // acked now — it is safely stored; delivery waits for the gap.
     case ReceiverWindow::Action::kDeliver:
-      for (const auto& ready : receiver.deliver(std::move(m))) deliver(ready);
+      for (auto& ready : receiver.deliver(std::move(m))) deliver(std::move(ready));
       break;
   }
   send_ack(src, dst, seq);
@@ -210,10 +227,10 @@ void SimFabric::on_retry_timer(LinkKey key, std::uint64_t seq, int attempt) {
   launch(pending->msg, pending->attempts, engine_.now() + cost);
 }
 
-void SimFabric::deliver(const Message& m) {
+void SimFabric::deliver(Message&& m) {
   const auto& handler = handlers_[static_cast<std::size_t>(m.dst)];
   DSMR_CHECK_MSG(handler, "message to rank " << m.dst << " with no attached NIC");
-  handler(m);
+  handler(std::move(m));
 }
 
 std::vector<LinkDiagnostic> SimFabric::unacked() const {

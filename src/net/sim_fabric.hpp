@@ -1,8 +1,21 @@
 // Simulated interconnect with a latency/bandwidth/jitter cost model, an
 // optional fault-injection plane (net/fault.hpp) and the reliable transport
 // that masks recoverable faults (net/reliable.hpp).
+//
+// Messages between a given ordered pair of ranks are delivered in FIFO
+// order — the paper's model (like InfiniBand/Myrinet channels) assumes
+// ordered point-to-point links.
+//
+// On the perfect wire a send moves its Message into a reusable in-flight
+// slab and schedules a plain engine event carrying the slot index; the
+// delivery moves the Message out again and hands it to the receiving NIC
+// as an rvalue, so a message is never copied between send and receive.
+// The per-link FIFO clamp reads a flat nranks² array. The reliable
+// transport (fault plans) keeps its own per-link windows and timers and
+// ends in the same delivery entry point.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -50,8 +63,12 @@ struct LinkDiagnostic {
   std::string describe() const;
 };
 
-class SimFabric final : public Fabric {
+class SimFabric {
  public:
+  /// A rank's receive handler (its NIC). Handlers taking `const Message&`
+  /// bind too.
+  using Handler = std::function<void(Message&&)>;
+
   /// `perturb` adds seeded delay-bound skew to every delivery (schedule
   /// exploration, sim/perturb.hpp); the default is the identity. `fault`
   /// switches the wire onto the fault-injection plane + reliable transport;
@@ -62,11 +79,20 @@ class SimFabric final : public Fabric {
   SimFabric(sim::Engine& engine, int nranks, LatencyModel model, std::uint64_t seed,
             sim::PerturbConfig perturb = {}, FaultPlan fault = {});
 
-  void attach(Rank rank, Handler handler) override;
-  sim::Time send(Message m) override;
+  SimFabric(const SimFabric&) = delete;
+  SimFabric& operator=(const SimFabric&) = delete;
 
-  const TrafficCounters& counters() const override { return counters_; }
-  void reset_counters() override { counters_.reset(); }
+  /// Registers the receive handler (the NIC) for `rank`.
+  void attach(Rank rank, Handler handler);
+
+  /// Sends `m` from m.src to m.dst; delivery is asynchronous. Returns the
+  /// virtual time at which the message will be delivered — the sending NIC
+  /// uses it to model transfer occupancy (an area stays locked until a get
+  /// response has fully arrived; paper Fig. 3).
+  sim::Time send(Message m);
+
+  const TrafficCounters& counters() const { return counters_; }
+  void reset_counters() { counters_.reset(); }
 
   const LatencyModel& model() const { return model_; }
   const FaultPlan& fault_plan() const { return fault_; }
@@ -99,7 +125,10 @@ class SimFabric final : public Fabric {
   void on_wire_arrival(Message m, bool corrupted);
   void send_ack(Rank data_src, Rank data_dst, std::uint64_t seq);
   void on_retry_timer(LinkKey key, std::uint64_t seq, int attempt);
-  void deliver(const Message& m);
+  /// The perfect wire's delivery event: moves the message out of its
+  /// in-flight slot (`fabric` is the SimFabric).
+  static void deliver_parked(void* fabric, std::uint64_t slot);
+  void deliver(Message&& m);
 
   sim::Engine& engine_;
   LatencyModel model_;
@@ -111,11 +140,16 @@ class SimFabric final : public Fabric {
   /// perturbation streams — (seed, perturb, fault) is the replay coordinate.
   util::Rng fault_rng_;
   std::vector<Handler> handlers_;
-  /// Per ordered (src,dst) pair: the latest scheduled delivery time, used to
-  /// enforce FIFO even when jitter would reorder two back-to-back sends.
-  /// Only original transmissions update it; retransmissions bypass it (the
-  /// receiver window restores ordering).
-  std::map<LinkKey, sim::Time> channel_front_;
+  /// Per ordered (src,dst) pair, at src * nranks + dst: one past the latest
+  /// scheduled delivery time (0: no message yet), used to enforce FIFO even
+  /// when jitter would reorder two back-to-back sends. Only original
+  /// transmissions update it; retransmissions bypass it (the receiver
+  /// window restores ordering).
+  std::vector<sim::Time> channel_front_;
+  /// Perfect-wire messages between send and delivery, by slot; free slots
+  /// are reused.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::map<LinkKey, SenderWindow> senders_;
   std::map<LinkKey, ReceiverWindow> receivers_;
   TrafficCounters counters_;

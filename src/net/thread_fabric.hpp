@@ -4,9 +4,9 @@
 // Where SimFabric models a wire with virtual latency, ThreadFabric IS the
 // shared memory of one process: ranks are OS threads, a "message" is a
 // mutex-protected mailbox append, and delivery order is whatever the
-// machine's scheduler produces. Consequently it does not implement the
-// sim-facing net::Fabric interface (whose send() returns a virtual
-// delivery time) — only the two services the threaded runtime needs:
+// machine's scheduler produces. Consequently it has no send() returning a
+// virtual delivery time, as SimFabric does — only the two services the
+// threaded runtime needs:
 //
 //  * tagged signal delivery (signal / wait_signal with a deadline), the
 //    substrate for point-to-point sync edges and dissemination barriers;

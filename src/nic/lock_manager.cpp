@@ -7,16 +7,23 @@
 
 namespace dsmr::nic {
 
-sim::Future<void> LockManager::acquire(mem::AreaId area, LockToken token) {
+bool LockManager::try_acquire(mem::AreaId area, LockToken token) {
   AreaLock& lock = locks_[area];
+  if (lock.held) return false;
   ++stats_.acquisitions;
-  if (!lock.held) {
-    lock.held = true;
-    lock.holder = token;
+  lock.held = true;
+  lock.holder = token;
+  return true;
+}
+
+sim::Future<void> LockManager::acquire(mem::AreaId area, LockToken token) {
+  if (try_acquire(area, token)) {
     sim::Promise<void> immediate;
     immediate.set_value();
     return immediate.future();
   }
+  AreaLock& lock = locks_[area];
+  ++stats_.acquisitions;
   DSMR_CHECK_MSG(lock.holder != token, "re-entrant lock acquisition on area " << area);
   ++stats_.contended;
   lock.waiters.emplace_back(token, sim::Promise<void>{});

@@ -40,6 +40,11 @@ class LockManager {
   /// lock is granted (immediately when uncontended).
   sim::Future<void> acquire(mem::AreaId area, LockToken token);
 
+  /// Grants the lock on `area` to `token` when it is free and returns true;
+  /// returns false, recording nothing, when it is held. The uncontended
+  /// half of acquire() without building a future.
+  bool try_acquire(mem::AreaId area, LockToken token);
+
   /// Releases the lock; `token` must be the current holder. The next queued
   /// waiter (FIFO) is granted via the engine queue.
   void release(mem::AreaId area, LockToken token);

@@ -16,21 +16,7 @@ using core::Transport;
 using net::Message;
 using net::MsgType;
 
-namespace {
-/// Detection state from clocks fetched off a home NIC: the carried V/W are
-/// the home's stored post-event clocks — event clocks of `home` — so their
-/// epoch witnesses derive from the home rank for free (no extra wire data).
-core::StoredClocks stored_from(const Message& m, Rank home) {
-  return core::StoredClocks{m.clock,
-                            m.clock2,
-                            m.prior_access_rank,
-                            m.prior_write_rank,
-                            clocks::Epoch::of_event(home, m.clock),
-                            clocks::Epoch::of_event(home, m.clock2)};
-}
-}  // namespace
-
-Nic::Nic(Rank rank, sim::Engine& engine, net::Fabric& fabric, mem::PublicSegment& segment,
+Nic::Nic(Rank rank, sim::Engine& engine, net::SimFabric& fabric, mem::PublicSegment& segment,
          detect::ShardedDetector& detector, clocks::VectorClock& clock, NicConfig config,
          core::RaceLog& races, core::EventLog& events)
     : rank_(rank),
@@ -60,37 +46,39 @@ Message Nic::make(MsgType type, Rank dst, std::uint64_t op_id, std::uint32_t are
 }
 
 sim::Future<Message> Nic::request(Message m) {
-  sim::Promise<Message> promise;
-  const auto [it, inserted] = pending_.emplace(m.op_id, promise);
+  const auto [it, inserted] = pending_.try_emplace(m.op_id);
   DSMR_CHECK_MSG(inserted, "duplicate in-flight op id " << m.op_id << " on rank " << rank_);
-  (void)it;
-  pending_info_[m.op_id] = PendingInfo{m.type, m.dst, m.area};
+  Pending& pending = it->second;
+  pending.type = m.type;
+  pending.dst = m.dst;
+  pending.area = m.area;
+  sim::Future<Message> future = pending.promise.future();
   fabric_.send(std::move(m));
-  return promise.future();
+  return future;
 }
 
-void Nic::resolve_pending(const Message& m) {
+void Nic::resolve_pending(Message&& m) {
   const auto it = pending_.find(m.op_id);
   DSMR_CHECK_MSG(it != pending_.end(),
                  "response " << m.describe() << " with no pending op on rank " << rank_);
-  sim::Promise<Message> promise = it->second;
+  // Drop the table's reference before resolving, so the awaiting future
+  // holds the last one and receives the message without a copy.
+  sim::Promise<Message> promise = std::move(it->second.promise);
   pending_.erase(it);
-  pending_info_.erase(m.op_id);
-  promise.set_value(m);
+  promise.set_value(std::move(m));
 }
 
 std::vector<std::string> Nic::pending_ops() const {
   // Deterministic order (op id, then tag) — the watchdog diagnostic must be
   // stable across runs for repro diffing.
   std::vector<std::pair<std::uint64_t, std::string>> lines;
-  for (const auto& [op_id, info] : pending_info_) {
+  for (const auto& [op_id, info] : pending_) {
     std::ostringstream out;
     out << "op " << op_id << " " << net::to_string(info.type) << " -> P" << info.dst
         << " area " << info.area << " (awaiting response)";
     lines.emplace_back(op_id, out.str());
   }
   for (const auto& [tag, waiters] : signal_waiters_) {
-    if (waiters.empty()) continue;
     std::ostringstream out;
     out << "waiting for signal tag " << tag << " (" << waiters.size() << " waiter"
         << (waiters.size() == 1 ? "" : "s") << ")";
@@ -142,24 +130,19 @@ sim::Future<PutResult> Nic::put(mem::GlobalAddress dst, std::vector<std::byte> d
     // W' = get_clock_W(P1, dst); V' = get_clock(P1, dst)
     const Message clocks = co_await request(make(MsgType::kClockFetch, dst.rank, op, area->id));
     // if ¬compare(V, V') ∧ ¬compare(V', V): signal_race_condition()
-    const auto verdict = core::check_access(config_.mode, AccessKind::kWrite, rank_,
-                                            ctx.issue_clock, stored_from(clocks, dst.rank));
-    if (verdict.race) {
-      record_initiator_report(AccessKind::kWrite, dst.rank, *area, ctx, clocks, verdict);
-      result.raced = true;
-    }
+    result.raced = check_at_initiator(AccessKind::kWrite, dst.rank, *area, ctx, clocks);
     // put(P0, src, P1, dst)
     Message put_msg = make(MsgType::kPutData, dst.rank, op, area->id);
     put_msg.offset = offset;
     put_msg.data = std::move(data);
-    co_await request(put_msg);
+    co_await request(std::move(put_msg));
     // update_clock_W(P1, dst); update_clock(P1, dst)
     Message clock_event = make(MsgType::kClockEvent, dst.rank, op, area->id);
     clock_event.flag = true;  // is-write
-    clock_event.clock = ctx.issue_clock;
+    clock_event.clock = std::move(ctx.issue_clock);
     clock_event.event_id = ctx.event_id;
-    const Message ack = co_await request(clock_event);
-    result.home_clock = ack.clock;
+    Message ack = co_await request(std::move(clock_event));
+    result.home_clock = std::move(ack.clock);
     // unlock(P1, dst)
     Message unlock = make(MsgType::kUnlock, dst.rank, op, area->id);
     unlock.tag = delegated ? 1 : 0;
@@ -170,20 +153,15 @@ sim::Future<PutResult> Nic::put(mem::GlobalAddress dst, std::vector<std::byte> d
   if (transport == Transport::kPiggyback) {
     const Message grant =
         co_await request(make(MsgType::kLockFetchRequest, dst.rank, op, area->id));
-    const auto verdict = core::check_access(config_.mode, AccessKind::kWrite, rank_,
-                                            ctx.issue_clock, stored_from(grant, dst.rank));
-    if (verdict.race) {
-      record_initiator_report(AccessKind::kWrite, dst.rank, *area, ctx, grant, verdict);
-      result.raced = true;
-    }
+    result.raced = check_at_initiator(AccessKind::kWrite, dst.rank, *area, ctx, grant);
     Message commit = make(MsgType::kPutCommit, dst.rank, op, area->id);
     commit.offset = offset;
     commit.data = std::move(data);
-    commit.clock = ctx.issue_clock;
+    commit.clock = std::move(ctx.issue_clock);
     commit.event_id = ctx.event_id;
     commit.flag = false;  // verdict already decided initiator-side
-    const Message ack = co_await request(commit);
-    result.home_clock = ack.clock;
+    Message ack = co_await request(std::move(commit));
+    result.home_clock = std::move(ack.clock);
     co_return result;
   }
 
@@ -191,11 +169,11 @@ sim::Future<PutResult> Nic::put(mem::GlobalAddress dst, std::vector<std::byte> d
   Message commit = make(MsgType::kPutCommit, dst.rank, op, area->id);
   commit.offset = offset;
   commit.data = std::move(data);
-  commit.clock = ctx.issue_clock;
+  commit.clock = std::move(ctx.issue_clock);
   commit.event_id = ctx.event_id;
   commit.flag = config_.mode != DetectorMode::kOff;  // home decides the verdict
-  const Message ack = co_await request(commit);
-  result.home_clock = ack.clock;
+  Message ack = co_await request(std::move(commit));
+  result.home_clock = std::move(ack.clock);
   result.raced = ack.flag;
   co_return result;
 }
@@ -220,23 +198,18 @@ sim::Future<GetResult> Nic::get(mem::GlobalAddress src, std::uint32_t len, OpCon
     const Message clocks = co_await request(make(MsgType::kClockFetch, src.rank, op, area->id));
     // Algorithm 2 compares the reader clock with the *write* clock W:
     // concurrent reads are not conflicts (Fig. 4).
-    const auto verdict = core::check_access(config_.mode, AccessKind::kRead, rank_,
-                                            ctx.issue_clock, stored_from(clocks, src.rank));
-    if (verdict.race) {
-      record_initiator_report(AccessKind::kRead, src.rank, *area, ctx, clocks, verdict);
-      result.raced = true;
-    }
+    result.raced = check_at_initiator(AccessKind::kRead, src.rank, *area, ctx, clocks);
     Message get_msg = make(MsgType::kGetRequest, src.rank, op, area->id);
     get_msg.offset = offset;
     get_msg.length = len;
-    const Message data_resp = co_await request(get_msg);
-    result.data = data_resp.data;
+    Message data_resp = co_await request(std::move(get_msg));
+    result.data = std::move(data_resp.data);
     Message clock_event = make(MsgType::kClockEvent, src.rank, op, area->id);
     clock_event.flag = false;  // read
-    clock_event.clock = ctx.issue_clock;
+    clock_event.clock = std::move(ctx.issue_clock);
     clock_event.event_id = ctx.event_id;
-    const Message ack = co_await request(clock_event);
-    result.home_clock = ack.clock;
+    Message ack = co_await request(std::move(clock_event));
+    result.home_clock = std::move(ack.clock);
     Message unlock = make(MsgType::kUnlock, src.rank, op, area->id);
     unlock.tag = delegated ? 1 : 0;
     fabric_.send(std::move(unlock));
@@ -248,12 +221,12 @@ sim::Future<GetResult> Nic::get(mem::GlobalAddress src, std::uint32_t len, OpCon
   Message get_msg = make(MsgType::kGetLockedRequest, src.rank, op, area->id);
   get_msg.offset = offset;
   get_msg.length = len;
-  get_msg.clock = ctx.issue_clock;
+  get_msg.clock = std::move(ctx.issue_clock);
   get_msg.event_id = ctx.event_id;
   get_msg.flag = config_.mode != DetectorMode::kOff;
-  const Message resp = co_await request(get_msg);
-  result.data = resp.data;
-  result.home_clock = resp.clock;
+  Message resp = co_await request(std::move(get_msg));
+  result.data = std::move(resp.data);
+  result.home_clock = std::move(resp.clock);
   result.raced = resp.flag;
   co_return result;
 }
@@ -267,8 +240,8 @@ sim::Future<UserLockResult> Nic::user_lock(mem::GlobalAddress addr) {
   DSMR_REQUIRE(area != nullptr, "lock on unregistered public memory at " << addr.to_string());
   Message m = make(MsgType::kLockRequest, addr.rank, kUserLockOp, area->id);
   m.flag = true;  // user lock: grant carries the handoff clock.
-  const Message grant = co_await request(m);
-  co_return UserLockResult{grant.clock};
+  Message grant = co_await request(std::move(m));
+  co_return UserLockResult{std::move(grant.clock)};
 }
 
 void Nic::user_unlock(mem::GlobalAddress addr, const clocks::VectorClock& release_clock) {
@@ -296,35 +269,38 @@ void Nic::send_signal(Rank to, std::uint64_t tag, clocks::VectorClock clock,
   fabric_.send(std::move(m));
 }
 
+// Collective tags are unique per epoch and round, so both tables erase an
+// entry as soon as its queue drains: a long run does not accumulate one
+// empty queue per barrier ever passed.
+
 sim::Future<Message> Nic::wait_signal(std::uint64_t tag) {
-  auto& queue = queued_signals_[tag];
-  if (!queue.empty()) {
-    Message m = std::move(queue.front());
-    queue.pop_front();
-    sim::Promise<Message> immediate;
-    immediate.set_value(std::move(m));
-    return immediate.future();
+  sim::Promise<Message> promise;
+  if (const auto it = queued_signals_.find(tag); it != queued_signals_.end()) {
+    promise.set_value(std::move(it->second.front()));
+    it->second.pop_front();
+    if (it->second.empty()) queued_signals_.erase(it);
+    return promise.future();
   }
-  signal_waiters_[tag].emplace_back();
-  return signal_waiters_[tag].back().future();
+  signal_waiters_[tag].push_back(promise);
+  return promise.future();
 }
 
-void Nic::handle_signal(const Message& m) {
-  auto& waiters = signal_waiters_[m.tag];
-  if (!waiters.empty()) {
-    sim::Promise<Message> promise = std::move(waiters.front());
-    waiters.pop_front();
-    promise.set_value(m);
+void Nic::handle_signal(Message&& m) {
+  if (const auto it = signal_waiters_.find(m.tag); it != signal_waiters_.end()) {
+    sim::Promise<Message> promise = std::move(it->second.front());
+    it->second.pop_front();
+    if (it->second.empty()) signal_waiters_.erase(it);
+    promise.set_value(std::move(m));
     return;
   }
-  queued_signals_[m.tag].push_back(m);
+  queued_signals_[m.tag].push_back(std::move(m));
 }
 
 // ---------------------------------------------------------------------------
 // Home-side handlers.
 // ---------------------------------------------------------------------------
 
-void Nic::on_message(const Message& m) {
+void Nic::on_message(Message&& m) {
   switch (m.type) {
     // Responses routed back to the awaiting initiator coroutine.
     case MsgType::kLockGrant:
@@ -335,14 +311,12 @@ void Nic::on_message(const Message& m) {
     case MsgType::kLockFetchGrant:
     case MsgType::kPutCommitAck:
     case MsgType::kGetLockedResponse:
-      resolve_pending(m);
+      resolve_pending(std::move(m));
       return;
 
     case MsgType::kLockRequest:
-      handle_lock_request(m, /*with_clocks=*/false);
-      return;
     case MsgType::kLockFetchRequest:
-      handle_lock_request(m, /*with_clocks=*/true);
+      handle_lock_request(std::move(m));
       return;
     case MsgType::kUnlock:
       handle_unlock(m);
@@ -360,48 +334,55 @@ void Nic::on_message(const Message& m) {
       handle_get_request(m);
       return;
     case MsgType::kPutCommit:
-      handle_put_commit(m);
+      handle_put_commit(std::move(m));
       return;
     case MsgType::kGetLockedRequest:
-      handle_get_locked(m);
+      handle_get_locked(std::move(m));
       return;
     case MsgType::kSignal:
-      handle_signal(m);
+      handle_signal(std::move(m));
       return;
   }
   DSMR_UNREACHABLE("unhandled message type");
 }
 
-void Nic::handle_lock_request(const Message& m, bool with_clocks) {
-  const auto grant_type = with_clocks ? MsgType::kLockFetchGrant : MsgType::kLockGrant;
-  auto send_grant = [this, m, grant_type](bool delegated) {
-    Message grant;
-    grant.type = grant_type;
-    grant.tag = delegated ? 1 : 0;
-    if (grant_type == MsgType::kLockFetchGrant) {
-      grant.clock = detector_.v_clock(m.area);
-      grant.clock2 = detector_.w_clock(m.area);
-      grant.event_id = detector_.last_access_event(m.area);
-      grant.event_id2 = detector_.last_write_event(m.area);
-      grant.prior_access_rank = detector_.last_access_rank(m.area);
-      grant.prior_write_rank = detector_.last_write_rank(m.area);
-    } else if (m.flag && config_.lock_clock_handoff) {
-      // User lock: hand over the previous releaser's clock (HB edge).
-      if (const clocks::VectorClock* handoff = locks_.handoff(m.area)) {
-        grant.clock = *handoff;
-      }
-    }
-    reply(m, std::move(grant));
-  };
-
+void Nic::handle_lock_request(Message&& m) {
   if (rank_holds(m.area, m.src)) {
     // The requesting rank already holds this area (user lock or outer op):
     // grant re-entrantly; the matching unlock will be a no-op.
-    send_grant(/*delegated=*/true);
+    send_grant(m, /*delegated=*/true);
     return;
   }
   const LockToken token = make_lock_token(m.src, m.op_id);
-  locks_.acquire(m.area, token).on_ready([send_grant] { send_grant(/*delegated=*/false); });
+  if (locks_.try_acquire(m.area, token)) {
+    send_grant(m, /*delegated=*/false);
+    return;
+  }
+  locks_.acquire(m.area, token).on_ready(
+      [this, m = std::move(m)] { send_grant(m, /*delegated=*/false); });
+}
+
+void Nic::send_grant(const Message& request, bool delegated) {
+  Message grant;
+  grant.tag = delegated ? 1 : 0;
+  if (request.type == MsgType::kLockFetchRequest) {
+    grant.type = MsgType::kLockFetchGrant;
+    grant.clock = detector_.v_clock(request.area);
+    grant.clock2 = detector_.w_clock(request.area);
+    grant.event_id = detector_.last_access_event(request.area);
+    grant.event_id2 = detector_.last_write_event(request.area);
+    grant.prior_access_rank = detector_.last_access_rank(request.area);
+    grant.prior_write_rank = detector_.last_write_rank(request.area);
+  } else {
+    grant.type = MsgType::kLockGrant;
+    if (request.flag && config_.lock_clock_handoff) {
+      // User lock: hand over the previous releaser's clock (HB edge).
+      if (const clocks::VectorClock* handoff = locks_.handoff(request.area)) {
+        grant.clock = *handoff;
+      }
+    }
+  }
+  reply(request, std::move(grant));
 }
 
 void Nic::handle_unlock(const Message& m) {
@@ -467,31 +448,47 @@ void Nic::handle_get_request(const Message& m) {
   reply(m, std::move(resp));
 }
 
-void Nic::handle_put_commit(const Message& m) {
+// The fused handlers apply at once when the area is free or already held by
+// the requesting rank; only a request that must queue builds a callback,
+// and it owns the message.
+
+void Nic::handle_put_commit(Message&& m) {
   const LockToken token = make_lock_token(m.src, m.op_id);
-  auto proceed = [this, m, token] {
-    apply_put(m);
-    if (locks_.held_by(m.area, token)) locks_.release(m.area, token);
-  };
-  if (rank_holds(m.area, m.src)) {
-    proceed();
+  if (rank_holds(m.area, m.src) || locks_.try_acquire(m.area, token)) {
+    commit_put(m, token);
     return;
   }
-  locks_.acquire(m.area, token).on_ready(proceed);
+  locks_.acquire(m.area, token).on_ready([this, m = std::move(m), token] { commit_put(m, token); });
 }
 
-void Nic::handle_get_locked(const Message& m) {
-  const LockToken token = make_lock_token(m.src, m.op_id);
+void Nic::commit_put(const Message& m, LockToken token) {
+  apply_put(m);
+  // The lock is this op's own (acquired here, or by the piggyback
+  // transport's LOCKFETCH) unless an outer op or user lock of the rank holds
+  // the area, which keeps it.
+  if (locks_.held_by(m.area, token)) locks_.release(m.area, token);
+}
+
+void Nic::handle_get_locked(Message&& m) {
   if (rank_holds(m.area, m.src)) {
     serve_get(m);
     return;
   }
-  locks_.acquire(m.area, token).on_ready([this, m, token] {
-    const sim::Time delivered_at = serve_get(m);
-    // Fig. 3: the area stays locked until the data has fully arrived at the
-    // requester; a put landing meanwhile queues behind this release.
-    engine_.schedule_at(delivered_at, [this, m, token] { locks_.release(m.area, token); });
-  });
+  const LockToken token = make_lock_token(m.src, m.op_id);
+  if (locks_.try_acquire(m.area, token)) {
+    serve_get_then_release(m);
+    return;
+  }
+  locks_.acquire(m.area, token).on_ready([this, m = std::move(m)] { serve_get_then_release(m); });
+}
+
+void Nic::serve_get_then_release(const Message& m) {
+  const sim::Time delivered_at = serve_get(m);
+  // Fig. 3: the area stays locked until the data has fully arrived at the
+  // requester; a put landing meanwhile queues behind this release.
+  const LockToken token = make_lock_token(m.src, m.op_id);
+  engine_.schedule_at(delivered_at,
+                      [this, area = m.area, token] { locks_.release(area, token); });
 }
 
 void Nic::apply_put(const Message& m) {
@@ -569,9 +566,12 @@ void Nic::record_home_report(AccessKind kind, const Message& m, const mem::Area&
   races_.record(std::move(report));
 }
 
-void Nic::record_initiator_report(AccessKind kind, Rank home, const mem::Area& area,
-                                  const OpContext& ctx, const Message& clock_resp,
-                                  const core::Verdict& verdict) {
+bool Nic::check_at_initiator(AccessKind kind, Rank home, const mem::Area& area,
+                             const OpContext& ctx, const Message& clock_resp) {
+  const core::Verdict verdict = detect::initiator_check(
+      config_.mode, kind, rank_, ctx.issue_clock, home, clock_resp.clock, clock_resp.clock2,
+      clock_resp.prior_access_rank, clock_resp.prior_write_rank);
+  if (!verdict.race) return false;
   core::RaceReport report;
   report.time = engine_.now();
   report.home = home;
@@ -588,6 +588,7 @@ void Nic::record_initiator_report(AccessKind kind, Rank home, const mem::Area& a
                               ? clock_resp.event_id2
                               : clock_resp.event_id;
   races_.record(std::move(report));
+  return true;
 }
 
 }  // namespace dsmr::nic

@@ -46,7 +46,7 @@
 #include "detect/sharded_detector.hpp"
 #include "mem/global_address.hpp"
 #include "mem/public_segment.hpp"
-#include "net/fabric.hpp"
+#include "net/sim_fabric.hpp"
 #include "nic/lock_manager.hpp"
 #include "record/recorder.hpp"
 #include "sim/engine.hpp"
@@ -87,7 +87,7 @@ struct UserLockResult {
 
 class Nic {
  public:
-  Nic(Rank rank, sim::Engine& engine, net::Fabric& fabric, mem::PublicSegment& segment,
+  Nic(Rank rank, sim::Engine& engine, net::SimFabric& fabric, mem::PublicSegment& segment,
       detect::ShardedDetector& detector, clocks::VectorClock& clock, NicConfig config,
       core::RaceLog& races, core::EventLog& events);
 
@@ -135,13 +135,20 @@ class Nic {
                    std::vector<std::byte> payload = {});
   sim::Future<net::Message> wait_signal(std::uint64_t tag);
 
-  /// Fabric receive entry point (installed via Fabric::attach by the World).
-  void on_message(const net::Message& m);
+  /// Fabric receive entry point (installed via SimFabric::attach by the
+  /// World). The message is moved on: a response into its waiting
+  /// Promise, a signal into its waiter or queue, a queued request into its
+  /// lock callback.
+  void on_message(net::Message&& m);
 
   /// Human-readable lines for every in-flight request and signal wait on
   /// this rank — the quiescence watchdog's "pending op" evidence. Empty on
   /// a quiescent NIC.
   std::vector<std::string> pending_ops() const;
+
+  /// Signal tags with a queued signal or a waiting receiver. An entry is
+  /// erased when its queue drains, so a quiescent NIC has none.
+  std::size_t signal_tags() const { return queued_signals_.size() + signal_waiters_.size(); }
 
   /// The area resolver (exposed for the runtime layer's event logging).
   /// A direct delegation to the installed resolver — PublicSegment's
@@ -155,40 +162,49 @@ class Nic {
   net::Message make(net::MsgType type, Rank dst, std::uint64_t op_id,
                     std::uint32_t area) const;
   sim::Future<net::Message> request(net::Message m);
-  void resolve_pending(const net::Message& m);
+  void resolve_pending(net::Message&& m);
   void reply(const net::Message& request, net::Message response);
 
   /// True when the area's lock is held by any operation of `rank` (an op
   /// token or the rank's user lock) — such ops proceed without queuing.
   bool rank_holds(mem::AreaId area, Rank rank) const;
 
-  // Home-side handlers.
-  void handle_lock_request(const net::Message& m, bool with_clocks);
+  // Home-side handlers. The ones that may queue behind an area lock take
+  // the message by rvalue and move it into the queued callback.
+  void handle_lock_request(net::Message&& m);
+  void send_grant(const net::Message& request, bool delegated);
   void handle_unlock(const net::Message& m);
   void handle_clock_fetch(const net::Message& m);
   void handle_clock_event(const net::Message& m);
   void handle_put_data(const net::Message& m);
   void handle_get_request(const net::Message& m);
-  void handle_put_commit(const net::Message& m);
-  void handle_get_locked(const net::Message& m);
-  void handle_signal(const net::Message& m);
+  void handle_put_commit(net::Message&& m);
+  void handle_get_locked(net::Message&& m);
+  void handle_signal(net::Message&& m);
 
   /// Applies a put at home: optional verdict, clock event, data write,
   /// area clock update, ack.
   void apply_put(const net::Message& m);
+  /// apply_put, then releases the area if `token` (the put's op) holds it.
+  void commit_put(const net::Message& m, LockToken token);
   /// Serves a get at home: verdict, clock event, area V update, response;
   /// returns the response's delivery time (lock held until then — Fig. 3).
   sim::Time serve_get(const net::Message& m);
+  /// Serves a get under a freshly acquired lock on `m.area` and schedules
+  /// the lock's release for when the response has arrived (Fig. 3).
+  void serve_get_then_release(const net::Message& m);
 
   void record_home_report(core::AccessKind kind, const net::Message& m,
                           const mem::Area& area, const core::Verdict& verdict);
-  void record_initiator_report(core::AccessKind kind, Rank home, const mem::Area& area,
-                               const OpContext& ctx, const net::Message& clock_resp,
-                               const core::Verdict& verdict);
+  /// Initiator-side check of the separate and piggyback transports
+  /// (detect::initiator_check over the V/W a grant or clock response
+  /// carried from `home`); reports a race and returns whether it found one.
+  bool check_at_initiator(core::AccessKind kind, Rank home, const mem::Area& area,
+                          const OpContext& ctx, const net::Message& clocks);
 
   Rank rank_;
   sim::Engine& engine_;
-  net::Fabric& fabric_;
+  net::SimFabric& fabric_;
   mem::PublicSegment& segment_;
   detect::ShardedDetector& detector_;
   clocks::VectorClock& clock_;  ///< this rank's process clock (World::Node).
@@ -200,14 +216,15 @@ class Nic {
   LockManager locks_;
 
   std::uint64_t next_op_ = 1;
-  std::unordered_map<std::uint64_t, sim::Promise<net::Message>> pending_;
-  /// What each pending op asked for (type/home/area) — watchdog evidence.
-  struct PendingInfo {
+  /// An in-flight request: the promise its response resolves, plus what it
+  /// asked for (type/home/area) — the watchdog's evidence.
+  struct Pending {
+    sim::Promise<net::Message> promise;
     net::MsgType type = net::MsgType::kSignal;
     Rank dst = kInvalidRank;
     std::uint32_t area = 0;
   };
-  std::unordered_map<std::uint64_t, PendingInfo> pending_info_;
+  std::unordered_map<std::uint64_t, Pending> pending_;
   std::unordered_map<std::uint64_t, std::deque<net::Message>> queued_signals_;
   std::unordered_map<std::uint64_t, std::deque<sim::Promise<net::Message>>> signal_waiters_;
 

@@ -73,9 +73,9 @@ sim::Future<void> Process::put(mem::GlobalAddress dst, std::span<const std::byte
 }
 
 sim::Future<void> Process::put_bytes(mem::GlobalAddress dst, std::vector<std::byte> bytes) {
-  const auto ctx = begin_access(core::AccessKind::kWrite, dst,
-                                static_cast<std::uint32_t>(bytes.size()));
-  const nic::PutResult result = co_await nic().put(dst, std::move(bytes), ctx);
+  auto ctx = begin_access(core::AccessKind::kWrite, dst,
+                          static_cast<std::uint32_t>(bytes.size()));
+  const nic::PutResult result = co_await nic().put(dst, std::move(bytes), std::move(ctx));
   // With acked puts the completion ack carries knowledge: "put returned,
   // then I told someone" causally orders later accesses after this write.
   // Without it, puts are the paper's pure one-sided writes
@@ -91,14 +91,14 @@ sim::Future<void> Process::put_bytes(mem::GlobalAddress dst, std::vector<std::by
 
 sim::Future<std::vector<std::byte>> Process::get(mem::GlobalAddress src,
                                                  std::uint32_t len) {
-  const auto ctx = begin_access(core::AccessKind::kRead, src, len);
-  const nic::GetResult result = co_await nic().get(src, len, ctx);
+  auto ctx = begin_access(core::AccessKind::kRead, src, len);
+  nic::GetResult result = co_await nic().get(src, len, std::move(ctx));
   if (world_.recorder() != nullptr) {
     world_.recorder()->record(record::EventKind::kGetMerge, rank_,
                               recorded_area(world_, nic(), src));
   }
   world_.node_clock(rank_).merge_from(result.home_clock);
-  co_return result.data;
+  co_return std::move(result.data);
 }
 
 sim::Future<void> Process::copy(mem::GlobalAddress src, mem::GlobalAddress dst,
@@ -152,7 +152,7 @@ void Process::signal(Rank to, std::uint64_t tag, std::span<const std::byte> payl
 }
 
 sim::Future<std::vector<std::byte>> Process::wait_signal(std::uint64_t tag) {
-  const net::Message msg = co_await nic().wait_signal(tag);
+  net::Message msg = co_await nic().wait_signal(tag);
   if (world_.recorder() != nullptr) {
     // Field d pins WHICH send was consumed: the sender ticks before every
     // signal, so its own clock component names the send uniquely even when
@@ -164,7 +164,7 @@ sim::Future<std::vector<std::byte>> Process::wait_signal(std::uint64_t tag) {
   // Receive event: tick, then merge the sender's clock (paper Fig. 5).
   world_.node_clock(rank_).tick(rank_);
   world_.node_clock(rank_).merge_from(msg.clock);
-  co_return msg.data;
+  co_return std::move(msg.data);
 }
 
 sim::Future<void> Process::compute(sim::Time duration) {

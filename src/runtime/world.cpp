@@ -30,8 +30,8 @@ World::World(WorldConfig config)
   processes_.reserve(static_cast<std::size_t>(config_.nprocs));
   for (Rank r = 0; r < config_.nprocs; ++r) {
     nodes_.push_back(std::make_unique<Node>(r, *this));
-    fabric_.attach(r, [nic = &nodes_.back()->nic](const net::Message& m) {
-      nic->on_message(m);
+    fabric_.attach(r, [nic = &nodes_.back()->nic](net::Message&& m) {
+      nic->on_message(std::move(m));
     });
   }
   // The "compiler" knows the whole layout: every NIC resolves any rank's

@@ -1,5 +1,7 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -22,33 +24,59 @@ struct CurrentEngineScope {
 
 Engine::~Engine() {
   // Destroy frames of operations that never completed (deadlocks, drained
-  // simulations). Each destruction untracks itself via ~promise_type;
-  // clearing the registry first turns those into no-ops so the iteration
-  // stays valid.
-  const auto orphans = std::move(live_frames_);
-  live_frames_.clear();
-  for (void* address : orphans) {
-    std::coroutine_handle<>::from_address(address).destroy();
+  // simulations). Each destruction unlinks its own node via ~promise_type,
+  // so the sweep always takes the list's current head.
+  while (frames_.next != &frames_) {
+    std::coroutine_handle<>::from_address(frames_.next->frame).destroy();
   }
 }
 
-void Engine::schedule_at(Time t, std::function<void()> fn) {
+std::size_t Engine::live_frames() const {
+  std::size_t n = 0;
+  for (const FrameLink* link = frames_.next; link != &frames_; link = link->next) ++n;
+  return n;
+}
+
+void Engine::schedule_call(Time t, Fn fn, void* ctx, std::uint64_t arg) {
+  static_assert(std::is_trivially_copyable_v<Event>);
   DSMR_CHECK_MSG(t >= now_, "scheduling into the past: t=" << t << " now=" << now_);
-  queue_.push(Event{t, next_seq_++, std::move(fn)});
+  heap_.push_back(Event{t, next_seq_++, fn, ctx, arg});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void Engine::schedule_at(Time t, std::function<void()> fn) {
+  std::uint64_t slot;
+  if (free_parked_.empty()) {
+    slot = parked_.size();
+    parked_.push_back(std::move(fn));
+  } else {
+    slot = free_parked_.back();
+    free_parked_.pop_back();
+    parked_[slot] = std::move(fn);
+  }
+  schedule_call(t, &Engine::run_parked, this, slot);
+}
+
+void Engine::run_parked(void* engine, std::uint64_t slot) {
+  // Move the callable out before running it: it may park more callables,
+  // which can grow (and move) the slab.
+  auto& self = *static_cast<Engine*>(engine);
+  const std::function<void()> fn = std::move(self.parked_[slot]);
+  self.free_parked_.push_back(static_cast<std::uint32_t>(slot));
+  fn();
 }
 
 std::uint64_t Engine::run(std::uint64_t max_events) {
   CurrentEngineScope scope(this);
   std::uint64_t fired = 0;
-  while (!queue_.empty() && fired < max_events) {
-    // priority_queue::top returns const&; the event must be moved out before
-    // pop so the callback survives, hence the const_cast idiom.
-    Event event = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
+  while (!heap_.empty() && fired < max_events) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Event event = heap_.back();
+    heap_.pop_back();
     now_ = event.t;
     ++fired;
     ++events_processed_;
-    event.fn();
+    event.fn(event.ctx, event.arg);
   }
   return fired;
 }

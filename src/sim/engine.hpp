@@ -5,21 +5,49 @@
 // whole simulation a pure function of its inputs. Determinism is what lets
 // the test suite assert exact race reports and lets users replay a failing
 // interleaving from its seed.
+//
+// An event is a plain trivially copyable record {time, seq, fn, ctx, arg}
+// in a binary heap: firing one costs a heap pop and a function call, and
+// scheduling one allocates nothing once the heap has grown. The hot
+// producers schedule plain calls directly — coroutine resumptions
+// (schedule_resume: fn resumes the handle in ctx) and fabric deliveries
+// (net::SimFabric: arg is an in-flight slab slot). The rare producers
+// (task start, fault-plane timers and acks, tests) keep the
+// std::function overload, which parks the callable in an engine-owned
+// free-listed slab and schedules a plain call that runs it.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace dsmr::sim {
 
+/// One node of the engine's live-frame list, embedded in every eager
+/// Future coroutine promise (detail::TrackedPromise). Unlinked on frame
+/// destruction, so the list holds exactly the frames still suspended.
+struct FrameLink {
+  FrameLink* prev = nullptr;
+  FrameLink* next = nullptr;
+  void* frame = nullptr;  ///< the coroutine frame address (for teardown).
+
+  void unlink() {
+    if (next == nullptr) return;
+    prev->next = next;
+    next->prev = prev;
+    prev = next = nullptr;
+  }
+};
+
 class Engine {
  public:
+  /// A plain event: called as fn(ctx, arg) when the event fires.
+  using Fn = void (*)(void* ctx, std::uint64_t arg);
+
   Engine() = default;
   ~Engine();
   Engine(const Engine&) = delete;
@@ -27,7 +55,18 @@ class Engine {
 
   Time now() const { return now_; }
 
-  /// Schedules `fn` at absolute virtual time `t` (>= now).
+  /// Schedules fn(ctx, arg) at absolute virtual time `t` (>= now). The
+  /// allocation-free path: `ctx` and `arg` must stay meaningful until the
+  /// event fires.
+  void schedule_call(Time t, Fn fn, void* ctx, std::uint64_t arg);
+
+  /// Schedules the resumption of coroutine `h` at absolute time `t`.
+  void schedule_resume(Time t, std::coroutine_handle<> h) {
+    schedule_call(t, &resume_frame, h.address(), 0);
+  }
+
+  /// Schedules `fn` at absolute virtual time `t` (>= now). The callable is
+  /// parked in an engine-owned slab until it fires.
   void schedule_at(Time t, std::function<void()> fn);
 
   /// Schedules `fn` `delay` ns after the current virtual time.
@@ -35,16 +74,11 @@ class Engine {
     schedule_at(now_ + delay, std::move(fn));
   }
 
-  /// Schedules `fn` at the current virtual time, after already-queued
-  /// same-time events. Used to bounce coroutine resumptions through the
-  /// queue so completion callbacks never nest unboundedly.
-  void schedule_now(std::function<void()> fn) { schedule_at(now_, std::move(fn)); }
-
   /// Runs until the queue drains or `max_events` fire.
   /// Returns the number of events processed.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
-  bool idle() const { return queue_.empty(); }
+  bool idle() const { return heap_.empty(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
   /// The engine currently inside run() on this thread (nullptr outside).
@@ -52,24 +86,31 @@ class Engine {
   /// without threading an engine pointer through every awaitable.
   static Engine* current();
 
-  /// Live-frame registry for eager Future<T> coroutines: frames register at
-  /// creation and deregister on (self-)destruction, so frames still
+  /// Live-frame list for eager Future<T> coroutines: a frame links itself
+  /// in at creation and unlinks on (self-)destruction, so frames still
   /// suspended when the engine is torn down — protocol steps of deadlocked
   /// operations — are destroyed instead of leaked.
-  void track_frame(std::coroutine_handle<> h) { live_frames_.insert(h.address()); }
-  void untrack_frame(std::coroutine_handle<> h) { live_frames_.erase(h.address()); }
+  void track_frame(FrameLink& link, std::coroutine_handle<> h) {
+    link.frame = h.address();
+    link.prev = frames_.prev;
+    link.next = &frames_;
+    frames_.prev->next = &link;
+    frames_.prev = &link;
+  }
 
-  /// Coroutine frames still registered (suspended protocol steps). After a
+  /// Coroutine frames still linked (suspended protocol steps). After a
   /// drained run, a non-zero count means blocked operations — the quiescence
   /// watchdog (runtime::World::run) reports it instead of letting the
-  /// destructor sweep the frames silently.
-  std::size_t live_frames() const { return live_frames_.size(); }
+  /// destructor sweep the frames silently. Walks the list: diagnostic use.
+  std::size_t live_frames() const;
 
  private:
   struct Event {
     Time t;
     std::uint64_t seq;
-    std::function<void()> fn;
+    Fn fn;
+    void* ctx;
+    std::uint64_t arg;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -77,8 +118,15 @@ class Engine {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<void*> live_frames_;
+  static void resume_frame(void* frame, std::uint64_t) {
+    std::coroutine_handle<>::from_address(frame).resume();
+  }
+  static void run_parked(void* engine, std::uint64_t slot);
+
+  std::vector<Event> heap_;  ///< min-heap on (t, seq) via Later.
+  std::vector<std::function<void()>> parked_;
+  std::vector<std::uint32_t> free_parked_;
+  FrameLink frames_{&frames_, &frames_, nullptr};  ///< list sentinel.
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;

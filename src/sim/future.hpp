@@ -4,11 +4,19 @@
 //
 // Design rules:
 //  * Single-threaded: no atomics, no locks.
-//  * Completion resumes waiters through Engine::schedule_now, never inline,
-//    so completion chains cannot recurse unboundedly.
+//  * Completion resumes waiters through Engine::schedule_resume — a plain
+//    engine event holding the coroutine handle, never inline — so
+//    completion chains cannot recurse unboundedly.
 //  * `Future<T>` is itself a legal coroutine return type: protocol steps in
 //    dsmr::nic / dsmr::core are written as eager coroutines returning
-//    Future<T>.
+//    Future<T>. Their promises link into the engine's live-frame list
+//    (detail::TrackedPromise), an intrusive list with no allocation.
+//  * `co_await` hands the value over without a copy when the awaiting
+//    future holds the last reference to it (a response resolved into a
+//    Promise and awaited once — the protocol's case); with other holders
+//    left it copies, so several waiters on one future each see the value.
+//    A future awaited by name is therefore spent: read the co_await result,
+//    not value(), afterwards.
 #pragma once
 
 #include <coroutine>
@@ -33,16 +41,38 @@ namespace detail {
 /// would dangle.
 inline void bounce_resume(std::coroutine_handle<> h) {
   if (Engine* engine = Engine::current()) {
-    engine->schedule_now([h] { h.resume(); });
+    engine->schedule_resume(engine->now(), h);
   } else {
     h.resume();
   }
 }
 
+/// The coroutines suspended on one future, in arrival order. Nearly every
+/// future has exactly one waiter, which is held inline.
+struct Waiters {
+  std::coroutine_handle<> first;
+  std::vector<std::coroutine_handle<>> more;
+
+  void push(std::coroutine_handle<> h) {
+    if (!first) {
+      first = h;
+    } else {
+      more.push_back(h);
+    }
+  }
+
+  void resume_all() {
+    const auto head = std::exchange(first, nullptr);
+    if (!head) return;
+    bounce_resume(head);
+    for (const auto h : std::exchange(more, {})) bounce_resume(h);
+  }
+};
+
 template <typename T>
 struct SharedState {
   std::optional<T> value;
-  std::vector<std::coroutine_handle<>> waiters;
+  Waiters waiters;
   std::vector<std::function<void(const T&)>> callbacks;
 
   bool ready() const { return value.has_value(); }
@@ -50,32 +80,26 @@ struct SharedState {
   void set(T v) {
     DSMR_CHECK_MSG(!value.has_value(), "future resolved twice");
     value.emplace(std::move(v));
-    auto waiting = std::exchange(waiters, {});
-    for (auto h : waiting) bounce_resume(h);
+    waiters.resume_all();
     auto cbs = std::exchange(callbacks, {});
     for (auto& cb : cbs) cb(*value);
   }
 };
 
-/// Shared frame-tracking for eager Future coroutine promises: register with
-/// the current engine at creation (`track`), deregister on destruction —
-/// which is either self-destruction at co_return or the engine's teardown
-/// sweep of deadlocked frames.
+/// Shared frame-tracking for eager Future coroutine promises: link into the
+/// current engine's live-frame list at creation (`track`), unlink on
+/// destruction — which is either self-destruction at co_return or the
+/// engine's teardown sweep of deadlocked frames.
 template <typename Promise>
 struct TrackedPromise {
-  Engine* tracked_engine = nullptr;
+  FrameLink frame_link;
 
-  ~TrackedPromise() {
-    if (tracked_engine) {
-      tracked_engine->untrack_frame(
-          std::coroutine_handle<Promise>::from_promise(static_cast<Promise&>(*this)));
-    }
-  }
+  ~TrackedPromise() { frame_link.unlink(); }
 
   void track() {
-    if ((tracked_engine = Engine::current()) != nullptr) {
-      tracked_engine->track_frame(
-          std::coroutine_handle<Promise>::from_promise(static_cast<Promise&>(*this)));
+    if (Engine* engine = Engine::current()) {
+      engine->track_frame(frame_link, std::coroutine_handle<Promise>::from_promise(
+                                          static_cast<Promise&>(*this)));
     }
   }
 };
@@ -83,7 +107,7 @@ struct TrackedPromise {
 template <>
 struct SharedState<void> {
   bool done = false;
-  std::vector<std::coroutine_handle<>> waiters;
+  Waiters waiters;
   std::vector<std::function<void()>> callbacks;
 
   bool ready() const { return done; }
@@ -91,8 +115,7 @@ struct SharedState<void> {
   void set() {
     DSMR_CHECK_MSG(!done, "future resolved twice");
     done = true;
-    auto waiting = std::exchange(waiters, {});
-    for (auto h : waiting) bounce_resume(h);
+    waiters.resume_all();
     auto cbs = std::exchange(callbacks, {});
     for (auto& cb : cbs) cb();
   }
@@ -182,8 +205,11 @@ class Future {
 
   // Awaitable interface.
   bool await_ready() const { return state_->ready(); }
-  void await_suspend(std::coroutine_handle<> h) { state_->waiters.push_back(h); }
-  T await_resume() { return *state_->value; }
+  void await_suspend(std::coroutine_handle<> h) { state_->waiters.push(h); }
+  T await_resume() {
+    if (state_.use_count() == 1) return std::move(*state_->value);
+    return *state_->value;
+  }
 
  private:
   std::shared_ptr<detail::SharedState<T>> state_;
@@ -222,7 +248,7 @@ class Future<void> {
   }
 
   bool await_ready() const { return state_->ready(); }
-  void await_suspend(std::coroutine_handle<> h) { state_->waiters.push_back(h); }
+  void await_suspend(std::coroutine_handle<> h) { state_->waiters.push(h); }
   void await_resume() {}
 
  private:
@@ -243,7 +269,7 @@ struct Delay {
 
   bool await_ready() const { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    engine.schedule_after(duration, [h] { h.resume(); });
+    engine.schedule_resume(engine.now() + duration, h);
   }
   void await_resume() {}
 };

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "fuzz/generate.hpp"
+#include "fuzz/program.hpp"
 #include "net/message.hpp"
 #include "net/sim_fabric.hpp"
 #include "runtime/process.hpp"
@@ -397,6 +401,58 @@ TEST(WorldFault, UnrecoverablePlanEndsInTheWatchdogNotAHang) {
   EXPECT_NE(report.diagnostic.find("rank 0"), std::string::npos);
   EXPECT_NE(report.diagnostic.find("oldest unacked"), std::string::npos);
   EXPECT_NE(report.diagnostic.find("GAVE-UP"), std::string::npos);
+}
+
+
+// The live sim schedule is a contract across commits: the fuzz, conformance
+// and fault-matrix sweeps assert verdicts of this exact schedule. This pins
+// it end to end — every original send (times, type, endpoints, op, wire
+// size), the engine's event count and drain time, the watchdog diagnostic
+// (with its live-frame count), every race report and the traffic counters —
+// over fuzzed programs × all three transports with the detector on × the
+// perfect wire and three fault presets, one of them unrecoverable.
+TEST(WorldFault, LiveScheduleOfFuzzedProgramsIsPinned) {
+  std::ostringstream all;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    fuzz::GenConfig gen;
+    gen.seed = seed;
+    gen.plant_bug = seed % 2 == 0;
+    gen.nprocs = 3 + static_cast<int>(seed % 2);
+    gen.areas = gen.nprocs + 1;
+    gen.phases = 2;
+    gen.max_ops_per_rank = 4;
+    const auto program = std::make_shared<const fuzz::Program>(fuzz::generate_program(gen));
+    for (const core::Transport transport :
+         {core::Transport::kSeparate, core::Transport::kPiggyback, core::Transport::kHomeSide}) {
+      for (const char* plan : {"off", "loss1", "dupdelay", "blackhole"}) {
+        WorldConfig config;
+        config.nprocs = program->nprocs;
+        config.seed = seed;
+        config.transport = transport;
+        config.fault = *net::parse_fault_plan(plan);
+        World world(config);
+        world.fabric().set_tap([&all](sim::Time sent, sim::Time due, const net::Message& m) {
+          all << sent << ' ' << due << ' ' << net::to_string(m.type) << ' ' << m.src << ' '
+              << m.dst << ' ' << m.op_id << ' ' << m.wire_size() << '\n';
+        });
+        fuzz::spawn_program(world, program);
+        const RunReport report = world.run();
+        all << report.engine_events << ' ' << report.end_time << ' ' << report.diagnostic
+            << '\n';
+        for (const auto& race : world.races().reports()) all << race.describe() << '\n';
+        const net::TrafficCounters& t = world.traffic();
+        for (const std::uint64_t n : t.messages_by_type) all << n << ' ';
+        all << t.total_messages << ' ' << t.total_bytes << ' ' << t.data_path_messages << ' '
+            << t.payload_bytes << ' ' << t.clock_bytes << ' ' << t.retry_messages << ' '
+            << t.retry_bytes << ' ' << t.acks_sent << ' ' << t.duplicates_suppressed << ' '
+            << t.faults_injected << ' ' << t.undeliverable_messages << '\n';
+      }
+    }
+  }
+  const std::string text = all.str();
+  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a.
+  for (const char c : text) hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  EXPECT_EQ(hash, 0x1ec1347be272d8e7ull) << text.size() << " schedule bytes";
 }
 
 }  // namespace

@@ -85,6 +85,23 @@ TEST(PublicSegment, ReadWriteRoundTrip) {
   EXPECT_EQ(seg.read_bytes(9, 1)[0], std::byte{0});
 }
 
+TEST(PublicSegmentDeath, OnlyTheRegisteredExtentIsMaterialized) {
+  // A 1 MiB segment holding one 64-byte area zero-fills those 64 bytes and
+  // nothing past them: size() is the capacity, byte access stops at the
+  // highest registered end.
+  PublicSegment seg(0, 1 << 20, 2);
+  EXPECT_EQ(seg.size(), 1u << 20);
+  seg.register_area(0, 64, "only");
+  EXPECT_EQ(seg.read_bytes(0, 64), std::vector<std::byte>(64, std::byte{0}));
+  const std::byte* base = seg.bytes(0, 64).data();
+  EXPECT_DEATH(seg.read_bytes(64, 1), "registered extent");
+  EXPECT_DEATH(seg.bytes(60, 8), "registered extent");
+  // Growing the extent keeps earlier spans valid: the capacity was reserved.
+  seg.register_area(1 << 19, 64, "far");
+  EXPECT_EQ(seg.bytes(0, 64).data(), base);
+  EXPECT_EQ(seg.read_bytes((1 << 19) + 32, 32), std::vector<std::byte>(32, std::byte{0}));
+}
+
 TEST(DetectorState, AreasCarryClocksSizedToProcessCount) {
   // Detection state moved out of mem::Area into detect::ShardedDetector
   // (keyed by the same dense AreaId); the invariants carried over.

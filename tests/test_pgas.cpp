@@ -237,6 +237,20 @@ TEST(Collectives, SuccessiveBarriersDoNotCrossTalk) {
   EXPECT_TRUE(world.run().completed);
 }
 
+TEST(Collectives, BarrierTagsLeaveNoSignalTableEntries) {
+  // Collective tags are unique per epoch and round: once a 200-barrier run
+  // quiesces, no NIC may still hold an (empty) queue for any of them.
+  World world(config_for(4));
+  for (Rank r = 0; r < 4; ++r) {
+    world.spawn(r, [](Process& p) -> sim::Task {
+      pgas::Team team(p);
+      for (int i = 0; i < 200; ++i) co_await team.barrier();
+    });
+  }
+  EXPECT_TRUE(world.run().completed);
+  for (Rank r = 0; r < 4; ++r) EXPECT_EQ(world.nic(r).signal_tags(), 0u) << "rank " << r;
+}
+
 // --- one-sided reduction (§V.B) ---------------------------------------------
 
 TEST(OneSidedReduce, RootReducesWithoutParticipation) {
