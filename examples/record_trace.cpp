@@ -1,11 +1,11 @@
-// Records a full execution trace of a racy workload and writes it out for
-// external tooling:
-//   * <prefix>.jsonl       — every access event and race report, one JSON
-//                            object per line (jq / pandas friendly);
+// Records a racy workload's ordering log, folds it offline, and renders the
+// result for external tooling:
+//   * <prefix>.jsonl       — every recorded event and folded race report,
+//                            one JSON object per line (jq / pandas friendly);
 //   * <prefix>.chrome.json — Chrome Trace Event Format: open in
 //                            chrome://tracing or https://ui.perfetto.dev to
-//                            see per-rank timelines, message arrows, and the
-//                            race markers on the access that triggered them.
+//                            see per-rank rows in recorded order, with the
+//                            race markers on the event that triggered them.
 //
 //   ./record_trace [--workload stencil|histogram|masterworker] [--buggy]
 //                  [--ranks N] [--out PREFIX]
@@ -13,6 +13,8 @@
 #include <fstream>
 #include <string>
 
+#include "record/recorder.hpp"
+#include "record/replay.hpp"
 #include "runtime/world.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
@@ -33,7 +35,9 @@ int main(int argc, char** argv) {
   runtime::WorldConfig config;
   config.nprocs = ranks;
   runtime::World world(config);
-  trace::MessageRecorder recorder(world.fabric());
+  record::Recorder recorder(static_cast<std::uint32_t>(ranks), record::Backend::kSim,
+                            config.mode, config.lock_clock_handoff, config.acked_puts);
+  world.set_recorder(&recorder);
 
   if (workload == "stencil") {
     workload::StencilConfig wl;
@@ -55,24 +59,31 @@ int main(int argc, char** argv) {
   }
 
   const auto report = world.run();
+  recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
+  const record::Log& log = recorder.log();
+  const record::ReplayResult folded = record::replay_fold(log, log.header.mode);
+  if (!folded.ok()) {
+    std::fprintf(stderr, "fold failed: %s\n", folded.error.c_str());
+    return 1;
+  }
 
   const std::string jsonl_path = prefix + ".jsonl";
   {
     std::ofstream out(jsonl_path);
-    trace::write_jsonl(out, world.events(), world.races());
+    trace::write_jsonl(out, log, folded.reports);
   }
   const std::string chrome_path = prefix + ".chrome.json";
   {
     std::ofstream out(chrome_path);
-    out << trace::to_chrome_trace(world.events(), world.races(), recorder.records());
+    trace::write_chrome(out, log, folded.reports);
   }
 
   std::printf("workload:   %s%s on %d ranks\n", workload.c_str(),
               buggy ? " (buggy)" : "", ranks);
-  std::printf("completed:  %s, %llu access events, %llu races, %zu messages\n",
-              report.completed ? "yes" : "NO",
-              static_cast<unsigned long long>(world.events().size()),
-              static_cast<unsigned long long>(report.race_count), recorder.size());
+  std::printf("completed:  %s, %zu recorded events, %llu races, %llu messages\n",
+              report.completed ? "yes" : "NO", log.events.size(),
+              static_cast<unsigned long long>(report.race_count),
+              static_cast<unsigned long long>(world.traffic().total_messages));
   std::printf("wrote %s and %s\n", jsonl_path.c_str(), chrome_path.c_str());
   std::printf("view: chrome://tracing or https://ui.perfetto.dev -> open %s\n",
               chrome_path.c_str());

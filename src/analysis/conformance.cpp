@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <system_error>
@@ -15,8 +14,8 @@
 #include "baseline/lockset.hpp"
 #include "record/recorder.hpp"
 #include "record/replay.hpp"
-#include "trace/trace.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/workloads.hpp"
 
@@ -242,9 +241,9 @@ RunVerdicts check_run(runtime::World& world, const runtime::RunReport& report) {
   v.hit_event_cap = report.hit_event_cap;
   v.diagnostic = report.diagnostic;
   v.live_reports = report.race_count;
-  // A deadlocked or log-disabled run has no applied clocks to replay; the
-  // grid layer decides whether the deadlock itself is a failure.
-  if (!report.completed || !world.events().enabled()) return v;
+  // A deadlocked run has no applied clocks to replay; the grid layer
+  // decides whether the deadlock itself is a failure.
+  if (!report.completed) return v;
 
   const auto& log = world.events();
   const auto mode = world.config().mode;
@@ -337,7 +336,7 @@ RunVerdicts check_run(runtime::World& world, const runtime::RunReport& report) {
 
 namespace {
 
-/// Deterministic, filesystem-safe name for one schedule's trace files.
+/// Deterministic, filesystem-safe name for one schedule's witness log.
 std::string schedule_stem(const std::string& scenario, std::uint64_t seed,
                           const sim::PerturbConfig& perturb,
                           const net::FaultPlan& fault) {
@@ -356,6 +355,34 @@ std::string schedule_stem(const std::string& scenario, std::uint64_t seed,
   return out.str();
 }
 
+/// Recording needs the home-side wire layout unless detection is off
+/// (runtime::World::set_recorder).
+bool recordable(const runtime::WorldConfig& config) {
+  return config.mode == core::DetectorMode::kOff ||
+         config.transport == core::Transport::kHomeSide;
+}
+
+/// Runs `scenario` on one grid coordinate and cross-checks it. With `log`,
+/// the run is also recorded and `*log` receives the serialized ordering log.
+RunVerdicts run_coordinate(const Scenario& scenario, const runtime::WorldConfig& config,
+                           std::vector<std::byte>* log) {
+  runtime::World world(config);
+  std::optional<record::Recorder> recorder;
+  if (log != nullptr) {
+    recorder.emplace(static_cast<std::uint32_t>(config.nprocs), record::Backend::kSim,
+                     config.mode, config.lock_clock_handoff, config.acked_puts);
+    world.set_recorder(&*recorder);
+  }
+  scenario.spawn(world);
+  const auto report = world.run();
+  RunVerdicts verdicts = check_run(world, report);
+  if (log != nullptr) {
+    recorder->finish(world.races().reports(), report.completed, report.stuck_ranks);
+    *log = recorder->log().serialize();
+  }
+  return verdicts;
+}
+
 }  // namespace
 
 std::string Divergence::describe() const {
@@ -364,7 +391,6 @@ std::string Divergence::describe() const {
   if (!(fault == net::FaultPlan{})) out << " fault=\"" << fault.to_string() << "\"";
   out << " — " << check;
   if (!detail.empty()) out << " (" << detail << ")";
-  if (!trace_jsonl.empty()) out << " [trace: " << trace_jsonl << "]";
   if (!witness.empty()) out << " [witness: " << witness << "]";
   return out.str();
 }
@@ -404,29 +430,14 @@ ConformanceReport run_conformance(const Scenario& scenario,
     config.seed = options.first_seed + point / variants;
     config.perturb = options.perturbations[point % variants];
     config.fault = plans[index % nplans];
-    runtime::World world(config);
     // Invariant 6 — record→replay: the ordering log this run emits, taken
     // through the full serialize→parse→fold pipeline, must reproduce the
     // live verdict signature on this exact coordinate.
-    const bool record =
-        options.record_replay_check &&
-        (config.mode == core::DetectorMode::kOff ||
-         config.transport == core::Transport::kHomeSide);
-    std::optional<record::Recorder> recorder;
+    const bool record = options.record_replay_check && recordable(config);
+    std::vector<std::byte> log;
+    runs[index] = run_coordinate(scenario, config, record ? &log : nullptr);
     if (record) {
-      recorder.emplace(static_cast<std::uint32_t>(config.nprocs),
-                       record::Backend::kSim, config.mode,
-                       config.lock_clock_handoff, config.acked_puts);
-      world.set_recorder(&*recorder);
-    }
-    scenario.spawn(world);
-    const auto report = world.run();
-    runs[index] = check_run(world, report);
-    if (record) {
-      recorder->finish(world.races().reports(), report.completed,
-                       report.stuck_ranks);
-      const std::string mismatch =
-          record::check_record_replay_bytes(recorder->log().serialize());
+      const std::string mismatch = record::check_record_replay_bytes(log);
       if (!mismatch.empty()) {
         runs[index].failed_checks.push_back("record-replay: " + mismatch);
       }
@@ -445,7 +456,7 @@ ConformanceReport run_conformance(const Scenario& scenario,
                                        std::string detail) {
     summary.disagreements.push_back(Divergence{scenario.name, run.seed, run.perturb,
                                                run.fault, std::move(check),
-                                               std::move(detail), "", ""});
+                                               std::move(detail), ""});
   };
   auto split_failed_checks = [&diverge](const RunVerdicts& run) {
     for (const auto& check : run.failed_checks) {
@@ -540,49 +551,35 @@ ConformanceReport run_conformance(const Scenario& scenario,
     }
   }
 
-  // Every disagreement gets a deterministic repro trace: re-run the exact
-  // (seed, perturbation) serially with a message recorder attached and
-  // export JSONL + Chrome trace.
-  if (!options.trace_dir.empty() && !summary.disagreements.empty()) {
-    // The repro artifact must exist exactly when a disagreement does:
-    // create the directory and fail loudly on any write error.
+  // Every disagreement gets a replayable witness: re-run the exact
+  // coordinate serially, recorded, and write its ordering log. Coordinates
+  // the recorder cannot take (a detector on a non-home-side layout) keep an
+  // empty witness.
+  if (!options.witness_dir.empty() && !summary.disagreements.empty()) {
+    // The artifact must exist exactly when a disagreement does: create the
+    // directory and fail loudly on any write error.
     std::error_code ec;
-    std::filesystem::create_directories(options.trace_dir, ec);
-    DSMR_REQUIRE(!ec, "cannot create trace dir " << options.trace_dir << ": "
-                                                 << ec.message());
-    std::map<std::pair<std::uint64_t, std::string>, std::pair<std::string, std::string>>
-        exported;
+    std::filesystem::create_directories(options.witness_dir, ec);
+    DSMR_REQUIRE(!ec, "cannot create witness dir " << options.witness_dir << ": "
+                                                   << ec.message());
+    std::map<std::string, std::string> exported;  ///< stem → witness path.
     for (auto& divergence : summary.disagreements) {
-      const auto key = std::make_pair(
-          divergence.seed,
-          divergence.perturb.to_string() + "|" + divergence.fault.to_string());
-      auto it = exported.find(key);
+      runtime::WorldConfig config = options.base;
+      config.seed = divergence.seed;
+      config.perturb = divergence.perturb;
+      config.fault = divergence.fault;
+      if (!recordable(config)) continue;
+      const std::string stem = schedule_stem(scenario.name, divergence.seed,
+                                             divergence.perturb, divergence.fault);
+      auto it = exported.find(stem);
       if (it == exported.end()) {
-        runtime::WorldConfig config = options.base;
-        config.seed = divergence.seed;
-        config.perturb = divergence.perturb;
-        config.fault = divergence.fault;
-        runtime::World world(config);
-        trace::MessageRecorder recorder(world.fabric());
-        scenario.spawn(world);
-        world.run();
-
-        const std::string stem = options.trace_dir + "/" +
-                                 schedule_stem(scenario.name, divergence.seed,
-                                               divergence.perturb, divergence.fault);
-        const std::string jsonl_path = stem + ".jsonl";
-        const std::string chrome_path = stem + ".trace.json";
-        std::ofstream jsonl(jsonl_path);
-        trace::write_jsonl(jsonl, world.events(), world.races());
-        std::ofstream chrome(chrome_path);
-        chrome << trace::to_chrome_trace(world.events(), world.races(),
-                                         recorder.records());
-        DSMR_REQUIRE(jsonl.good() && chrome.good(),
-                     "failed writing disagreement trace " << stem << ".*");
-        it = exported.emplace(key, std::make_pair(jsonl_path, chrome_path)).first;
+        std::vector<std::byte> log;
+        run_coordinate(scenario, config, &log);
+        const std::string path = options.witness_dir + "/" + stem + ".dsmrlog";
+        record::write_file(path, log);
+        it = exported.emplace(stem, path).first;
       }
-      divergence.trace_jsonl = it->second.first;
-      divergence.trace_chrome = it->second.second;
+      divergence.witness = it->second;
     }
   }
   return summary;
@@ -615,7 +612,7 @@ std::string ConformanceReport::render() const {
 }
 
 void ConformanceReport::write_json(std::ostream& out) const {
-  out << "{\"scenario\":\"" << trace::json_escape(scenario) << "\",\"expect\":\""
+  out << "{\"scenario\":\"" << util::json_escape(scenario) << "\",\"expect\":\""
       << to_string(expect) << "\",\"schedules\":" << runs.size()
       << ",\"with_reports\":" << runs_with_reports << ",\"with_truth\":" << runs_with_truth
       << ",\"incomplete\":" << incomplete_runs
@@ -630,20 +627,19 @@ void ConformanceReport::write_json(std::ostream& out) const {
   for (std::size_t i = 0; i < disagreements.size(); ++i) {
     const auto& d = disagreements[i];
     if (i > 0) out << ",";
-    out << "{\"seed\":" << d.seed << ",\"perturb\":\"" << trace::json_escape(d.perturb.to_string())
-        << "\",\"fault\":\"" << trace::json_escape(d.fault.to_string())
-        << "\",\"check\":\"" << trace::json_escape(d.check) << "\",\"detail\":\""
-        << trace::json_escape(d.detail) << "\",\"trace_jsonl\":\""
-        << trace::json_escape(d.trace_jsonl) << "\",\"trace_chrome\":\""
-        << trace::json_escape(d.trace_chrome) << "\"}";
+    out << "{\"seed\":" << d.seed << ",\"perturb\":\"" << util::json_escape(d.perturb.to_string())
+        << "\",\"fault\":\"" << util::json_escape(d.fault.to_string())
+        << "\",\"check\":\"" << util::json_escape(d.check) << "\",\"detail\":\""
+        << util::json_escape(d.detail) << "\",\"witness\":\""
+        << util::json_escape(d.witness) << "\"}";
   }
   out << "],\"runs\":[";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
     if (i > 0) out << ",";
     out << "{\"seed\":" << r.seed << ",\"perturb\":\""
-        << trace::json_escape(r.perturb.to_string()) << "\",\"fault\":\""
-        << trace::json_escape(r.fault.to_string()) << "\",\"completed\":"
+        << util::json_escape(r.perturb.to_string()) << "\",\"fault\":\""
+        << util::json_escape(r.fault.to_string()) << "\",\"completed\":"
         << (r.completed ? "true" : "false") << ",\"watchdog\":"
         << (r.diagnostic.empty() ? "false" : "true") << ",\"reports\":" << r.live_reports
         << ",\"truth_pairs\":" << r.truth_pairs << ",\"truth_areas\":" << r.truth_areas

@@ -20,8 +20,9 @@
 //    pipeline_window2 and sparse-barrier stencil scenarios exhibit this).
 //
 // Any violated invariant is a *disagreement*: a test failure carrying its
-// reproducing (seed, perturbation) pair, and — when a trace directory is
-// configured — an auto-exported JSONL + Chrome trace of the schedule.
+// reproducing (seed, perturbation) pair, and — when a witness directory is
+// configured — the schedule's recorded ordering log (record/log.hpp), which
+// `dsmr_replay` folds and renders as a trace.
 //
 // The Eraser-style lockset baseline is also run, but as a *measured
 // comparison*, not an invariant: lockset flags locking-discipline
@@ -128,10 +129,8 @@ struct Divergence {
   net::FaultPlan fault{};   ///< the run's fault plan ("off" on base runs).
   std::string check;        ///< which invariant broke.
   std::string detail;
-  std::string trace_jsonl;  ///< exported trace paths ("" when export off).
-  std::string trace_chrome;
-  /// Replayable witness log path, for exhaustive-exploration failures whose
-  /// racy interleaving was exported ("" otherwise).
+  /// The coordinate's recorded ordering log ("" when no witness directory
+  /// was set, or the coordinate's wire layout cannot be recorded).
   std::string witness;
 
   std::string describe() const;
@@ -145,9 +144,10 @@ struct ConformanceOptions {
   /// Perturbation variants per seed; keep the identity first so every seed
   /// also runs its base schedule.
   std::vector<sim::PerturbConfig> perturbations{sim::PerturbConfig{}};
-  /// When non-empty, disagreement schedules are re-run serially and their
-  /// JSONL + Chrome traces written here.
-  std::string trace_dir;
+  /// When non-empty, disagreement coordinates are re-run serially with a
+  /// recorder and their ordering logs written here as
+  /// `<scenario>-seed<N>[-skew...][-fault...].dsmrlog`.
+  std::string witness_dir;
   /// Fault plans to run *in addition to* the fault-free base of every
   /// (seed, perturbation) point; the grid is plan-minor, so each base run
   /// directly precedes its fault variants in `runs`. Plans must be

@@ -153,7 +153,6 @@ std::set<RacePair> reported_pairs(const core::RaceLog& races) {
 }
 
 Accuracy evaluate(const core::EventLog& log, const core::RaceLog& races_log) {
-  DSMR_REQUIRE(log.enabled(), "accuracy evaluation requires the event log enabled");
   return evaluate(compute_ground_truth(log), races_log);
 }
 

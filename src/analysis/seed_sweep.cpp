@@ -40,7 +40,7 @@ SeedOutcome run_schedule(const runtime::WorldConfig& base_config, std::uint64_t 
   outcome.races_reported = report.race_count;
   outcome.end_time = report.end_time;
   outcome.engine_events = report.engine_events;
-  if (report.completed && world.events().enabled()) {
+  if (report.completed) {
     const auto truth = compute_ground_truth(world.events());
     outcome.truth_pairs = truth.pairs.size();
     const auto accuracy = evaluate(truth, world.races());

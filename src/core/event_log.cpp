@@ -6,14 +6,12 @@ namespace dsmr::core {
 
 std::uint64_t EventLog::record(AccessEvent event) {
   const std::uint64_t id = next_id_++;
-  if (!enabled_) return id;
   event.id = id;
   events_.push_back(std::move(event));
   return id;
 }
 
 void EventLog::annotate_apply(std::uint64_t id, const clocks::VectorClock& apply_clock) {
-  if (!enabled_) return;
   DSMR_CHECK_MSG(id >= 1 && id <= events_.size(), "annotate_apply: unknown event " << id);
   AccessEvent& event = events_[id - 1];
   DSMR_CHECK_MSG(event.apply_seq == 0, "event " << id << " applied twice");
@@ -23,7 +21,7 @@ void EventLog::annotate_apply(std::uint64_t id, const clocks::VectorClock& apply
 
 const AccessEvent& EventLog::event(std::uint64_t id) const {
   DSMR_CHECK_MSG(id >= 1 && id <= events_.size() && events_[id - 1].id == id,
-                 "event id " << id << " not in log (log may be disabled)");
+                 "event id " << id << " not in log");
   return events_[id - 1];
 }
 

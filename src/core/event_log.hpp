@@ -44,8 +44,7 @@ class EventLog {
   std::uint64_t record(AccessEvent event);
 
   /// Marks event `id` as applied at the home NIC with the given post-event
-  /// clock; assigns the global application sequence number. No-op when
-  /// recording is disabled.
+  /// clock; assigns the global application sequence number.
   void annotate_apply(std::uint64_t id, const clocks::VectorClock& apply_clock);
 
   const std::vector<AccessEvent>& events() const { return events_; }
@@ -53,13 +52,8 @@ class EventLog {
   std::size_t size() const { return events_.size(); }
   void clear() { events_.clear(); }
 
-  /// Disables recording (long benchmark runs that don't need analysis).
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
  private:
   std::vector<AccessEvent> events_;
-  bool enabled_ = true;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_apply_seq_ = 1;
 };

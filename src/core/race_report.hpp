@@ -29,7 +29,9 @@ struct RaceReport {
   // The access that triggered detection.
   Rank accessor = kInvalidRank;
   AccessKind kind = AccessKind::kRead;
-  std::uint64_t event_id = 0;    ///< EventLog id of the triggering access.
+  /// The triggering access: its EventLog id in a live sim run, or the
+  /// 1-based index of the event that raised it in a record::Log fold.
+  std::uint64_t event_id = 0;
   clocks::VectorClock accessor_clock;
 
   // The stored state it was found concurrent with.

@@ -12,7 +12,10 @@
 //   analysis::*                       — offline ground truth, accuracy
 //     metrics, clock-truncation ablation, online-replay, seed sweeps.
 //   baseline::LocksetDetector         — the Eraser-style comparison point.
-//   trace::*                          — JSONL and chrome://tracing export.
+//   record::Recorder / replay_fold    — the ordering log of a run and its
+//     offline fold back to race reports.
+//   trace::*                          — JSONL and chrome://tracing rendering
+//     of a record log and its folded reports.
 #pragma once
 
 #include "analysis/ground_truth.hpp"
@@ -33,6 +36,8 @@
 #include "pgas/collectives.hpp"
 #include "pgas/distribution.hpp"
 #include "pgas/shared_array.hpp"
+#include "record/recorder.hpp"
+#include "record/replay.hpp"
 #include "runtime/process.hpp"
 #include "runtime/world.hpp"
 #include "sim/engine.hpp"
@@ -40,6 +45,7 @@
 #include "sim/task.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "workload/workloads.hpp"

@@ -89,13 +89,13 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
         // fires it, so minimization would degenerate to the empty program).
         verdict.failures.push_back(analysis::Divergence{
             scenario.name, run.seed, run.perturb, run.fault,
-            "planted-race-vanished", detail.str(), "", "", ""});
+            "planted-race-vanished", detail.str(), ""});
       } else if (run.dual_flagged == 0 || run.single_flagged == 0 || live == 0) {
         // The race exists in ground truth but a detector layer stayed
         // silent. Shrinking preserves "has a race AND a layer misses it".
         verdict.failures.push_back(analysis::Divergence{
             scenario.name, run.seed, run.perturb, run.fault,
-            "planted-bug-not-detected", detail.str(), "", "", ""});
+            "planted-bug-not-detected", detail.str(), ""});
       }
     }
   } else if (program.expect == Expectation::kSometimes) {
@@ -118,7 +118,7 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
                  << " single=" << run.single_flagged << " live=" << live;
           verdict.failures.push_back(analysis::Divergence{
               scenario.name, run.seed, run.perturb, run.fault,
-              "sometimes-bug-not-detected", detail.str(), "", "", ""});
+              "sometimes-bug-not-detected", detail.str(), ""});
         }
       } else if (live > 0 || run.dual_flagged > 0) {
         std::ostringstream detail;
@@ -126,7 +126,7 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
                << " on a schedule with empty ground truth";
         verdict.failures.push_back(analysis::Divergence{
             scenario.name, run.seed, run.perturb, run.fault, "sometimes-noise",
-            detail.str(), "", "", ""});
+            detail.str(), ""});
       }
     }
     if (verdict.completed_runs > 0 && verdict.manifested_runs == 0) {
@@ -138,7 +138,7 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
       verdict.failures.push_back(analysis::Divergence{
           scenario.name, runs.front().seed, runs.front().perturb,
           runs.front().fault, "sometimes-bug-never-manifested", detail.str(),
-          "", "", ""});
+          ""});
     }
   }
 
@@ -168,7 +168,7 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
                << " reports";
         verdict.failures.push_back(analysis::Divergence{
             scenario.name, run.seed, run.perturb, run.fault, "fault-transparency",
-            detail.str(), "", "", ""});
+            detail.str(), ""});
       }
     }
   }

@@ -78,7 +78,7 @@ enum class EventKind : std::uint8_t {
                      ///< send — uniquely identifies WHICH signal was consumed
                      ///< (same-channel signals can reorder under perturbation).
   // --- threaded backend (one event per op, stamped at its lock-protected
-  //     linearization point; global order via an atomic sequence) ---
+  //     linearization point; global order by Lamport stamp, recorder.hpp) ---
   kThreadPut = 13,   ///< a=rank, b=area, c=bytes.
   kThreadGet = 14,   ///< a=rank, b=area, c=bytes.
   kThreadLock = 15,  ///< a=rank, b=area. Stamped at grant, inside the lock.
@@ -139,7 +139,7 @@ struct AreaEntry {
 /// A race verdict folded to its schedule-stable core: which area, which
 /// accessor, which kind, how many times. Clocks and event ids are omitted
 /// on purpose — the signature must be comparable between a live run and a
-/// replay fold that never assigns event ids.
+/// replay fold, whose event ids are log indices, not live ones.
 struct RaceCount {
   std::uint64_t area = 0;  ///< flat index into the log's area table.
   Rank accessor = kInvalidRank;

@@ -175,6 +175,8 @@ void Folder::report(std::uint64_t index, core::AccessKind kind, Rank accessor,
   report.area_name = log_.areas[index].name;
   report.accessor = accessor;
   report.kind = kind;
+  // step() counts the event once it is folded, so this is its 1-based index.
+  report.event_id = result_.events + 1;
   report.accessor_clock = accessor_clock;
   report.against = verdict.against;
   report.stored_clock = detector(area).prior_clock(area.id, verdict.against);

@@ -1,175 +1,85 @@
 #include "trace/trace.hpp"
 
-#include <iomanip>
-#include <set>
-#include <sstream>
+#include "util/json.hpp"
 
 namespace dsmr::trace {
 
-MessageRecorder::MessageRecorder(net::SimFabric& fabric) {
-  fabric.set_tap([this](sim::Time send_time, sim::Time deliver_time,
-                        const net::Message& message) {
-    records_.push_back(MessageRecord{send_time, deliver_time, message.type,
-                                     message.src, message.dst, message.op_id,
-                                     message.wire_size()});
-  });
-}
-
-std::string json_escape(const std::string& text) {
-  std::ostringstream out;
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c) << std::dec;
-        } else {
-          out << c;
-        }
-    }
-  }
-  return out.str();
-}
-
 namespace {
 
-std::string clock_json(const clocks::VectorClock& clock) {
-  std::ostringstream out;
+using record::EventKind;
+
+void write_clock(std::ostream& out, const clocks::VectorClock& clock) {
   out << "[";
   for (std::size_t i = 0; i < clock.size(); ++i) {
     if (i > 0) out << ",";
     out << clock[i];
   }
   out << "]";
-  return out.str();
 }
 
-/// Virtual ns → trace µs with fractional precision.
-double to_us(sim::Time t) { return static_cast<double>(t) / 1000.0; }
+/// Whether field b of `kind` is a flat area index.
+bool names_area(EventKind kind) {
+  return kind != EventKind::kTick && kind != EventKind::kSignal &&
+         kind != EventKind::kWaitMatch;
+}
 
 }  // namespace
 
-std::string to_json(const core::AccessEvent& event) {
-  std::ostringstream out;
-  out << "{\"kind\":\"access\",\"id\":" << event.id << ",\"t\":" << event.time
-      << ",\"rank\":" << event.rank << ",\"op\":\""
-      << core::to_string(event.kind) << "\",\"home\":" << event.home
-      << ",\"area\":" << event.area << ",\"offset\":" << event.offset
-      << ",\"len\":" << event.length << ",\"issue_clock\":"
-      << clock_json(event.issue_clock) << ",\"apply_seq\":" << event.apply_seq
-      << ",\"apply_clock\":" << clock_json(event.apply_clock) << "}";
-  return out.str();
+void write_jsonl(std::ostream& out, const record::Log& log,
+                 const std::vector<core::RaceReport>& reports) {
+  std::size_t index = 0;
+  for (const record::Event& event : log.events) {
+    out << "{\"i\":" << ++index << ",\"kind\":\"" << record::to_string(event.kind)
+        << "\",\"a\":" << event.a << ",\"b\":" << event.b << ",\"c\":" << event.c
+        << ",\"d\":" << event.d << "}\n";
+  }
+  for (const core::RaceReport& report : reports) {
+    out << "{\"kind\":\"race\",\"id\":" << report.id << ",\"t\":" << report.time
+        << ",\"accessor\":" << report.accessor << ",\"op\":\""
+        << core::to_string(report.kind) << "\",\"home\":" << report.home
+        << ",\"area\":" << report.area << ",\"area_name\":\""
+        << util::json_escape(report.area_name) << "\",\"event\":" << report.event_id
+        << ",\"prior_event\":" << report.prior_event_id << ",\"accessor_clock\":";
+    write_clock(out, report.accessor_clock);
+    out << ",\"stored_clock\":";
+    write_clock(out, report.stored_clock);
+    out << ",\"against\":\""
+        << (report.against == core::ComparedAgainst::kW ? "W" : "V") << "\"}\n";
+  }
 }
 
-std::string to_json(const core::RaceReport& report) {
-  std::ostringstream out;
-  out << "{\"kind\":\"race\",\"id\":" << report.id << ",\"t\":" << report.time
-      << ",\"accessor\":" << report.accessor << ",\"op\":\""
-      << core::to_string(report.kind) << "\",\"home\":" << report.home
-      << ",\"area\":" << report.area << ",\"area_name\":\""
-      << json_escape(report.area_name) << "\",\"event\":" << report.event_id
-      << ",\"prior_event\":" << report.prior_event_id << ",\"accessor_clock\":"
-      << clock_json(report.accessor_clock) << ",\"stored_clock\":"
-      << clock_json(report.stored_clock) << ",\"against\":\""
-      << (report.against == core::ComparedAgainst::kW ? "W" : "V") << "\"}";
-  return out.str();
-}
-
-std::string to_json(const MessageRecord& record) {
-  std::ostringstream out;
-  out << "{\"kind\":\"message\",\"type\":\"" << net::to_string(record.type)
-      << "\",\"src\":" << record.src << ",\"dst\":" << record.dst
-      << ",\"send\":" << record.send_time << ",\"deliver\":" << record.deliver_time
-      << ",\"op\":" << record.op_id << ",\"bytes\":" << record.wire_bytes << "}";
-  return out.str();
-}
-
-void write_jsonl(std::ostream& out, const core::EventLog& events,
-                 const core::RaceLog& races) {
-  for (const auto& event : events.events()) out << to_json(event) << "\n";
-  for (const auto& report : races.reports()) out << to_json(report) << "\n";
-}
-
-std::string to_chrome_trace(const core::EventLog& events, const core::RaceLog& races,
-                            const std::vector<MessageRecord>& messages) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out << std::setprecision(3);
+void write_chrome(std::ostream& out, const record::Log& log,
+                  const std::vector<core::RaceReport>& reports) {
   out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& json) {
-    if (!first) out << ",";
-    first = false;
-    out << json;
-  };
-
-  for (const auto& event : events.events()) {
-    std::ostringstream e;
-    e.setf(std::ios::fixed);
-    e << std::setprecision(3);
-    e << "{\"name\":\"" << core::to_string(event.kind) << " P" << event.home << "/a"
-      << event.area << "\",\"ph\":\"i\",\"ts\":" << to_us(event.time)
-      << ",\"pid\":0,\"tid\":" << event.rank << ",\"s\":\"t\",\"args\":{\"event\":"
-      << event.id << ",\"issue_clock\":\"" << event.issue_clock.to_string()
-      << "\"}}";
-    emit(e.str());
+  const char* sep = "\n";
+  for (std::uint32_t rank = 0; rank < log.header.nprocs; ++rank) {
+    out << sep << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << rank
+        << ",\"args\":{\"name\":\"P" << rank << "\"}}";
+    sep = ",\n";
   }
-  for (const auto& report : races.reports()) {
-    std::ostringstream e;
-    e.setf(std::ios::fixed);
-    e << std::setprecision(3);
-    e << "{\"name\":\"RACE " << json_escape(report.area_name)
-      << "\",\"ph\":\"i\",\"ts\":" << to_us(report.time)
-      << ",\"pid\":0,\"tid\":" << report.accessor
-      << ",\"s\":\"g\",\"args\":{\"stored\":\"" << report.stored_clock.to_string()
-      << "\",\"accessor\":\"" << report.accessor_clock.to_string() << "\"}}";
-    emit(e.str());
-  }
-  // Messages as flow event pairs (s = start at sender, f = finish at
-  // receiver), which trace viewers render as arrows between the rank rows.
-  std::uint64_t flow_id = 1;
-  for (const auto& record : messages) {
-    {
-      std::ostringstream e;
-      e.setf(std::ios::fixed);
-      e << std::setprecision(3);
-      e << "{\"name\":\"" << net::to_string(record.type)
-        << "\",\"ph\":\"s\",\"id\":" << flow_id << ",\"ts\":" << to_us(record.send_time)
-        << ",\"pid\":0,\"tid\":" << record.src << ",\"cat\":\"msg\"}";
-      emit(e.str());
+  std::size_t index = 0;
+  for (const record::Event& event : log.events) {
+    std::string name = record::to_string(event.kind);
+    if (names_area(event.kind) && event.b < log.areas.size()) {
+      name += " " + log.areas[event.b].name;
     }
-    {
-      std::ostringstream e;
-      e.setf(std::ios::fixed);
-      e << std::setprecision(3);
-      e << "{\"name\":\"" << net::to_string(record.type)
-        << "\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" << flow_id
-        << ",\"ts\":" << to_us(record.deliver_time) << ",\"pid\":0,\"tid\":"
-        << record.dst << ",\"cat\":\"msg\"}";
-      emit(e.str());
-    }
-    ++flow_id;
+    out << sep << "{\"name\":\"" << util::json_escape(name)
+        << "\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ++index
+        << ",\"pid\":0,\"tid\":" << event.a << ",\"args\":{\"b\":" << event.b
+        << ",\"c\":" << event.c << ",\"d\":" << event.d << "}}";
+    sep = ",\n";
   }
-  // Rank-naming metadata.
-  std::set<Rank> ranks;
-  for (const auto& event : events.events()) ranks.insert(event.rank);
-  for (const auto& record : messages) {
-    ranks.insert(record.src);
-    ranks.insert(record.dst);
+  for (const core::RaceReport& report : reports) {
+    out << sep << "{\"name\":\"RACE " << util::json_escape(report.area_name)
+        << "\",\"cat\":\"race\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << report.event_id
+        << ",\"pid\":0,\"tid\":" << report.accessor << ",\"args\":{\"op\":\""
+        << core::to_string(report.kind) << "\",\"against\":\""
+        << (report.against == core::ComparedAgainst::kW ? "W" : "V")
+        << "\",\"accessor_clock\":\"" << report.accessor_clock.to_string()
+        << "\",\"stored_clock\":\"" << report.stored_clock.to_string() << "\"}}";
+    sep = ",\n";
   }
-  for (const Rank rank : ranks) {
-    std::ostringstream e;
-    e << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << rank
-      << ",\"args\":{\"name\":\"P" << rank << "\"}}";
-    emit(e.str());
-  }
-  out << "]}";
-  return out.str();
+  out << "\n]}\n";
 }
 
 }  // namespace dsmr::trace

@@ -1,71 +1,34 @@
-// Trace export for external tooling.
+// Trace rendering for external tooling: one record::Log plus the race
+// reports its fold produced (record::replay_fold).
 //
-// Two formats:
-//  * JSONL — one JSON object per line for access events and race reports;
-//    trivially consumable by jq / pandas for offline analysis.
-//  * Chrome Trace Event Format (chrome://tracing, Perfetto) — one track per
-//    rank; accesses and race reports as instant events, wire messages as
-//    flow arrows between ranks. Open the file in a trace viewer to *see*
-//    the interleaving that produced a race.
-//
-// Message recording hooks the SimFabric tap; attach a MessageRecorder
-// before World::run.
+// The log holds only the ordering of a run (RecPlay's split, record/log.hpp)
+// and the fold re-derives the verdicts, so a trace renders from exactly the
+// input a replay checks. Two formats:
+//  * JSONL — one line per log event, {"i","kind","a","b","c","d"} with `i`
+//    the 1-based log index, then one {"kind":"race",...} line per report,
+//    whose `event` is the `i` of the event that raised it. jq / pandas
+//    friendly.
+//  * Chrome Trace Event Format (chrome://tracing, Perfetto) — one row per
+//    rank, one instant per event at ts = its log index (the log carries
+//    ordering, not time), and one "RACE <area>" marker per report at its
+//    triggering event.
 #pragma once
 
-#include <cstdint>
 #include <ostream>
-#include <string>
 #include <vector>
 
-#include "core/event_log.hpp"
 #include "core/race_report.hpp"
-#include "net/message.hpp"
-#include "net/sim_fabric.hpp"
-#include "sim/time.hpp"
-#include "util/types.hpp"
+#include "record/log.hpp"
 
 namespace dsmr::trace {
 
-/// One observed wire message (recorded via the fabric tap).
-struct MessageRecord {
-  sim::Time send_time = 0;
-  sim::Time deliver_time = 0;
-  net::MsgType type = net::MsgType::kSignal;
-  Rank src = kInvalidRank;
-  Rank dst = kInvalidRank;
-  std::uint64_t op_id = 0;
-  std::size_t wire_bytes = 0;
-};
+/// Writes one JSON line per event of `log`, then one per report.
+void write_jsonl(std::ostream& out, const record::Log& log,
+                 const std::vector<core::RaceReport>& reports);
 
-/// Captures every message sent through a SimFabric. Attach before the run;
-/// detach (or destroy the fabric first) when done.
-class MessageRecorder {
- public:
-  explicit MessageRecorder(net::SimFabric& fabric);
-
-  const std::vector<MessageRecord>& records() const { return records_; }
-  std::size_t size() const { return records_.size(); }
-
- private:
-  std::vector<MessageRecord> records_;
-};
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-std::string json_escape(const std::string& text);
-
-/// One-line JSON renderings.
-std::string to_json(const core::AccessEvent& event);
-std::string to_json(const core::RaceReport& report);
-std::string to_json(const MessageRecord& record);
-
-/// Writes events then races as JSONL ({"kind":"access"|"race",...}).
-void write_jsonl(std::ostream& out, const core::EventLog& events,
-                 const core::RaceLog& races);
-
-/// Renders a complete Chrome Trace Event Format document. Times are mapped
-/// virtual-ns → trace-µs (the format's unit) with ns precision retained via
-/// fractional microseconds.
-std::string to_chrome_trace(const core::EventLog& events, const core::RaceLog& races,
-                            const std::vector<MessageRecord>& messages);
+/// Writes one Chrome Trace Event Format document,
+/// {"displayTimeUnit":"ns","traceEvents":[...]}.
+void write_chrome(std::ostream& out, const record::Log& log,
+                  const std::vector<core::RaceReport>& reports);
 
 }  // namespace dsmr::trace

@@ -12,6 +12,8 @@
 
 #include "analysis/conformance.hpp"
 #include "analysis/seed_sweep.hpp"
+#include "record/log.hpp"
+#include "record/replay.hpp"
 #include "runtime/process.hpp"
 #include "runtime/world.hpp"
 #include "util/thread_pool.hpp"
@@ -313,33 +315,44 @@ TEST(Conformance, CheckRunCrossChecksASingleWorld) {
 
 TEST(Conformance, RacyRunInCleanScenarioIsADisagreementWithExportedTrace) {
   // A deliberately mislabeled scenario: racy histogram declared race-free.
-  // The harness must flag every racy schedule and export its repro trace.
+  // The harness must flag every racy schedule and export its witness log,
+  // which folds offline back to the racy verdicts.
   Scenario mislabeled;
   mislabeled.name = "mislabeled_histogram";
   mislabeled.expect = RaceExpectation::kNever;
   mislabeled.min_ranks = 1;
   mislabeled.spawn = contended_histogram();
 
-  const auto trace_dir =
+  const auto witness_dir =
       std::filesystem::temp_directory_path() / "dsmr_conformance_test";
-  std::filesystem::remove_all(trace_dir);
-  std::filesystem::create_directories(trace_dir);
+  std::filesystem::remove_all(witness_dir);
 
   auto options = small_grid();
   options.seeds = 4;
-  options.trace_dir = trace_dir.string();
+  options.witness_dir = witness_dir.string();
   const auto report = run_conformance(mislabeled, options);
   ASSERT_FALSE(report.passed());
   EXPECT_GT(report.runs_with_reports, 0u);
   for (const auto& divergence : report.disagreements) {
     EXPECT_EQ(divergence.check.substr(0, 22), "race-in-clean-scenario");
-    ASSERT_FALSE(divergence.trace_jsonl.empty());
-    EXPECT_TRUE(std::filesystem::exists(divergence.trace_jsonl)) << divergence.trace_jsonl;
-    EXPECT_TRUE(std::filesystem::exists(divergence.trace_chrome)) << divergence.trace_chrome;
-    EXPECT_GT(std::filesystem::file_size(divergence.trace_jsonl), 0u);
-    EXPECT_FALSE(divergence.describe().empty());
+    ASSERT_FALSE(divergence.witness.empty());
+    EXPECT_NE(divergence.describe().find(divergence.witness), std::string::npos);
+    std::string error;
+    const auto bytes = record::read_file(divergence.witness, &error);
+    ASSERT_TRUE(bytes.has_value()) << error;
+    const auto log = record::Log::parse(*bytes, &error);
+    ASSERT_TRUE(log.has_value()) << error;
+    // What dsmr_replay does: fold at the recorded mode, match the footer.
+    const auto folded = record::replay_fold(*log, log->header.mode);
+    ASSERT_TRUE(folded.ok()) << folded.error;
+    EXPECT_EQ(record::check_record_replay(*log), "");
+    EXPECT_FALSE(log->live.races.empty()) << log->live.to_string();
   }
-  std::filesystem::remove_all(trace_dir);
+  std::ostringstream json;
+  report.write_json(json);
+  EXPECT_NE(json.str().find("\"witness\":\"" + report.disagreements.front().witness),
+            std::string::npos);
+  std::filesystem::remove_all(witness_dir);
 }
 
 TEST(Conformance, DisagreementsCarryTheReproCoordinate) {

@@ -758,8 +758,8 @@ TEST(ThreadRecordReplay, ScheduleLuckRacesBecomeReplayable) {
 TEST(ThreadRecordReplay, FoldedReportsMatchLiveReportsFieldByField) {
   // The fold runs the live transition (detect::thread_access) over the same
   // detector state, so each report it files is the live one: same accessor
-  // clock, stored clock, compared lane, area and kind. Event ids are not in
-  // the log. Report order may differ (live reports from different shards
+  // clock, stored clock, compared lane, area and kind. Event ids differ: the
+  // fold names log indices. Report order may differ (live reports from different shards
   // race to the report log), so both sides are compared sorted.
   const auto program = [](ThreadWorld& world) {
     const GlobalAddress x = world.alloc(0, 8, "x");
@@ -1030,7 +1030,8 @@ std::vector<Log> fuzzed_thread_logs() {
 std::string render_reports(const std::vector<core::RaceReport>& reports) {
   std::string out;
   for (const core::RaceReport& r : reports) {
-    out += std::to_string(r.id) + " h" + std::to_string(r.home) + " a" +
+    out += std::to_string(r.id) + " e" + std::to_string(r.event_id) + " h" +
+           std::to_string(r.home) + " a" +
            std::to_string(r.area) + " " + r.area_name + " r" +
            std::to_string(r.accessor) + " k" + std::to_string(static_cast<int>(r.kind)) +
            " " + r.accessor_clock.to_string() + " vs" +
@@ -1161,6 +1162,44 @@ TEST(Folder, RestorePutsAReorderedSignalBackInPlace) {
   ASSERT_TRUE(folder.step(log.events[2]));
   ASSERT_TRUE(folder.step(log.events[3]));
   EXPECT_EQ(folder.state_digest(), replay_state_digest(log, core::DetectorMode::kDualClock));
+}
+
+/// Checks that every report folded from `log` at dual-clock detection names
+/// the event that raised it: the 1-based log index of an access by the
+/// report's accessor, on its area, of its kind. Returns the report count.
+std::size_t check_report_events(const Log& log) {
+  const ReplayResult folded = replay_fold(log, core::DetectorMode::kDualClock);
+  EXPECT_TRUE(folded.ok()) << folded.error;
+  for (const core::RaceReport& report : folded.reports) {
+    EXPECT_GE(report.event_id, 1u);
+    if (report.event_id < 1 || report.event_id > log.events.size()) {
+      ADD_FAILURE() << "event " << report.event_id << " outside the log";
+      continue;
+    }
+    const Event& event = log.events[report.event_id - 1];
+    const bool write =
+        event.kind == EventKind::kPutApply || event.kind == EventKind::kThreadPut;
+    const bool read =
+        event.kind == EventKind::kGetApply || event.kind == EventKind::kThreadGet;
+    EXPECT_TRUE(write || read) << to_string(event.kind);
+    EXPECT_EQ(write, report.kind == core::AccessKind::kWrite) << to_string(event.kind);
+    EXPECT_EQ(event.a, static_cast<std::uint64_t>(report.accessor));
+    EXPECT_EQ(event.b, report.area);
+  }
+  return folded.reports.size();
+}
+
+TEST(Folder, ReportsNameTheirTriggeringEvent) {
+  EXPECT_GT(check_report_events(record_sim(
+                sim_config(2, core::DetectorMode::kDualClock), spawn_racy_pair)),
+            0u);
+  EXPECT_GT(check_report_events(record_threaded(
+                thread_config(2, core::DetectorMode::kDualClock), spawn_thread_racy)),
+            0u);
+  std::size_t reports = 0;
+  for (const Log& log : fuzzed_sim_logs()) reports += check_report_events(log);
+  for (const Log& log : fuzzed_thread_logs()) reports += check_report_events(log);
+  EXPECT_GT(reports, 10u);
 }
 
 // replay_state_digest is a contract: the explorer's independence property

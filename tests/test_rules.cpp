@@ -306,13 +306,5 @@ TEST(EventLog, RecordsWithSequentialIds) {
   EXPECT_EQ(log.event(id1).rank, 1);
 }
 
-TEST(EventLog, DisabledStillHandsOutIds) {
-  EventLog log;
-  log.set_enabled(false);
-  EXPECT_EQ(log.record({}), 1u);
-  EXPECT_EQ(log.record({}), 2u);
-  EXPECT_EQ(log.size(), 0u);
-}
-
 }  // namespace
 }  // namespace dsmr::core

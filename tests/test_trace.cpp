@@ -1,12 +1,16 @@
-// Tests for the trace exporters: JSONL records, chrome trace document,
-// message recording through the fabric tap.
+// Tests for the trace renderer: a recorded log plus its folded race reports
+// rendered as JSONL (field names and order pinned per line kind) and as a
+// Chrome Trace Event Format document, byte-identically across fixed-seed
+// runs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "record/recorder.hpp"
+#include "record/replay.hpp"
 #include "runtime/process.hpp"
 #include "runtime/world.hpp"
 #include "trace/trace.hpp"
@@ -45,119 +49,6 @@ bool balanced_json(const std::string& text) {
   }
   return depth == 0 && array_depth == 0 && !in_string;
 }
-
-struct TracedRun {
-  TracedRun() : world(make_config()), recorder(world.fabric()) {
-    const auto x = world.alloc(1, 8, "x");
-    world.spawn(0, [x](Process& p) -> sim::Task {
-      co_await p.put_value(x, std::uint64_t{1});
-    });
-    world.spawn(2, [x](Process& p) -> sim::Task {
-      co_await p.sleep(20'000);
-      co_await p.put_value(x, std::uint64_t{2});
-    });
-    report = world.run();
-  }
-
-  static WorldConfig make_config() {
-    WorldConfig config;
-    config.nprocs = 3;
-    config.latency.jitter_ns = 0;
-    return config;
-  }
-
-  World world;
-  MessageRecorder recorder;
-  runtime::RunReport report;
-};
-
-TEST(JsonEscape, EscapesSpecials) {
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(json_escape("plain"), "plain");
-}
-
-TEST(Trace, MessageRecorderSeesEveryMessage) {
-  TracedRun run;
-  EXPECT_TRUE(run.report.completed);
-  EXPECT_EQ(run.recorder.size(), run.world.traffic().total_messages);
-  // Delivery strictly after send; FIFO per recorded channel order.
-  for (const auto& record : run.recorder.records()) {
-    EXPECT_GT(record.deliver_time, record.send_time);
-  }
-}
-
-TEST(Trace, JsonlHasOneLinePerEventAndRace) {
-  TracedRun run;
-  std::ostringstream out;
-  write_jsonl(out, run.world.events(), run.world.races());
-  const std::string text = out.str();
-  const auto lines = static_cast<std::size_t>(
-      std::count(text.begin(), text.end(), '\n'));
-  EXPECT_EQ(lines, run.world.events().size() + run.world.races().count());
-  // Every line is balanced JSON and self-describes its kind.
-  std::istringstream in(text);
-  std::string line;
-  std::size_t access_lines = 0, race_lines = 0;
-  while (std::getline(in, line)) {
-    EXPECT_TRUE(balanced_json(line)) << line;
-    if (line.find("\"kind\":\"access\"") != std::string::npos) ++access_lines;
-    if (line.find("\"kind\":\"race\"") != std::string::npos) ++race_lines;
-  }
-  EXPECT_EQ(access_lines, run.world.events().size());
-  EXPECT_EQ(race_lines, run.world.races().count());
-}
-
-TEST(Trace, AccessJsonCarriesClocks) {
-  TracedRun run;
-  const auto& event = run.world.events().events().front();
-  const std::string json = to_json(event);
-  EXPECT_NE(json.find("\"issue_clock\":[1,0,0]"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"apply_seq\":1"), std::string::npos) << json;
-}
-
-TEST(Trace, RaceJsonNamesBothSides) {
-  TracedRun run;
-  ASSERT_GE(run.world.races().count(), 1u);
-  const std::string json = to_json(run.world.races().reports().front());
-  EXPECT_NE(json.find("\"area_name\":\"x\""), std::string::npos);
-  EXPECT_NE(json.find("\"stored_clock\":[1,1,0]"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"accessor_clock\":[0,0,1]"), std::string::npos) << json;
-}
-
-TEST(Trace, ChromeTraceIsWellFormedAndComplete) {
-  TracedRun run;
-  const std::string doc =
-      to_chrome_trace(run.world.events(), run.world.races(), run.recorder.records());
-  EXPECT_TRUE(balanced_json(doc));
-  EXPECT_NE(doc.find("\"traceEvents\":["), std::string::npos);
-  // One instant event per access, one per race.
-  const auto count_occurrences = [&](const std::string& needle) {
-    std::size_t count = 0, pos = 0;
-    while ((pos = doc.find(needle, pos)) != std::string::npos) {
-      ++count;
-      pos += needle.size();
-    }
-    return count;
-  };
-  EXPECT_EQ(count_occurrences("\"ph\":\"i\""),
-            run.world.events().size() + run.world.races().count());
-  // One flow start + one flow finish per message.
-  EXPECT_EQ(count_occurrences("\"ph\":\"s\""), run.recorder.size());
-  EXPECT_EQ(count_occurrences("\"ph\":\"f\""), run.recorder.size());
-  // Rank rows are named.
-  EXPECT_NE(doc.find("\"name\":\"P0\""), std::string::npos);
-  EXPECT_NE(doc.find("\"name\":\"P2\""), std::string::npos);
-}
-
-// --- golden trace schema --------------------------------------------------
-//
-// A fixed-seed master_worker run pins the JSONL schema: exact top-level
-// field names in exact order, per record kind. External consumers (jq,
-// pandas, the conformance CI artifacts) key on these names — any drift must
-// be a deliberate, test-visible decision.
 
 /// Top-level keys of a one-line JSON object, in order of appearance.
 /// (Values may contain arrays but no nested objects — scanner tracks both.)
@@ -212,140 +103,156 @@ long long int_field(const std::string& line, const std::string& name) {
   return std::stoll(line.substr(pos + needle.size()));
 }
 
-struct GoldenRun {
-  GoldenRun() : world(make_config()), recorder(world.fabric()) {
+std::size_t count_occurrences(const std::string& text, const std::string& needle) {
+  std::size_t count = 0, pos = 0;
+  while ((pos = text.find(needle, pos)) != std::string::npos) {
+    ++count;
+    pos += needle.size();
+  }
+  return count;
+}
+
+/// One recorded sim run, folded: the renderer's whole input.
+struct RecordedRun {
+  explicit RecordedRun(WorldConfig config, const std::function<void(World&)>& spawn)
+      : recorder(static_cast<std::uint32_t>(config.nprocs), record::Backend::kSim,
+                 config.mode, config.lock_clock_handoff, config.acked_puts),
+        world(config) {
+    world.set_recorder(&recorder);
+    spawn(world);
+    const auto report = world.run();
+    EXPECT_TRUE(report.completed);
+    recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
+    folded = record::replay_fold(log(), log().header.mode);
+    EXPECT_TRUE(folded.ok()) << folded.error;
+  }
+
+  const record::Log& log() const { return recorder.log(); }
+  std::string jsonl() const {
+    std::ostringstream out;
+    write_jsonl(out, log(), folded.reports);
+    return out.str();
+  }
+  std::string chrome() const {
+    std::ostringstream out;
+    write_chrome(out, log(), folded.reports);
+    return out.str();
+  }
+
+  record::Recorder recorder;
+  World world;
+  record::ReplayResult folded;
+};
+
+/// The fixed-seed golden schedule: master_worker's benign §IV.D race.
+RecordedRun golden_run() {
+  WorldConfig config;
+  config.nprocs = 3;
+  config.seed = 42;
+  return RecordedRun(config, [](World& world) {
     workload::MasterWorkerConfig wl;
     wl.tasks_per_worker = 2;
     workload::spawn_master_worker(world, wl);
-    report = world.run();
-  }
+  });
+}
 
-  static WorldConfig make_config() {
-    WorldConfig config;
-    config.nprocs = 3;
-    config.seed = 42;  // fixed: the golden schedule.
-    return config;
-  }
+/// Two unordered puts to one area whose name needs JSON escaping.
+RecordedRun odd_name_run() {
+  WorldConfig config;
+  config.nprocs = 3;
+  config.latency.jitter_ns = 0;
+  return RecordedRun(config, [](World& world) {
+    const auto x = world.alloc(1, 8, "x\"y\\z");
+    world.spawn(0, [x](Process& p) -> sim::Task {
+      co_await p.put_value(x, std::uint64_t{1});
+    });
+    world.spawn(2, [x](Process& p) -> sim::Task {
+      co_await p.sleep(20'000);
+      co_await p.put_value(x, std::uint64_t{2});
+    });
+  });
+}
 
-  World world;
-  MessageRecorder recorder;
-  runtime::RunReport report;
-};
+TEST(Trace, JsonlFieldNamesAndOrderArePinnedPerLineKind) {
+  const RecordedRun run = golden_run();
+  ASSERT_GT(run.log().events.size(), 0u);
+  ASSERT_GT(run.folded.reports.size(), 0u);  // the benign §IV.D race.
 
-TEST(GoldenTrace, AccessAndRaceSchemasDoNotDrift) {
-  GoldenRun run;
-  ASSERT_TRUE(run.report.completed);
-  ASSERT_GT(run.world.events().size(), 0u);
-  ASSERT_GT(run.world.races().count(), 0u);  // the benign §IV.D race.
-
-  // The golden schemas. Changing to_json is allowed — but only together
-  // with this test, the docs, and every downstream consumer.
-  const std::vector<std::string> access_schema{
-      "kind", "id",  "t",   "rank",        "op",        "home",
-      "area", "offset", "len", "issue_clock", "apply_seq", "apply_clock"};
+  // The pinned schemas. Changing the renderer's fields is allowed — but
+  // only together with this test, the docs and every downstream consumer.
+  const std::vector<std::string> event_schema{"i", "kind", "a", "b", "c", "d"};
   const std::vector<std::string> race_schema{
       "kind",      "id",          "t",           "accessor",       "op",
       "home",      "area",        "area_name",   "event",          "prior_event",
       "accessor_clock", "stored_clock", "against"};
 
-  std::ostringstream out;
-  write_jsonl(out, run.world.events(), run.world.races());
-  std::istringstream in(out.str());
+  std::istringstream in(run.jsonl());
   std::string line;
-  std::size_t access_lines = 0, race_lines = 0;
+  std::size_t event_lines = 0, race_lines = 0;
   while (std::getline(in, line)) {
-    const auto keys = top_level_keys(line);
-    ASSERT_FALSE(keys.empty()) << line;
-    if (line.find("\"kind\":\"access\"") != std::string::npos) {
-      EXPECT_EQ(keys, access_schema) << line;
-      ++access_lines;
+    EXPECT_TRUE(balanced_json(line)) << line;
+    if (line.rfind("{\"i\":", 0) == 0) {
+      EXPECT_EQ(top_level_keys(line), event_schema) << line;
+      EXPECT_EQ(race_lines, 0u) << "event line after a race line: " << line;
+      // `i` is the 1-based log index.
+      EXPECT_EQ(int_field(line, "i"), static_cast<long long>(++event_lines));
     } else {
-      EXPECT_EQ(keys, race_schema) << line;
+      EXPECT_EQ(top_level_keys(line), race_schema) << line;
+      // A race names the event that raised it by its `i`.
+      EXPECT_GE(int_field(line, "event"), 1);
+      EXPECT_LE(int_field(line, "event"), static_cast<long long>(event_lines));
       ++race_lines;
     }
   }
-  EXPECT_EQ(access_lines, run.world.events().size());
-  EXPECT_EQ(race_lines, run.world.races().count());
+  EXPECT_EQ(event_lines, run.log().events.size());
+  EXPECT_EQ(race_lines, run.folded.reports.size());
 }
 
-TEST(GoldenTrace, MessageSchemaDoesNotDrift) {
-  GoldenRun run;
-  ASSERT_GT(run.recorder.size(), 0u);
-  const std::vector<std::string> message_schema{"kind", "type", "src",  "dst",
-                                                "send", "deliver", "op", "bytes"};
-  for (const auto& record : run.recorder.records()) {
-    EXPECT_EQ(top_level_keys(to_json(record)), message_schema);
-  }
-}
-
-TEST(GoldenTrace, FieldValuesAreWellFormed) {
-  GoldenRun run;
-  std::ostringstream out;
-  write_jsonl(out, run.world.events(), run.world.races());
-  std::istringstream in(out.str());
-  std::string line;
-  long long last_access_time = 0, last_access_id = 0;
-  while (std::getline(in, line)) {
-    EXPECT_TRUE(balanced_json(line)) << line;
-    const bool is_access = line.find("\"kind\":\"access\"") != std::string::npos;
-    // Ranks valid on every record kind.
-    const long long rank = int_field(line, is_access ? "rank" : "accessor");
-    EXPECT_GE(rank, 0);
-    EXPECT_LT(rank, run.world.nprocs());
-    const long long home = int_field(line, "home");
-    EXPECT_GE(home, 0);
-    EXPECT_LT(home, run.world.nprocs());
-    EXPECT_GE(int_field(line, "t"), 0);
-    if (is_access) {
-      // Events are logged in issue order: ids and times monotone.
-      const long long id = int_field(line, "id");
-      const long long time = int_field(line, "t");
-      EXPECT_GT(id, last_access_id);
-      EXPECT_GE(time, last_access_time);
-      last_access_id = id;
-      last_access_time = time;
-      EXPECT_GT(int_field(line, "len"), 0);
-    } else {
-      // A race names the flagged event; the prior may be 0 (unknown).
-      EXPECT_GT(int_field(line, "event"), 0);
-      EXPECT_GE(int_field(line, "prior_event"), 0);
+TEST(Trace, ChromeHasOneRowPerRankOneInstantPerEventOneMarkerPerRace) {
+  const auto check = [](const RecordedRun& run) {
+    ASSERT_GT(run.folded.reports.size(), 0u);
+    const std::string doc = run.chrome();
+    EXPECT_TRUE(balanced_json(doc)) << doc;
+    EXPECT_EQ(doc.rfind("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", 0), 0u);
+    EXPECT_EQ(count_occurrences(doc, "\"name\":\"thread_name\""),
+              run.log().header.nprocs);
+    for (std::uint32_t rank = 0; rank < run.log().header.nprocs; ++rank) {
+      EXPECT_NE(doc.find("\"args\":{\"name\":\"P" + std::to_string(rank) + "\"}"),
+                std::string::npos);
     }
-  }
-  // Message records: delivery after send on every wire message.
-  for (const auto& record : run.recorder.records()) {
-    const std::string json = to_json(record);
-    EXPECT_GT(int_field(json, "deliver"), int_field(json, "send"));
-    EXPECT_GE(int_field(json, "src"), 0);
-    EXPECT_LT(int_field(json, "src"), run.world.nprocs());
-    EXPECT_GE(int_field(json, "dst"), 0);
-    EXPECT_LT(int_field(json, "dst"), run.world.nprocs());
-  }
+    EXPECT_EQ(count_occurrences(doc, "\"cat\":\"event\",\"ph\":\"i\""),
+              run.log().events.size());
+    EXPECT_EQ(count_occurrences(doc, "\"cat\":\"race\",\"ph\":\"i\""),
+              run.folded.reports.size());
+    EXPECT_EQ(count_occurrences(doc, "\"name\":\"RACE "), run.folded.reports.size());
+    // Each marker sits at its triggering event's index.
+    for (const core::RaceReport& report : run.folded.reports) {
+      EXPECT_NE(doc.find("\"cat\":\"race\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
+                         std::to_string(report.event_id) + ","),
+                std::string::npos);
+    }
+  };
+  check(golden_run());
+  check(odd_name_run());
+  // Area names are escaped in event names and race markers alike.
+  const std::string doc = odd_name_run().chrome();
+  EXPECT_NE(doc.find("RACE x\\\"y\\\\z"), std::string::npos) << doc;
 }
 
-TEST(GoldenTrace, FixedSeedRunIsReproducible) {
-  // The golden run itself must be stable: two constructions, one byte
-  // stream. (If this breaks, determinism broke — not the schema.)
-  GoldenRun a, b;
-  std::ostringstream ja, jb;
-  write_jsonl(ja, a.world.events(), a.world.races());
-  write_jsonl(jb, b.world.events(), b.world.races());
-  EXPECT_EQ(ja.str(), jb.str());
+TEST(Trace, FixedSeedRunsRenderByteIdentically) {
+  const RecordedRun a = golden_run();
+  const RecordedRun b = golden_run();
+  EXPECT_EQ(a.jsonl(), b.jsonl());
+  EXPECT_EQ(a.chrome(), b.chrome());
 }
 
-TEST(Trace, MessageJsonRoundsTripFields) {
-  MessageRecord record;
-  record.send_time = 5;
-  record.deliver_time = 9;
-  record.type = net::MsgType::kPutCommit;
-  record.src = 0;
-  record.dst = 1;
-  record.op_id = 3;
-  record.wire_bytes = 72;
-  const std::string json = to_json(record);
-  EXPECT_NE(json.find("\"type\":\"PUT_COMMIT\""), std::string::npos);
-  EXPECT_NE(json.find("\"send\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"deliver\":9"), std::string::npos);
-  EXPECT_NE(json.find("\"bytes\":72"), std::string::npos);
+TEST(Trace, EmptyLogRendersWellFormed) {
+  record::Log log;
+  std::ostringstream jsonl, chrome;
+  write_jsonl(jsonl, log, {});
+  write_chrome(chrome, log, {});
+  EXPECT_TRUE(jsonl.str().empty());
+  EXPECT_EQ(chrome.str(), "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n]}\n");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // touching each public layer through "dsmr.hpp" alone.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "dsmr.hpp"
 
 namespace {
@@ -10,7 +12,9 @@ TEST(Umbrella, EndToEndThroughThePublicApi) {
   dsmr::runtime::WorldConfig config;
   config.nprocs = 3;
   dsmr::runtime::World world(config);
-  dsmr::trace::MessageRecorder recorder(world.fabric());
+  dsmr::record::Recorder recorder(3, dsmr::record::Backend::kSim, config.mode,
+                                  config.lock_clock_handoff, config.acked_puts);
+  world.set_recorder(&recorder);
 
   auto array = dsmr::pgas::SharedArray<std::uint64_t>::allocate(
       world, 6, dsmr::pgas::Distribution::kBlock);
@@ -37,7 +41,14 @@ TEST(Umbrella, EndToEndThroughThePublicApi) {
   const auto lockset = dsmr::baseline::LocksetDetector::analyze(world.events());
   EXPECT_TRUE(lockset.warnings.empty());
   EXPECT_TRUE(lockset.flagged_areas.empty());
-  EXPECT_GT(recorder.size(), 0u);
+
+  recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
+  const auto folded = dsmr::record::replay_fold(recorder.log(), config.mode);
+  ASSERT_TRUE(folded.ok()) << folded.error;
+  EXPECT_TRUE(folded.reports.empty());
+  std::ostringstream chrome;
+  dsmr::trace::write_chrome(chrome, recorder.log(), folded.reports);
+  EXPECT_NE(chrome.str().find("\"traceEvents\""), std::string::npos);
 }
 
 }  // namespace

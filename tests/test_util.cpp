@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -303,6 +304,14 @@ TEST(CliDeath, UnknownFlagPanicsOnFinish) {
 TEST(CliDeath, NonFlagArgumentRejected) {
   const char* argv[] = {"prog", "stray"};
   EXPECT_DEATH(Cli(2, const_cast<char**>(argv), "usage"), "flags must start with --");
+}
+
+TEST(JsonEscape, EscapesSpecials) {
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json_escape("plain"), "plain");
 }
 
 }  // namespace

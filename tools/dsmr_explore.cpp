@@ -6,15 +6,15 @@
 // detector, the full-vector-clock oracle, the lockset baseline, and offline
 // ground truth on every schedule (analysis/conformance.hpp). Any verdict
 // disagreement fails the process with the reproducing (seed, perturbation)
-// pair, and — with --trace-dir — an exported JSONL + Chrome trace of the
-// exact schedule.
+// pair, and — with --witness-dir — the exact schedule's recorded ordering
+// log, which `dsmr_replay --log` folds and renders as a trace.
 //
 //   dsmr_explore --list
 //   dsmr_explore [--scenario name[,name...]|all] [--ranks N]
 //                [--seeds N|LO..HI] [--first-seed N] [--threads N]
 //                [--perturbations K] [--perturb-min NS] [--perturb-max NS]
 //                [--faults PLAN[;PLAN...]]
-//                [--json FILE] [--trace-dir DIR] [--verbose]
+//                [--json FILE] [--witness-dir DIR] [--verbose]
 //
 // Exhaustive mode (--exhaustive): generates a slice of small fuzzed
 // programs and explores EVERY inequivalent interleaving of each with
@@ -55,7 +55,8 @@
 //      racy interleaving of a clean program, a DPOR-vs-naive signature
 //      mismatch, or nondeterministic exploration counts;
 //   2  invalid input or tripped limits: bad flags, unwritable --json /
-//      --witness-dir, ineligible program sizes, or a --max-interleavings /
+//      --witness-dir, too few --ranks for a selected scenario, ineligible
+//      program sizes, or a --max-interleavings /
 //      --max-ops budget that left an exploration incomplete (an incomplete
 //      exploration certifies nothing, which is an input problem, not a
 //      detector verdict).
@@ -76,8 +77,8 @@
 #include "fuzz/harness.hpp"
 #include "net/fault.hpp"
 #include "record/log.hpp"
-#include "trace/trace.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -93,6 +94,18 @@ std::vector<std::string> split_names(const std::string& csv) {
     if (!name.empty()) names.push_back(name);
   }
   return names;
+}
+
+/// Creates --witness-dir up front (no-op when unset); false, after a
+/// message, when it cannot be created.
+bool make_witness_dir(const std::string& dir) {
+  if (dir.empty()) return true;
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (!ec) return true;
+  std::fprintf(stderr, "cannot create --witness-dir %s: %s\n", dir.c_str(),
+               ec.message().c_str());
+  return false;
 }
 
 struct ExhaustiveParams {
@@ -184,15 +197,7 @@ int run_exhaustive(const ExhaustiveParams& params) {
       return 2;
     }
   }
-  if (!params.witness_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(params.witness_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create --witness-dir %s: %s\n",
-                   params.witness_dir.c_str(), ec.message().c_str());
-      return 2;
-    }
-  }
+  if (!make_witness_dir(params.witness_dir)) return 2;
 
   std::printf("--- dsmr_explore --exhaustive: %llu program(s), ranks=%d, "
               "max-ops=%d, max-interleavings=%llu ---\n",
@@ -463,12 +468,12 @@ int run_exhaustive(const ExhaustiveParams& params) {
     json << ",\"witnesses\":[";
     for (std::size_t i = 0; i < witness_paths.size(); ++i) {
       if (i > 0) json << ",";
-      json << "\"" << trace::json_escape(witness_paths[i]) << "\"";
+      json << "\"" << util::json_escape(witness_paths[i]) << "\"";
     }
     json << "],\"failures\":[";
     for (std::size_t i = 0; i < failures.size(); ++i) {
       if (i > 0) json << ",";
-      json << "\"" << trace::json_escape(failures[i]) << "\"";
+      json << "\"" << util::json_escape(failures[i]) << "\"";
     }
     json << "],\"limit_failures\":" << limit_failures.size() << "}\n";
     std::printf("wrote %s\n", params.json_path.c_str());
@@ -502,7 +507,7 @@ int main(int argc, char** argv) {
                 "[--max-interleavings N] [--bug-kinds K1,K2|all|none] "
                 "[--planted-fraction F] [--witness-dir DIR] [--max-witnesses N] "
                 "[--compare-naive] [--single-pass] [--skip-sample] "
-                "[--json FILE] [--trace-dir DIR] [--verbose]");
+                "[--json FILE] [--verbose]");
   const bool list = cli.get_flag("list");
   const bool exhaustive = cli.get_flag("exhaustive");
   const std::string scenario_csv = cli.get_string("scenario", "all");
@@ -519,7 +524,6 @@ int main(int argc, char** argv) {
   const std::int64_t perturb_max_raw = cli.get_int("perturb-max", 4'000);
   const std::string faults_text = cli.get_string("faults", "");
   const std::string json_path = cli.get_string("json", "");
-  const std::string trace_dir = cli.get_string("trace-dir", "");
   const bool verbose = cli.get_flag("verbose");
 
   ExhaustiveParams params;
@@ -599,13 +603,21 @@ int main(int argc, char** argv) {
       selected.push_back(scenario);
     }
   }
+  for (const auto* scenario : selected) {
+    if (ranks < scenario->min_ranks) {
+      std::fprintf(stderr, "scenario %s needs --ranks >= %d, got %d\n",
+                   scenario->name.c_str(), scenario->min_ranks, ranks);
+      return 2;
+    }
+  }
+  if (!make_witness_dir(params.witness_dir)) return 2;
 
   analysis::ConformanceOptions options;
   options.base.nprocs = ranks;
   options.first_seed = first_seed;
   options.seeds = seeds;
   options.threads = threads;
-  options.trace_dir = trace_dir;
+  options.witness_dir = params.witness_dir;
   options.perturbations = sim::perturb_variants(perturb_min, perturb_max, perturbations);
   for (const auto& plan : fault_plans) {
     if (plan.wire_enabled()) options.fault_plans.push_back(plan);

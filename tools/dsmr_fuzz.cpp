@@ -72,8 +72,8 @@
 #include "fuzz/shrink.hpp"
 #include "fuzz/thread_harness.hpp"
 #include "net/fault.hpp"
-#include "trace/trace.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -341,7 +341,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cannot write --json %s\n", json_path.c_str());
         return 2;
       }
-      out << "{\"tool\":\"dsmr_fuzz\",\"backend\":\"" << trace::json_escape(backend)
+      out << "{\"tool\":\"dsmr_fuzz\",\"backend\":\"" << util::json_escape(backend)
           << "\",\"first_seed\":" << seeds.first << ",\"seed_count\":" << seeds.count
           << ",\"ranks\":" << gen.nprocs << ",\"thread_reps\":" << thread_reps
           << ",\"programs\":" << result.programs << ",\"clean\":" << result.clean_programs
@@ -594,12 +594,12 @@ int main(int argc, char** argv) {
     }
     out << "{\"tool\":\"dsmr_fuzz\",\"first_seed\":" << seeds.first
         << ",\"seed_count\":" << seeds.count << ",\"profile\":\""
-        << trace::json_escape(profile) << "\",\"schedule\":\""
+        << util::json_escape(profile) << "\",\"schedule\":\""
         << fuzz::to_string(*schedule) << "\",\"ranks\":" << gen.nprocs
         << ",\"schedule_seeds\":" << schedule_seeds
         << ",\"variants\":" << sweep.check.perturbations.size() << ",\"faults\":\"";
     for (std::size_t i = 0; i < fault_plans.size(); ++i) {
-      out << (i > 0 ? "; " : "") << trace::json_escape(fault_plans[i].to_string());
+      out << (i > 0 ? "; " : "") << util::json_escape(fault_plans[i].to_string());
     }
     out << "\",\"programs\":" << result.programs << ",\"planted\":" << result.planted
         << ",\"clean\":" << result.clean << ",\"schedules\":" << result.schedules
@@ -616,7 +616,7 @@ int main(int argc, char** argv) {
     for (const auto& [kind, stats] : result.kinds) {
       if (!first_kind) out << ",";
       first_kind = false;
-      out << "{\"kind\":\"" << trace::json_escape(kind)
+      out << "{\"kind\":\"" << util::json_escape(kind)
           << "\",\"programs\":" << stats.programs
           << ",\"manifested_programs\":" << stats.manifested_programs
           << ",\"manifested_runs\":" << stats.manifested_runs
@@ -629,14 +629,14 @@ int main(int argc, char** argv) {
       const auto& f = failures[i];
       if (i > 0) out << ",";
       out << "{\"program_seed\":" << f.program_seed << ",\"arm\":\""
-          << trace::json_escape(f.arm) << "\",\"check\":\""
-          << trace::json_escape(f.check) << "\",\"detail\":\""
-          << trace::json_escape(f.detail) << "\",\"schedule_seed\":" << f.schedule_seed
-          << ",\"perturb\":\"" << trace::json_escape(f.perturb.to_string())
-          << "\",\"fault\":\"" << trace::json_escape(f.fault.to_string())
+          << util::json_escape(f.arm) << "\",\"check\":\""
+          << util::json_escape(f.check) << "\",\"detail\":\""
+          << util::json_escape(f.detail) << "\",\"schedule_seed\":" << f.schedule_seed
+          << ",\"perturb\":\"" << util::json_escape(f.perturb.to_string())
+          << "\",\"fault\":\"" << util::json_escape(f.fault.to_string())
           << "\",\"manifested\":" << f.manifested << ",\"schedules\":" << f.schedules
           << ",\"ops_before\":" << f.ops_before << ",\"ops_after\":" << f.ops_after
-          << ",\"repro\":\"" << trace::json_escape(f.repro_path) << "\"}";
+          << ",\"repro\":\"" << util::json_escape(f.repro_path) << "\"}";
     }
     out << "]}\n";
     std::printf("wrote %s\n", json_path.c_str());

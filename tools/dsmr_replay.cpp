@@ -12,8 +12,8 @@
 //  * checks the fold against the embedded live-verdict footer
 //    (`check_record_replay`) and exits 1 on divergence;
 //  * renders a traffic ledger (events and payload bytes per event kind) and,
-//    on request, a JSONL event dump and a chrome://tracing view of the
-//    recorded total order.
+//    on request, the recorded total order and the folded race reports as
+//    JSONL or a chrome://tracing view (trace/trace.hpp).
 //
 //   dsmr_replay --log FILE [--mode header|off|single|dual] [--json FILE]
 //               [--trace-jsonl FILE] [--trace-chrome FILE] [--quiet]
@@ -31,6 +31,7 @@
 #include "record/replay.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 using namespace dsmr;
@@ -48,40 +49,6 @@ std::uint64_t payload_bytes(const record::Event& event) {
     default:
       return 0;
   }
-}
-
-void write_trace_jsonl(std::ofstream& out, const record::Log& log) {
-  std::size_t index = 0;
-  for (const auto& event : log.events) {
-    out << "{\"i\":" << index++ << ",\"kind\":\""
-        << record::to_string(event.kind) << "\",\"a\":" << event.a
-        << ",\"b\":" << event.b << ",\"c\":" << event.c << ",\"d\":" << event.d
-        << "}\n";
-  }
-}
-
-/// One instant event per log entry, one chrome://tracing track per rank, in
-/// recorded total order (timestamps are the event index — the log carries
-/// ordering, not wall time).
-void write_trace_chrome(std::ofstream& out, const record::Log& log) {
-  out << "[";
-  std::size_t index = 0;
-  for (const auto& event : log.events) {
-    if (index > 0) out << ",\n ";
-    std::string name = record::to_string(event.kind);
-    if (event.b < log.areas.size() &&
-        event.kind != record::EventKind::kSignal &&
-        event.kind != record::EventKind::kWaitMatch &&
-        event.kind != record::EventKind::kTick) {
-      name += " " + log.areas[event.b].name;
-    }
-    out << "{\"name\":\"" << trace::json_escape(name)
-        << "\",\"ph\":\"X\",\"ts\":" << index << ",\"dur\":1,\"pid\":0,\"tid\":"
-        << event.a << ",\"args\":{\"b\":" << event.b << ",\"c\":" << event.c
-        << ",\"d\":" << event.d << "}}";
-    ++index;
-  }
-  out << "]\n";
 }
 
 }  // namespace
@@ -197,7 +164,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write --trace-jsonl %s\n", jsonl_path.c_str());
       return 2;
     }
-    write_trace_jsonl(out, *log);
+    trace::write_jsonl(out, *log, folded.reports);
     std::printf("wrote %s\n", jsonl_path.c_str());
   }
   if (!chrome_path.empty()) {
@@ -206,7 +173,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write --trace-chrome %s\n", chrome_path.c_str());
       return 2;
     }
-    write_trace_chrome(out, *log);
+    trace::write_chrome(out, *log, folded.reports);
     std::printf("wrote %s\n", chrome_path.c_str());
   }
 
@@ -220,7 +187,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write --json %s\n", json_path.c_str());
       return 2;
     }
-    out << "{\"tool\":\"dsmr_replay\",\"log\":\"" << trace::json_escape(path)
+    out << "{\"tool\":\"dsmr_replay\",\"log\":\"" << util::json_escape(path)
         << "\",\"backend\":\"" << record::to_string(log->header.backend)
         << "\",\"nprocs\":" << log->header.nprocs << ",\"recorded_mode\":\""
         << core::to_string(log->header.mode) << "\",\"fold_mode\":\""
