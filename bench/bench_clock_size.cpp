@@ -27,6 +27,7 @@ SweepResult run_sweep(int nprocs, std::uint64_t seed) {
   auto config = world_config(nprocs, core::DetectorMode::kDualClock,
                              core::Transport::kHomeSide, seed);
   World world(config);
+  world.record();
   workload::RandomConfig wl;
   wl.areas = std::max(2, nprocs / 2);
   wl.ops_per_proc = 30;
@@ -35,9 +36,9 @@ SweepResult run_sweep(int nprocs, std::uint64_t seed) {
   workload::spawn_random(world, wl);
   DSMR_CHECK(world.run().completed);
   SweepResult result;
-  result.truth = analysis::compute_ground_truth(world.events()).pairs.size();
+  result.truth = analysis::compute_ground_truth(world.log()).pairs.size();
   result.points =
-      analysis::truncation_sweep(world.events(), static_cast<std::size_t>(nprocs));
+      analysis::truncation_sweep(world.log(), static_cast<std::size_t>(nprocs));
   return result;
 }
 

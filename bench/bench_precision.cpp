@@ -37,23 +37,24 @@ QualityRow measure(const std::string& name, int nprocs, std::uint64_t seed,
   auto config = world_config(nprocs, core::DetectorMode::kDualClock,
                              core::Transport::kHomeSide, seed);
   World world(config);
+  world.record();
   spawn(world);
   DSMR_CHECK(world.run().completed);
 
   QualityRow row;
   row.workload = name;
-  const auto truth = analysis::compute_ground_truth(world.events());
+  const auto truth = analysis::compute_ground_truth(world.log());
   row.truth_pairs = truth.pairs.size();
 
-  const auto acc = analysis::evaluate(world.events(), world.races());
+  const auto acc = analysis::evaluate(world.log(), world.races());
   row.dual_precision = acc.precision();
   row.dual_recall = acc.pair_recall();
   row.dual_area_recall = acc.area_recall();
 
-  const auto single =
-      analysis::replay_online(world.events(), core::DetectorMode::kSingleClock);
-  const auto dual =
-      analysis::replay_online(world.events(), core::DetectorMode::kDualClock);
+  const auto single = analysis::verdicts_of(
+      record::replay_fold(world.log(), core::DetectorMode::kSingleClock).reports);
+  const auto dual = analysis::verdicts_of(
+      record::replay_fold(world.log(), core::DetectorMode::kDualClock).reports);
   for (const auto& pair : single.pairs) {
     if (truth.pairs.count(pair) == 0) ++row.single_fp;
   }
@@ -61,7 +62,7 @@ QualityRow measure(const std::string& name, int nprocs, std::uint64_t seed,
     if (single.pairs.count(pair) == 0) ++row.single_fn;  // dual caught, single blind.
   }
 
-  const auto lockset = baseline::LocksetDetector::analyze(world.events());
+  const auto lockset = baseline::LocksetDetector::analyze(world.log());
   row.lockset_flags = lockset.warnings.size();
   row.lockset_fp = row.truth_pairs == 0 && !lockset.warnings.empty();
   return row;

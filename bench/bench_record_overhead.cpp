@@ -94,10 +94,7 @@ double measure_sim_virtual(bool record) {
                              core::Transport::kHomeSide);
   config.latency.jitter_ns = 0;
   World world(config);
-  record::Recorder recorder(kRanks, record::Backend::kSim,
-                            core::DetectorMode::kOff,
-                            config.lock_clock_handoff, config.acked_puts);
-  if (record) world.set_recorder(&recorder);
+  if (record) world.record();
   const GlobalAddress x = world.alloc(kRanks - 1, 8, "x");
   sim::Time busy = 0;
   world.spawn(0, [x, &busy](Process& p) -> sim::Task {
@@ -121,10 +118,7 @@ LogDensity measure_log_density() {
   auto config = world_config(kRanks, core::DetectorMode::kDualClock,
                              core::Transport::kHomeSide);
   World world(config);
-  record::Recorder recorder(kRanks, record::Backend::kSim,
-                            core::DetectorMode::kDualClock,
-                            config.lock_clock_handoff, config.acked_puts);
-  world.set_recorder(&recorder);
+  world.record();
   const GlobalAddress x = world.alloc(kRanks - 1, 8, "x");
   world.spawn(0, [x](Process& p) -> sim::Task {
     for (int i = 0; i < kOps; ++i) {
@@ -132,12 +126,10 @@ LogDensity measure_log_density() {
       co_await p.get(x, 8);
     }
   });
-  const auto report = world.run();
-  DSMR_CHECK(report.completed);
-  recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
-  const auto bytes = recorder.log().serialize();
+  DSMR_CHECK(world.run().completed);
+  const auto bytes = world.log().serialize();
   LogDensity density;
-  density.events = recorder.log().events.size();
+  density.events = world.log().events.size();
   density.bytes_per_event = static_cast<double>(bytes.size()) /
                             static_cast<double>(density.events);
   density.bytes_per_op = static_cast<double>(bytes.size()) / (2.0 * kOps);

@@ -30,7 +30,10 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int("threads", util::ThreadPool::hardware_threads()));
   const auto perturbations = cli.get_uint("perturbations", 2);
   const std::int64_t perturb_max_raw = cli.get_int("perturb-max", 4'000);
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
   if (perturb_max_raw < 0) {
     std::fprintf(stderr, "--perturb-max must be >= 0\n");
     return 1;

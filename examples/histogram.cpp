@@ -23,7 +23,10 @@ int main(int argc, char** argv) {
   const auto increments = static_cast<int>(cli.get_int("increments", 32));
   const bool locked = cli.get_flag("locked");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
 
   runtime::WorldConfig world_config;
   world_config.nprocs = ranks;

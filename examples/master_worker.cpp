@@ -47,7 +47,10 @@ int main(int argc, char** argv) {
   const auto workers = static_cast<int>(cli.get_int("workers", 3));
   const auto tasks = static_cast<int>(cli.get_int("tasks", 2));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
 
   runtime::WorldConfig config;
   config.nprocs = workers + 1;

@@ -35,7 +35,10 @@ int main(int argc, char** argv) {
   const bool locked = cli.get_flag("locked");
   const auto increments = static_cast<int>(cli.get_int("increments", 10));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
 
   runtime::WorldConfig config;
   config.nprocs = 3;

@@ -13,7 +13,6 @@
 #include <fstream>
 #include <string>
 
-#include "record/recorder.hpp"
 #include "record/replay.hpp"
 #include "runtime/world.hpp"
 #include "trace/trace.hpp"
@@ -30,14 +29,15 @@ int main(int argc, char** argv) {
   const bool buggy = cli.get_flag("buggy");
   const auto ranks = static_cast<int>(cli.get_int("ranks", 4));
   const std::string prefix = cli.get_string("out", "dsmr_trace");
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
 
   runtime::WorldConfig config;
   config.nprocs = ranks;
   runtime::World world(config);
-  record::Recorder recorder(static_cast<std::uint32_t>(ranks), record::Backend::kSim,
-                            config.mode, config.lock_clock_handoff, config.acked_puts);
-  world.set_recorder(&recorder);
+  world.record();
 
   if (workload == "stencil") {
     workload::StencilConfig wl;
@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
   }
 
   const auto report = world.run();
-  recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
-  const record::Log& log = recorder.log();
+  const record::Log& log = world.log();
   const record::ReplayResult folded = record::replay_fold(log, log.header.mode);
   if (!folded.ok()) {
     std::fprintf(stderr, "fold failed: %s\n", folded.error.c_str());

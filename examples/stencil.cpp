@@ -24,7 +24,10 @@ int main(int argc, char** argv) {
   const auto cells = static_cast<int>(cli.get_int("cells", 16));
   const auto iters = static_cast<int>(cli.get_int("iters", 8));
   const bool buggy = cli.get_flag("buggy");
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
 
   runtime::WorldConfig world_config;
   world_config.nprocs = ranks;

@@ -5,7 +5,6 @@
 #include <cctype>
 #include <filesystem>
 #include <map>
-#include <optional>
 #include <system_error>
 #include <set>
 #include <sstream>
@@ -157,40 +156,37 @@ const Scenario* find_scenario(const std::string& name) {
 
 namespace {
 
-std::set<std::uint64_t> live_flagged(const core::RaceLog& races) {
-  std::set<std::uint64_t> ids;
-  for (const auto& r : races.reports()) {
-    if (r.event_id != 0) ids.insert(r.event_id);
-  }
-  return ids;
-}
-
-std::set<std::uint64_t> writes_only(const core::EventLog& log,
+/// The ids of `flagged` that name writes.
+std::set<std::uint64_t> writes_only(const record::Log& log,
                                     const std::set<std::uint64_t>& flagged) {
   std::set<std::uint64_t> writes;
   for (const auto id : flagged) {
-    if (log.event(id).kind == core::AccessKind::kWrite) writes.insert(id);
+    if (record::access_kind(log.events[id - 1].kind) == core::AccessKind::kWrite) {
+      writes.insert(id);
+    }
   }
   return writes;
 }
 
-/// Logical event names ("r<rank>.<idx>") indexed by event id. Per-rank issue
-/// order is program order, so these identities — unlike the raw ids, which
-/// follow global allocation order — line up across fault variants of the
-/// same (program, seed, perturbation).
-std::vector<std::string> logical_names(const core::EventLog& log) {
-  std::vector<std::string> names(log.size() + 1);
-  std::map<Rank, std::uint64_t> per_rank;
-  for (const auto& e : log.events()) {
+/// Logical access names ("r<rank>.<idx>") indexed by access id. Per-rank
+/// issue order is program order, so these identities — unlike the raw ids,
+/// which follow the global log order — line up across fault variants of
+/// the same (program, seed, perturbation).
+std::vector<std::string> logical_names(const record::Log& log) {
+  std::vector<std::string> names(log.events.size() + 1);
+  std::map<std::uint64_t, std::uint64_t> per_rank;
+  for (std::size_t i = 0; i < log.events.size(); ++i) {
+    const record::Event& e = log.events[i];
+    if (!record::opens_access(e.kind)) continue;
     std::ostringstream name;
-    name << "r" << e.rank << "." << per_rank[e.rank]++;
-    names[e.id] = name.str();
+    name << "r" << e.a << "." << per_rank[e.a]++;
+    names[i + 1] = name.str();
   }
   return names;
 }
 
 /// Canonical text of a pair set under logical names. Canonicalized twice:
-/// within each pair (a RacePair's (first, second) follows raw-id apply
+/// within each pair (a RacePair's (first, second) follows raw-id log
 /// order, so the same logical pair can arrive flipped between fault
 /// variants) and across the set (the input is ordered by raw ids, whose
 /// order over the same logical pairs likewise differs between variants).
@@ -210,7 +206,7 @@ std::string logical_pairs(const std::set<RacePair>& pairs,
   return out.str();
 }
 
-/// The single-clock replay's pair set is deliberately NOT part of the
+/// The single-clock fold's pair set is deliberately NOT part of the
 /// signature: §IV.D's merged clock makes its read verdicts approximate in
 /// both directions, and which read pairs it flags depends on the *apply
 /// order* at the home — which retransmission delay legitimately reshuffles.
@@ -218,12 +214,12 @@ std::string logical_pairs(const std::set<RacePair>& pairs,
 /// appears or vanishes with a single retried message.) Its write verdicts
 /// need no separate leg — the cross-mode-writes invariant pins them to the
 /// dual set, which is signed.
-std::string verdict_signature(const core::EventLog& log, const GroundTruth& truth,
-                              const core::RaceLog& races, const ReplayResult& dual) {
+std::string verdict_signature(const record::Log& log, const GroundTruth& truth,
+                              const core::RaceLog& races, const Verdicts& dual) {
   const auto names = logical_names(log);
   std::ostringstream out;
   out << "truth{" << logical_pairs(truth.pairs, names) << "} reported{"
-      << logical_pairs(reported_pairs(races), names) << "} dual{"
+      << logical_pairs(verdicts_of(races.reports()).pairs, names) << "} dual{"
       << logical_pairs(dual.pairs, names) << "} areas{";
   for (const auto& [home, area] : truth.racy_areas) out << home << ":" << area << " ";
   out << "}";
@@ -241,11 +237,11 @@ RunVerdicts check_run(runtime::World& world, const runtime::RunReport& report) {
   v.hit_event_cap = report.hit_event_cap;
   v.diagnostic = report.diagnostic;
   v.live_reports = report.race_count;
-  // A deadlocked run has no applied clocks to replay; the grid layer
+  // A deadlocked run has no applied clocks to fold; the grid layer
   // decides whether the deadlock itself is a failure.
   if (!report.completed) return v;
 
-  const auto& log = world.events();
+  const record::Log& log = world.log();
   const auto mode = world.config().mode;
   auto fail = [&v](const std::string& check, const std::string& detail) {
     v.failed_checks.push_back(check + ": " + detail);
@@ -256,38 +252,43 @@ RunVerdicts check_run(runtime::World& world, const runtime::RunReport& report) {
   v.truth_areas = truth.racy_areas.size();
 
   // Invariant 1 — the epoch fast path is bit-identical to the full-vector-
-  // clock oracle, in both detector modes, on this schedule's log.
-  ReplayResult dual_fast, single_fast;
-  for (const auto replay_mode :
+  // clock oracle, in both detector modes, on this schedule's log: each
+  // fold's reports against the oracle's verdict on every access it folds.
+  Verdicts dual_fast, single_fast;
+  for (const auto fold_mode :
        {core::DetectorMode::kDualClock, core::DetectorMode::kSingleClock}) {
-    const auto fast = replay_online(log, replay_mode);
-    const auto oracle = replay_online(log, replay_mode, /*with_oracle=*/true);
-    if (fast.pairs != oracle.pairs || fast.flagged_events != oracle.flagged_events) {
+    Verdicts oracle;
+    const record::ReplayResult folded =
+        record::replay_fold(log, fold_mode, [&](const record::AppliedAccess& access) {
+          add_oracle_verdict(oracle, fold_mode, access);
+        });
+    const Verdicts fast = verdicts_of(folded.reports);
+    if (!folded.ok() || fast != oracle) {
       std::ostringstream detail;
-      detail << "mode=" << core::to_string(replay_mode) << " fast flagged "
-             << fast.flagged_events.size() << " vs oracle " << oracle.flagged_events.size();
+      detail << "mode=" << core::to_string(fold_mode) << " fast flagged "
+             << fast.flagged.size() << " vs oracle " << oracle.flagged.size();
+      if (!folded.ok()) detail << ", " << folded.error;
       fail("fast-path-vs-oracle", detail.str());
     }
-    if (replay_mode == mode) {
-      v.fast_flagged = fast.flagged_events.size();
-      v.oracle_flagged = oracle.flagged_events.size();
+    if (fold_mode == mode) {
+      v.fast_flagged = fast.flagged.size();
+      v.oracle_flagged = oracle.flagged.size();
     }
-    (replay_mode == core::DetectorMode::kDualClock ? dual_fast : single_fast) = fast;
+    (fold_mode == core::DetectorMode::kDualClock ? dual_fast : single_fast) = fast;
   }
-  v.dual_flagged = dual_fast.flagged_events.size();
-  v.single_flagged = single_fast.flagged_events.size();
+  v.dual_flagged = dual_fast.flagged.size();
+  v.single_flagged = single_fast.flagged.size();
 
   if (mode != core::DetectorMode::kOff) {
-    // Invariant 2 — the offline replay of the run's own mode reproduces the
-    // live reports exactly (pairs and flagged accesses). The run's mode is
-    // one of the two replays above; reuse it rather than replaying again.
-    const auto& replay =
+    // Invariant 2 — the fold of the run's own mode reproduces the live
+    // reports exactly (pairs and flagged accesses: both name accesses by
+    // log index). The run's mode is one of the two folds above.
+    const Verdicts& replay =
         mode == core::DetectorMode::kDualClock ? dual_fast : single_fast;
-    if (replay.pairs != reported_pairs(world.races()) ||
-        replay.flagged_events != live_flagged(world.races())) {
+    if (replay != verdicts_of(world.races().reports())) {
       std::ostringstream detail;
       detail << "live " << world.races().count() << " reports, replay flagged "
-             << replay.flagged_events.size();
+             << replay.flagged.size();
       fail("live-vs-replay", detail.str());
     }
   }
@@ -309,8 +310,7 @@ RunVerdicts check_run(runtime::World& world, const runtime::RunReport& report) {
   // Invariant 5 — cross-mode agreement on writes: both modes compare writes
   // against V(x), so their write verdicts must be identical (reads genuinely
   // differ in both directions, §IV.D — not checked).
-  if (writes_only(log, dual_fast.flagged_events) !=
-      writes_only(log, single_fast.flagged_events)) {
+  if (writes_only(log, dual_fast.flagged) != writes_only(log, single_fast.flagged)) {
     fail("cross-mode-writes", "dual and single clock disagree on a write verdict");
   }
 
@@ -355,31 +355,16 @@ std::string schedule_stem(const std::string& scenario, std::uint64_t seed,
   return out.str();
 }
 
-/// Recording needs the home-side wire layout unless detection is off
-/// (runtime::World::set_recorder).
-bool recordable(const runtime::WorldConfig& config) {
-  return config.mode == core::DetectorMode::kOff ||
-         config.transport == core::Transport::kHomeSide;
-}
-
-/// Runs `scenario` on one grid coordinate and cross-checks it. With `log`,
-/// the run is also recorded and `*log` receives the serialized ordering log.
+/// Runs `scenario` on one grid coordinate, recorded, and cross-checks it.
+/// With `log`, `*log` receives the serialized ordering log.
 RunVerdicts run_coordinate(const Scenario& scenario, const runtime::WorldConfig& config,
                            std::vector<std::byte>* log) {
   runtime::World world(config);
-  std::optional<record::Recorder> recorder;
-  if (log != nullptr) {
-    recorder.emplace(static_cast<std::uint32_t>(config.nprocs), record::Backend::kSim,
-                     config.mode, config.lock_clock_handoff, config.acked_puts);
-    world.set_recorder(&*recorder);
-  }
+  world.record();
   scenario.spawn(world);
   const auto report = world.run();
   RunVerdicts verdicts = check_run(world, report);
-  if (log != nullptr) {
-    recorder->finish(world.races().reports(), report.completed, report.stuck_ranks);
-    *log = recorder->log().serialize();
-  }
+  if (log != nullptr) *log = world.log().serialize();
   return verdicts;
 }
 
@@ -433,7 +418,7 @@ ConformanceReport run_conformance(const Scenario& scenario,
     // Invariant 6 — record→replay: the ordering log this run emits, taken
     // through the full serialize→parse→fold pipeline, must reproduce the
     // live verdict signature on this exact coordinate.
-    const bool record = options.record_replay_check && recordable(config);
+    const bool record = options.record_replay_check;
     std::vector<std::byte> log;
     runs[index] = run_coordinate(scenario, config, record ? &log : nullptr);
     if (record) {
@@ -552,9 +537,7 @@ ConformanceReport run_conformance(const Scenario& scenario,
   }
 
   // Every disagreement gets a replayable witness: re-run the exact
-  // coordinate serially, recorded, and write its ordering log. Coordinates
-  // the recorder cannot take (a detector on a non-home-side layout) keep an
-  // empty witness.
+  // coordinate serially, recorded, and write its ordering log.
   if (!options.witness_dir.empty() && !summary.disagreements.empty()) {
     // The artifact must exist exactly when a disagreement does: create the
     // directory and fail loudly on any write error.
@@ -568,7 +551,6 @@ ConformanceReport run_conformance(const Scenario& scenario,
       config.seed = divergence.seed;
       config.perturb = divergence.perturb;
       config.fault = divergence.fault;
-      if (!recordable(config)) continue;
       const std::string stem = schedule_stem(scenario.name, divergence.seed,
                                              divergence.perturb, divergence.fault);
       auto it = exported.find(stem);

@@ -7,9 +7,10 @@
 // cross-checks four independent verdict sources:
 //
 //  * the live detector (epoch fast path, as production runs it),
-//  * the offline replay of the same mode (must reproduce the live reports),
-//  * the full-vector-clock oracle replay (must agree with the fast path
-//    bit-for-bit, in both detector modes),
+//  * the fold of the run's ordering log at the same mode (must reproduce
+//    the live reports),
+//  * the full-vector-clock oracle on every folded access (must agree with
+//    the fast path bit-for-bit, in both detector modes),
 //  * offline ground truth (every dual-clock report is a true race —
 //    precision 1.0, the paper's structural guarantee), plus the cross-mode
 //    write-verdict identity (dual and single clocks agree on every write,
@@ -38,8 +39,8 @@
 //    healing partitions, crash–restart) must leave the verdicts of a kNever
 //    scenario bit-identical to the fault-free run of the same (seed,
 //    perturbation): the reliable transport hides the fault. Verdicts are
-//    compared by a logical signature keyed on (rank, per-rank event index),
-//    since raw event-log ids shift when retries reshuffle global scheduling.
+//    compared by a logical signature keyed on (rank, per-rank access index),
+//    since raw log indices shift when retries reshuffle global scheduling.
 //    kSometimes scenarios are exempt: their manifestation is schedule luck,
 //    which faults legitimately re-roll.
 //  * clean-failure — an *unrecoverable* plan (permanent crash or partition)
@@ -86,6 +87,7 @@ const std::vector<Scenario>& builtin_scenarios();
 const Scenario* find_scenario(const std::string& name);
 
 /// One schedule's verdicts from every source, plus any failed invariants.
+/// Every offline source is a fold of the run's ordering log.
 struct RunVerdicts {
   std::uint64_t seed = 0;
   sim::PerturbConfig perturb{};
@@ -95,12 +97,12 @@ struct RunVerdicts {
   /// The quiescence watchdog's dump; non-empty exactly when non-quiescent.
   std::string diagnostic;
   /// Schedule-comparable verdict fingerprint: ground-truth pairs, live
-  /// reported pairs, and the dual-clock replay pair set, all keyed by
-  /// logical (rank, per-rank issue index) event identities plus the truth
-  /// areas. Raw event-log ids depend on global allocation order, which
+  /// reported pairs, and the dual-clock fold's pair set, all keyed by
+  /// logical (rank, per-rank issue index) access identities plus the truth
+  /// areas. Raw log indices depend on the global event order, which
   /// faults and retries reshuffle; per-rank issue order is program order,
   /// so logical ids line up across fault variants of one (program, seed,
-  /// perturbation). The single-clock replay's pair set is deliberately
+  /// perturbation). The single-clock fold's pair set is deliberately
   /// excluded: its read verdicts are approximate in both directions
   /// (§IV.D) and genuinely timing-dependent, so they are not schedule-
   /// invariant even on clean programs; its write verdicts are already
@@ -110,10 +112,10 @@ struct RunVerdicts {
   std::uint64_t live_reports = 0;      ///< production detector, during the run.
   std::uint64_t truth_pairs = 0;       ///< offline ground truth.
   std::uint64_t truth_areas = 0;
-  std::uint64_t fast_flagged = 0;      ///< epoch fast-path replay, run's mode.
-  std::uint64_t oracle_flagged = 0;    ///< full-VC oracle replay, run's mode.
-  std::uint64_t dual_flagged = 0;      ///< fast-path replay, dual-clock mode.
-  std::uint64_t single_flagged = 0;    ///< fast-path replay, single-clock mode.
+  std::uint64_t fast_flagged = 0;      ///< epoch fast-path fold, run's mode.
+  std::uint64_t oracle_flagged = 0;    ///< full-VC oracle on that fold.
+  std::uint64_t dual_flagged = 0;      ///< fast-path fold, dual-clock mode.
+  std::uint64_t single_flagged = 0;    ///< fast-path fold, single-clock mode.
   std::uint64_t lockset_warnings = 0;  ///< Eraser baseline (informational).
   bool lockset_covers_truth = true;    ///< truth racy areas ⊆ lockset flags.
   double area_recall = 1.0;            ///< tracked quality metric, not an invariant.
@@ -158,12 +160,11 @@ struct ConformanceOptions {
   /// legitimately re-roll). The clean-failure invariant on unrecoverable
   /// plans is always enforced.
   bool expect_fault_transparency = true;
-  /// Attach an ordering recorder (record/recorder.hpp) to every grid run and
-  /// require that the serialized log, parsed back and folded offline through
-  /// core::check_access, reproduces the live verdict signature exactly — on
-  /// every (seed, perturbation, fault plan) coordinate. Skipped silently on
-  /// wire layouts recording does not support (non-home-side transports with
-  /// the detector on).
+  /// Require that every grid run's ordering log (record/recorder.hpp — each
+  /// run is recorded, since every check folds it), serialized, parsed back
+  /// and folded offline, reproduces the live verdict signature exactly — on
+  /// every (seed, perturbation, fault plan) coordinate and every wire
+  /// layout.
   bool record_replay_check = true;
 };
 
@@ -199,7 +200,8 @@ struct ConformanceReport {
 };
 
 /// Cross-checks one finished run (building block; exposed for tests).
-/// `world` must have been run to completion of World::run already.
+/// `world` must have been World::record()ed and run already: every check
+/// folds the run's ordering log.
 RunVerdicts check_run(runtime::World& world, const runtime::RunReport& report);
 
 /// Runs the full (seed × perturbation) grid for one scenario on

@@ -1,4 +1,4 @@
-// Offline ground truth: the full happens-before analysis over the event log.
+// Offline ground truth: the full happens-before analysis of a recorded run.
 //
 // The paper's online algorithm compares each access only against the area's
 // *latest* access/write clocks. This module recomputes races over *all*
@@ -21,6 +21,13 @@
 // Same-rank pairs are ordered by program order and the FIFO channel. This is
 // exactly the predicate the online detector evaluates against the latest
 // access — hence the structural precision guarantee.
+//
+// Every analysis here is a fold of the run's ordering log (record/log.hpp):
+// the log keeps only the order, and record::Folder re-derives each access's
+// issue and apply clocks on the way (RecPlay, PAPERS.md), handing them to
+// an observer. So the analyses run on any log — sim runs on every
+// transport, threaded runs, explorer interleavings — and name accesses by
+// log index (record::opens_access).
 #pragma once
 
 #include <cstdint>
@@ -28,13 +35,14 @@
 #include <utility>
 #include <vector>
 
-#include "core/event_log.hpp"
 #include "core/race_report.hpp"
+#include "record/log.hpp"
+#include "record/replay.hpp"
 #include "util/types.hpp"
 
 namespace dsmr::analysis {
 
-/// An unordered conflicting pair of access events (ids, first < second).
+/// An unordered conflicting pair of accesses (ids, first < second).
 struct RacePair {
   std::uint64_t first = 0;
   std::uint64_t second = 0;
@@ -45,7 +53,8 @@ struct RacePair {
   bool operator==(const RacePair& other) const = default;
 };
 
-/// A shared datum's identity: (home rank, area id).
+/// A shared datum's identity: (home rank, AreaId on that home) — the
+/// coordinates live race reports use.
 using AreaKey = std::pair<Rank, std::uint32_t>;
 
 struct GroundTruth {
@@ -54,13 +63,13 @@ struct GroundTruth {
   std::uint64_t conflicting_pairs = 0;  ///< pairs examined (≥1 write, same area,
                                         ///< different ranks).
   std::uint64_t ordered_pairs = 0;      ///< conflicting but causally ordered.
-  std::uint64_t unapplied_events = 0;   ///< events never applied (crashed run).
+  std::uint64_t unapplied_events = 0;   ///< accesses never applied (crashed run).
 };
 
 /// Enumerates all ground-truth races. O(m²) per area — intended for
 /// test/bench scale, as is the paper's debugging scenario ("typically,
 /// about 10 processes").
-GroundTruth compute_ground_truth(const core::EventLog& log);
+GroundTruth compute_ground_truth(const record::Log& log);
 
 /// §IV.C ablation: the same analysis with every clock truncated to its
 /// first `k` components. Projection preserves domination, so truncation can
@@ -70,8 +79,28 @@ struct TruncationPoint {
   std::uint64_t detected = 0;  ///< racing pairs still seen at width k.
   std::uint64_t missed = 0;    ///< full races invisible at width k.
 };
-std::vector<TruncationPoint> truncation_sweep(const core::EventLog& log,
+std::vector<TruncationPoint> truncation_sweep(const record::Log& log,
                                               std::size_t nprocs);
+
+/// A set of race reports as unordered (prior, current) access pairs plus
+/// the flagged accesses. A report whose prior is unknown (id 0) flags its
+/// access but forms no pair. The one definition behind the accuracy
+/// metrics and the conformance invariants, so they cannot drift apart.
+struct Verdicts {
+  std::set<RacePair> pairs;
+  std::set<std::uint64_t> flagged;
+
+  void add(std::uint64_t prior, std::uint64_t id);
+  bool operator==(const Verdicts&) const = default;
+};
+Verdicts verdicts_of(const std::vector<core::RaceReport>& reports);
+
+/// Adds the full-vector-clock oracle's verdict (core::check_access_oracle)
+/// on `access`, under `mode`, to `out`: a record::Folder observer body. A
+/// fold's own reports come from the production epoch fast path, so the two
+/// must be identical on every log.
+void add_oracle_verdict(Verdicts& out, core::DetectorMode mode,
+                        const record::AppliedAccess& access);
 
 /// Online-vs-truth accuracy.
 struct Accuracy {
@@ -100,40 +129,12 @@ struct Accuracy {
                                   static_cast<double>(truth_areas);
   }
 };
-Accuracy evaluate(const core::EventLog& log, const core::RaceLog& races);
+/// Scores the live reports of the run `log` recorded.
+Accuracy evaluate(const record::Log& log, const core::RaceLog& races);
 
 /// As above with a precomputed ground truth — compute_ground_truth is the
 /// O(m²)-per-area pass, so callers that already hold a GroundTruth (the
 /// sweep and conformance layers) must not pay it twice per run.
 Accuracy evaluate(const GroundTruth& truth, const core::RaceLog& races);
-
-/// The live reports normalized to unique unordered (prior, current) pairs,
-/// dropping reports whose prior is unknown (id 0). Single definition shared
-/// by the accuracy metrics and the conformance live-vs-replay invariant so
-/// the two can never drift apart.
-std::set<RacePair> reported_pairs(const core::RaceLog& races);
-
-/// Offline replay of the *online* algorithm over a recorded log: walks each
-/// area in application order, maintains V/W/last-ranks exactly as the home
-/// NICs do, and applies core::check_access under `mode`.
-///
-/// Uses: (a) compare detector modes on the *same* execution (run once,
-/// replay under DualClock and SingleClock — message timings stay identical,
-/// which a re-run with a different mode would not guarantee); (b) validate
-/// that the replay of the run's own mode reproduces the live reports.
-///
-/// Note the comparison granularity: the two modes name different *priors*
-/// (dual compares a read against the last write, single against the last
-/// access), so their pair sets are incomparable — but the *flagged events*
-/// of the dual mode are provably a subset of the single mode's (W ≤ V).
-struct ReplayResult {
-  std::set<RacePair> pairs;
-  std::set<std::uint64_t> flagged_events;
-};
-/// `with_oracle` selects core::check_access_oracle (always-O(n) full clock
-/// comparison) instead of the production epoch-fast-path predicate; the two
-/// replays must be identical on every log — the property tests assert it.
-ReplayResult replay_online(const core::EventLog& log, core::DetectorMode mode,
-                           bool with_oracle = false);
 
 }  // namespace dsmr::analysis

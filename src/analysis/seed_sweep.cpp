@@ -30,6 +30,7 @@ SeedOutcome run_schedule(const runtime::WorldConfig& base_config, std::uint64_t 
   config.seed = seed;
   config.perturb = perturb;
   runtime::World world(config);
+  world.record();
   workload(world);
   const auto report = world.run();
 
@@ -41,7 +42,7 @@ SeedOutcome run_schedule(const runtime::WorldConfig& base_config, std::uint64_t 
   outcome.end_time = report.end_time;
   outcome.engine_events = report.engine_events;
   if (report.completed) {
-    const auto truth = compute_ground_truth(world.events());
+    const auto truth = compute_ground_truth(world.log());
     outcome.truth_pairs = truth.pairs.size();
     const auto accuracy = evaluate(truth, world.races());
     outcome.precision = accuracy.precision();

@@ -3,8 +3,9 @@
 // The paper's related work (§II) situates its clock-based scheme among
 // existing race detectors; the classic alternative family is lockset
 // analysis (Savage et al., "Eraser"). This baseline runs the Eraser state
-// machine over the recorded access events, using the NIC area locks each
-// initiator held at issue time.
+// machine over a run's ordering log (record/log.hpp), in issue order, with
+// the area locks each initiator held at issue: the locks its lock and
+// unlock events have taken and not yet given back.
 //
 // The comparison the benches draw out (bench_precision):
 //  * lockset flags *locking-discipline* violations: it reports races that a
@@ -22,14 +23,14 @@
 #include <vector>
 
 #include "analysis/ground_truth.hpp"
-#include "core/event_log.hpp"
+#include "record/log.hpp"
 #include "util/types.hpp"
 
 namespace dsmr::baseline {
 
 struct LocksetWarning {
   analysis::AreaKey area;
-  std::uint64_t event_id = 0;  ///< the access on which the lockset emptied.
+  std::uint64_t event_id = 0;  ///< the access (log index) on which the lockset emptied.
   Rank rank = kInvalidRank;
 };
 
@@ -40,8 +41,8 @@ struct LocksetResult {
 
 class LocksetDetector {
  public:
-  /// Runs the state machine over the log in recorded order.
-  static LocksetResult analyze(const core::EventLog& log);
+  /// Runs the state machine over the log's accesses in recorded order.
+  static LocksetResult analyze(const record::Log& log);
 
  private:
   enum class State { kVirgin, kExclusive, kShared, kSharedModified };

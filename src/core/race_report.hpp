@@ -29,15 +29,17 @@ struct RaceReport {
   // The access that triggered detection.
   Rank accessor = kInvalidRank;
   AccessKind kind = AccessKind::kRead;
-  /// The triggering access: its EventLog id in a live sim run, or the
-  /// 1-based index of the event that raised it in a record::Log fold.
+  /// The triggering access's id: the 1-based record-log index of its issue
+  /// event (its only event on the threaded backend) in a fold and in a
+  /// recorded sim run; an unrecorded sim run numbers accesses in issue
+  /// order, a threaded run per rank.
   std::uint64_t event_id = 0;
   clocks::VectorClock accessor_clock;
 
   // The stored state it was found concurrent with.
   ComparedAgainst against = ComparedAgainst::kNone;
   clocks::VectorClock stored_clock;
-  std::uint64_t prior_event_id = 0;  ///< EventLog id of the other side (0 = unknown).
+  std::uint64_t prior_event_id = 0;  ///< the other access's id (0 = unknown).
 
   /// Human-readable one-liner in the spirit the paper suggests.
   std::string describe() const;
@@ -57,8 +59,6 @@ class RaceLog {
 
   const std::vector<RaceReport>& reports() const { return reports_; }
   std::size_t count() const { return reports_.size(); }
-  bool empty() const { return reports_.empty(); }
-  void clear() { reports_.clear(); }
 
   /// Reports collapsed to unique (home, area) pairs — "which data raced".
   std::vector<RaceReport> unique_by_area() const;

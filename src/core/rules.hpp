@@ -14,9 +14,9 @@
 //    what detect::ShardedDetector::check_range feeds per shard.
 //  * `check_access` — the legacy single-area entry point over arbitrary
 //    caller-assembled state, a thin wrapper over a one-element span. The
-//    protocols no longer call it (they go through detect/transitions.hpp);
-//    the offline ground truth (analysis/ground_truth.cpp), the gated kernel
-//    benches and the P-test/P8 bit-identity property suites do.
+//    protocols and the offline fold no longer call it (they go through
+//    detect/transitions.hpp); the gated kernel benches and the
+//    bit-identity property suites do.
 //  * `check_access_oracle` — the original always-O(n) full-vector-clock
 //    path, kept as the property-test oracle: all entry points must return
 //    bit-identical verdicts on every input the protocols can produce (and

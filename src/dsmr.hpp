@@ -5,12 +5,13 @@
 // Layers:
 //   runtime::World / runtime::Process — the simulated machine and the
 //     instrumented one-sided communication API (put/get/copy, area locks,
-//     signals); race reports in World::races(), access log in
-//     World::events().
+//     signals); race reports in World::races(), the run's ordering log
+//     in World::log() once World::record() is on.
 //   pgas::SharedArray / pgas::Team    — distributed arrays and collectives,
 //     including the §V.B one-sided reduction.
 //   analysis::*                       — offline ground truth, accuracy
-//     metrics, clock-truncation ablation, online-replay, seed sweeps.
+//     metrics and the clock-truncation ablation, all folds of a record
+//     log; seed sweeps.
 //   baseline::LocksetDetector         — the Eraser-style comparison point.
 //   record::Recorder / replay_fold    — the ordering log of a run and its
 //     offline fold back to race reports.
@@ -22,7 +23,6 @@
 #include "analysis/seed_sweep.hpp"
 #include "baseline/lockset.hpp"
 #include "clocks/vector_clock.hpp"
-#include "core/event_log.hpp"
 #include "core/race_report.hpp"
 #include "core/rules.hpp"
 #include "core/types.hpp"

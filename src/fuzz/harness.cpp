@@ -388,16 +388,12 @@ std::vector<std::byte> record_coordinate(const Program& program,
   config.seed = schedule_seed;
   config.perturb = perturb;
   config.fault = fault;
-  DSMR_REQUIRE(config.mode == core::DetectorMode::kOff ||
-                   config.transport == core::Transport::kHomeSide,
-               "record_coordinate: wire layout does not support recording");
 
   runtime::World world(config);
-  record::Recorder recorder(static_cast<std::uint32_t>(config.nprocs),
-                            record::Backend::kSim, config.mode,
-                            config.lock_clock_handoff, config.acked_puts);
+  world.record();
   // Self-describing provenance: a log found on disk carries everything
   // needed to re-run its coordinate, without the companion .repro.
+  record::Recorder& recorder = *world.recorder();
   recorder.set_metadata("program", serialize(program));
   recorder.set_metadata("program_seed", std::to_string(program_seed));
   recorder.set_metadata("schedule_seed", std::to_string(schedule_seed));
@@ -405,11 +401,9 @@ std::vector<std::byte> record_coordinate(const Program& program,
                                        std::to_string(perturb.max_skew_ns) +
                                        " " + std::to_string(perturb.salt));
   recorder.set_metadata("fault", fault.to_string());
-  world.set_recorder(&recorder);
   scenario.spawn(world);
-  const auto report = world.run();
-  recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
-  return recorder.log().serialize();
+  world.run();
+  return world.log().serialize();
 }
 
 std::string check_repro_log(const Repro& repro,

@@ -81,7 +81,7 @@ struct Message {
   /// unused on the perfect-wire path); retransmitted copies share it. Rides
   /// in the 40-byte header — no extra wire charge.
   std::uint64_t transport_seq = 0;
-  std::uint64_t event_id = 0;   ///< EventLog id of the access (or prior access).
+  std::uint64_t event_id = 0;   ///< id of the access (or prior access), see OpContext.
   std::uint64_t event_id2 = 0;  ///< second event id where needed (prior write).
   Rank prior_access_rank = kInvalidRank;  ///< initiator of the area's last access.
   Rank prior_write_rank = kInvalidRank;   ///< initiator of the area's last write.

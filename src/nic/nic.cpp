@@ -18,7 +18,7 @@ using net::MsgType;
 
 Nic::Nic(Rank rank, sim::Engine& engine, net::SimFabric& fabric, mem::PublicSegment& segment,
          detect::ShardedDetector& detector, clocks::VectorClock& clock, NicConfig config,
-         core::RaceLog& races, core::EventLog& events)
+         core::RaceLog& races)
     : rank_(rank),
       engine_(engine),
       fabric_(fabric),
@@ -26,8 +26,7 @@ Nic::Nic(Rank rank, sim::Engine& engine, net::SimFabric& fabric, mem::PublicSegm
       detector_(detector),
       clock_(clock),
       config_(config),
-      races_(races),
-      events_(events) {}
+      races_(races) {}
 
 const mem::Area* Nic::resolve(Rank rank, std::uint32_t offset, std::uint32_t len) const {
   DSMR_CHECK_MSG(resolver_, "NIC has no area resolver installed");
@@ -134,11 +133,13 @@ sim::Future<PutResult> Nic::put(mem::GlobalAddress dst, std::vector<std::byte> d
     // put(P0, src, P1, dst)
     Message put_msg = make(MsgType::kPutData, dst.rank, op, area->id);
     put_msg.offset = offset;
+    const auto bytes = static_cast<std::uint32_t>(data.size());
     put_msg.data = std::move(data);
     co_await request(std::move(put_msg));
     // update_clock_W(P1, dst); update_clock(P1, dst)
     Message clock_event = make(MsgType::kClockEvent, dst.rank, op, area->id);
     clock_event.flag = true;  // is-write
+    clock_event.length = bytes;  // for the recorded apply event
     clock_event.clock = std::move(ctx.issue_clock);
     clock_event.event_id = ctx.event_id;
     Message ack = co_await request(std::move(clock_event));
@@ -206,6 +207,7 @@ sim::Future<GetResult> Nic::get(mem::GlobalAddress src, std::uint32_t len, OpCon
     result.data = std::move(data_resp.data);
     Message clock_event = make(MsgType::kClockEvent, src.rank, op, area->id);
     clock_event.flag = false;  // read
+    clock_event.length = len;  // for the recorded apply event
     clock_event.clock = std::move(ctx.issue_clock);
     clock_event.event_id = ctx.event_id;
     Message ack = co_await request(std::move(clock_event));
@@ -414,12 +416,18 @@ void Nic::handle_clock_event(const Message& m) {
   // NIC (tick + merge, the values the paper's Fig. 5 annotates), and the
   // resulting clock is stored as the area's V (and W for writes). The
   // initiator already decided the verdict, so home_apply does not check.
+  // It is the access's apply event, recorded as the home-side layouts
+  // record theirs: a fold checks the issue clock here, against the same
+  // V/W the initiator fetched under the area lock it still holds.
+  if (recorder_ != nullptr) {
+    recorder_->record(m.flag ? record::EventKind::kPutApply : record::EventKind::kGetApply,
+                      m.src, recorder_->area_index(rank_, m.area), m.length);
+  }
   clock_.tick(rank_);
   clock_.merge_from(m.clock);
   detect::home_apply(detector_, config_.mode, m.flag ? AccessKind::kWrite : AccessKind::kRead,
                      m.src, m.clock, clock_, m.area, /*check=*/false, m.event_id,
                      [](const core::Verdict&) {});
-  events_.annotate_apply(m.event_id, clock_);
   Message ack;
   ack.type = MsgType::kClockEventAck;
   ack.clock = clock_;
@@ -508,7 +516,6 @@ void Nic::apply_put(const Message& m) {
         record_home_report(AccessKind::kWrite, m, area, verdict);
       });
   segment_.write_bytes(area.offset + m.offset, m.data);
-  events_.annotate_apply(m.event_id, clock_);
 
   Message ack;
   ack.type = MsgType::kPutCommitAck;
@@ -530,7 +537,6 @@ sim::Time Nic::serve_get(const Message& m) {
       m.area, /*check=*/m.flag, m.event_id, [&](const core::Verdict& verdict) {
         record_home_report(AccessKind::kRead, m, area, verdict);
       });
-  events_.annotate_apply(m.event_id, clock_);
 
   Message resp;
   resp.type = MsgType::kGetLockedResponse;

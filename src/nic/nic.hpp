@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "clocks/vector_clock.hpp"
-#include "core/event_log.hpp"
 #include "core/race_report.hpp"
 #include "core/rules.hpp"
 #include "core/types.hpp"
@@ -64,7 +63,8 @@ struct NicConfig {
 };
 
 /// Per-op context handed down by the runtime layer (dsmr::runtime::Process):
-/// the access's EventLog id and the initiator clock at issue (post-tick).
+/// the access's id (Process::begin_access) and the initiator clock at issue
+/// (post-tick).
 struct OpContext {
   std::uint64_t event_id = 0;
   clocks::VectorClock issue_clock;
@@ -89,7 +89,7 @@ class Nic {
  public:
   Nic(Rank rank, sim::Engine& engine, net::SimFabric& fabric, mem::PublicSegment& segment,
       detect::ShardedDetector& detector, clocks::VectorClock& clock, NicConfig config,
-      core::RaceLog& races, core::EventLog& events);
+      core::RaceLog& races);
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
@@ -108,8 +108,9 @@ class Nic {
   void set_resolver(AreaResolver resolver) { resolver_ = std::move(resolver); }
 
   /// Attaches the run's ordering recorder (record/recorder.hpp). The NIC
-  /// emits the home-side events — put apply, get serve, unlock handoff —
-  /// at their atomic commit points. Installed by World::set_recorder.
+  /// emits the home-side events — put apply, get serve (or, on the
+  /// separate layout, the clock event that applies either), unlock
+  /// handoff — at their atomic commit points. Installed by World::record.
   void set_recorder(record::Recorder* recorder) { recorder_ = recorder; }
 
   // ---- instrumented one-sided operations (Algorithms 1 and 2) ----
@@ -150,7 +151,7 @@ class Nic {
   /// erased when its queue drains, so a quiescent NIC has none.
   std::size_t signal_tags() const { return queued_signals_.size() + signal_waiters_.size(); }
 
-  /// The area resolver (exposed for the runtime layer's event logging).
+  /// The area resolver (exposed for the runtime layer's access preamble).
   /// A direct delegation to the installed resolver — PublicSegment's
   /// amortized sorted index made the old thread-local one-entry cache (and
   /// its process-unique key machinery) dead weight, so lookups now go
@@ -210,7 +211,6 @@ class Nic {
   clocks::VectorClock& clock_;  ///< this rank's process clock (World::Node).
   NicConfig config_;
   core::RaceLog& races_;
-  core::EventLog& events_;
   AreaResolver resolver_;
   record::Recorder* recorder_ = nullptr;
   LockManager locks_;

@@ -116,6 +116,22 @@ constexpr int field_count(EventKind kind) {
 
 std::string to_string(EventKind kind);
 
+/// Whether `kind` opens an access: its issue event on the simulator, its
+/// only event on the threaded backend. The access's id everywhere — live
+/// and folded race reports, ground-truth pairs, lockset warnings — is the
+/// 1-based log index of that event.
+constexpr bool opens_access(EventKind kind) {
+  return kind == EventKind::kPutIssue || kind == EventKind::kGetIssue ||
+         kind == EventKind::kThreadPut || kind == EventKind::kThreadGet;
+}
+
+/// The access kind of an event that opens one.
+constexpr core::AccessKind access_kind(EventKind kind) {
+  return kind == EventKind::kPutIssue || kind == EventKind::kThreadPut
+             ? core::AccessKind::kWrite
+             : core::AccessKind::kRead;
+}
+
 struct Event {
   EventKind kind = EventKind::kTick;
   std::uint64_t a = 0;

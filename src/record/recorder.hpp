@@ -55,9 +55,11 @@ class Recorder {
   void set_metadata(std::string key, std::string value);
 
   // --- simulator backend: append in engine execution order ---
-  void record(EventKind kind, std::uint64_t a, std::uint64_t b = 0,
-              std::uint64_t c = 0, std::uint64_t d = 0) {
+  /// Returns the event's 1-based log index.
+  std::uint64_t record(EventKind kind, std::uint64_t a, std::uint64_t b = 0,
+                       std::uint64_t c = 0, std::uint64_t d = 0) {
     log_.events.push_back(Event{kind, a, b, c, d});
+    return log_.events.size();
   }
 
   // --- threaded backend: per-rank buffers + Lamport stamps ---

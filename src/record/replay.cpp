@@ -9,7 +9,8 @@ namespace dsmr::record {
 
 using clocks::VectorClock;
 
-Folder::Folder(const Log& log, core::DetectorMode mode) : log_(log), mode_(mode) {
+Folder::Folder(const Log& log, core::DetectorMode mode, Observer observer)
+    : log_(log), mode_(mode), observer_(std::move(observer)) {
   const std::size_t n = log.header.nprocs;
   clocks_.assign(n, VectorClock(n));
   handoffs_.resize(log.areas.size());
@@ -56,10 +57,10 @@ void Folder::restore(const Mark& mark) {
     Undo& undo = trail_.back();
     switch (undo.kind) {
       case Undo::Kind::kClock:
-        clocks_[undo.index] = std::move(undo.clock);
+        clocks_[undo.index] = std::move(undo.payload.clock);
         break;
       case Undo::Kind::kHandoff:
-        handoffs_[undo.index] = std::move(undo.clock);
+        handoffs_[undo.index] = std::move(undo.payload.clock);
         break;
       case Undo::Kind::kLane: {
         const Where area = where_[undo.index];
@@ -70,11 +71,11 @@ void Folder::restore(const Mark& mark) {
         undo.queue->pop_back();
         break;
       case Undo::Kind::kPop:
-        undo.queue->push_front(std::move(undo.clock));
+        undo.queue->push_front(std::move(undo.payload));
         break;
       case Undo::Kind::kErase:
         undo.queue->insert(undo.queue->begin() + static_cast<std::ptrdiff_t>(undo.index),
-                           std::move(undo.clock));
+                           std::move(undo.payload));
         break;
     }
     trail_.pop_back();
@@ -91,7 +92,7 @@ void Folder::save_clock(std::uint64_t rank) {
   Undo& undo = trail_.emplace_back();
   undo.kind = Undo::Kind::kClock;
   undo.index = rank;
-  undo.clock = clocks_[rank];
+  undo.payload.clock = clocks_[rank];
 }
 
 void Folder::save_handoff(std::uint64_t index) {
@@ -99,7 +100,7 @@ void Folder::save_handoff(std::uint64_t index) {
   Undo& undo = trail_.emplace_back();
   undo.kind = Undo::Kind::kHandoff;
   undo.index = index;
-  undo.clock = handoffs_[index];
+  undo.payload.clock = handoffs_[index];
 }
 
 void Folder::save_lanes(std::uint64_t index, bool write) {
@@ -115,8 +116,8 @@ void Folder::save_lanes(std::uint64_t index, bool write) {
   }
 }
 
-void Folder::push(Queue& queue, const VectorClock& clock) {
-  queue.push_back(clock);
+void Folder::push(Queue& queue, const VectorClock& clock, std::uint64_t id) {
+  queue.push_back(Payload{clock, id});
   if (!trailing_) return;
   Undo& undo = trail_.emplace_back();
   undo.kind = Undo::Kind::kPush;
@@ -143,7 +144,7 @@ bool Folder::valid_area(const Event& event, std::uint64_t index) {
 
 /// Pops the single in-flight payload of (rank, area) from `queue`.
 bool Folder::pop(const Event& event, PayloadQueues& queue, std::uint64_t rank,
-                 std::uint64_t area, VectorClock* out, const char* what) {
+                 std::uint64_t area, Payload* out, const char* what) {
   auto it = queue.find({rank, area});
   if (it == queue.end() || it->second.empty()) {
     fail(event, std::string("no pending ") + what + " for rank " +
@@ -156,15 +157,30 @@ bool Folder::pop(const Event& event, PayloadQueues& queue, std::uint64_t rank,
     Undo& undo = trail_.emplace_back();
     undo.kind = Undo::Kind::kPop;
     undo.queue = &it->second;
-    undo.clock = *out;
+    undo.payload = *out;
   }
   return true;
 }
 
-/// Files the race the shared transition flagged on flat area `index`. It
-/// runs before the store, so the detector still holds the compared clock.
-void Folder::report(std::uint64_t index, core::AccessKind kind, Rank accessor,
-                    const VectorClock& accessor_clock, const core::Verdict& verdict) {
+/// Hands access `id` to the observer, with the area state it meets.
+void Folder::observe(std::uint64_t id, Rank rank, core::AccessKind kind, std::uint64_t index,
+                     const VectorClock& issue, const VectorClock& applied) const {
+  const Where area = where_[index];
+  const detect::ShardedDetector& det = detector(area);
+  observer_(AppliedAccess{
+      id, rank, kind, area.home, area.id, issue, applied,
+      core::StoredClocks{det.v_clock(area.id), det.w_clock(area.id),
+                         det.last_access_rank(area.id), det.last_write_rank(area.id),
+                         det.v_epoch(area.id), det.w_epoch(area.id)},
+      det.last_access_event(area.id), det.last_write_event(area.id)});
+}
+
+/// Files the race the shared transition flagged on access `id` to flat
+/// area `index`. It runs before the store, so the detector still holds the
+/// compared clock and the id of the access that stored it.
+void Folder::report(std::uint64_t id, std::uint64_t index, core::AccessKind kind,
+                    Rank accessor, const VectorClock& accessor_clock,
+                    const core::Verdict& verdict) {
   const Where area = where_[index];
   core::RaceReport report;
   report.id = result_.reports.size() + 1;
@@ -175,11 +191,11 @@ void Folder::report(std::uint64_t index, core::AccessKind kind, Rank accessor,
   report.area_name = log_.areas[index].name;
   report.accessor = accessor;
   report.kind = kind;
-  // step() counts the event once it is folded, so this is its 1-based index.
-  report.event_id = result_.events + 1;
+  report.event_id = id;
   report.accessor_clock = accessor_clock;
   report.against = verdict.against;
   report.stored_clock = detector(area).prior_clock(area.id, verdict.against);
+  report.prior_event_id = detector(area).prior_event(area.id, verdict.against);
   result_.reports.push_back(std::move(report));
 }
 
@@ -201,14 +217,15 @@ void Folder::fold(const Event& event) {
           event.kind == EventKind::kPutIssue ? put_issue_ : get_issue_;
       save_clock(event.a);
       clocks_[event.a].tick(static_cast<Rank>(event.a));
-      push(queue[{event.a, event.b}], clocks_[event.a]);
+      // step() counts the event once it is folded: this is its log index.
+      push(queue[{event.a, event.b}], clocks_[event.a], result_.events + 1);
       return;
     }
     case EventKind::kPutApply:
     case EventKind::kGetApply: {
       if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
       const bool put = event.kind == EventKind::kPutApply;
-      VectorClock issue;
+      Payload issue;
       if (!pop(event, put ? put_issue_ : get_issue_, event.a, event.b, &issue,
                put ? "put issue" : "get issue"))
         return;
@@ -221,12 +238,13 @@ void Folder::fold(const Event& event) {
       save_lanes(event.b, put);
       VectorClock& home_clock = clocks_[static_cast<std::size_t>(area.home)];
       home_clock.tick(area.home);
-      home_clock.merge_from(issue);
+      home_clock.merge_from(issue.clock);
+      if (observer_) observe(issue.id, src, kind, event.b, issue.clock, home_clock);
       ++result_.checks;
-      detect::home_apply(detector(area), mode_, kind, src, issue, home_clock,
-                         area.id, /*check=*/true, /*event_id=*/0,
+      detect::home_apply(detector(area), mode_, kind, src, issue.clock, home_clock,
+                         area.id, /*check=*/true, issue.id,
                          [&](const core::Verdict& verdict) {
-                           report(event.b, kind, src, issue, verdict);
+                           report(issue.id, event.b, kind, src, issue.clock, verdict);
                          });
       if (!put) {
         push(get_merge_[{event.a, event.b}], home_clock);
@@ -240,10 +258,10 @@ void Folder::fold(const Event& event) {
       if (!valid_rank(event, event.a) || !valid_area(event, event.b)) return;
       PayloadQueues& queue =
           event.kind == EventKind::kPutAck ? put_ack_ : get_merge_;
-      VectorClock payload;
+      Payload payload;
       if (!pop(event, queue, event.a, event.b, &payload, "completion")) return;
       save_clock(event.a);
-      clocks_[event.a].merge_from(payload);
+      clocks_[event.a].merge_from(payload.clock);
       return;
     }
     case EventKind::kLock:
@@ -268,12 +286,12 @@ void Folder::fold(const Event& event) {
     }
     case EventKind::kUnlockApply: {
       if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
-      VectorClock release;
+      Payload release;
       if (!pop(event, unlock_release_, event.a, event.b, &release,
                "unlock release"))
         return;
       save_handoff(event.b);
-      detect::hand_off(handoffs_[event.b], release);
+      detect::hand_off(handoffs_[event.b], release.clock);
       return;
     }
     case EventKind::kSignal: {
@@ -290,8 +308,8 @@ void Folder::fold(const Event& event) {
       // sender ticks before every signal, so the component names exactly
       // one send even when same-channel signals arrive reordered.
       auto it = std::find_if(queue.begin(), queue.end(),
-                             [&](const VectorClock& clk) {
-                               return clk[static_cast<std::size_t>(event.b)] ==
+                             [&](const Payload& signal) {
+                               return signal.clock[static_cast<std::size_t>(event.b)] ==
                                       event.d;
                              });
       if (it == queue.end()) {
@@ -301,13 +319,13 @@ void Folder::fold(const Event& event) {
                         std::to_string(event.d));
         return;
       }
-      const VectorClock sender = std::move(*it);
+      const VectorClock sender = std::move(it->clock);
       if (trailing_) {
         Undo& undo = trail_.emplace_back();
         undo.kind = Undo::Kind::kErase;
         undo.queue = &queue;
         undo.index = static_cast<std::size_t>(it - queue.begin());
-        undo.clock = sender;
+        undo.payload.clock = sender;
       }
       queue.erase(it);
       save_clock(event.a);
@@ -326,12 +344,14 @@ void Folder::fold(const Event& event) {
       save_lanes(event.b, put);
       VectorClock& clock = clocks_[event.a];
       clock.tick(rank);
+      const std::uint64_t id = result_.events + 1;
+      if (observer_) observe(id, rank, kind, event.b, clock, clock);
       ++result_.checks;
       const VectorClock merge = detect::thread_access(
           detector(area), mode_, kind, rank, clock, area.id,
-          log_.header.acked_puts, /*event_id=*/0,
+          log_.header.acked_puts, id,
           [&](const core::Verdict& verdict) {
-            report(event.b, kind, rank, clock, verdict);
+            report(id, event.b, kind, rank, clock, verdict);
           });
       if (!merge.empty()) clock.merge_from(merge);
       return;
@@ -408,7 +428,7 @@ std::string Folder::state_digest() const {
     if (queue.empty()) continue;
     out << "signal " << std::get<0>(key) << "->" << std::get<1>(key) << " t"
         << std::get<2>(key) << ":";
-    for (const VectorClock& clk : queue) out << " " << clk.to_string();
+    for (const Payload& signal : queue) out << " " << signal.clock.to_string();
     out << "\n";
   }
   for (const core::RaceReport& report : result_.reports) {
@@ -431,13 +451,14 @@ void Folder::queue_digest(std::ostringstream& out, const char* label,
   for (const auto& [key, queue] : map) {
     if (queue.empty()) continue;
     out << label << " (" << key.first << ",a" << key.second << "):";
-    for (const VectorClock& clk : queue) out << " " << clk.to_string();
+    for (const Payload& payload : queue) out << " " << payload.clock.to_string();
     out << "\n";
   }
 }
 
-ReplayResult replay_fold(const Log& log, core::DetectorMode mode) {
-  Folder folder(log, mode);
+ReplayResult replay_fold(const Log& log, core::DetectorMode mode,
+                         Folder::Observer observer) {
+  Folder folder(log, mode, std::move(observer));
   for (const Event& event : log.events) {
     if (!folder.step(event)) break;
   }

@@ -7,8 +7,10 @@
 // in-flight ack/response queues — validating every event first (logs are
 // disk input). It can also take back what it folded: `checkpoint` marks
 // the state and `restore` returns to the mark through an undo trail, so a
-// search over event orders (explore/dpor.cpp) folds each event once.
-// `replay_fold` is a Folder run over a whole log. Because clock evolution
+// search over event orders (explore/dpor.cpp) folds each event once. An
+// observer sees every access as it is applied, with the clocks the fold
+// re-derived for it: the offline analyses (analysis/ground_truth.hpp) are
+// folds. `replay_fold` is a Folder run over a whole log. Because clock evolution
 // in the live engines is mode-independent, the fold of a `mode=off`
 // recording under `DetectorMode::kDualClock` yields bit-identical verdicts
 // to a live dual-clock run of the same schedule. That equivalence is the
@@ -24,6 +26,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,6 +38,7 @@
 
 #include "clocks/vector_clock.hpp"
 #include "core/race_report.hpp"
+#include "core/rules.hpp"
 #include "core/types.hpp"
 #include "detect/sharded_detector.hpp"
 #include "record/log.hpp"
@@ -57,6 +61,24 @@ struct ReplayResult {
   std::uint64_t events = 0;   ///< events folded.
 };
 
+/// One access as the fold applies it — what the offline analyses fold
+/// (analysis/ground_truth.hpp). The observer sees it before the store, so
+/// `stored` and the prior ids describe the area as the access found it.
+struct AppliedAccess {
+  std::uint64_t id;     ///< opens_access event's 1-based log index.
+  Rank rank;            ///< the initiator.
+  core::AccessKind kind;
+  Rank home;
+  std::uint32_t home_id;  ///< the area's AreaId on its home.
+  const clocks::VectorClock& issue;    ///< initiator clock at issue (post-tick).
+  /// The clock the store records: the home's post-receive clock on the
+  /// simulator, the initiator's clock on the threaded backend.
+  const clocks::VectorClock& applied;
+  core::StoredClocks stored;   ///< V/W, their prior ranks and epochs.
+  std::uint64_t prior_access;  ///< id of the access that stored V (0 = none).
+  std::uint64_t prior_write;   ///< id of the write that stored W (0 = none).
+};
+
 /// A validating, incremental driver over the live transitions. Its state is
 /// the state the live engines keep: one detect::ShardedDetector per home
 /// rank (one shard — the fold is single-threaded), one clock per rank (in
@@ -75,9 +97,13 @@ class Folder {
     bool ok = true;
   };
 
+  using Observer = std::function<void(const AppliedAccess&)>;
+
   /// Reads `log`'s header and area table, not its events; `log` must
   /// outlive the folder. A bad area table fails the fold up front.
-  Folder(const Log& log, core::DetectorMode mode);
+  /// `observer`, when set, sees every access the fold applies; a folder
+  /// without one pays a single branch per access.
+  Folder(const Log& log, core::DetectorMode mode, Observer observer = {});
 
   /// Folds one event. Returns false, folding nothing, once the fold has
   /// failed; error() then names the first event that could not be folded.
@@ -109,10 +135,15 @@ class Folder {
   ReplayResult finish(bool completed, std::vector<Rank> stuck) &&;
 
  private:
-  /// In-flight payload clocks keyed by (initiator, area). Each initiator op
-  /// is a blocking await, so every queue's depth is at most 1; deques keep
-  /// the fold honest if a malformed log violates that.
-  using Queue = std::deque<clocks::VectorClock>;
+  /// An in-flight clock, with its access's id if it is an issue clock.
+  struct Payload {
+    clocks::VectorClock clock;
+    std::uint64_t id = 0;
+  };
+  /// In-flight payloads keyed by (initiator, area). Each initiator op is a
+  /// blocking await, so every queue's depth is at most 1; deques keep the
+  /// fold honest if a malformed log violates that.
+  using Queue = std::deque<Payload>;
   using PayloadQueues = std::map<std::pair<std::uint64_t, std::uint64_t>, Queue>;
 
   /// A flat area-table index resolved to its home detector's area id.
@@ -135,7 +166,7 @@ class Folder {
     bool w = false;
     std::size_t index = 0;
     Queue* queue = nullptr;
-    clocks::VectorClock clock;
+    Payload payload;  ///< the clock (kClock, kHandoff) or queue entry.
     detect::LaneSnapshot lane;
   };
 
@@ -148,9 +179,11 @@ class Folder {
   bool valid_rank(const Event& event, std::uint64_t rank);
   bool valid_area(const Event& event, std::uint64_t index);
   bool pop(const Event& event, PayloadQueues& queue, std::uint64_t rank,
-           std::uint64_t area, clocks::VectorClock* out, const char* what);
-  void push(Queue& queue, const clocks::VectorClock& clock);
-  void report(std::uint64_t index, core::AccessKind kind, Rank accessor,
+           std::uint64_t area, Payload* out, const char* what);
+  void push(Queue& queue, const clocks::VectorClock& clock, std::uint64_t id = 0);
+  void observe(std::uint64_t id, Rank rank, core::AccessKind kind, std::uint64_t index,
+               const clocks::VectorClock& issue, const clocks::VectorClock& applied) const;
+  void report(std::uint64_t id, std::uint64_t index, core::AccessKind kind, Rank accessor,
               const clocks::VectorClock& accessor_clock, const core::Verdict& verdict);
 
   // Trail writers: each saves the current value before the step changes it.
@@ -174,14 +207,16 @@ class Folder {
   /// can be reordered by perturbation or fault retries.
   std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>, Queue> signals_;
   ReplayResult result_;
+  Observer observer_;
   bool trailing_ = false;  ///< set by the first checkpoint.
   std::vector<Undo> trail_;
 };
 
 /// Folds `log` under detector `mode`. Pass `log.header.mode` to reproduce
 /// the recorded configuration, or a stronger mode (the always-on production
-/// story: record at kOff, fold at kDualClock).
-ReplayResult replay_fold(const Log& log, core::DetectorMode mode);
+/// story: record at kOff, fold at kDualClock). `observer` is the Folder's.
+ReplayResult replay_fold(const Log& log, core::DetectorMode mode,
+                         Folder::Observer observer = {});
 
 /// Canonical rendering of the COMPLETE folded detector state after the
 /// last event: per-rank clocks, every area's V/W (full clock + epoch

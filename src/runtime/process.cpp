@@ -9,7 +9,7 @@
 namespace dsmr::runtime {
 
 namespace {
-/// Lockset-analysis identity of a user lock: (home rank, area id).
+/// Identity of a user lock: (home rank, area id).
 std::uint64_t lock_identity(Rank home, mem::AreaId area) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(home)) << 32) | area;
 }
@@ -46,24 +46,17 @@ nic::OpContext Process::begin_access(core::AccessKind kind, mem::GlobalAddress a
   nic::OpContext ctx;
   ctx.issue_clock = clock();
 
-  core::AccessEvent event;
-  event.time = now();
-  event.rank = rank_;
-  event.kind = kind;
-  event.home = addr.rank;
   const mem::Area* area = nic().resolve(addr.rank, addr.offset, len);
   DSMR_REQUIRE(area != nullptr,
                "access to unregistered public memory at " << addr.to_string());
-  event.area = area->id;
-  event.offset = addr.offset - area->offset;
-  event.length = len;
-  event.issue_clock = ctx.issue_clock;
-  event.held_locks.assign(held_locks_.begin(), held_locks_.end());
-  ctx.event_id = world_.events().record(std::move(event));
+  // The access's id: its issue event's log index in a recorded run (what
+  // a fold of the log names it), else its issue ordinal in the World.
   if (auto* rec = world_.recorder()) {
-    rec->record(kind == core::AccessKind::kWrite ? record::EventKind::kPutIssue
-                                                 : record::EventKind::kGetIssue,
-                rank_, rec->area_index(addr.rank, area->id));
+    ctx.event_id = rec->record(kind == core::AccessKind::kWrite ? record::EventKind::kPutIssue
+                                                                : record::EventKind::kGetIssue,
+                               rank_, rec->area_index(addr.rank, area->id));
+  } else {
+    ctx.event_id = world_.next_access_id();
   }
   return ctx;
 }

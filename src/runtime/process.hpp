@@ -93,10 +93,6 @@ class Process {
   /// Pure scheduling delay without a logical event (clock untouched).
   sim::Future<void> sleep(sim::Time duration);
 
-  /// User lock tokens currently held — consumed by the lockset baseline via
-  /// the event log.
-  const std::set<std::uint64_t>& held_locks() const { return held_locks_; }
-
  private:
   friend class World;
 
@@ -104,7 +100,7 @@ class Process {
   const nic::Nic& nic() const;
 
   /// Common preamble of every access (Algorithms 1-2 steps 1-2): tick the
-  /// local clock, snapshot the issue clock, record the event.
+  /// local clock, snapshot the issue clock, record the issue event.
   nic::OpContext begin_access(core::AccessKind kind, mem::GlobalAddress addr,
                               std::uint32_t len);
 
@@ -121,6 +117,7 @@ class Process {
 
   World& world_;
   Rank rank_;
+  /// User locks held, for the re-entrant-lock and unlock-ownership checks.
   std::set<std::uint64_t> held_locks_;
 };
 

@@ -17,7 +17,7 @@ World::Node::Node(Rank rank, World& world)
       nic(rank, world.engine_, world.fabric_, segment, detector, clock,
           nic::NicConfig{world.config_.mode, world.config_.transport,
                          world.config_.lock_clock_handoff},
-          world.races_, world.events_) {}
+          world.races_) {}
 
 World::World(WorldConfig config)
     : config_(config),
@@ -54,15 +54,17 @@ World::World(WorldConfig config)
 
 World::~World() = default;
 
-void World::set_recorder(record::Recorder* recorder) {
-  DSMR_REQUIRE(!ran_, "set_recorder after run()");
-  DSMR_REQUIRE(config_.mode == core::DetectorMode::kOff ||
-                   config_.transport == core::Transport::kHomeSide,
-               "recording requires the home-side wire layout, got transport "
-                   << core::to_string(config_.transport) << " with mode "
-                   << core::to_string(config_.mode));
-  recorder_ = recorder;
-  for (auto& node : nodes_) node->nic.set_recorder(recorder);
+void World::record() {
+  DSMR_REQUIRE(!ran_ && recorder_ == nullptr, "World::record after run() or twice");
+  recorder_ = std::make_unique<record::Recorder>(
+      static_cast<std::uint32_t>(config_.nprocs), record::Backend::kSim, config_.mode,
+      config_.lock_clock_handoff, config_.acked_puts);
+  for (auto& node : nodes_) node->nic.set_recorder(recorder_.get());
+}
+
+const record::Log& World::log() const {
+  DSMR_REQUIRE(recorder_ != nullptr, "World::log of a run that was not record()ed");
+  return recorder_->log();
 }
 
 mem::GlobalAddress World::alloc(Rank home, std::uint32_t bytes, std::string name) {
@@ -131,6 +133,9 @@ RunReport World::run() {
       if (unacked.size() > 1) out << " (+" << unacked.size() - 1 << " more)";
     }
     report.diagnostic = out.str();
+  }
+  if (recorder_ != nullptr) {
+    recorder_->finish(races_.reports(), report.completed, report.stuck_ranks);
   }
   return report;
 }

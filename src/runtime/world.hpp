@@ -1,8 +1,9 @@
 // The simulated machine: n processes, their public memories and NICs, one
-// interconnect, one virtual clock — plus the global race and event logs.
+// interconnect, one virtual clock — plus the global race log and, when the
+// run is recorded, its ordering log (record/log.hpp).
 //
 // A World is single-use: configure, allocate shared areas, spawn one program
-// per rank, run to completion, then inspect races/events/traffic.
+// per rank, run to completion, then inspect races/log/traffic.
 #pragma once
 
 #include <functional>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "clocks/vector_clock.hpp"
-#include "core/event_log.hpp"
 #include "core/race_report.hpp"
 #include "core/types.hpp"
 #include "detect/sharded_detector.hpp"
@@ -31,6 +31,7 @@ class Process;
 
 namespace dsmr::record {
 class Recorder;
+struct Log;
 }  // namespace dsmr::record
 
 namespace dsmr::runtime {
@@ -98,13 +99,20 @@ class World {
   /// is the area's start; the area is the unit of locking and detection.
   mem::GlobalAddress alloc(Rank home, std::uint32_t bytes, std::string name);
 
-  /// Attaches an ordering recorder (record/recorder.hpp) for this run.
-  /// Must be called before any alloc(): areas register with the recorder in
-  /// allocation order, and the NICs/processes then emit one event per
-  /// clock-affecting step. Recording requires the home-side wire layout
-  /// (kHomeSide transport, or mode off which always uses it).
-  void set_recorder(record::Recorder* recorder);
-  record::Recorder* recorder() { return recorder_; }
+  /// Records this run (record/recorder.hpp) with a recorder the World
+  /// owns. Must be called before any alloc(): areas register with the
+  /// recorder in allocation order, and the NICs/processes then emit one
+  /// event per clock-affecting step, on every wire layout. run() seals the
+  /// log with the run's verdicts.
+  void record();
+  record::Recorder* recorder() { return recorder_.get(); }  ///< null if unrecorded.
+  /// The sealed ordering log of a record()ed run, valid after run(): the
+  /// input of every offline analysis (analysis/, baseline/).
+  const record::Log& log() const;
+
+  /// An unrecorded run's next access id, its issue ordinal (a recorded run
+  /// uses the issue event's log index).
+  std::uint64_t next_access_id() { return ++accesses_; }
 
   /// Installs the program for `rank`.
   ///
@@ -121,7 +129,6 @@ class World {
   // ---- inspection ----
   sim::Engine& engine() { return engine_; }
   core::RaceLog& races() { return races_; }
-  core::EventLog& events() { return events_; }
   net::SimFabric& fabric() { return fabric_; }  ///< e.g. for trace recording.
   const net::TrafficCounters& traffic() const { return fabric_.counters(); }
   void reset_traffic() { fabric_.reset_counters(); }
@@ -151,12 +158,12 @@ class World {
   };
 
   WorldConfig config_;
-  record::Recorder* recorder_ = nullptr;
+  std::unique_ptr<record::Recorder> recorder_;
+  std::uint64_t accesses_ = 0;
   sim::Engine engine_;
   net::SimFabric fabric_;
   sim::Perturbator wakeup_perturb_;
   core::RaceLog races_;
-  core::EventLog events_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Process>> processes_;
   /// Spawned program closures, heap-pinned so coroutine frames may keep

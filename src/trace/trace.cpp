@@ -34,7 +34,7 @@ void write_jsonl(std::ostream& out, const record::Log& log,
         << ",\"d\":" << event.d << "}\n";
   }
   for (const core::RaceReport& report : reports) {
-    out << "{\"kind\":\"race\",\"id\":" << report.id << ",\"t\":" << report.time
+    out << "{\"kind\":\"race\",\"id\":" << report.id
         << ",\"accessor\":" << report.accessor << ",\"op\":\""
         << core::to_string(report.kind) << "\",\"home\":" << report.home
         << ",\"area\":" << report.area << ",\"area_name\":\""

@@ -6,8 +6,8 @@
 // input a replay checks. Two formats:
 //  * JSONL — one line per log event, {"i","kind","a","b","c","d"} with `i`
 //    the 1-based log index, then one {"kind":"race",...} line per report,
-//    whose `event` is the `i` of the event that raised it. jq / pandas
-//    friendly.
+//    whose `event` and `prior_event` are the `i` of the racing accesses'
+//    issue events (record::opens_access). jq / pandas friendly.
 //  * Chrome Trace Event Format (chrome://tracing, Perfetto) — one row per
 //    rank, one instant per event at ts = its log index (the log carries
 //    ordering, not time), and one "RACE <area>" marker per report at its

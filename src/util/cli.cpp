@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "util/assert.hpp"
 
 namespace dsmr::util {
 
@@ -97,7 +96,10 @@ Cli::Cli(int argc, char** argv, const std::string& usage) {
       std::printf("usage: %s %s\n", program_.c_str(), usage.c_str());
       std::exit(0);
     }
-    DSMR_REQUIRE(arg.rfind("--", 0) == 0, "flags must start with --, got: " << arg);
+    if (arg.rfind("--", 0) != 0) {
+      fail("flags must start with --, got: " + arg);
+      continue;
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -110,69 +112,76 @@ Cli::Cli(int argc, char** argv, const std::string& usage) {
   }
 }
 
-std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value) {
+void Cli::fail(const std::string& message) {
+  if (error_.empty()) error_ = message;
+}
+
+const std::string* Cli::lookup(const std::string& name) {
   consumed_[name] = true;
   const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const auto value = parse_i64(it->second);
-  DSMR_REQUIRE(value.has_value(),
-               "--" << name << " expects an integer, got '" << it->second << "'");
-  return *value;
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+template <typename T>
+T Cli::or_fail(const std::optional<T>& value, T default_value, const std::string& message) {
+  if (value) return *value;
+  fail(message);
+  return default_value;
+}
+
+std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value) {
+  const std::string* text = lookup(name);
+  if (text == nullptr) return default_value;
+  return or_fail(parse_i64(*text), default_value,
+                 "--" + name + " expects an integer, got '" + *text + "'");
 }
 
 std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t default_value) {
-  consumed_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const auto value = parse_u64(it->second);
-  DSMR_REQUIRE(value.has_value(), "--" << name << " expects a non-negative integer, got '"
-                                       << it->second << "'");
-  return *value;
+  const std::string* text = lookup(name);
+  if (text == nullptr) return default_value;
+  return or_fail(parse_u64(*text), default_value,
+                 "--" + name + " expects a non-negative integer, got '" + *text + "'");
 }
 
 double Cli::get_double(const std::string& name, double default_value) {
-  consumed_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* text = lookup(name);
+  if (text == nullptr) return default_value;
   errno = 0;
   char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
+  const double value = std::strtod(text->c_str(), &end);
   // ERANGE underflow still yields the nearest representable value (a
   // denormal or 0) — accept it; only reject overflow to ±infinity.
   const bool overflow = errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL);
-  DSMR_REQUIRE(strict_double_text(it->second) && !overflow &&
-                   end == it->second.c_str() + it->second.size(),
-               "--" << name << " expects a number, got '" << it->second << "'");
-  return value;
+  const bool ok = strict_double_text(*text) && !overflow && end == text->c_str() + text->size();
+  return or_fail(ok ? std::optional<double>(value) : std::nullopt, default_value,
+                 "--" + name + " expects a number, got '" + *text + "'");
 }
 
 std::string Cli::get_string(const std::string& name, const std::string& default_value) {
-  consumed_[name] = true;
-  const auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* text = lookup(name);
+  return text == nullptr ? default_value : *text;
 }
 
 bool Cli::get_flag(const std::string& name) {
-  consumed_[name] = true;
-  const auto it = values_.find(name);
-  return it != values_.end() && it->second != "false" && it->second != "0";
+  const std::string* text = lookup(name);
+  return text != nullptr && *text != "false" && *text != "0";
 }
 
 SeedRange Cli::get_seed_range(const std::string& name, const SeedRange& default_value) {
-  consumed_[name] = true;
-  const auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
+  const std::string* text = lookup(name);
+  if (text == nullptr) return default_value;
   std::string error;
-  const auto range = parse_seed_range(it->second, default_value.first, &error);
-  DSMR_REQUIRE(range.has_value(), "--" << name << ": " << error);
-  return *range;
+  const auto range = parse_seed_range(*text, default_value.first, &error);
+  return or_fail(range, default_value, "--" + name + ": " + error);
 }
 
-void Cli::finish() const {
+std::string Cli::finish() const {
+  if (!error_.empty()) return error_;
   for (const auto& [name, value] : values_) {
-    DSMR_REQUIRE(consumed_.count(name) > 0, "unknown flag --" << name << " (try --help)");
     (void)value;
+    if (consumed_.count(name) == 0) return "unknown flag --" + name + " (try --help)";
   }
+  return "";
 }
 
 }  // namespace dsmr::util

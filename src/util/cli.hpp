@@ -3,7 +3,9 @@
 // Supports `--name value`, `--name=value` and boolean `--name` forms.
 // Unknown flags are an error: examples are teaching material and should
 // fail loudly on typos. Numeric flags are parsed *strictly* — trailing
-// garbage ("12abc") or overflow is a loud error, never a silent truncation.
+// garbage ("12abc") or overflow is an error, never a silent truncation.
+// Errors are values, not aborts: the parser keeps the first one and
+// `finish` returns it, so a tool prints it and exits 2.
 #pragma once
 
 #include <cstdint>
@@ -44,29 +46,40 @@ std::optional<SeedRange> parse_seed_range(const std::string& text,
 class Cli {
  public:
   /// Parses argv. On `--help` prints usage (built from the described flags
-  /// queried so far is impossible, so callers pass a usage string) and exits.
+  /// queried so far is impossible, so callers pass a usage string) and exits
+  /// 0. An argument that is not a flag is kept as the first error.
   Cli(int argc, char** argv, const std::string& usage);
 
+  // Getters: a malformed value is kept as the first error (unless one is
+  // already kept) and the getter returns `default_value`.
   std::int64_t get_int(const std::string& name, std::int64_t default_value);
-  /// Count-like flags: rejects signs outright, so "-1" is a loud error
-  /// instead of wrapping to 2^64-1 at the cast site.
+  /// Count-like flags: rejects signs outright, so "-1" is an error instead
+  /// of wrapping to 2^64-1 at the cast site.
   std::uint64_t get_uint(const std::string& name, std::uint64_t default_value);
   double get_double(const std::string& name, double default_value);
   std::string get_string(const std::string& name, const std::string& default_value);
   bool get_flag(const std::string& name);
 
-  /// The shared `--<name> N|LO..HI` seed-range flag (parse_seed_range);
-  /// panics with the parse error on malformed input.
+  /// The shared `--<name> N|LO..HI` seed-range flag (parse_seed_range).
   SeedRange get_seed_range(const std::string& name, const SeedRange& default_value);
 
-  /// Call after all get_* lookups: panics on flags that were passed but
-  /// never consumed (i.e. typos).
-  void finish() const;
+  /// Call after all get_* lookups: returns the first error — a malformed
+  /// argument or value, else a flag passed but never consumed (a typo) —
+  /// or "" when the command line is good.
+  [[nodiscard]] std::string finish() const;
 
  private:
+  void fail(const std::string& message);
+  /// Marks `name` consumed; its value, or nullptr when it was not passed.
+  const std::string* lookup(const std::string& name);
+  /// `*value`, or — keeping `message` as the error — `default_value`.
+  template <typename T>
+  T or_fail(const std::optional<T>& value, T default_value, const std::string& message);
+
   std::map<std::string, std::string> values_;
-  mutable std::map<std::string, bool> consumed_;
+  std::map<std::string, bool> consumed_;
   std::string program_;
+  std::string error_;  ///< the first error, "" while there is none.
 };
 
 }  // namespace dsmr::util

@@ -22,7 +22,7 @@ WorldConfig config_for(int nprocs) {
 }
 
 TEST(GroundTruth, EmptyLogIsClean) {
-  core::EventLog log;
+  const record::Log log;
   const auto truth = compute_ground_truth(log);
   EXPECT_TRUE(truth.pairs.empty());
   EXPECT_EQ(truth.conflicting_pairs, 0u);
@@ -30,6 +30,7 @@ TEST(GroundTruth, EmptyLogIsClean) {
 
 TEST(GroundTruth, DetectsTheFig5aPair) {
   World world(config_for(3));
+  world.record();
   const auto x = world.alloc(1, 8, "x");
   world.spawn(0, [x](Process& p) -> sim::Task {
     co_await p.put_value(x, std::uint64_t{1});
@@ -39,7 +40,7 @@ TEST(GroundTruth, DetectsTheFig5aPair) {
     co_await p.put_value(x, std::uint64_t{2});
   });
   EXPECT_TRUE(world.run().completed);
-  const auto truth = compute_ground_truth(world.events());
+  const auto truth = compute_ground_truth(world.log());
   EXPECT_EQ(truth.pairs.size(), 1u);
   EXPECT_EQ(truth.racy_areas.size(), 1u);
   EXPECT_EQ(truth.conflicting_pairs, 1u);
@@ -48,6 +49,7 @@ TEST(GroundTruth, DetectsTheFig5aPair) {
 
 TEST(GroundTruth, OrderedChainHasNoPairs) {
   World world(config_for(3));
+  world.record();
   const auto x = world.alloc(1, 8, "x");
   world.spawn(0, [x](Process& p) -> sim::Task {
     co_await p.put_value(x, std::uint64_t{1});
@@ -58,7 +60,7 @@ TEST(GroundTruth, OrderedChainHasNoPairs) {
     co_await p.put_value(x, std::uint64_t{2});
   });
   EXPECT_TRUE(world.run().completed);
-  const auto truth = compute_ground_truth(world.events());
+  const auto truth = compute_ground_truth(world.log());
   EXPECT_TRUE(truth.pairs.empty());
   EXPECT_EQ(truth.ordered_pairs, 1u);
 }
@@ -67,12 +69,13 @@ TEST(GroundTruth, SameRankPairsAreExempt) {
   WorldConfig config = config_for(2);
   config.acked_puts = false;
   World world(config);
+  world.record();
   const auto x = world.alloc(1, 8, "x");
   world.spawn(0, [x](Process& p) -> sim::Task {
     for (std::uint64_t i = 0; i < 4; ++i) co_await p.put_value(x, i);
   });
   EXPECT_TRUE(world.run().completed);
-  const auto truth = compute_ground_truth(world.events());
+  const auto truth = compute_ground_truth(world.log());
   EXPECT_TRUE(truth.pairs.empty());
   EXPECT_EQ(truth.conflicting_pairs, 0u);  // same-rank pairs not examined.
 }
@@ -81,6 +84,7 @@ TEST(GroundTruth, SeesRacesTheOnlineDetectorMisses) {
   // Three concurrent writers: online reports compare only against the
   // latest access, so at most 2 reports; ground truth sees all 3 pairs.
   World world(config_for(4));
+  world.record();
   const auto x = world.alloc(0, 8, "x");
   for (Rank r = 1; r < 4; ++r) {
     world.spawn(r, [x, r](Process& p) -> sim::Task {
@@ -89,10 +93,10 @@ TEST(GroundTruth, SeesRacesTheOnlineDetectorMisses) {
     });
   }
   EXPECT_TRUE(world.run().completed);
-  const auto truth = compute_ground_truth(world.events());
+  const auto truth = compute_ground_truth(world.log());
   EXPECT_EQ(truth.pairs.size(), 3u);  // {1,2} {1,3} {2,3}
   EXPECT_LE(world.races().count(), 2u);
-  const auto acc = evaluate(world.events(), world.races());
+  const auto acc = evaluate(world.log(), world.races());
   EXPECT_DOUBLE_EQ(acc.precision(), 1.0);
   EXPECT_LT(acc.pair_recall(), 1.0);
   EXPECT_DOUBLE_EQ(acc.area_recall(), 1.0);  // the datum itself was flagged.
@@ -100,12 +104,13 @@ TEST(GroundTruth, SeesRacesTheOnlineDetectorMisses) {
 
 TEST(Accuracy, CleanRunScoresPerfect) {
   World world(config_for(3));
+  world.record();
   workload::StencilConfig config;
   config.cells_per_rank = 4;
   config.iters = 3;
   workload::spawn_stencil(world, config);
   EXPECT_TRUE(world.run().completed);
-  const auto acc = evaluate(world.events(), world.races());
+  const auto acc = evaluate(world.log(), world.races());
   EXPECT_EQ(acc.truth_pairs, 0u);
   EXPECT_EQ(acc.reported_pairs, 0u);
   EXPECT_DOUBLE_EQ(acc.precision(), 1.0);
@@ -115,13 +120,14 @@ TEST(Accuracy, CleanRunScoresPerfect) {
 TEST(Accuracy, OnlineReportsAreAlwaysTruePositives) {
   // The structural precision guarantee on a messy workload.
   World world(config_for(4));
+  world.record();
   workload::RandomConfig config;
   config.areas = 3;
   config.ops_per_proc = 30;
   config.write_fraction = 0.7;
   workload::spawn_random(world, config);
   EXPECT_TRUE(world.run().completed);
-  const auto acc = evaluate(world.events(), world.races());
+  const auto acc = evaluate(world.log(), world.races());
   EXPECT_GT(acc.reported_pairs, 0u);
   EXPECT_DOUBLE_EQ(acc.precision(), 1.0);
 }
@@ -132,29 +138,31 @@ TEST(Accuracy, SingleClockModeHasFalsePositives) {
   WorldConfig config = config_for(4);
   config.mode = core::DetectorMode::kSingleClock;
   World world(config);
+  world.record();
   workload::RandomConfig wl;
   wl.areas = 3;
   wl.ops_per_proc = 30;
   wl.write_fraction = 0.1;  // read-heavy: many read-read "races".
   workload::spawn_random(world, wl);
   EXPECT_TRUE(world.run().completed);
-  const auto acc = evaluate(world.events(), world.races());
+  const auto acc = evaluate(world.log(), world.races());
   EXPECT_GT(acc.reported_pairs, 0u);
   EXPECT_LT(acc.precision(), 1.0);
 }
 
 TEST(Truncation, FullWidthSeesEverythingAndZeroWidthlessMisses) {
   World world(config_for(4));
+  world.record();
   workload::RandomConfig wl;
   wl.areas = 3;
   wl.ops_per_proc = 25;
   wl.write_fraction = 0.6;
   workload::spawn_random(world, wl);
   EXPECT_TRUE(world.run().completed);
-  const auto truth = compute_ground_truth(world.events());
+  const auto truth = compute_ground_truth(world.log());
   ASSERT_GT(truth.pairs.size(), 0u);
 
-  const auto sweep = truncation_sweep(world.events(), 4);
+  const auto sweep = truncation_sweep(world.log(), 4);
   ASSERT_EQ(sweep.size(), 4u);
   // §IV.C: at full width n every race is detected...
   EXPECT_EQ(sweep.back().detected, truth.pairs.size());
@@ -175,6 +183,7 @@ TEST(Truncation, NarrowClocksMissRacesOnRealWorkloads) {
     WorldConfig config = config_for(4);
     config.seed = seed;
     World world(config);
+    world.record();
     workload::RandomConfig wl;
     wl.areas = 2;
     wl.ops_per_proc = 30;
@@ -182,7 +191,7 @@ TEST(Truncation, NarrowClocksMissRacesOnRealWorkloads) {
     wl.seed = seed;
     workload::spawn_random(world, wl);
     EXPECT_TRUE(world.run().completed);
-    const auto sweep = truncation_sweep(world.events(), 4);
+    const auto sweep = truncation_sweep(world.log(), 4);
     total_missed_at_1 += sweep.front().missed;
   }
   EXPECT_GT(total_missed_at_1, 0u);

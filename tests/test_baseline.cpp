@@ -23,6 +23,7 @@ WorldConfig config_for(int nprocs) {
 
 TEST(Lockset, SingleThreadedAreaIsNeverFlagged) {
   World world(config_for(2));
+  world.record();
   const auto x = world.alloc(1, 8, "x");
   world.spawn(0, [x](Process& p) -> sim::Task {
     for (std::uint64_t i = 0; i < 5; ++i) {
@@ -31,12 +32,13 @@ TEST(Lockset, SingleThreadedAreaIsNeverFlagged) {
     }
   });
   EXPECT_TRUE(world.run().completed);
-  const auto result = LocksetDetector::analyze(world.events());
+  const auto result = LocksetDetector::analyze(world.log());
   EXPECT_TRUE(result.warnings.empty());
 }
 
 TEST(Lockset, ConsistentLockingIsClean) {
   World world(config_for(3));
+  world.record();
   const auto counter = world.alloc(0, 8, "counter");
   auto incrementer = [counter](Process& p) -> sim::Task {
     for (int i = 0; i < 5; ++i) {
@@ -49,12 +51,13 @@ TEST(Lockset, ConsistentLockingIsClean) {
   world.spawn(1, incrementer);
   world.spawn(2, incrementer);
   EXPECT_TRUE(world.run().completed);
-  const auto result = LocksetDetector::analyze(world.events());
+  const auto result = LocksetDetector::analyze(world.log());
   EXPECT_TRUE(result.warnings.empty());
 }
 
 TEST(Lockset, UnlockedSharedWritesAreFlagged) {
   World world(config_for(3));
+  world.record();
   const auto x = world.alloc(0, 8, "x");
   world.spawn(1, [x](Process& p) -> sim::Task {
     co_await p.put_value(x, std::uint64_t{1});
@@ -64,7 +67,7 @@ TEST(Lockset, UnlockedSharedWritesAreFlagged) {
     co_await p.put_value(x, std::uint64_t{2});
   });
   EXPECT_TRUE(world.run().completed);
-  const auto result = LocksetDetector::analyze(world.events());
+  const auto result = LocksetDetector::analyze(world.log());
   ASSERT_EQ(result.warnings.size(), 1u);
   EXPECT_EQ(result.warnings.front().area, (analysis::AreaKey{0, 0}));
 }
@@ -72,6 +75,7 @@ TEST(Lockset, UnlockedSharedWritesAreFlagged) {
 TEST(Lockset, InconsistentLocksetsAreFlagged) {
   // Each rank consistently holds *a* lock — but not the same one.
   World world(config_for(3));
+  world.record();
   const auto x = world.alloc(0, 8, "x");
   const auto la = world.alloc(1, 8, "lock_a");
   const auto lb = world.alloc(2, 8, "lock_b");
@@ -87,7 +91,7 @@ TEST(Lockset, InconsistentLocksetsAreFlagged) {
     co_await p.unlock(lb);
   });
   EXPECT_TRUE(world.run().completed);
-  const auto result = LocksetDetector::analyze(world.events());
+  const auto result = LocksetDetector::analyze(world.log());
   EXPECT_EQ(result.warnings.size(), 1u);
 }
 
@@ -96,6 +100,7 @@ TEST(Lockset, FalsePositiveOnMessageSynchronizedProgram) {
   // program is race-free (the clock detector and ground truth agree), but
   // lockset flags it — the comparison the paper's related work implies.
   World world(config_for(3));
+  world.record();
   const auto x = world.alloc(1, 8, "x");
   world.spawn(0, [x](Process& p) -> sim::Task {
     co_await p.put_value(x, std::uint64_t{1});
@@ -109,24 +114,26 @@ TEST(Lockset, FalsePositiveOnMessageSynchronizedProgram) {
 
   // Clock detector: clean. Ground truth: clean.
   EXPECT_EQ(world.races().count(), 0u);
-  EXPECT_TRUE(analysis::compute_ground_truth(world.events()).pairs.empty());
+  EXPECT_TRUE(analysis::compute_ground_truth(world.log()).pairs.empty());
   // Lockset: false positive.
-  const auto result = LocksetDetector::analyze(world.events());
+  const auto result = LocksetDetector::analyze(world.log());
   EXPECT_EQ(result.warnings.size(), 1u);
 }
 
 TEST(Lockset, SharedReadOnlyAreaIsClean) {
   World world(config_for(3));
+  world.record();
   const auto x = world.alloc(0, 8, "x");
   world.spawn(1, [x](Process& p) -> sim::Task { co_await p.get(x, 8); });
   world.spawn(2, [x](Process& p) -> sim::Task { co_await p.get(x, 8); });
   EXPECT_TRUE(world.run().completed);
-  const auto result = LocksetDetector::analyze(world.events());
+  const auto result = LocksetDetector::analyze(world.log());
   EXPECT_TRUE(result.warnings.empty());
 }
 
 TEST(Lockset, WarnsOncePerArea) {
   World world(config_for(3));
+  world.record();
   const auto x = world.alloc(0, 8, "x");
   auto hammer = [x](Process& p) -> sim::Task {
     for (std::uint64_t i = 0; i < 10; ++i) co_await p.put_value(x, i);
@@ -134,15 +141,16 @@ TEST(Lockset, WarnsOncePerArea) {
   world.spawn(1, hammer);
   world.spawn(2, hammer);
   EXPECT_TRUE(world.run().completed);
-  const auto result = LocksetDetector::analyze(world.events());
+  const auto result = LocksetDetector::analyze(world.log());
   EXPECT_EQ(result.warnings.size(), 1u);
 }
 
 TEST(Lockset, MasterWorkerPatternIsFlaggedLikeTheClockDetector) {
   World world(config_for(4));
+  world.record();
   workload::spawn_master_worker(world, workload::MasterWorkerConfig{});
   EXPECT_TRUE(world.run().completed);
-  const auto result = LocksetDetector::analyze(world.events());
+  const auto result = LocksetDetector::analyze(world.log());
   EXPECT_GE(result.warnings.size(), 1u);
   EXPECT_GE(world.races().count(), 1u);
 }
@@ -150,13 +158,14 @@ TEST(Lockset, MasterWorkerPatternIsFlaggedLikeTheClockDetector) {
 TEST(Lockset, LockedHistogramCleanUnlockedFlagged) {
   for (const bool locked : {true, false}) {
     World world(config_for(3));
+    world.record();
     workload::HistogramConfig config;
     config.bins = 4;
     config.increments_per_rank = 15;
     config.locked = locked;
     workload::spawn_histogram(world, config);
     EXPECT_TRUE(world.run().completed);
-    const auto result = LocksetDetector::analyze(world.events());
+    const auto result = LocksetDetector::analyze(world.log());
     if (locked) {
       EXPECT_TRUE(result.warnings.empty());
     } else {

@@ -299,6 +299,7 @@ TEST(Conformance, CheckRunCrossChecksASingleWorld) {
   config.nprocs = 4;
   config.seed = 5;
   World world(config);
+  world.record();
   workload::HistogramConfig wl;
   wl.bins = 3;
   wl.increments_per_rank = 10;
@@ -313,21 +314,23 @@ TEST(Conformance, CheckRunCrossChecksASingleWorld) {
   EXPECT_GT(verdicts.truth_pairs, 0u);
 }
 
-TEST(Conformance, RacyRunInCleanScenarioIsADisagreementWithExportedTrace) {
-  // A deliberately mislabeled scenario: racy histogram declared race-free.
-  // The harness must flag every racy schedule and export its witness log,
-  // which folds offline back to the racy verdicts.
+/// Runs a deliberately mislabeled scenario — racy histogram declared
+/// race-free — on `transport`. The harness must flag every racy schedule
+/// and export its witness log, which folds offline back to the racy
+/// verdicts.
+void expect_witnessed_disagreements(core::Transport transport) {
   Scenario mislabeled;
   mislabeled.name = "mislabeled_histogram";
   mislabeled.expect = RaceExpectation::kNever;
   mislabeled.min_ranks = 1;
   mislabeled.spawn = contended_histogram();
 
-  const auto witness_dir =
-      std::filesystem::temp_directory_path() / "dsmr_conformance_test";
+  const auto witness_dir = std::filesystem::temp_directory_path() /
+                           ("dsmr_conformance_test_" + std::string(core::to_string(transport)));
   std::filesystem::remove_all(witness_dir);
 
   auto options = small_grid();
+  options.base.transport = transport;
   options.seeds = 4;
   options.witness_dir = witness_dir.string();
   const auto report = run_conformance(mislabeled, options);
@@ -353,6 +356,17 @@ TEST(Conformance, RacyRunInCleanScenarioIsADisagreementWithExportedTrace) {
   EXPECT_NE(json.str().find("\"witness\":\"" + report.disagreements.front().witness),
             std::string::npos);
   std::filesystem::remove_all(witness_dir);
+}
+
+TEST(Conformance, RacyRunInCleanScenarioIsADisagreementWithExportedTrace) {
+  expect_witnessed_disagreements(core::Transport::kHomeSide);
+}
+
+// The initiator-side layouts check at the initiator, yet their recordings
+// fold to the same verdicts: their disagreements ship witnesses too.
+TEST(Conformance, DisagreementsOnTheSeparateAndPiggybackLayoutsShipWitnesses) {
+  expect_witnessed_disagreements(core::Transport::kSeparate);
+  expect_witnessed_disagreements(core::Transport::kPiggyback);
 }
 
 TEST(Conformance, DisagreementsCarryTheReproCoordinate) {

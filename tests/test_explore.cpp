@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/ground_truth.hpp"
+#include "baseline/lockset.hpp"
 #include "explore/dpor.hpp"
 #include "explore/executor.hpp"
 #include "explore/model.hpp"
@@ -501,6 +503,28 @@ std::uint64_t check_undo_contract(const fuzz::Program& program, std::uint64_t se
   EXPECT_EQ(executor.steps_executed(), 0u);
   EXPECT_EQ(executor.scheduler_digest(), Executor(&flat).scheduler_digest());
   return undos;
+}
+
+// Every explored interleaving is a log, so the offline analyses fold it:
+// two unlocked puts race in ground truth and trip lockset; the same puts
+// under the area's lock do neither.
+TEST(Witness, GroundTruthAndLocksetFoldExplorerLogs) {
+  for (const bool locked : {false, true}) {
+    const fuzz::Program program = make_program(
+        2, 1,
+        {{make_access(fuzz::OpKind::kPut, 0, locked)},
+         {make_access(fuzz::OpKind::kPut, 0, locked)}});
+    const FlatProgram flat = flatten_program(program);
+    Executor executor(&flat);
+    while (!executor.all_done()) executor.execute(executor.enabled().front());
+    const record::Log log =
+        make_witness_log(flat, executor.events(), core::DetectorMode::kDualClock, {});
+    const analysis::GroundTruth truth = analysis::compute_ground_truth(log);
+    const baseline::LocksetResult lockset = baseline::LocksetDetector::analyze(log);
+    EXPECT_EQ(truth.pairs.size(), locked ? 0u : 1u) << "locked=" << locked;
+    EXPECT_EQ(truth.conflicting_pairs, 1u) << "locked=" << locked;
+    EXPECT_EQ(lockset.warnings.size(), locked ? 0u : 1u) << "locked=" << locked;
+  }
 }
 
 TEST(Executor, UndoRevertsRandomSchedulesOfFuzzedPrograms) {

@@ -325,18 +325,24 @@ WorldConfig fault_config(int nprocs, const std::string& plan_text) {
   return config;
 }
 
-/// (races, per-event timeline) — the protocol-visible outcome of a run, for
+/// (races, per-message timeline) — the protocol-visible outcome of a run, for
 /// transparency comparisons. Deliberately excludes the engine's final time:
 /// the reliable transport's retry timers drain as no-ops after the last
 /// delivery, which moves the drain time without moving the schedule.
 struct Outcome {
   std::uint64_t races = 0;
-  std::vector<std::tuple<std::uint64_t, sim::Time, std::uint64_t>> timeline;
+  /// Every protocol send: (type, src, op, send time, delivery time). An
+  /// access's request is sent at its issue and applied at its delivery.
+  std::vector<std::tuple<net::MsgType, Rank, std::uint64_t, sim::Time, sim::Time>> timeline;
   bool operator==(const Outcome&) const = default;
 };
 
 Outcome run_pair_workload(const std::string& plan_text) {
   World world(fault_config(3, plan_text));
+  Outcome out;
+  world.fabric().set_tap([&out](sim::Time sent, sim::Time due, const net::Message& m) {
+    out.timeline.emplace_back(m.type, m.src, m.op_id, sent, due);
+  });
   const GlobalAddress x = world.alloc(2, 8, "x");
   world.spawn(0, [x](Process& p) -> sim::Task {
     co_await p.put_value(x, std::uint64_t{1});
@@ -348,11 +354,7 @@ Outcome run_pair_workload(const std::string& plan_text) {
   });
   const auto report = world.run();
   EXPECT_TRUE(report.completed) << plan_text << "\n" << report.diagnostic;
-  Outcome out;
   out.races = report.race_count;
-  for (const auto& e : world.events().events()) {
-    out.timeline.emplace_back(e.id, e.time, e.apply_seq);
-  }
   return out;
 }
 

@@ -3,6 +3,8 @@
 // side — the qualitative table bench/bench_precision.cpp prints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/ground_truth.hpp"
 #include "baseline/lockset.hpp"
 #include "pgas/collectives.hpp"
@@ -36,15 +38,16 @@ TEST(Integration, DetectorComparisonMatrix) {
 
   auto run_stencil = [](bool buggy) {
     World world(config_for(4));
+    world.record();
     workload::StencilConfig config;
     config.cells_per_rank = 6;
     config.iters = 3;
     config.buggy = buggy;
     workload::spawn_stencil(world, config);
     EXPECT_TRUE(world.run().completed);
-    return std::tuple{!analysis::compute_ground_truth(world.events()).pairs.empty(),
+    return std::tuple{!analysis::compute_ground_truth(world.log()).pairs.empty(),
                       world.races().count() > 0,
-                      !baseline::LocksetDetector::analyze(world.events()).warnings.empty()};
+                      !baseline::LocksetDetector::analyze(world.log()).warnings.empty()};
   };
 
   // Correct stencil: everyone clean... except lockset, which flags
@@ -65,40 +68,43 @@ TEST(Integration, DetectorComparisonMatrix) {
   // Locked histogram: clean everywhere.
   {
     World world(config_for(4));
+    world.record();
     workload::HistogramConfig config;
     config.bins = 4;
     config.increments_per_rank = 20;
     config.locked = true;
     workload::spawn_histogram(world, config);
     EXPECT_TRUE(world.run().completed);
-    EXPECT_TRUE(analysis::compute_ground_truth(world.events()).pairs.empty());
+    EXPECT_TRUE(analysis::compute_ground_truth(world.log()).pairs.empty());
     EXPECT_EQ(world.races().count(), 0u);
-    EXPECT_TRUE(baseline::LocksetDetector::analyze(world.events()).warnings.empty());
+    EXPECT_TRUE(baseline::LocksetDetector::analyze(world.log()).warnings.empty());
   }
   // Unlocked histogram: flagged everywhere.
   {
     World world(config_for(4));
+    world.record();
     workload::HistogramConfig config;
     config.bins = 4;
     config.increments_per_rank = 20;
     config.locked = false;
     workload::spawn_histogram(world, config);
     EXPECT_TRUE(world.run().completed);
-    EXPECT_FALSE(analysis::compute_ground_truth(world.events()).pairs.empty());
+    EXPECT_FALSE(analysis::compute_ground_truth(world.log()).pairs.empty());
     EXPECT_GT(world.races().count(), 0u);
-    EXPECT_FALSE(baseline::LocksetDetector::analyze(world.events()).warnings.empty());
+    EXPECT_FALSE(baseline::LocksetDetector::analyze(world.log()).warnings.empty());
   }
   // Pipeline with backpressure: message-ordered — clock detector and truth
   // clean; lockset false-positives.
   {
     World world(config_for(4));
+    world.record();
     workload::PipelineConfig config;
     config.tokens = 5;
     workload::spawn_pipeline(world, config);
     EXPECT_TRUE(world.run().completed);
-    EXPECT_TRUE(analysis::compute_ground_truth(world.events()).pairs.empty());
+    EXPECT_TRUE(analysis::compute_ground_truth(world.log()).pairs.empty());
     EXPECT_EQ(world.races().count(), 0u);
-    EXPECT_FALSE(baseline::LocksetDetector::analyze(world.events()).warnings.empty());
+    EXPECT_FALSE(baseline::LocksetDetector::analyze(world.log()).warnings.empty());
   }
 }
 
@@ -107,6 +113,7 @@ TEST(Integration, DebuggingScaleTenProcesses) {
   // and a few processes (typically, about 10 processes)." The full stack
   // must handle that scale comfortably with detection enabled.
   World world(config_for(10));
+  world.record();
   workload::RandomConfig wl;
   wl.areas = 10;
   wl.ops_per_proc = 50;
@@ -115,8 +122,10 @@ TEST(Integration, DebuggingScaleTenProcesses) {
   workload::spawn_random(world, wl);
   const auto report = world.run();
   EXPECT_TRUE(report.completed);
-  EXPECT_EQ(world.events().size(), 500u);
-  const auto acc = analysis::evaluate(world.events(), world.races());
+  EXPECT_EQ(std::count_if(world.log().events.begin(), world.log().events.end(),
+                          [](const record::Event& e) { return record::opens_access(e.kind); }),
+            500);
+  const auto acc = analysis::evaluate(world.log(), world.races());
   EXPECT_DOUBLE_EQ(acc.precision(), 1.0);
 }
 
@@ -152,14 +161,15 @@ TEST(Integration, MixedWorkloadAcrossTransportsFlagsTheSameAreas) {
 
 TEST(Integration, MasterWorkerEndToEndWithAccuracy) {
   World world(config_for(5));
+  world.record();
   workload::MasterWorkerConfig config;
   config.tasks_per_worker = 3;
   workload::spawn_master_worker(world, config);
   EXPECT_TRUE(world.run().completed);
 
-  const auto truth = analysis::compute_ground_truth(world.events());
+  const auto truth = analysis::compute_ground_truth(world.log());
   EXPECT_FALSE(truth.pairs.empty());  // the benign races are real races.
-  const auto acc = analysis::evaluate(world.events(), world.races());
+  const auto acc = analysis::evaluate(world.log(), world.races());
   EXPECT_DOUBLE_EQ(acc.precision(), 1.0);
   EXPECT_DOUBLE_EQ(acc.area_recall(), 1.0);
 }
@@ -190,13 +200,14 @@ TEST(Integration, JitterSweepNeverBreaksInvariants) {
     WorldConfig config = config_for(5, jitter + 13);
     config.latency.jitter_ns = jitter;
     World world(config);
+    world.record();
     workload::RandomConfig wl;
     wl.areas = 3;
     wl.ops_per_proc = 30;
     wl.write_fraction = 0.6;
     workload::spawn_random(world, wl);
     ASSERT_TRUE(world.run().completed) << "jitter " << jitter;
-    const auto acc = analysis::evaluate(world.events(), world.races());
+    const auto acc = analysis::evaluate(world.log(), world.races());
     EXPECT_DOUBLE_EQ(acc.precision(), 1.0) << "jitter " << jitter;
   }
 }

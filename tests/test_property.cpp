@@ -3,22 +3,24 @@
 //
 //  P1  Precision: every online report of the dual-clock detector is a true
 //      race by the offline ground truth.
-//  P2  Dual-clock reports ⊆ single-clock reports on the same execution
-//      (replayed offline so the execution is literally identical).
+//  P2  Dual and single clocks agree on every write verdict of the same
+//      execution (both folded from its log, so it is literally identical).
 //  P3  Read-only workloads never race under the dual-clock detector (§IV.D),
 //      while the single-clock replay flags them.
 //  P4  Fully locked workloads are clean (handoff) and lose no updates.
 //  P5  Clock truncation (§IV.C) only loses races, monotonically in k, and
 //      width n recovers everything.
 //  P6  Determinism: identical configuration ⇒ identical race reports.
-//  P7  The offline replay of the run's own mode reproduces the live report
+//  P7  The fold of the run's log at its own mode reproduces the live report
 //      pair set exactly.
+//  P8  The fold's epoch fast path equals the full-vector-clock oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
 #include "analysis/ground_truth.hpp"
+#include "record/replay.hpp"
 #include "runtime/world.hpp"
 #include "workload/workloads.hpp"
 
@@ -68,22 +70,31 @@ class PropertySweep : public ::testing::TestWithParam<SweepParam> {
     return wl;
   }
 
-  std::set<RacePair> live_pairs(const core::RaceLog& races) const {
-    std::set<RacePair> pairs;
-    for (const auto& r : races.reports()) {
-      if (r.prior_event_id == 0 || r.event_id == 0) continue;
-      pairs.insert({std::min(r.prior_event_id, r.event_id),
-                    std::max(r.prior_event_id, r.event_id)});
-    }
-    return pairs;
+  static std::set<RacePair> live_pairs(const core::RaceLog& races) {
+    return analysis::verdicts_of(races.reports()).pairs;
+  }
+
+  /// The fold of `log` at `mode`: its reports, from the epoch fast path.
+  static analysis::Verdicts fold(const record::Log& log, DetectorMode mode) {
+    return analysis::verdicts_of(record::replay_fold(log, mode).reports);
+  }
+
+  /// The full-vector-clock oracle's verdicts on the same fold.
+  static analysis::Verdicts oracle(const record::Log& log, DetectorMode mode) {
+    analysis::Verdicts verdicts;
+    record::replay_fold(log, mode, [&](const record::AppliedAccess& access) {
+      analysis::add_oracle_verdict(verdicts, mode, access);
+    });
+    return verdicts;
   }
 };
 
 TEST_P(PropertySweep, P1_OnlineReportsAreAlwaysTrueRaces) {
   World world(world_config());
+  world.record();
   workload::spawn_random(world, contended_workload());
   ASSERT_TRUE(world.run().completed);
-  const auto acc = analysis::evaluate(world.events(), world.races());
+  const auto acc = analysis::evaluate(world.log(), world.races());
   EXPECT_DOUBLE_EQ(acc.precision(), 1.0)
       << acc.true_reports << "/" << acc.reported_pairs << " reports true";
 }
@@ -96,20 +107,23 @@ TEST_P(PropertySweep, P2_WriteVerdictsIdenticalAcrossModes) {
   // ordering the read against V while it stays concurrent with the last
   // write. bench/bench_precision.cpp quantifies both.)
   World world(world_config());
+  world.record();
   workload::spawn_random(world, contended_workload());
   ASSERT_TRUE(world.run().completed);
-  const auto dual = analysis::replay_online(world.events(), DetectorMode::kDualClock);
-  const auto single = analysis::replay_online(world.events(), DetectorMode::kSingleClock);
+  const auto dual = fold(world.log(), DetectorMode::kDualClock);
+  const auto single = fold(world.log(), DetectorMode::kSingleClock);
   auto writes_only = [&](const std::set<std::uint64_t>& flagged) {
     std::set<std::uint64_t> writes;
     for (const auto id : flagged) {
-      if (world.events().event(id).kind == core::AccessKind::kWrite) writes.insert(id);
+      if (record::access_kind(world.log().events[id - 1].kind) == core::AccessKind::kWrite) {
+        writes.insert(id);
+      }
     }
     return writes;
   };
-  EXPECT_EQ(writes_only(dual.flagged_events), writes_only(single.flagged_events));
+  EXPECT_EQ(writes_only(dual.flagged), writes_only(single.flagged));
   // And every dual-flagged read is a true race (precision on reads too).
-  const auto truth = analysis::compute_ground_truth(world.events());
+  const auto truth = analysis::compute_ground_truth(world.log());
   for (const auto& pair : dual.pairs) {
     EXPECT_EQ(truth.pairs.count(pair), 1u) << pair.first << "," << pair.second;
   }
@@ -117,16 +131,17 @@ TEST_P(PropertySweep, P2_WriteVerdictsIdenticalAcrossModes) {
 
 TEST_P(PropertySweep, P3_ReadOnlyWorkloadsAreCleanUnderDualClock) {
   World world(world_config());
+  world.record();
   workload::RandomConfig wl = contended_workload();
   wl.write_fraction = 0.0;
   workload::spawn_random(world, wl);
   ASSERT_TRUE(world.run().completed);
   EXPECT_EQ(world.races().count(), 0u);
-  EXPECT_TRUE(analysis::compute_ground_truth(world.events()).pairs.empty());
-  // The single-clock replay of the same execution sees "races" — the §IV.D
+  EXPECT_TRUE(analysis::compute_ground_truth(world.log()).pairs.empty());
+  // The single-clock fold of the same execution sees "races" — the §IV.D
   // false positives — whenever two ranks ever touched one area.
-  const auto single = analysis::replay_online(world.events(), DetectorMode::kSingleClock);
-  const auto truth = analysis::compute_ground_truth(world.events());
+  const auto single = fold(world.log(), DetectorMode::kSingleClock);
+  const auto truth = analysis::compute_ground_truth(world.log());
   for (const auto& pair : single.pairs) {
     EXPECT_EQ(truth.pairs.count(pair), 0u) << "single-clock FP is a real race?";
   }
@@ -143,11 +158,12 @@ TEST_P(PropertySweep, P4_FullyLockedWorkloadsAreClean) {
 
 TEST_P(PropertySweep, P5_TruncationOnlyLosesRacesMonotonically) {
   World world(world_config());
+  world.record();
   workload::spawn_random(world, contended_workload());
   ASSERT_TRUE(world.run().completed);
-  const auto truth = analysis::compute_ground_truth(world.events());
+  const auto truth = analysis::compute_ground_truth(world.log());
   const auto sweep =
-      analysis::truncation_sweep(world.events(), static_cast<std::size_t>(world.nprocs()));
+      analysis::truncation_sweep(world.log(), static_cast<std::size_t>(world.nprocs()));
   ASSERT_EQ(sweep.size(), static_cast<std::size_t>(world.nprocs()));
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     EXPECT_EQ(sweep[i].detected + sweep[i].missed, truth.pairs.size());
@@ -172,34 +188,32 @@ TEST_P(PropertySweep, P6_IdenticalConfigurationsProduceIdenticalReports) {
 
 TEST_P(PropertySweep, P7_OfflineReplayMatchesLiveReports) {
   World world(world_config());
+  world.record();
   workload::spawn_random(world, contended_workload());
   ASSERT_TRUE(world.run().completed);
-  const auto replayed = analysis::replay_online(world.events(), DetectorMode::kDualClock);
+  const auto replayed = fold(world.log(), DetectorMode::kDualClock);
   EXPECT_EQ(replayed.pairs, live_pairs(world.races()));
 }
 
 TEST_P(PropertySweep, P8_EpochFastPathIsBitIdenticalToTheFullClockOracle) {
   // The sweep already spans all three transports and live executions use
   // the epoch fast path everywhere (home-side and initiator-side checks).
-  // Replaying each execution's log through the production predicate and the
+  // Folding each execution's log through the production predicate and the
   // always-O(n) full-vector-clock oracle must produce identical detection:
   // same flagged events, same pairs, under both detector modes.
   World world(world_config());
+  world.record();
   workload::spawn_random(world, contended_workload());
   ASSERT_TRUE(world.run().completed);
   for (const auto mode : {DetectorMode::kDualClock, DetectorMode::kSingleClock}) {
-    const auto fast = analysis::replay_online(world.events(), mode);
-    const auto oracle =
-        analysis::replay_online(world.events(), mode, /*with_oracle=*/true);
-    EXPECT_EQ(fast.flagged_events, oracle.flagged_events);
-    EXPECT_EQ(fast.pairs, oracle.pairs);
+    const auto fast = fold(world.log(), mode);
+    const auto reference = oracle(world.log(), mode);
+    EXPECT_EQ(fast.flagged, reference.flagged);
+    EXPECT_EQ(fast.pairs, reference.pairs);
   }
   // And the live report set (produced by the fast path) matches the oracle
-  // replay of the run's own mode.
-  const auto oracle_live =
-      analysis::replay_online(world.events(), DetectorMode::kDualClock,
-                              /*with_oracle=*/true);
-  EXPECT_EQ(oracle_live.pairs, live_pairs(world.races()));
+  // fold of the run's own mode.
+  EXPECT_EQ(oracle(world.log(), DetectorMode::kDualClock).pairs, live_pairs(world.races()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,11 +13,15 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "analysis/ground_truth.hpp"
+#include "baseline/lockset.hpp"
 #include "detect/sharded_detector.hpp"
 #include "fuzz/generate.hpp"
 #include "fuzz/program.hpp"
@@ -411,14 +415,10 @@ TEST(RecorderSeal, ConcurrentStampsKeepEveryEventInProgramOrder) {
 template <typename Setup>
 Log record_sim(WorldConfig config, Setup&& setup) {
   World world(config);
-  Recorder recorder(static_cast<std::uint32_t>(config.nprocs), Backend::kSim,
-                    config.mode, config.lock_clock_handoff, config.acked_puts);
-  world.set_recorder(&recorder);
+  world.record();
   setup(world);
-  const runtime::RunReport report = world.run();
-  recorder.finish(world.races().reports(), report.completed,
-                  report.stuck_ranks);
-  return recorder.log();
+  world.run();
+  return world.log();
 }
 
 WorldConfig sim_config(int nprocs, core::DetectorMode mode) {
@@ -556,6 +556,69 @@ TEST(RecordReplay, PerturbedSchedulesFoldOverFuzzedPrograms) {
   EXPECT_GT(races_seen, 0);  // the planted bugs actually exercised races.
 }
 
+TEST(RecordReplay, EveryTransportFoldsToItsLiveReports) {
+  // The separate and piggyback layouts check at the initiator, against the
+  // V/W fetched under the area lock; the recording folds the check at the
+  // apply event, under the same lock. Same verdicts: the footer matches,
+  // and so does every report's (access, prior access) pair of log indices.
+  int races_seen = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    fuzz::GenConfig gen;
+    gen.seed = seed + 100;
+    gen.plant_bug = seed % 2 == 0;
+    gen.nprocs = 3 + static_cast<int>(seed % 2);
+    gen.areas = gen.nprocs + 1;
+    gen.phases = 2;
+    gen.max_ops_per_rank = 4;
+    const auto program =
+        std::make_shared<const fuzz::Program>(fuzz::generate_program(gen));
+    for (const core::Transport transport :
+         {core::Transport::kSeparate, core::Transport::kPiggyback,
+          core::Transport::kHomeSide}) {
+      WorldConfig config = sim_config(program->nprocs, core::DetectorMode::kDualClock);
+      config.transport = transport;
+      config.seed = seed;
+      config.perturb = sim::PerturbConfig{0, 4'000, seed};
+      World world(config);
+      world.record();
+      fuzz::spawn_program(world, program);
+      world.run();
+      const Log& log = world.log();
+      races_seen += static_cast<int>(world.races().count());
+      const std::string where =
+          "seed " + std::to_string(seed) + " " + core::to_string(transport);
+      EXPECT_EQ(check_record_replay_bytes(log.serialize()), "") << where;
+      const ReplayResult folded = replay_fold(log, core::DetectorMode::kDualClock);
+      ASSERT_TRUE(folded.ok()) << where << ": " << folded.error;
+      EXPECT_EQ(analysis::verdicts_of(folded.reports),
+                analysis::verdicts_of(world.races().reports()))
+          << where;
+    }
+  }
+  EXPECT_GT(races_seen, 0);
+}
+
+TEST(RecordReplay, SeparateLayoutApplyEventsCarryTheByteCount) {
+  WorldConfig config = sim_config(2, core::DetectorMode::kDualClock);
+  config.transport = core::Transport::kSeparate;
+  const Log log = record_sim(config, [](World& world) {
+    const GlobalAddress x = world.alloc(0, 16, "x");
+    world.spawn(1, [x](Process& p) -> sim::Task {
+      co_await p.put_value(x, std::uint64_t{1});
+      co_await p.get(x, 4);
+    });
+  });
+  std::vector<std::pair<EventKind, std::uint64_t>> applies;
+  for (const Event& event : log.events) {
+    if (event.kind == EventKind::kPutApply || event.kind == EventKind::kGetApply) {
+      applies.emplace_back(event.kind, event.c);
+    }
+  }
+  const std::vector<std::pair<EventKind, std::uint64_t>> expected{
+      {EventKind::kPutApply, 8}, {EventKind::kGetApply, 4}};
+  EXPECT_EQ(applies, expected);
+}
+
 TEST(RecordReplay, RecoverableFaultPlansFold) {
   // Duplicated/delayed/dropped-but-retransmitted messages perturb delivery
   // order; the recorded order is what happened, so the fold must still
@@ -682,6 +745,33 @@ void spawn_thread_racy(ThreadWorld& world) {
   for (Rank r : {0, 1}) {
     world.spawn(r, [x, r](ThreadProcess& p) { p.put(x, bytes8(static_cast<std::uint64_t>(r))); });
   }
+}
+
+// The offline analyses are folds of a log, so they cover the threaded
+// backend too.
+TEST(ThreadRecordReplay, GroundTruthAndLocksetFoldThreadedLogs) {
+  const ThreadWorldConfig config = thread_config(2, core::DetectorMode::kDualClock);
+  const Log racy = record_threaded(config, spawn_thread_racy);
+  const analysis::GroundTruth racy_truth = analysis::compute_ground_truth(racy);
+  EXPECT_EQ(racy_truth.pairs.size(), 1u);
+  EXPECT_EQ(racy_truth.racy_areas, (std::set<analysis::AreaKey>{{0, 0}}));
+  EXPECT_EQ(racy_truth.unapplied_events, 0u);
+  // Ids are log indices: the pair is the run's two puts.
+  const analysis::RacePair pair = *racy_truth.pairs.begin();
+  EXPECT_EQ(racy.events[pair.first - 1].kind, EventKind::kThreadPut);
+  EXPECT_EQ(racy.events[pair.second - 1].kind, EventKind::kThreadPut);
+  const baseline::LocksetResult racy_lockset = baseline::LocksetDetector::analyze(racy);
+  EXPECT_EQ(racy_lockset.flagged_areas, (std::set<analysis::AreaKey>{{0, 0}}));
+
+  const Log synced = record_threaded(config, spawn_thread_synced);
+  const analysis::GroundTruth synced_truth = analysis::compute_ground_truth(synced);
+  EXPECT_TRUE(synced_truth.pairs.empty());
+  EXPECT_GT(synced_truth.ordered_pairs, 0u);
+  // x is only touched under its lock; y is ordered by signals alone, which
+  // lockset cannot see — its classic false positive.
+  const baseline::LocksetResult synced_lockset =
+      baseline::LocksetDetector::analyze(synced);
+  EXPECT_EQ(synced_lockset.flagged_areas, (std::set<analysis::AreaKey>{{1, 0}}));
 }
 
 TEST(ThreadRecordReplay, SyncedRunFoldsAndReplaysIdentically) {
@@ -967,10 +1057,10 @@ TEST(ThreadRecordReplay, StuckRecordingReproducesStuckRanksFast) {
 // record::Folder: checkpoint / step / restore.
 // ---------------------------------------------------------------------------
 
-/// Fuzzed sim recordings over all three transports. Recording needs the
-/// home-side wire layout at a detecting mode, so the separate and piggyback
-/// logs are recorded with the detector off (and fold at any mode). The
-/// regimes vary so unacked puts and handoff-free unlocks appear too.
+/// Fuzzed sim recordings over all three transports, the separate and
+/// piggyback ones with the detector off (they fold at any mode; their fold
+/// digests are pinned below). The regimes vary so unacked puts and
+/// handoff-free unlocks appear too.
 std::vector<Log> fuzzed_sim_logs() {
   std::vector<Log> logs;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
@@ -1165,26 +1255,31 @@ TEST(Folder, RestorePutsAReorderedSignalBackInPlace) {
 }
 
 /// Checks that every report folded from `log` at dual-clock detection names
-/// the event that raised it: the 1-based log index of an access by the
-/// report's accessor, on its area, of its kind. Returns the report count.
+/// the access that raised it and the access it raced with: the 1-based log
+/// indices of the accesses' issue events (their only events on the threaded
+/// backend) — the reporter's of its kind, on its area, and an earlier
+/// access to the same area. Returns the report count.
 std::size_t check_report_events(const Log& log) {
   const ReplayResult folded = replay_fold(log, core::DetectorMode::kDualClock);
   EXPECT_TRUE(folded.ok()) << folded.error;
   for (const core::RaceReport& report : folded.reports) {
-    EXPECT_GE(report.event_id, 1u);
     if (report.event_id < 1 || report.event_id > log.events.size()) {
       ADD_FAILURE() << "event " << report.event_id << " outside the log";
       continue;
     }
     const Event& event = log.events[report.event_id - 1];
-    const bool write =
-        event.kind == EventKind::kPutApply || event.kind == EventKind::kThreadPut;
-    const bool read =
-        event.kind == EventKind::kGetApply || event.kind == EventKind::kThreadGet;
-    EXPECT_TRUE(write || read) << to_string(event.kind);
-    EXPECT_EQ(write, report.kind == core::AccessKind::kWrite) << to_string(event.kind);
+    EXPECT_TRUE(opens_access(event.kind)) << to_string(event.kind);
+    EXPECT_EQ(access_kind(event.kind), report.kind) << to_string(event.kind);
     EXPECT_EQ(event.a, static_cast<std::uint64_t>(report.accessor));
     EXPECT_EQ(event.b, report.area);
+    if (report.prior_event_id < 1 || report.prior_event_id >= report.event_id) {
+      ADD_FAILURE() << "prior event " << report.prior_event_id << " not before "
+                    << report.event_id;
+      continue;
+    }
+    const Event& prior = log.events[report.prior_event_id - 1];
+    EXPECT_TRUE(opens_access(prior.kind)) << to_string(prior.kind);
+    EXPECT_EQ(prior.b, report.area);
   }
   return folded.reports.size();
 }

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/event_log.hpp"
 #include "core/race_report.hpp"
 #include "core/rules.hpp"
 #include "util/rng.hpp"
@@ -293,17 +292,6 @@ TEST(EpochFastPath, PropertyIdenticalToOracleOnRandomCausalHistories) {
       }
     }
   }
-}
-
-TEST(EventLog, RecordsWithSequentialIds) {
-  EventLog log;
-  AccessEvent e;
-  e.rank = 1;
-  const auto id1 = log.record(e);
-  const auto id2 = log.record(e);
-  EXPECT_EQ(id1, 1u);
-  EXPECT_EQ(id2, 2u);
-  EXPECT_EQ(log.event(id1).rank, 1);
 }
 
 }  // namespace

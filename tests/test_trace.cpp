@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "record/recorder.hpp"
 #include "record/replay.hpp"
 #include "runtime/process.hpp"
 #include "runtime/world.hpp"
@@ -115,19 +114,16 @@ std::size_t count_occurrences(const std::string& text, const std::string& needle
 /// One recorded sim run, folded: the renderer's whole input.
 struct RecordedRun {
   explicit RecordedRun(WorldConfig config, const std::function<void(World&)>& spawn)
-      : recorder(static_cast<std::uint32_t>(config.nprocs), record::Backend::kSim,
-                 config.mode, config.lock_clock_handoff, config.acked_puts),
-        world(config) {
-    world.set_recorder(&recorder);
+      : world(config) {
+    world.record();
     spawn(world);
     const auto report = world.run();
     EXPECT_TRUE(report.completed);
-    recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
     folded = record::replay_fold(log(), log().header.mode);
     EXPECT_TRUE(folded.ok()) << folded.error;
   }
 
-  const record::Log& log() const { return recorder.log(); }
+  const record::Log& log() const { return world.log(); }
   std::string jsonl() const {
     std::ostringstream out;
     write_jsonl(out, log(), folded.reports);
@@ -139,7 +135,6 @@ struct RecordedRun {
     return out.str();
   }
 
-  record::Recorder recorder;
   World world;
   record::ReplayResult folded;
 };
@@ -182,9 +177,9 @@ TEST(Trace, JsonlFieldNamesAndOrderArePinnedPerLineKind) {
   // only together with this test, the docs and every downstream consumer.
   const std::vector<std::string> event_schema{"i", "kind", "a", "b", "c", "d"};
   const std::vector<std::string> race_schema{
-      "kind",      "id",          "t",           "accessor",       "op",
-      "home",      "area",        "area_name",   "event",          "prior_event",
-      "accessor_clock", "stored_clock", "against"};
+      "kind",      "id",          "accessor",    "op",             "home",
+      "area",      "area_name",   "event",       "prior_event",    "accessor_clock",
+      "stored_clock", "against"};
 
   std::istringstream in(run.jsonl());
   std::string line;

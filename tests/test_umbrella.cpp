@@ -12,9 +12,7 @@ TEST(Umbrella, EndToEndThroughThePublicApi) {
   dsmr::runtime::WorldConfig config;
   config.nprocs = 3;
   dsmr::runtime::World world(config);
-  dsmr::record::Recorder recorder(3, dsmr::record::Backend::kSim, config.mode,
-                                  config.lock_clock_handoff, config.acked_puts);
-  world.set_recorder(&recorder);
+  world.record();
 
   auto array = dsmr::pgas::SharedArray<std::uint64_t>::allocate(
       world, 6, dsmr::pgas::Distribution::kBlock);
@@ -33,21 +31,20 @@ TEST(Umbrella, EndToEndThroughThePublicApi) {
   EXPECT_TRUE(report.completed);
   EXPECT_EQ(world.races().count(), 0u);
 
-  const auto truth = dsmr::analysis::compute_ground_truth(world.events());
+  const auto truth = dsmr::analysis::compute_ground_truth(world.log());
   EXPECT_TRUE(truth.pairs.empty());
   // The lockset baseline must agree with the zero-race ground truth here:
   // every rank touches only its own array element, so no area ever leaves
   // the Eraser exclusive state and no warning may fire.
-  const auto lockset = dsmr::baseline::LocksetDetector::analyze(world.events());
+  const auto lockset = dsmr::baseline::LocksetDetector::analyze(world.log());
   EXPECT_TRUE(lockset.warnings.empty());
   EXPECT_TRUE(lockset.flagged_areas.empty());
 
-  recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
-  const auto folded = dsmr::record::replay_fold(recorder.log(), config.mode);
+  const auto folded = dsmr::record::replay_fold(world.log(), config.mode);
   ASSERT_TRUE(folded.ok()) << folded.error;
   EXPECT_TRUE(folded.reports.empty());
   std::ostringstream chrome;
-  dsmr::trace::write_chrome(chrome, recorder.log(), folded.reports);
+  dsmr::trace::write_chrome(chrome, world.log(), folded.reports);
   EXPECT_NE(chrome.str().find("\"traceEvents\""), std::string::npos);
 }
 

@@ -158,7 +158,7 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_DOUBLE_EQ(cli.get_double("beta", 0.0), 2.5);
   EXPECT_TRUE(cli.get_flag("gamma"));
   EXPECT_EQ(cli.get_string("name", ""), "xyz");
-  cli.finish();
+  EXPECT_EQ(cli.finish(), "");
 }
 
 TEST(Cli, DefaultsWhenAbsent) {
@@ -168,7 +168,7 @@ TEST(Cli, DefaultsWhenAbsent) {
   EXPECT_DOUBLE_EQ(cli.get_double("missing2", 1.5), 1.5);
   EXPECT_FALSE(cli.get_flag("missing3"));
   EXPECT_EQ(cli.get_string("missing4", "dft"), "dft");
-  cli.finish();
+  EXPECT_EQ(cli.finish(), "");
 }
 
 TEST(Cli, FlagFalseValues) {
@@ -177,7 +177,7 @@ TEST(Cli, FlagFalseValues) {
   EXPECT_FALSE(cli.get_flag("a"));
   EXPECT_FALSE(cli.get_flag("b"));
   EXPECT_TRUE(cli.get_flag("c"));
-  cli.finish();
+  EXPECT_EQ(cli.finish(), "");
 }
 
 TEST(ParseInt, StrictAcceptsOnlyWholeIntegers) {
@@ -254,25 +254,28 @@ TEST(Cli, SeedRangeFlagSharedGrammar) {
   const char* argv[] = {"prog", "--seeds", "7..9"};
   Cli cli(3, const_cast<char**>(argv), "usage");
   EXPECT_EQ(cli.get_seed_range("seeds", SeedRange{1, 32}), (SeedRange{7, 3}));
-  cli.finish();
+  EXPECT_EQ(cli.finish(), "");
 
   const char* argv2[] = {"prog"};
   Cli defaults(1, const_cast<char**>(argv2), "usage");
   EXPECT_EQ(defaults.get_seed_range("seeds", SeedRange{5, 16}), (SeedRange{5, 16}));
-  defaults.finish();
+  EXPECT_EQ(defaults.finish(), "");
 }
 
-TEST(CliDeath, MalformedSeedRangeIsALoudError) {
+TEST(Cli, MalformedSeedRangeIsAnError) {
   const char* argv[] = {"prog", "--seeds", "20..10"};
   Cli cli(3, const_cast<char**>(argv), "usage");
-  EXPECT_DEATH(cli.get_seed_range("seeds", SeedRange{1, 32}), "--seeds");
+  EXPECT_EQ(cli.get_seed_range("seeds", SeedRange{1, 32}), (SeedRange{1, 32}));
+  EXPECT_NE(cli.finish().find("--seeds"), std::string::npos) << cli.finish();
 }
 
-TEST(CliDeath, MalformedIntegerIsALoudErrorNotATruncation) {
+TEST(Cli, MalformedIntegerIsAnErrorNotATruncation) {
   const char* argv[] = {"prog", "--alpha", "12abc", "--beta", "xyz"};
   Cli cli(5, const_cast<char**>(argv), "usage");
-  EXPECT_DEATH(cli.get_int("alpha", 0), "expects an integer");
-  EXPECT_DEATH(cli.get_int("beta", 0), "expects an integer");
+  EXPECT_EQ(cli.get_int("alpha", 0), 0);
+  EXPECT_EQ(cli.get_int("beta", 0), 0);
+  // The first error wins.
+  EXPECT_EQ(cli.finish(), "--alpha expects an integer, got '12abc'");
 }
 
 TEST(Cli, DoubleAcceptsPlainDecimalIncludingDenormals) {
@@ -282,28 +285,52 @@ TEST(Cli, DoubleAcceptsPlainDecimalIncludingDenormals) {
   EXPECT_DOUBLE_EQ(cli.get_double("b", 0.0), -150.0);
   // Underflow to a denormal is a valid value, not an error.
   EXPECT_GT(cli.get_double("c", 1.0), 0.0);
-  cli.finish();
+  EXPECT_EQ(cli.finish(), "");
 }
 
-TEST(CliDeath, DoubleRejectsNonDecimalForms) {
-  const char* argv[] = {"prog", "--a", "nan", "--b", "inf", "--c", "0x1A",
-                        "--d", "1e400"};
-  Cli cli(9, const_cast<char**>(argv), "usage");
-  EXPECT_DEATH(cli.get_double("a", 0.0), "expects a number");
-  EXPECT_DEATH(cli.get_double("b", 0.0), "expects a number");
-  EXPECT_DEATH(cli.get_double("c", 0.0), "expects a number");
-  EXPECT_DEATH(cli.get_double("d", 0.0), "expects a number");  // overflow.
+TEST(Cli, DoubleRejectsNonDecimalForms) {
+  for (const char* text : {"nan", "inf", "0x1A", "1e400"}) {  // 1e400: overflow.
+    const char* argv[] = {"prog", "--a", text};
+    Cli cli(3, const_cast<char**>(argv), "usage");
+    EXPECT_DOUBLE_EQ(cli.get_double("a", 0.5), 0.5) << text;
+    EXPECT_NE(cli.finish().find("expects a number"), std::string::npos) << text;
+  }
 }
 
-TEST(CliDeath, UnknownFlagPanicsOnFinish) {
+TEST(Cli, UnknownFlagIsAnErrorOnFinish) {
   const char* argv[] = {"prog", "--tpyo", "1"};
   Cli cli(3, const_cast<char**>(argv), "usage");
-  EXPECT_DEATH(cli.finish(), "unknown flag --tpyo");
+  EXPECT_EQ(cli.finish(), "unknown flag --tpyo (try --help)");
 }
 
-TEST(CliDeath, NonFlagArgumentRejected) {
-  const char* argv[] = {"prog", "stray"};
-  EXPECT_DEATH(Cli(2, const_cast<char**>(argv), "usage"), "flags must start with --");
+TEST(Cli, NonFlagArgumentIsAnError) {
+  const char* argv[] = {"prog", "stray", "--a", "1"};
+  Cli cli(4, const_cast<char**>(argv), "usage");
+  EXPECT_EQ(cli.get_int("a", 0), 1);
+  EXPECT_EQ(cli.finish(), "flags must start with --, got: stray");
+}
+
+// The command lines the tools must reject with exit 2 rather than abort:
+// each is an error value from the parser, never a process death.
+TEST(Cli, ToolBadFlagCasesReturnErrors) {
+  {
+    const char* argv[] = {"dsmr_replay", "--bogus"};
+    Cli cli(2, const_cast<char**>(argv), "usage");
+    (void)cli.get_string("log", "");
+    EXPECT_EQ(cli.finish(), "unknown flag --bogus (try --help)");
+  }
+  {
+    const char* argv[] = {"dsmr_fuzz", "--seeds", "abc"};
+    Cli cli(3, const_cast<char**>(argv), "usage");
+    EXPECT_EQ(cli.get_seed_range("seeds", SeedRange{1, 64}), (SeedRange{1, 64}));
+    EXPECT_NE(cli.finish().find("'abc' is not a seed count"), std::string::npos);
+  }
+  {
+    const char* argv[] = {"dsmr_explore", "--trace-dir", "x"};
+    Cli cli(3, const_cast<char**>(argv), "usage");
+    (void)cli.get_string("witness-dir", "");
+    EXPECT_EQ(cli.finish(), "unknown flag --trace-dir (try --help)");
+  }
 }
 
 TEST(JsonEscape, EscapesSpecials) {

@@ -543,7 +543,10 @@ int main(int argc, char** argv) {
   params.verbose = verbose;
   const std::string bug_kinds_text =
       cli.get_string("bug-kinds", "partial-barrier,ack-window");
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
 
   if (exhaustive) {
     if (params.planted_fraction < 0.0 || params.planted_fraction > 1.0) {

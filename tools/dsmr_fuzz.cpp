@@ -178,7 +178,10 @@ int main(int argc, char** argv) {
   const auto threads =
       static_cast<int>(cli.get_int("threads", util::ThreadPool::hardware_threads()));
   if (!replay_path.empty()) {
-    cli.finish();
+    if (const std::string error = cli.finish(); !error.empty()) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+      return 2;
+    }
     return run_replay(replay_path, threads);
   }
 
@@ -281,7 +284,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool verbose = cli.get_flag("verbose");
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
 
   if (backend != "sim") {
     fuzz::ThreadSweepConfig tsweep;

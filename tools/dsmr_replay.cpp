@@ -63,7 +63,10 @@ int main(int argc, char** argv) {
   const std::string jsonl_path = cli.get_string("trace-jsonl", "");
   const std::string chrome_path = cli.get_string("trace-chrome", "");
   const bool quiet = cli.get_flag("quiet");
-  cli.finish();
+  if (const std::string error = cli.finish(); !error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+    return 2;
+  }
   if (path.empty()) {
     std::fprintf(stderr, "dsmr_replay needs --log FILE\n");
     return 2;
