@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <utility>
 
 #include "clocks/vector_clock.hpp"
@@ -69,18 +70,97 @@ std::uint64_t footprint(const ExecutedStep& exec, int nprocs,
   return ~std::uint64_t{0};
 }
 
+/// The wakeup trees of every frame, in one node pool. A frame's tree holds
+/// the transition sequences still to be run from the frame's state: each
+/// root-to-leaf path is one, siblings are kept in insertion order, which is
+/// the order they are explored in, and no node has two children of one
+/// rank. Only pending work is kept: the branch a frame is exploring has
+/// been taken out of its tree, and its subtree handed to the next frame.
+class WakeupPool {
+ public:
+  static constexpr std::int32_t kNone = -1;
+
+  struct Entry {
+    ExecutedStep exec;
+    std::int32_t child = kNone;    ///< first child.
+    std::int32_t sibling = kNone;  ///< next sibling.
+  };
+
+  const Entry& operator[](std::int32_t n) const {
+    return pool_[static_cast<std::size_t>(n)];
+  }
+
+  /// Adds the path chain[0] -> chain[1] -> ... as the last child of
+  /// `parent`, or as the last root of the tree at `head` when parent is
+  /// kNone.
+  void append(std::int32_t& head, std::int32_t parent,
+              std::span<const ExecutedStep> chain) {
+    std::int32_t first = kNone, last = kNone;
+    for (const ExecutedStep& exec : chain) {
+      const std::int32_t n = make(exec);
+      if (last == kNone) {
+        first = n;
+      } else {
+        entry(last).child = n;
+      }
+      last = n;
+    }
+    std::int32_t* link = parent == kNone ? &head : &entry(parent).child;
+    while (*link != kNone) link = &entry(*link).sibling;
+    *link = first;
+  }
+
+  /// Unlinks the first root of the tree at `head`, hands its children to
+  /// `subtree` and returns its rank.
+  Rank pop_front(std::int32_t& head, std::int32_t& subtree) {
+    const std::int32_t n = head;
+    const Entry& front = entry(n);
+    head = front.sibling;
+    subtree = front.child;
+    free_.push_back(n);
+    return front.exec.rank;
+  }
+
+ private:
+  Entry& entry(std::int32_t n) { return pool_[static_cast<std::size_t>(n)]; }
+
+  std::int32_t make(const ExecutedStep& exec) {
+    std::int32_t n;
+    if (free_.empty()) {
+      n = static_cast<std::int32_t>(pool_.size());
+      pool_.emplace_back();
+    } else {
+      n = free_.back();
+      free_.pop_back();
+    }
+    Entry& fresh = entry(n);
+    fresh.exec = exec;
+    fresh.child = kNone;
+    fresh.sibling = kNone;
+    return n;
+  }
+
+  std::vector<Entry> pool_;
+  std::vector<std::int32_t> free_;
+};
+
+constexpr std::int32_t kNoTree = WakeupPool::kNone;
+
+/// weak_initial()'s answer when the rank is not a weak initial.
+constexpr std::size_t kNotWeakInitial = static_cast<std::size_t>(-1);
+
 /// One frame of the DFS path. The search is stateful: the executor and the
 /// fold move forward one transition per frame and back one transition per
 /// frame, so each DFS edge is executed and folded exactly once. A frame
 /// keeps what it needs to step back — the fold mark taken before its
 /// transition and its rank's previous happens-before clock — next to the
-/// search sets: who was enabled, which choices are done, which are asleep,
-/// where DPOR wants to backtrack.
+/// search sets: who was enabled, which choices were taken, which are
+/// asleep, and the wakeup tree of what is still to run from here.
 struct Node {
   RankSet enabled = 0;         ///< at node creation.
   RankSet sleep = 0;           ///< inherited-filtered + completed choices.
-  RankSet backtrack = 0;       ///< DPOR backtrack set (subset of enabled).
-  RankSet done = 0;            ///< choices whose subtree is explored.
+  RankSet done = 0;            ///< choices taken here.
+  std::int32_t wakeup = kNoTree;  ///< pending wakeup tree (WakeupPool).
   Rank chosen = kInvalidRank;  ///< the choice the current path takes.
   ExecutedStep exec;           ///< `chosen`'s executed transition.
   std::uint64_t footprint = 0; ///< Bloom mask of exec (see footprint()).
@@ -126,8 +206,7 @@ class Explorer {
 
  private:
   bool budget_tripped() {
-    if (report_.interleavings + report_.sleep_blocked >=
-        options_.max_interleavings) {
+    if (report_.interleavings >= options_.max_interleavings) {
       report_.limit = "max-interleavings";
       return true;
     }
@@ -140,46 +219,66 @@ class Explorer {
   }
 
   /// Executes the last frame's (new) choice — backtrack() left the
-  /// executor and the fold just before it — then extends the path with
-  /// smallest-first choices until the run is maximal or sleep-blocked.
+  /// executor and the fold just before it — then extends the path until
+  /// the run is maximal: first along the wakeup subtree that choice came
+  /// with, then with the smallest enabled rank that is not asleep.
   void descend() {
     RankSet next_sleep = 0;
-    if (!nodes_.empty()) next_sleep = execute_choice(nodes_.back(), nodes_.size() - 1);
+    std::int32_t next_tree = kNoTree;
+    if (!nodes_.empty()) {
+      next_sleep = execute_choice(nodes_.back(), nodes_.size() - 1);
+      next_tree = std::exchange(subtree_, kNoTree);
+    }
     while (true) {
       const RankSet enabled = executor_.enabled_mask();
       if (enabled == 0) {
         record_terminal();
         return;
       }
-      const Rank pick = first_rank(enabled & ~next_sleep);
-      if (pick == kInvalidRank) {
-        // Every enabled transition sleeps: this prefix is covered by
-        // already-explored sibling orders.
-        ++report_.sleep_blocked;
-        return;
+      Rank pick = kInvalidRank;
+      std::int32_t child_tree = kNoTree;
+      if (next_tree != kNoTree) {
+        pick = wakeup_.pop_front(next_tree, child_tree);
+        DSMR_CHECK_MSG((enabled & ~next_sleep & bit(pick)) != 0,
+                       "wakeup tree schedules rank " << pick
+                                                     << ", which is disabled or asleep");
+      } else {
+        pick = first_rank(enabled & ~next_sleep);
+        if (pick == kInvalidRank) {
+          // Every enabled transition sleeps. Wakeup trees never lead here;
+          // the counter is kept so that tests can pin it at zero.
+          ++report_.sleep_blocked;
+          return;
+        }
       }
       Node& node = nodes_.emplace_back();
       node.enabled = enabled;
       node.sleep = next_sleep;
       node.chosen = pick;
       node.done = bit(pick);
-      node.backtrack = options_.dpor ? bit(pick) : enabled;
+      node.wakeup = next_tree;
+      if (!options_.dpor) {
+        // The naive baseline: every other enabled rank is a pending branch.
+        for_each_rank(enabled & ~bit(pick), [&](Rank r) {
+          const ExecutedStep pending = executor_.peek_executed(r);
+          wakeup_.append(node.wakeup, kNoTree, {&pending, 1});
+        });
+      }
       next_sleep = execute_choice(node, nodes_.size() - 1);
+      next_tree = child_tree;
     }
   }
 
-  /// Executes and folds node.chosen, computes its HB clock, applies the
-  /// DPOR backtrack rule against the prefix, and returns the child's sleep
-  /// set.
+  /// Executes and folds node.chosen, computes its HB clock, reverses each
+  /// race it closes against the prefix (into the racing frame's wakeup
+  /// tree), and returns the child's sleep set.
   RankSet execute_choice(Node& node, std::size_t depth) {
     // Pending transitions of sleeping ranks, peeked BEFORE the choice
     // executes: the child keeps exactly the sleepers that commute with it.
     sleepers_.clear();
-    if (options_.sleep_sets) {
-      for_each_rank(node.sleep, [&](Rank r) {
-        sleepers_.emplace_back(r, executor_.peek_executed(r));
-      });
-    }
+    for_each_rank(node.sleep, [&](Rank r) {
+      sleepers_.emplace_back(r, executor_.peek_executed(r));
+    });
     node.mark = folder_.checkpoint();
     const std::size_t first_event = executor_.events().size();
     node.exec = executor_.execute(node.chosen);
@@ -194,12 +293,14 @@ class Explorer {
     node.footprint = footprint(node.exec, flat_.nprocs, options_.independence);
     node.pre = cv_[p];
     VectorClock& clock = cv_[p];
-    // Only priors of another rank with an overlapping footprint can be
-    // dependent. Same-rank priors are dependent by program order, but they
-    // cannot add a backtrack point (that needs q != p) and their clocks are
-    // already <= cv_[p]; ticks have an empty footprint and depend on no
-    // other rank's transition.
-    for (std::size_t j = 0; j < depth; ++j) {
+    // Priors newest first. Only priors of another rank with an overlapping
+    // footprint can be dependent; same-rank priors are covered by node.pre
+    // through program order, and ticks have an empty footprint. `clock`
+    // holds the join of node.pre and of every dependent prior newer than
+    // prior j, so j races with this transition directly — no third
+    // transition between them in happens-before — exactly when j's own
+    // component is not yet in it.
+    for (std::size_t j = depth; j-- > 0;) {
       const Node& prior = nodes_[j];
       if ((prior.footprint & node.footprint) == 0 || prior.exec.rank == node.exec.rank) {
         continue;
@@ -208,8 +309,12 @@ class Explorer {
         continue;
       }
       const auto q = static_cast<std::size_t>(prior.exec.rank);
-      if (options_.dpor && prior.clock[q] > node.pre[q]) {
-        add_backtrack(j, node.exec.rank, node.pre);
+      // A wait depends only on the signal it consumed, which enabled it:
+      // that pair orders the run but cannot be reversed.
+      const bool reversible = !(prior.exec.step.kind == StepKind::kSignal &&
+                                node.exec.step.kind == StepKind::kWait);
+      if (options_.dpor && reversible && clock[q] < prior.clock[q]) {
+        reverse_race(j, depth);
       }
       clock.merge_from(prior.clock);
     }
@@ -233,30 +338,84 @@ class Explorer {
     cv_[static_cast<std::size_t>(node.exec.rank)] = node.pre;
   }
 
-  /// The DPOR rule: transition `p` (about to extend the path) is dependent
-  /// with and concurrent to nodes_[j]'s transition, so some transition of
-  /// `p`'s branch must also be tried at j. Prefer a rank whose transition
-  /// at j happens-before p's branch (p itself qualifies); if none is
-  /// enabled at j, conservatively backtrack into everything enabled there.
-  void add_backtrack(std::size_t j, Rank p, const VectorClock& pre) {
+  /// Optimal DPOR's race reversal (Abdulla, Aronis, Jonsson & Sagonas,
+  /// POPL 2014): frame j's transition e races with frame d's e'. The
+  /// sequence v = (transitions between them that do not happen after e).e'
+  /// runs e' before e from frame j's state; it goes into frame j's wakeup
+  /// tree unless a sleeping rank there is a weak initial of v — then an
+  /// explored branch already covers v's traces.
+  void reverse_race(std::size_t j, std::size_t d) {
     Node& target = nodes_[j];
-    Rank candidate = kInvalidRank;
-    for_each_rank(target.enabled, [&](Rank q) {
-      if (candidate != kInvalidRank) return;
-      if (q == p) {
-        candidate = q;
-        return;
-      }
-      const auto qi = static_cast<std::size_t>(q);
-      // The frame being executed (the last one) has rank p, never q.
-      for (std::size_t m = j + 1; m + 1 < nodes_.size(); ++m) {
-        if (nodes_[m].exec.rank == q && nodes_[m].clock[qi] <= pre[qi]) {
-          candidate = q;
-          return;
+    const auto q = static_cast<std::size_t>(target.exec.rank);
+    const std::uint64_t stamp = target.clock[q];
+    race_.clear();
+    for (std::size_t m = j + 1; m < d; ++m) {
+      if (nodes_[m].clock[q] < stamp) race_.push_back(nodes_[m].exec);
+    }
+    race_.push_back(nodes_[d].exec);
+    bool covered = false;
+    for_each_rank(target.sleep, [&](Rank r) {
+      covered = covered || weak_initial(pending_at(j, r), race_) != kNotWeakInitial;
+    });
+    if (!covered) insert_wakeup(target.wakeup);
+  }
+
+  /// Rank `rank`'s next transition at frame j's state. A rank asleep there
+  /// was enabled there, and an enabled transition stays enabled with the
+  /// same match (only the rank itself pops its mailbox), so it is the
+  /// rank's first transition after frame j, or still pending now.
+  ExecutedStep pending_at(std::size_t j, Rank rank) const {
+    for (std::size_t m = j + 1; m < nodes_.size(); ++m) {
+      if (nodes_[m].exec.rank == rank) return nodes_[m].exec;
+    }
+    return executor_.peek_executed(rank);
+  }
+
+  /// Whether transition `x` (its rank's next) can start sequence `v`
+  /// without changing v's trace. Returns the index of x in v when v holds
+  /// x and nothing in v before it depends on it (x is an initial of v),
+  /// v.size() when v holds no step of x's rank and x commutes with all of
+  /// v (a weak initial), kNotWeakInitial otherwise.
+  std::size_t weak_initial(const ExecutedStep& x, const std::vector<ExecutedStep>& v) const {
+    for (std::size_t k = 0; k < v.size(); ++k) {
+      if (v[k].rank != x.rank) continue;
+      DSMR_ASSERT(v[k].step_index == x.step_index);
+      for (std::size_t l = 0; l < k; ++l) {
+        if (dependent(v[l], v[k], flat_.nprocs, options_.independence)) {
+          return kNotWeakInitial;
         }
       }
-    });
-    target.backtrack |= candidate != kInvalidRank ? bit(candidate) : target.enabled;
+      return k;
+    }
+    for (const ExecutedStep& step : v) {
+      if (dependent(x, step, flat_.nprocs, options_.independence)) return kNotWeakInitial;
+    }
+    return v.size();
+  }
+
+  /// Inserts race_ into the wakeup tree at `head`: walks down, at each
+  /// level following the first child whose transition is a weak initial of
+  /// what is left (consuming it from race_ when race_ holds it). Reaching a
+  /// leaf, or using race_ up, means a scheduled run already covers it;
+  /// otherwise the rest of race_ becomes a new last branch where the walk
+  /// stopped.
+  void insert_wakeup(std::int32_t& head) {
+    std::int32_t parent = kNoTree;
+    while (!race_.empty()) {
+      std::int32_t n = parent == kNoTree ? head : wakeup_[parent].child;
+      if (parent != kNoTree && n == kNoTree) return;
+      for (; n != kNoTree; n = wakeup_[n].sibling) {
+        const std::size_t at = weak_initial(wakeup_[n].exec, race_);
+        if (at == kNotWeakInitial) continue;
+        if (at < race_.size()) race_.erase(race_.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      }
+      if (n == kNoTree) {
+        wakeup_.append(head, parent, race_);
+        return;
+      }
+      parent = n;
+    }
   }
 
   /// Counts the maximal run into the report (and a witness, when racy and
@@ -266,6 +425,11 @@ class Explorer {
     const bool completed = executor_.all_done();
     ++report_.interleavings;
     if (!completed) ++report_.deadlocks;
+    if (options_.on_run) {
+      run_.clear();
+      for (const Node& node : nodes_) run_.push_back(node.exec);
+      options_.on_run(run_);
+    }
     record::VerdictSignature signature;
     signature.completed = completed;
     signature.stuck_ranks = executor_.unfinished();
@@ -316,25 +480,22 @@ class Explorer {
   }
 
   /// Steps back out of exhausted frames, moving each completed choice into
-  /// the sleep set, until a frame has an unexplored backtrack choice; that
-  /// frame is left undone, ready for descend() to execute the new choice.
-  /// Returns false when the whole tree is exhausted.
+  /// the sleep set, until a frame's wakeup tree has a pending branch; that
+  /// frame is left undone, with the branch's first rank chosen and its
+  /// subtree in subtree_, ready for descend(). Returns false when the whole
+  /// tree is exhausted.
   bool backtrack() {
     while (!nodes_.empty()) {
       Node& node = nodes_.back();
       undo(node);
-      node.sleep |= bit(node.chosen);
-      RankSet open = node.backtrack & ~node.done;
-      if (options_.sleep_sets) open &= ~node.sleep;
-      const Rank next = first_rank(open);
-      if (next != kInvalidRank) {
-        node.chosen = next;
-        node.done |= bit(next);
+      if (options_.dpor) node.sleep |= bit(node.chosen);
+      if (node.wakeup != kNoTree) {
+        node.chosen = wakeup_.pop_front(node.wakeup, subtree_);
+        node.done |= bit(node.chosen);
         return true;
       }
-      report_.pruned_branches += static_cast<std::uint64_t>(
-          std::popcount(node.enabled) - std::min(std::popcount(node.enabled),
-                                                 std::popcount(node.done)));
+      report_.pruned_branches +=
+          static_cast<std::uint64_t>(std::popcount(node.enabled & ~node.done));
       nodes_.pop_back();
     }
     return false;
@@ -350,7 +511,11 @@ class Explorer {
   std::string planted_;
   std::vector<Node> nodes_;
   std::vector<VectorClock> cv_;  ///< per rank: clock of its last transition.
+  WakeupPool wakeup_;
+  std::int32_t subtree_ = kNoTree;  ///< backtrack() -> descend(): next frame's tree.
   std::vector<std::pair<Rank, ExecutedStep>> sleepers_;  ///< execute_choice scratch.
+  std::vector<ExecutedStep> race_;  ///< reverse_race scratch: the sequence v.
+  std::vector<ExecutedStep> run_;   ///< record_terminal scratch for on_run.
   std::vector<Sighting> sightings_;
   ExploreReport report_;
 };
@@ -377,8 +542,8 @@ Eligibility exhaustive_eligible(const fuzz::Program& program, int max_ranks,
   }
   for (int r = 0; r < program.nprocs; ++r) {
     // Sleeps and computes flatten to kTick, which is independent of every
-    // other transition — sleep sets collapse their orderings, so they do
-    // not grow the reduced space and do not count against the gate.
+    // other transition — they never race, so they do not grow the
+    // reduced space and do not count against the gate.
     std::size_t ops = 0;
     for (const fuzz::Phase& phase : program.phases) {
       for (const fuzz::Op& op : phase.ops[static_cast<std::size_t>(r)]) {

@@ -90,7 +90,7 @@ struct FuzzCheckOptions {
   std::string scenario_name = "fuzz";
   /// Arm the exhaustive-exploration invariant (explore/dpor.hpp): programs
   /// within explore::exhaustive_eligible size limits are run through
-  /// DPOR+sleep-set exploration of the threaded op model — every
+  /// optimal-DPOR exploration of the threaded op model — every
   /// kSometimes planted bug must be FOUND, kRacy must flag on every
   /// interleaving, and clean programs must CERTIFY clean over the reduced
   /// space. Off by default: exploration cost is exponential in program

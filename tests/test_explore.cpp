@@ -1,19 +1,22 @@
 // The exhaustive-exploration subsystem (ROADMAP item 4): the independence
 // relation's commutation property (both execution orders of a co-enabled
 // pair reach bit-identical model state iff the relation says they commute,
-// and a deliberately coarsened relation fails that test), DPOR+sleep-set
-// exploration cross-checked against naive full enumeration (same verdict
-// signature set, strictly fewer interleavings), witness logs that replay
-// through the offline fold AND back onto real OS threads via ReplayGate,
-// deterministic counters, pinned totals for the stateful search (each DFS
-// edge executed once, the reduced space unchanged), Executor::undo as the
-// exact inverse of execute, the eligibility size gate, and the
-// fuzz-harness integration (FuzzCheckOptions::exhaustive).
+// and a deliberately coarsened relation fails that test), optimal DPOR
+// cross-checked against naive full enumeration (same verdict signature
+// set, strictly fewer interleavings, exactly one run per Mazurkiewicz
+// trace, no sleep-blocked run), witness logs that replay through the
+// offline fold AND back onto real OS threads via ReplayGate, deterministic
+// counters, pinned totals for the stateful search (each DFS edge executed
+// once), Executor::undo as the exact inverse of execute, the eligibility
+// size gate, and the fuzz-harness integration (FuzzCheckOptions::exhaustive).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/ground_truth.hpp"
@@ -223,11 +226,11 @@ TEST(Independence, CoarsenedRelationFailsTheProperty) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 2: DPOR + sleep sets vs naive full enumeration.
+// Satellite 2: optimal DPOR vs naive full enumeration.
 // ---------------------------------------------------------------------------
 
-// Over programs small enough for naive enumeration to finish, DPOR+sleep
-// must visit the same verdict-signature set with fewer interleavings —
+// Over programs small enough for naive enumeration to finish, DPOR must
+// visit the same verdict-signature set with fewer interleavings —
 // >= 2x fewer in aggregate (the acceptance floor), strictly fewer on at
 // least one program.
 TEST(Dpor, MatchesNaiveEnumerationWithFewerInterleavings) {
@@ -246,7 +249,6 @@ TEST(Dpor, MatchesNaiveEnumerationWithFewerInterleavings) {
   ExploreOptions reduced;
   ExploreOptions naive;
   naive.dpor = false;
-  naive.sleep_sets = false;
 
   std::uint64_t total_reduced = 0, total_naive = 0, strictly_fewer = 0;
   for (const fuzz::Program& program : programs) {
@@ -269,18 +271,235 @@ TEST(Dpor, MatchesNaiveEnumerationWithFewerInterleavings) {
       << total_reduced << " reduced";
 }
 
-// Sleep sets alone must not change the signature set either (they compose
-// with DPOR; the reduction is sound at every setting).
-TEST(Dpor, SleepSetsPreserveSignatures) {
-  const fuzz::Program program = fuzz::generate_program(slice_config(3, 2));
-  ExploreOptions with;
-  ExploreOptions without;
-  without.sleep_sets = false;
-  const ExploreReport a = explore_program(program, with);
-  const ExploreReport b = explore_program(program, without);
-  ASSERT_TRUE(a.complete && b.complete);
-  EXPECT_EQ(a.signatures, b.signatures);
-  EXPECT_LE(a.interleavings, b.interleavings);
+/// A Mazurkiewicz trace in canonical form, built one transition at a
+/// time: rank by rank, each executed transition (step index, and for a wait
+/// the send it consumed) with its happens-before clock over dependent().
+/// Two runs, or two prefixes, are one trace iff their keys are equal.
+class TraceKey {
+ public:
+  explicit TraceKey(int nprocs) : nprocs_(nprocs) {}
+
+  void push(const ExecutedStep& step) {
+    const auto n = static_cast<std::size_t>(nprocs_);
+    const std::size_t base = clocks_.size();
+    clocks_.resize(base + n, 0);
+    for (std::size_t i = 0; i < steps_.size(); ++i) {
+      if (!dependent(steps_[i], step, nprocs_)) continue;
+      for (std::size_t k = 0; k < n; ++k) {
+        clocks_[base + k] = std::max(clocks_[base + k], clocks_[i * n + k]);
+      }
+    }
+    ++clocks_[base + static_cast<std::size_t>(step.rank)];
+    steps_.push_back(step);
+  }
+
+  void pop() {
+    steps_.pop_back();
+    clocks_.resize(clocks_.size() - static_cast<std::size_t>(nprocs_));
+  }
+
+  std::string key() const {
+    const auto n = static_cast<std::size_t>(nprocs_);
+    std::string out;
+    for (Rank rank = 0; rank < nprocs_; ++rank) {
+      const auto mine = [rank](const ExecutedStep& step) { return step.rank == rank; };
+      const auto count = std::count_if(steps_.begin(), steps_.end(), mine);
+      append(out, static_cast<std::uint64_t>(count));
+      for (std::size_t i = 0; i < steps_.size(); ++i) {
+        if (!mine(steps_[i])) continue;
+        append(out, steps_[i].step_index);
+        append(out, static_cast<std::uint64_t>(steps_[i].matched_src + 1));
+        append(out, steps_[i].matched_d);
+        for (std::size_t k = 0; k < n; ++k) append(out, clocks_[i * n + k]);
+      }
+    }
+    return out;
+  }
+
+ private:
+  /// Base-128 varint. Each rank's section starts with its event count and
+  /// each event is 3 + nprocs values, so the key parses one way only.
+  static void append(std::string& out, std::uint64_t value) {
+    for (; value >= 0x80; value >>= 7) out += static_cast<char>(0x80 | (value & 0x7f));
+    out += static_cast<char>(value);
+  }
+
+  int nprocs_;
+  std::vector<ExecutedStep> steps_;
+  std::vector<std::uint64_t> clocks_;  ///< steps_[i]'s clock at [i * nprocs_].
+};
+
+std::string trace_key(const std::vector<ExecutedStep>& run, int nprocs) {
+  TraceKey key(nprocs);
+  for (const ExecutedStep& step : run) key.push(step);
+  return key.key();
+}
+
+/// The reference the explorer is checked against: every Mazurkiewicz
+/// trace of `program`'s maximal runs, found by a DFS over Executor that
+/// tries every enabled rank but expands each prefix trace only once (two
+/// prefixes of one trace reach the same state, which the Independence
+/// tests check). It finishes on programs far too big for naive
+/// enumeration, whose cost is the number of interleavings.
+class ReferenceTraces {
+ public:
+  explicit ReferenceTraces(const fuzz::Program& program)
+      : flat_(flatten_program(program)), executor_(&flat_), prefix_(program.nprocs) {
+    search();
+  }
+
+  const std::set<std::string>& traces() const { return maximal_; }
+
+ private:
+  void search() {
+    std::string key = prefix_.key();
+    if (expanded_.count(key) != 0) return;
+    const std::vector<Rank> enabled = executor_.enabled();
+    if (enabled.empty()) {
+      maximal_.insert(key);
+      return;
+    }
+    expanded_.insert(std::move(key));
+    for (const Rank rank : enabled) {
+      const ExecutedStep step = executor_.execute(rank);
+      prefix_.push(step);
+      search();
+      prefix_.pop();
+      executor_.undo(step);
+    }
+  }
+
+  FlatProgram flat_;
+  Executor executor_;
+  TraceKey prefix_;
+  std::unordered_set<std::string> expanded_;
+  std::set<std::string> maximal_;
+};
+
+/// Checks that optimal DPOR over `program` runs exactly one run of every
+/// trace the reference finds, and no other, with no sleep-blocked run.
+/// Returns the explorer's report (its `interleavings` is the trace count).
+ExploreReport expect_one_run_per_trace(const fuzz::Program& program) {
+  const ReferenceTraces reference(program);
+  std::map<std::string, int> explored;
+  ExploreOptions optimal;
+  optimal.on_run = [&](const std::vector<ExecutedStep>& run) {
+    ++explored[trace_key(run, program.nprocs)];
+  };
+  const ExploreReport report = explore_program(program, optimal);
+  EXPECT_TRUE(report.complete) << report.limit;
+  EXPECT_EQ(report.sleep_blocked, 0u);
+  EXPECT_EQ(report.interleavings, reference.traces().size());
+  EXPECT_EQ(explored.size(), reference.traces().size());
+  for (const auto& [key, count] : explored) {
+    EXPECT_EQ(count, 1) << "a trace was explored " << count << " times";
+    EXPECT_EQ(reference.traces().count(key), 1u)
+        << "an explored trace is not a reference trace";
+  }
+  return report;
+}
+
+// Optimality: on the 2-rank slice the naive cross-check runs, the
+// reference traces are exactly naive enumeration's runs grouped into
+// Mazurkiewicz traces, and the explorer runs exactly one run per trace —
+// none missed, none twice, none sleep-blocked.
+TEST(Dpor, ExploresExactlyOneRunPerMazurkiewiczTrace) {
+  std::uint64_t traces = 0;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    const fuzz::Program program = fuzz::generate_program(slice_config(seed, 2));
+    std::set<std::string> naive_traces;
+    ExploreOptions naive;
+    naive.dpor = false;
+    naive.on_run = [&](const std::vector<ExecutedStep>& run) {
+      naive_traces.insert(trace_key(run, program.nprocs));
+    };
+    ASSERT_TRUE(explore_program(program, naive).complete) << "seed " << seed;
+    EXPECT_EQ(ReferenceTraces(program).traces(), naive_traces) << "seed " << seed;
+    traces += expect_one_run_per_trace(program).interleavings;
+  }
+  EXPECT_EQ(traces, 43u);
+}
+
+// Rank 1 puts area 1 then area 0; ranks 0 and 2 put area 0. The sleep-set
+// search with Flanagan-Godefroid backtrack sets started a run here that
+// ended with every enabled rank asleep; wakeup trees start none, and run
+// each of the 6 traces once.
+TEST(Dpor, CraftedSleepBlockingProgramRunsNoBlockedRun) {
+  const fuzz::Program program = make_program(
+      3, 2,
+      {{make_access(fuzz::OpKind::kPut, 0)},
+       {make_access(fuzz::OpKind::kPut, 1), make_access(fuzz::OpKind::kPut, 0)},
+       {make_access(fuzz::OpKind::kPut, 0)}},
+      fuzz::Expectation::kSometimes);
+  EXPECT_EQ(expect_one_run_per_trace(program).interleavings, 6u);
+}
+
+// Rank 0 puts areas 0 then 2, rank 1 puts area 2, rank 2 puts areas 1
+// then 0: 4 traces. The backtrack-set search ran 3 of them: it backtracked
+// into the racing rank itself whenever that rank was enabled at the racing
+// frame, even when it was asleep there and the reversal had to start with
+// another rank, so the sleep set dropped the branch.
+TEST(Dpor, CraftedProgramGetsEveryTrace) {
+  const fuzz::Program program = make_program(
+      3, 3,
+      {{make_access(fuzz::OpKind::kPut, 0), make_access(fuzz::OpKind::kPut, 2)},
+       {make_access(fuzz::OpKind::kPut, 2)},
+       {make_access(fuzz::OpKind::kPut, 1), make_access(fuzz::OpKind::kPut, 0)}},
+      fuzz::Expectation::kSometimes);
+  EXPECT_EQ(expect_one_run_per_trace(program).interleavings, 4u);
+}
+
+// Ranks 1 and 2 signal rank 0 on one channel; rank 1 puts area 0 first.
+// Rank 0 waits, reads area 0, waits again. The two signals race, and their
+// order decides which one the first wait consumes: rank 1's orders the get
+// after the put (1 trace, clean), rank 2's leaves them unordered (2
+// traces, both racy). Reversing the signal race is the only way to reach
+// the racy traces.
+TEST(Dpor, SameChannelSignalRaceIsReversed) {
+  fuzz::Op wait;
+  wait.kind = fuzz::OpKind::kWait;
+  wait.tag = 5;
+  fuzz::Op signal;
+  signal.kind = fuzz::OpKind::kSignal;
+  signal.peer = 0;
+  signal.tag = 5;
+  const fuzz::Program program = make_program(
+      3, 1,
+      {{wait, make_access(fuzz::OpKind::kGet, 0), wait},
+       {make_access(fuzz::OpKind::kPut, 0), signal},
+       {signal}},
+      fuzz::Expectation::kSometimes);
+  const ExploreReport report = expect_one_run_per_trace(program);
+  EXPECT_EQ(report.interleavings, 3u);
+  EXPECT_EQ(report.racy_interleavings, 2u);
+  EXPECT_EQ(report.signatures.size(), 3u);
+}
+
+// Optimality on programs too big for naive enumeration: the eligible
+// programs of a 300-program block of the benchmark's generator config (3
+// ranks, 4 areas, 3 phases, 2 ops, 1 sync edge). The explorer runs every
+// reference trace exactly once and none ends sleep-blocked;
+// Exhaustive.CertificateAndCrossCheckTotalsArePinned pins the same
+// sleep_blocked on the 64-seed certificate slice. The backtrack-set search
+// this replaced missed 31 of these traces, in 5 programs.
+TEST(Dpor, ExploresEveryTraceOfBenchmarkProgramsOnce) {
+  std::uint64_t eligible = 0;
+  std::uint64_t traces = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    fuzz::GenConfig config = planted_slice_config(seed);
+    config.phases = 3;
+    config.max_ops_per_rank = 2;
+    const fuzz::Program program = fuzz::generate_program(config);
+    if (!exhaustive_eligible(program).eligible) continue;
+    ++eligible;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ExploreReport report = expect_one_run_per_trace(program);
+    traces += report.interleavings;
+    const std::vector<std::string> failures = check_exhaustive(program, report);
+    EXPECT_TRUE(failures.empty()) << failures.front();
+  }
+  EXPECT_EQ(eligible, 284u);
+  EXPECT_EQ(traces, 6619u);
 }
 
 // ---------------------------------------------------------------------------
@@ -351,12 +570,11 @@ TEST(Exhaustive, CertificateAndCrossCheckTotalsArePinned) {
     pruned += report.pruned_branches;
   }
   EXPECT_EQ(interleavings, 137u);
-  EXPECT_EQ(sleep_blocked, 554u);
-  EXPECT_EQ(pruned, 3571u);
+  EXPECT_EQ(sleep_blocked, 0u);
+  EXPECT_EQ(pruned, 1501u);
 
   ExploreOptions naive;
   naive.dpor = false;
-  naive.sleep_sets = false;
   std::uint64_t reduced_total = 0, naive_total = 0;
   for (std::uint64_t seed = 1; seed <= 32; ++seed) {
     const fuzz::Program program = fuzz::generate_program(slice_config(seed, 2));
@@ -369,9 +587,10 @@ TEST(Exhaustive, CertificateAndCrossCheckTotalsArePinned) {
 
 // The search is stateful: `transitions` counts DFS edges, each executed
 // once. Rank 0 ticks twice, then both ranks put area 0. The first run takes
-// tick, tick, put(r0), put(r1) (4 edges); DPOR backtracks at the third
-// frame, and the second run adds put(r1), put(r0) below the shared tick
-// prefix (2 edges). A search that re-ran the prefix would count 8.
+// tick, tick, put(r0), put(r1) (4 edges); the race between the puts puts
+// put(r1) into the third frame's wakeup tree, and the second run adds
+// put(r1), put(r0) below the shared tick prefix (2 edges). A search that
+// re-ran the prefix would count 8.
 TEST(Exhaustive, EachDfsEdgeExecutesOnce) {
   const fuzz::Program program = make_program(
       2, 1,

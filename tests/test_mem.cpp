@@ -230,7 +230,9 @@ TEST(PublicSegment, OutOfOrderRegistrationKeepsLookupExact) {
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->offset, i * 32);
     // Straddles across every adjacency are still rejected.
-    if (i + 1 < 200) EXPECT_EQ(seg.find_area(i * 32 + 16, 32), nullptr);
+    if (i + 1 < 200) {
+      EXPECT_EQ(seg.find_area(i * 32 + 16, 32), nullptr);
+    }
   }
 }
 

@@ -17,8 +17,8 @@
 //                [--json FILE] [--witness-dir DIR] [--verbose]
 //
 // Exhaustive mode (--exhaustive): generates a slice of small fuzzed
-// programs and explores EVERY inequivalent interleaving of each with
-// DPOR + sleep sets over the threaded op model (explore/dpor.hpp),
+// programs and explores EVERY inequivalent interleaving of each, once, with
+// optimal DPOR over the threaded op model (explore/dpor.hpp),
 // upgrading the sampled grid's rates to proofs — every kSometimes planted
 // bug must be FOUND somewhere in the space, every clean-by-construction
 // program must CERTIFY clean over the full reduced space.
@@ -210,7 +210,6 @@ int run_exhaustive(const ExhaustiveParams& params) {
   reduced.max_witnesses = params.max_witnesses;
   explore::ExploreOptions naive = reduced;
   naive.dpor = false;
-  naive.sleep_sets = false;
   naive.max_witnesses = 0;
 
   std::vector<ProgramOutcome> outcomes;
