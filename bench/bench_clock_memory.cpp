@@ -9,6 +9,9 @@
 // trade-off (metadata bytes vs detection precision).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "bench_common.hpp"
 #include "pgas/shared_array.hpp"
 #include "util/assert.hpp"
@@ -23,7 +26,9 @@ std::size_t metadata_bytes(int nprocs, int areas) {
   World world(world_config(nprocs, core::DetectorMode::kDualClock,
                            core::Transport::kHomeSide));
   for (int a = 0; a < areas; ++a) {
-    world.alloc(static_cast<Rank>(a % nprocs), 8, "a" + std::to_string(a));
+    std::string name = "a";  // appended: GCC 12 misreports "a" + ... under -Wrestrict.
+    name += std::to_string(a);
+    world.alloc(static_cast<Rank>(a % nprocs), 8, std::move(name));
   }
   return world.total_clock_bytes();
 }

@@ -12,7 +12,8 @@
 // Representation: clocks up to kInlineCapacity components live entirely
 // inside the object (no heap allocation) — clocks are copied on every
 // simulated message, and debugging-scale systems (the paper's ~10 processes)
-// should not pay an allocation per copy. Wider clocks spill to a vector.
+// should not pay an allocation per copy. Wider clocks spill to a heap buffer
+// recycled through the thread's block pool (util/block_pool.hpp).
 #pragma once
 
 #include <cstddef>
@@ -22,6 +23,7 @@
 
 #include "clocks/ordering.hpp"
 #include "util/assert.hpp"
+#include "util/block_pool.hpp"
 #include "util/types.hpp"
 #include "util/varint.hpp"
 
@@ -182,10 +184,17 @@ class VectorClock {
   ClockValue* data() { return size_ <= kInlineCapacity ? inline_ : heap_; }
   const ClockValue* data() const { return size_ <= kInlineCapacity ? inline_ : heap_; }
 
+  /// Wide clocks' buffers recycle through the thread's block pool: clocks
+  /// are created and dropped on every simulated message.
+  static ClockValue* allocate_buffer(std::size_t n) {
+    return static_cast<ClockValue*>(util::pool_allocate(n * sizeof(ClockValue)));
+  }
+
   void allocate_zeroed(std::size_t n) {
     size_ = n;
     if (n > kInlineCapacity) {
-      heap_ = new ClockValue[n]();
+      heap_ = allocate_buffer(n);
+      for (std::size_t i = 0; i < n; ++i) heap_[i] = 0;
     } else {
       for (std::size_t i = 0; i < kInlineCapacity; ++i) inline_[i] = 0;
     }
@@ -194,7 +203,7 @@ class VectorClock {
   void copy_from(const VectorClock& other) {
     size_ = other.size_;
     if (size_ > kInlineCapacity) {
-      heap_ = new ClockValue[size_];
+      heap_ = allocate_buffer(size_);
       for (std::size_t i = 0; i < size_; ++i) heap_[i] = other.heap_[i];
     } else {
       for (std::size_t i = 0; i < kInlineCapacity; ++i) inline_[i] = other.inline_[i];
@@ -214,7 +223,7 @@ class VectorClock {
   }
 
   void release() noexcept {
-    if (size_ > kInlineCapacity) delete[] heap_;
+    if (size_ > kInlineCapacity) util::pool_release(heap_, size_ * sizeof(ClockValue));
   }
 
   std::size_t size_ = 0;

@@ -177,15 +177,28 @@ void Executor::undo(const ExecutedStep& exec) {
 std::string Executor::scheduler_digest() const {
   std::string out;
   for (std::size_t r = 0; r < cursor_.size(); ++r) {
-    out += "r" + std::to_string(r) + "@" + std::to_string(cursor_[r]) + "#" +
-           std::to_string(count_[r]) + "\n";
+    // Appended piece by piece: GCC 12 misreports `"r" + std::to_string(r)`
+    // under -Wrestrict.
+    out += 'r';
+    out += std::to_string(r);
+    out += '@';
+    out += std::to_string(cursor_[r]);
+    out += '#';
+    out += std::to_string(count_[r]);
+    out += '\n';
   }
   for (const auto& [key, queue] : mail_) {
     if (queue.empty()) continue;
-    out += "mail r" + std::to_string(key.first) + " t" +
-           std::to_string(key.second) + ":";
+    out += "mail r";
+    out += std::to_string(key.first);
+    out += " t";
+    out += std::to_string(key.second);
+    out += ':';
     for (const auto& [src, d] : queue) {
-      out += " " + std::to_string(src) + "@" + std::to_string(d);
+      out += ' ';
+      out += std::to_string(src);
+      out += '@';
+      out += std::to_string(d);
     }
     out += "\n";
   }

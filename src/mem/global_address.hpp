@@ -20,7 +20,11 @@ struct GlobalAddress {
   GlobalAddress plus(std::uint32_t bytes) const { return {rank, offset + bytes}; }
 
   std::string to_string() const {
-    return "P" + std::to_string(rank) + "+" + std::to_string(offset);
+    std::string out = "P";  // appended: GCC 12 misreports "P" + ... under -Wrestrict.
+    out += std::to_string(rank);
+    out += '+';
+    out += std::to_string(offset);
+    return out;
   }
 };
 

@@ -7,8 +7,13 @@
 
 namespace dsmr::nic {
 
+LockManager::AreaLock& LockManager::lock_of(mem::AreaId area) {
+  if (area >= locks_.size()) locks_.resize(static_cast<std::size_t>(area) + 1);
+  return locks_[area];
+}
+
 bool LockManager::try_acquire(mem::AreaId area, LockToken token) {
-  AreaLock& lock = locks_[area];
+  AreaLock& lock = lock_of(area);
   if (lock.held) return false;
   ++stats_.acquisitions;
   lock.held = true;
@@ -32,10 +37,9 @@ sim::Future<void> LockManager::acquire(mem::AreaId area, LockToken token) {
 }
 
 void LockManager::release(mem::AreaId area, LockToken token) {
-  const auto it = locks_.find(area);
-  DSMR_CHECK_MSG(it != locks_.end() && it->second.held,
+  DSMR_CHECK_MSG(area < locks_.size() && locks_[area].held,
                  "release of unheld lock on area " << area);
-  AreaLock& lock = it->second;
+  AreaLock& lock = locks_[area];
   DSMR_CHECK_MSG(lock.holder == token,
                  "release of area " << area << " by non-holder token " << token);
   if (lock.waiters.empty()) {
@@ -44,34 +48,48 @@ void LockManager::release(mem::AreaId area, LockToken token) {
     return;
   }
   auto [next_token, promise] = std::move(lock.waiters.front());
-  lock.waiters.pop_front();
+  lock.waiters.erase(lock.waiters.begin());
   lock.holder = next_token;
   promise.set_value();  // resumption bounces through the engine queue.
 }
 
+void LockManager::release_at(sim::Engine& engine, sim::Time t, mem::AreaId area,
+                             LockToken token) {
+  AreaLock& lock = lock_of(area);
+  DSMR_CHECK_MSG(lock.timed_release == 0, "second timed release pending on area " << area);
+  lock.timed_release = token;
+  engine.schedule_call(t, &LockManager::fire_timed_release, this, area);
+}
+
+void LockManager::fire_timed_release(void* manager, std::uint64_t area) {
+  auto& self = *static_cast<LockManager*>(manager);
+  const auto id = static_cast<mem::AreaId>(area);
+  self.release(id, std::exchange(self.locks_[id].timed_release, 0));
+}
+
 bool LockManager::is_locked(mem::AreaId area) const {
-  const auto it = locks_.find(area);
-  return it != locks_.end() && it->second.held;
+  const AreaLock* lock = find(area);
+  return lock != nullptr && lock->held;
 }
 
 LockToken LockManager::holder(mem::AreaId area) const {
-  const auto it = locks_.find(area);
-  return it != locks_.end() && it->second.held ? it->second.holder : 0;
+  const AreaLock* lock = find(area);
+  return lock != nullptr && lock->held ? lock->holder : 0;
 }
 
 bool LockManager::held_by(mem::AreaId area, LockToken token) const {
-  const auto it = locks_.find(area);
-  return it != locks_.end() && it->second.held && it->second.holder == token;
+  const AreaLock* lock = find(area);
+  return lock != nullptr && lock->held && lock->holder == token;
 }
 
 void LockManager::set_handoff(mem::AreaId area, const clocks::VectorClock& clock) {
-  detect::hand_off(locks_[area].handoff, clock);
+  detect::hand_off(lock_of(area).handoff, clock);
 }
 
 const clocks::VectorClock* LockManager::handoff(mem::AreaId area) const {
-  const auto it = locks_.find(area);
-  if (it == locks_.end() || it->second.handoff.empty()) return nullptr;
-  return &it->second.handoff;
+  const AreaLock* lock = find(area);
+  if (lock == nullptr || lock->handoff.empty()) return nullptr;
+  return &lock->handoff;
 }
 
 }  // namespace dsmr::nic

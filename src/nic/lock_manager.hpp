@@ -7,14 +7,19 @@
 // get) is delayed until the holder finishes. Locks also optionally carry a
 // release→acquire clock handoff so that user-level locking establishes
 // happens-before and properly locked programs are reported race-free.
+//
+// The table is a flat vector indexed by the segment's dense AreaId, grown
+// on first touch; a lock's FIFO is a vector popped at the front (queues are
+// at most a few ranks deep), so neither allocates once grown.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "clocks/vector_clock.hpp"
 #include "mem/public_segment.hpp"
+#include "sim/engine.hpp"
 #include "sim/future.hpp"
 #include "util/types.hpp"
 
@@ -49,6 +54,12 @@ class LockManager {
   /// waiter (FIFO) is granted via the engine queue.
   void release(mem::AreaId area, LockToken token);
 
+  /// Releases `token`'s lock on `area` at virtual time `t` through a plain
+  /// engine event — Fig. 3's hold of a served get until its response has
+  /// arrived. An area has at most one such release pending: its lock is
+  /// held until the release fires.
+  void release_at(sim::Engine& engine, sim::Time t, mem::AreaId area, LockToken token);
+
   bool is_locked(mem::AreaId area) const;
   bool held_by(mem::AreaId area, LockToken token) const;
 
@@ -68,11 +79,20 @@ class LockManager {
   struct AreaLock {
     bool held = false;
     LockToken holder = 0;
-    std::deque<std::pair<LockToken, sim::Promise<void>>> waiters;
+    LockToken timed_release = 0;  ///< release_at's token until it fires.
+    std::vector<std::pair<LockToken, sim::Promise<void>>> waiters;  ///< FIFO.
     clocks::VectorClock handoff;  ///< empty until the first release.
   };
 
-  std::unordered_map<mem::AreaId, AreaLock> locks_;
+  /// The area's lock, growing the table to reach it.
+  AreaLock& lock_of(mem::AreaId area);
+  /// The area's lock, or nullptr when it was never touched.
+  const AreaLock* find(mem::AreaId area) const {
+    return area < locks_.size() ? &locks_[area] : nullptr;
+  }
+  static void fire_timed_release(void* manager, std::uint64_t area);
+
+  std::vector<AreaLock> locks_;  ///< by AreaId.
   Stats stats_;
 };
 

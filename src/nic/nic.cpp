@@ -45,9 +45,11 @@ Message Nic::make(MsgType type, Rank dst, std::uint64_t op_id, std::uint32_t are
 }
 
 sim::Future<Message> Nic::request(Message m) {
-  const auto [it, inserted] = pending_.try_emplace(m.op_id);
-  DSMR_CHECK_MSG(inserted, "duplicate in-flight op id " << m.op_id << " on rank " << rank_);
-  Pending& pending = it->second;
+  const auto same_op = [&](const Pending& p) { return p.op_id == m.op_id; };
+  DSMR_CHECK_MSG(std::none_of(pending_.begin(), pending_.end(), same_op),
+                 "duplicate in-flight op id " << m.op_id << " on rank " << rank_);
+  Pending& pending = pending_.emplace_back();
+  pending.op_id = m.op_id;
   pending.type = m.type;
   pending.dst = m.dst;
   pending.area = m.area;
@@ -57,13 +59,15 @@ sim::Future<Message> Nic::request(Message m) {
 }
 
 void Nic::resolve_pending(Message&& m) {
-  const auto it = pending_.find(m.op_id);
+  const auto it = std::find_if(pending_.begin(), pending_.end(),
+                               [&](const Pending& p) { return p.op_id == m.op_id; });
   DSMR_CHECK_MSG(it != pending_.end(),
                  "response " << m.describe() << " with no pending op on rank " << rank_);
   // Drop the table's reference before resolving, so the awaiting future
   // holds the last one and receives the message without a copy.
-  sim::Promise<Message> promise = std::move(it->second.promise);
-  pending_.erase(it);
+  sim::Promise<Message> promise = std::move(it->promise);
+  if (it != pending_.end() - 1) *it = std::move(pending_.back());
+  pending_.pop_back();
   promise.set_value(std::move(m));
 }
 
@@ -71,16 +75,20 @@ std::vector<std::string> Nic::pending_ops() const {
   // Deterministic order (op id, then tag) — the watchdog diagnostic must be
   // stable across runs for repro diffing.
   std::vector<std::pair<std::uint64_t, std::string>> lines;
-  for (const auto& [op_id, info] : pending_) {
+  for (const Pending& info : pending_) {
     std::ostringstream out;
-    out << "op " << op_id << " " << net::to_string(info.type) << " -> P" << info.dst
+    out << "op " << info.op_id << " " << net::to_string(info.type) << " -> P" << info.dst
         << " area " << info.area << " (awaiting response)";
-    lines.emplace_back(op_id, out.str());
+    lines.emplace_back(info.op_id, out.str());
   }
-  for (const auto& [tag, waiters] : signal_waiters_) {
+  for (auto it = signal_waiters_.begin(); it != signal_waiters_.end(); ++it) {
+    const std::uint64_t tag = it->first;
+    const auto same_tag = [tag](const auto& entry) { return entry.first == tag; };
+    if (std::any_of(signal_waiters_.begin(), it, same_tag)) continue;  // counted already.
+    const auto waiters = std::count_if(it, signal_waiters_.end(), same_tag);
     std::ostringstream out;
-    out << "waiting for signal tag " << tag << " (" << waiters.size() << " waiter"
-        << (waiters.size() == 1 ? "" : "s") << ")";
+    out << "waiting for signal tag " << tag << " (" << waiters << " waiter"
+        << (waiters == 1 ? "" : "s") << ")";
     lines.emplace_back(std::uint64_t{1} << 63 | tag, out.str());
   }
   std::sort(lines.begin(), lines.end());
@@ -271,31 +279,44 @@ void Nic::send_signal(Rank to, std::uint64_t tag, clocks::VectorClock clock,
   fabric_.send(std::move(m));
 }
 
-// Collective tags are unique per epoch and round, so both tables erase an
-// entry as soon as its queue drains: a long run does not accumulate one
-// empty queue per barrier ever passed.
+// Both signal tables hold only what is pending, in arrival (or posting)
+// order, and a tag's oldest entry is found by scanning from the front.
+// Collective tags are unique per epoch and round, so the tables stay a
+// handful of entries long and a long run does not accumulate one entry per
+// barrier ever passed.
 
 sim::Future<Message> Nic::wait_signal(std::uint64_t tag) {
   sim::Promise<Message> promise;
-  if (const auto it = queued_signals_.find(tag); it != queued_signals_.end()) {
-    promise.set_value(std::move(it->second.front()));
-    it->second.pop_front();
-    if (it->second.empty()) queued_signals_.erase(it);
+  const auto queued = std::find_if(queued_signals_.begin(), queued_signals_.end(),
+                                   [&](const Message& m) { return m.tag == tag; });
+  if (queued != queued_signals_.end()) {
+    promise.set_value(std::move(*queued));
+    queued_signals_.erase(queued);
     return promise.future();
   }
-  signal_waiters_[tag].push_back(promise);
+  signal_waiters_.emplace_back(tag, promise);
   return promise.future();
 }
 
 void Nic::handle_signal(Message&& m) {
-  if (const auto it = signal_waiters_.find(m.tag); it != signal_waiters_.end()) {
-    sim::Promise<Message> promise = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) signal_waiters_.erase(it);
+  const auto waiter =
+      std::find_if(signal_waiters_.begin(), signal_waiters_.end(),
+                   [&](const auto& entry) { return entry.first == m.tag; });
+  if (waiter != signal_waiters_.end()) {
+    sim::Promise<Message> promise = std::move(waiter->second);
+    signal_waiters_.erase(waiter);
     promise.set_value(std::move(m));
     return;
   }
-  queued_signals_[m.tag].push_back(std::move(m));
+  queued_signals_.push_back(std::move(m));
+}
+
+std::size_t Nic::signal_tags() const {
+  std::vector<std::uint64_t> tags;
+  for (const Message& m : queued_signals_) tags.push_back(m.tag);
+  for (const auto& [tag, promise] : signal_waiters_) tags.push_back(tag);
+  std::sort(tags.begin(), tags.end());
+  return static_cast<std::size_t>(std::unique(tags.begin(), tags.end()) - tags.begin());
 }
 
 // ---------------------------------------------------------------------------
@@ -494,9 +515,7 @@ void Nic::serve_get_then_release(const Message& m) {
   const sim::Time delivered_at = serve_get(m);
   // Fig. 3: the area stays locked until the data has fully arrived at the
   // requester; a put landing meanwhile queues behind this release.
-  const LockToken token = make_lock_token(m.src, m.op_id);
-  engine_.schedule_at(delivered_at,
-                      [this, area = m.area, token] { locks_.release(area, token); });
+  locks_.release_at(engine_, delivered_at, m.area, make_lock_token(m.src, m.op_id));
 }
 
 void Nic::apply_put(const Message& m) {

@@ -32,10 +32,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "clocks/vector_clock.hpp"
@@ -147,9 +146,9 @@ class Nic {
   /// a quiescent NIC.
   std::vector<std::string> pending_ops() const;
 
-  /// Signal tags with a queued signal or a waiting receiver. An entry is
-  /// erased when its queue drains, so a quiescent NIC has none.
-  std::size_t signal_tags() const { return queued_signals_.size() + signal_waiters_.size(); }
+  /// Distinct signal tags with a queued signal or a waiting receiver. An
+  /// entry is erased when it is matched, so a quiescent NIC has none.
+  std::size_t signal_tags() const;
 
   /// The area resolver (exposed for the runtime layer's access preamble).
   /// A direct delegation to the installed resolver — PublicSegment's
@@ -219,14 +218,20 @@ class Nic {
   /// An in-flight request: the promise its response resolves, plus what it
   /// asked for (type/home/area) — the watchdog's evidence.
   struct Pending {
+    std::uint64_t op_id = 0;
     sim::Promise<net::Message> promise;
     net::MsgType type = net::MsgType::kSignal;
     Rank dst = kInvalidRank;
     std::uint32_t area = 0;
   };
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::unordered_map<std::uint64_t, std::deque<net::Message>> queued_signals_;
-  std::unordered_map<std::uint64_t, std::deque<sim::Promise<net::Message>>> signal_waiters_;
+  /// In-flight requests, one per outstanding op id (an op awaits each
+  /// request before sending the next): a handful at most, so a flat vector
+  /// searched by op id, unordered.
+  std::vector<Pending> pending_;
+  /// Signals delivered before their wait, in arrival order.
+  std::vector<net::Message> queued_signals_;
+  /// Waits posted before their signal, in posting order, by tag.
+  std::vector<std::pair<std::uint64_t, sim::Promise<net::Message>>> signal_waiters_;
 
   /// op_id used by this rank's user-lock protocol (outside the data-op
   /// counter range; the lock token must be stable across lock and unlock).

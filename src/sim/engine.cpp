@@ -37,10 +37,10 @@ std::size_t Engine::live_frames() const {
   return n;
 }
 
-void Engine::schedule_call(Time t, Fn fn, void* ctx, std::uint64_t arg) {
+void Engine::schedule_later(Time t, Call call) {
   static_assert(std::is_trivially_copyable_v<Event>);
-  DSMR_CHECK_MSG(t >= now_, "scheduling into the past: t=" << t << " now=" << now_);
-  heap_.push_back(Event{t, next_seq_++, fn, ctx, arg});
+  DSMR_CHECK_MSG(t > now_, "scheduling into the past: t=" << t << " now=" << now_);
+  heap_.push_back(Event{t, next_seq_++, call});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -69,14 +69,26 @@ void Engine::run_parked(void* engine, std::uint64_t slot) {
 std::uint64_t Engine::run(std::uint64_t max_events) {
   CurrentEngineScope scope(this);
   std::uint64_t fired = 0;
-  while (!heap_.empty() && fired < max_events) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Event event = heap_.back();
-    heap_.pop_back();
-    now_ = event.t;
+  while (fired < max_events) {
+    Call call;
+    const bool ready = ready_head_ != ready_.size();
+    if (!heap_.empty() && (!ready || heap_.front().t == now_)) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      now_ = heap_.back().t;
+      call = heap_.back().call;
+      heap_.pop_back();
+    } else if (ready) {
+      call = ready_[ready_head_++];
+      if (ready_head_ == ready_.size()) {
+        ready_.clear();
+        ready_head_ = 0;
+      }
+    } else {
+      break;
+    }
     ++fired;
     ++events_processed_;
-    event.fn(event.ctx, event.arg);
+    call.fn(call.ctx, call.arg);
   }
   return fired;
 }

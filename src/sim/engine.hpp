@@ -6,10 +6,18 @@
 // the test suite assert exact race reports and lets users replay a failing
 // interleaving from its seed.
 //
-// An event is a plain trivially copyable record {time, seq, fn, ctx, arg}
-// in a binary heap: firing one costs a heap pop and a function call, and
-// scheduling one allocates nothing once the heap has grown. The hot
-// producers schedule plain calls directly — coroutine resumptions
+// An event is a plain trivially copyable call {fn, ctx, arg}. A call
+// scheduled for a later time goes into a binary heap keyed by (time, seq);
+// a call scheduled for the current time — about half of all events: every
+// coroutine resumption a resolved future bounces through the engine — is
+// appended to a same-time FIFO instead, with no heap push or pop. The run
+// loop fires heap events at the current time first, then the FIFO, and
+// only then advances time. That is exactly (time, seq) order: a heap event
+// at time t was scheduled before time reached t, so its seq is smaller than
+// that of any FIFO entry, and the FIFO is drained before time moves on.
+// Neither queue allocates once it has grown.
+//
+// The hot producers schedule plain calls directly — coroutine resumptions
 // (schedule_resume: fn resumes the handle in ctx) and fabric deliveries
 // (net::SimFabric: arg is an in-flight slab slot). The rare producers
 // (task start, fault-plane timers and acks, tests) keep the
@@ -58,7 +66,13 @@ class Engine {
   /// Schedules fn(ctx, arg) at absolute virtual time `t` (>= now). The
   /// allocation-free path: `ctx` and `arg` must stay meaningful until the
   /// event fires.
-  void schedule_call(Time t, Fn fn, void* ctx, std::uint64_t arg);
+  void schedule_call(Time t, Fn fn, void* ctx, std::uint64_t arg) {
+    if (t == now_) {
+      ready_.push_back(Call{fn, ctx, arg});
+    } else {
+      schedule_later(t, Call{fn, ctx, arg});
+    }
+  }
 
   /// Schedules the resumption of coroutine `h` at absolute time `t`.
   void schedule_resume(Time t, std::coroutine_handle<> h) {
@@ -78,7 +92,7 @@ class Engine {
   /// Returns the number of events processed.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
 
-  bool idle() const { return heap_.empty(); }
+  bool idle() const { return heap_.empty() && ready_head_ == ready_.size(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
   /// The engine currently inside run() on this thread (nullptr outside).
@@ -105,12 +119,15 @@ class Engine {
   std::size_t live_frames() const;
 
  private:
-  struct Event {
-    Time t;
-    std::uint64_t seq;
+  struct Call {
     Fn fn;
     void* ctx;
     std::uint64_t arg;
+  };
+  struct Event {
+    Time t;
+    std::uint64_t seq;
+    Call call;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
@@ -122,8 +139,13 @@ class Engine {
     std::coroutine_handle<>::from_address(frame).resume();
   }
   static void run_parked(void* engine, std::uint64_t slot);
+  void schedule_later(Time t, Call call);
 
   std::vector<Event> heap_;  ///< min-heap on (t, seq) via Later.
+  /// Calls scheduled at now_, fired from ready_head_ on; emptied whenever
+  /// the head reaches the end, so it only ever holds the current time.
+  std::vector<Call> ready_;
+  std::size_t ready_head_ = 0;
   std::vector<std::function<void()>> parked_;
   std::vector<std::uint32_t> free_parked_;
   FrameLink frames_{&frames_, &frames_, nullptr};  ///< list sentinel.

@@ -3,14 +3,19 @@
 // callback-style code (the NIC message handlers).
 //
 // Design rules:
-//  * Single-threaded: no atomics, no locks.
+//  * Single-threaded: no atomics, no locks. A future's shared state carries
+//    a plain reference count (detail::StateRef), not a std::shared_ptr.
 //  * Completion resumes waiters through Engine::schedule_resume — a plain
 //    engine event holding the coroutine handle, never inline — so
-//    completion chains cannot recurse unboundedly.
+//    completion chains cannot recurse unboundedly. Those resumptions land
+//    in the engine's same-time FIFO, not its heap.
 //  * `Future<T>` is itself a legal coroutine return type: protocol steps in
 //    dsmr::nic / dsmr::core are written as eager coroutines returning
 //    Future<T>. Their promises link into the engine's live-frame list
 //    (detail::TrackedPromise), an intrusive list with no allocation.
+//  * Nothing on the protocol path allocates in the steady state: coroutine
+//    frames and shared states come from the thread's block pool
+//    (util/block_pool.hpp), recycled as the next message's frames.
 //  * `co_await` hands the value over without a copy when the awaiting
 //    future holds the last reference to it (a response resolved into a
 //    Promise and awaited once — the protocol's case); with other holders
@@ -20,14 +25,15 @@
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
+#include "util/block_pool.hpp"
 
 namespace dsmr::sim {
 
@@ -69,8 +75,36 @@ struct Waiters {
   }
 };
 
+/// An owning handle on a pool-allocated shared state with a plain
+/// (single-threaded) reference count. A moved-from handle is empty.
+template <typename State>
+class StateRef {
+ public:
+  static StateRef make() { return StateRef(new State()); }
+
+  StateRef(const StateRef& other) : state_(other.state_) {
+    if (state_ != nullptr) ++state_->refs;
+  }
+  StateRef(StateRef&& other) noexcept : state_(std::exchange(other.state_, nullptr)) {}
+  StateRef& operator=(StateRef other) noexcept {
+    std::swap(state_, other.state_);
+    return *this;
+  }
+  ~StateRef() {
+    if (state_ != nullptr && --state_->refs == 0) delete state_;
+  }
+
+  State* operator->() const { return state_; }
+  bool sole_owner() const { return state_->refs == 1; }
+
+ private:
+  explicit StateRef(State* state) : state_(state) { state_->refs = 1; }
+  State* state_;
+};
+
 template <typename T>
-struct SharedState {
+struct SharedState : util::Pooled {
+  std::uint32_t refs = 0;
   std::optional<T> value;
   Waiters waiters;
   std::vector<std::function<void(const T&)>> callbacks;
@@ -89,9 +123,10 @@ struct SharedState {
 /// Shared frame-tracking for eager Future coroutine promises: link into the
 /// current engine's live-frame list at creation (`track`), unlink on
 /// destruction — which is either self-destruction at co_return or the
-/// engine's teardown sweep of deadlocked frames.
+/// engine's teardown sweep of deadlocked frames. The frame is a block-pool
+/// block (util::Pooled supplies the promise's operator new/delete).
 template <typename Promise>
-struct TrackedPromise {
+struct TrackedPromise : util::Pooled {
   FrameLink frame_link;
 
   ~TrackedPromise() { frame_link.unlink(); }
@@ -105,7 +140,8 @@ struct TrackedPromise {
 };
 
 template <>
-struct SharedState<void> {
+struct SharedState<void> : util::Pooled {
+  std::uint32_t refs = 0;
   bool done = false;
   Waiters waiters;
   std::vector<std::function<void()>> callbacks;
@@ -130,7 +166,7 @@ class Future;
 template <typename T>
 class Promise {
  public:
-  Promise() : state_(std::make_shared<detail::SharedState<T>>()) {}
+  Promise() : state_(detail::StateRef<detail::SharedState<T>>::make()) {}
 
   Future<T> future() const;
 
@@ -140,13 +176,13 @@ class Promise {
  private:
   template <typename U>
   friend class Future;
-  std::shared_ptr<detail::SharedState<T>> state_;
+  detail::StateRef<detail::SharedState<T>> state_;
 };
 
 template <>
 class Promise<void> {
  public:
-  Promise() : state_(std::make_shared<detail::SharedState<void>>()) {}
+  Promise() : state_(detail::StateRef<detail::SharedState<void>>::make()) {}
 
   Future<void> future() const;
 
@@ -156,7 +192,7 @@ class Promise<void> {
  private:
   template <typename U>
   friend class Future;
-  std::shared_ptr<detail::SharedState<void>> state_;
+  detail::StateRef<detail::SharedState<void>> state_;
 };
 
 template <typename T>
@@ -166,10 +202,10 @@ class Future {
   /// and resolves when the coroutine returns. Frames register with the
   /// current engine (detail::TrackedPromise) so deadlocked (never-
   /// completing) operations are destroyed at engine teardown instead of
-  /// leaking.
+  /// leaking; the frame itself comes from the block pool.
   struct promise_type : detail::TrackedPromise<promise_type> {
-    std::shared_ptr<detail::SharedState<T>> state =
-        std::make_shared<detail::SharedState<T>>();
+    detail::StateRef<detail::SharedState<T>> state =
+        detail::StateRef<detail::SharedState<T>>::make();
 
     Future get_return_object() {
       this->track();
@@ -183,7 +219,7 @@ class Future {
     }
   };
 
-  explicit Future(std::shared_ptr<detail::SharedState<T>> state)
+  explicit Future(detail::StateRef<detail::SharedState<T>> state)
       : state_(std::move(state)) {}
 
   bool ready() const { return state_->ready(); }
@@ -207,20 +243,20 @@ class Future {
   bool await_ready() const { return state_->ready(); }
   void await_suspend(std::coroutine_handle<> h) { state_->waiters.push(h); }
   T await_resume() {
-    if (state_.use_count() == 1) return std::move(*state_->value);
+    if (state_.sole_owner()) return std::move(*state_->value);
     return *state_->value;
   }
 
  private:
-  std::shared_ptr<detail::SharedState<T>> state_;
+  detail::StateRef<detail::SharedState<T>> state_;
 };
 
 template <>
 class Future<void> {
  public:
   struct promise_type : detail::TrackedPromise<promise_type> {
-    std::shared_ptr<detail::SharedState<void>> state =
-        std::make_shared<detail::SharedState<void>>();
+    detail::StateRef<detail::SharedState<void>> state =
+        detail::StateRef<detail::SharedState<void>>::make();
 
     Future get_return_object() {
       this->track();
@@ -234,7 +270,7 @@ class Future<void> {
     }
   };
 
-  explicit Future(std::shared_ptr<detail::SharedState<void>> state)
+  explicit Future(detail::StateRef<detail::SharedState<void>> state)
       : state_(std::move(state)) {}
 
   bool ready() const { return state_->ready(); }
@@ -252,7 +288,7 @@ class Future<void> {
   void await_resume() {}
 
  private:
-  std::shared_ptr<detail::SharedState<void>> state_;
+  detail::StateRef<detail::SharedState<void>> state_;
 };
 
 template <typename T>

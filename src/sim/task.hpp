@@ -3,7 +3,8 @@
 // A `Task` is the body of one simulated process (the paper's P0..Pn-1).
 // Unlike Future<T> coroutines, Tasks start *lazily*: the World schedules
 // their first resumption as a time-0 event so that all process bodies begin
-// inside Engine::run and interleave deterministically.
+// inside Engine::run and interleave deterministically. Their frames come
+// from the block pool like Future frames (util/block_pool.hpp).
 #pragma once
 
 #include <coroutine>
@@ -11,12 +12,13 @@
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/block_pool.hpp"
 
 namespace dsmr::sim {
 
 class Task {
  public:
-  struct promise_type {
+  struct promise_type : util::Pooled {
     bool finished = false;
     std::function<void()> on_done;
 

@@ -2,6 +2,7 @@
 // heart of the paper's detection scheme (Lemma 1 / Corollary 1).
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -230,6 +231,28 @@ TEST(VectorClockDeathTest, MutableIndexOutOfBoundsPanics) {
 TEST(VectorClockDeathTest, EmptyClockHasNoComponentZero) {
   const VectorClock empty;
   EXPECT_DEATH((void)empty[0], "assert failed");
+}
+
+TEST(VectorClockDeathTest, ReadOfReleasedWideBufferIsReportedUnderAsan) {
+#if defined(__SANITIZE_ADDRESS__)
+  // A clock wider than the inline capacity returns its buffer to the block
+  // pool, which poisons it: a dangling read is reported, not served from
+  // the next clock's recycled storage. A fresh thread's lists are empty, so
+  // the buffer is retained (not freed) whatever ran before.
+  EXPECT_DEATH(std::thread([] {
+                 const ClockValue* dangling = nullptr;
+                 {
+                   VectorClock wide(8);
+                   wide[3] = 42;
+                   dangling = &wide[0];
+                 }
+                 const volatile ClockValue read = dangling[3];
+                 (void)read;
+               }).join(),
+               "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 TEST(VectorClockDeathTest, TickOutOfRangePanics) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <thread>
 
 #include "detect/sharded_detector.hpp"
@@ -13,6 +14,14 @@
 
 namespace dsmr::mem {
 namespace {
+
+/// "a<n>", built by appending (GCC 12 misreports `"a" + std::to_string(n)`
+/// under -Wrestrict).
+std::string area_name(std::uint64_t n) {
+  std::string name = "a";
+  name += std::to_string(n);
+  return name;
+}
 
 TEST(PublicSegment, RegisterAndLookup) {
   PublicSegment seg(0, 1024, 4);
@@ -222,7 +231,7 @@ TEST(PublicSegment, OutOfOrderRegistrationKeepsLookupExact) {
   std::mt19937 rng(7);
   std::shuffle(offsets.begin(), offsets.end(), rng);
   for (const std::uint32_t offset : offsets) {
-    seg.register_area(offset, 32, "a" + std::to_string(offset));
+    seg.register_area(offset, 32, area_name(offset));
   }
   EXPECT_EQ(seg.area_count(), 200u);
   for (std::uint32_t i = 0; i < 200; ++i) {
@@ -281,7 +290,7 @@ void grow(Layout& layout, util::Rng& rng, int registrations) {
   const auto size = static_cast<std::uint32_t>(layout.owner.size());
   const auto add = [&](std::uint32_t offset, std::uint32_t bytes) {
     if (!layout.free(offset, bytes)) return;
-    const std::string name = "a" + std::to_string(layout.seg.area_count());
+    const std::string name = area_name(layout.seg.area_count());
     layout.claim(layout.seg.register_area(offset, bytes, name));
   };
   for (int i = 0; i < registrations; ++i) {
@@ -381,7 +390,7 @@ TEST(PublicSegment, IndexGrowsWithRegisteredBytesNotSegmentSize) {
   // 64 KB registered in a 16 MB segment: the granule table covers the
   // registered extent only (one uint32 per 64 bytes would be 1 MB here).
   PublicSegment seg(0, 16u << 20, 2);
-  for (int i = 0; i < 1000; ++i) seg.allocate_area(64, "a" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) seg.allocate_area(64, area_name(static_cast<std::uint64_t>(i)));
   EXPECT_LT(seg.index_bytes(), 64u * 1024u);
   EXPECT_EQ(seg.find_area(999 * 64, 64)->id, 999u);
   EXPECT_EQ(seg.find_area(1000 * 64, 1), nullptr);

@@ -3,6 +3,9 @@
 // under every transport while locks are held.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "runtime/process.hpp"
 #include "runtime/world.hpp"
 
@@ -149,7 +152,9 @@ TEST(NicEdge, ManySmallAreasOnOneRank) {
   World world(config);
   std::vector<GlobalAddress> areas;
   for (int i = 0; i < 512; ++i) {
-    areas.push_back(world.alloc(1, 8, "a" + std::to_string(i)));
+    std::string name = "a";  // appended: GCC 12 misreports "a" + ... under -Wrestrict.
+    name += std::to_string(i);
+    areas.push_back(world.alloc(1, 8, std::move(name)));
   }
   world.spawn(0, [areas](Process& p) -> sim::Task {
     for (std::size_t i = 0; i < areas.size(); i += 7) {

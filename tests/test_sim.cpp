@@ -1,12 +1,15 @@
 // Unit tests for the discrete-event engine and the coroutine plumbing.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/future.hpp"
 #include "sim/task.hpp"
+#include "util/rng.hpp"
 
 namespace dsmr::sim {
 namespace {
@@ -52,6 +55,102 @@ TEST(Engine, MaxEventsStopsEarly) {
   EXPECT_FALSE(engine.idle());
   engine.run();
   EXPECT_EQ(fired, 10);
+}
+
+/// Schedules labelled events and records their firing order together with
+/// each event's (time, scheduling order) key — the order the engine promises.
+struct OrderProbe {
+  explicit OrderProbe(Engine& e) : engine(e) {}
+
+  Engine& engine;
+  std::vector<std::string> fired;
+  std::vector<std::pair<Time, int>> keys;
+  int scheduled = 0;
+
+  void at(Time t, std::string label, std::function<void()> then = {}) {
+    const int seq = scheduled++;
+    engine.schedule_at(t, [this, t, seq, label = std::move(label), then = std::move(then)] {
+      fired.push_back(label);
+      keys.emplace_back(t, seq);
+      if (then) then();
+    });
+  }
+
+  /// Firing order is strictly increasing in (time, scheduling order).
+  bool keys_increase() const {
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+      if (!(keys[i - 1] < keys[i])) return false;
+    }
+    return true;
+  }
+};
+
+TEST(Engine, SameTimeReadyQueueKeepsTimeSeqOrder) {
+  // Calls scheduled at the current time go to the same-time FIFO, the rest
+  // to the heap; heap events at the current time (scheduled earlier) still
+  // fire before FIFO entries, and the FIFO drains before time advances.
+  Engine engine;
+  OrderProbe probe(engine);
+  probe.at(10, "A", [&] {
+    probe.at(engine.now(), "A1", [&] { probe.at(engine.now(), "A1a"); });
+    probe.at(20, "A2");
+    probe.at(engine.now(), "A3");
+  });
+  probe.at(10, "B");
+  probe.at(20, "C");
+  engine.run();
+  EXPECT_EQ(probe.fired, (std::vector<std::string>{"A", "B", "A1", "A3", "A1a", "C", "A2"}));
+  EXPECT_TRUE(probe.keys_increase());
+  EXPECT_TRUE(engine.idle());
+}
+
+TEST(Engine, RunStoppedWithReadyCallsResumesInOrder) {
+  // run(max_events) may stop while same-time calls are queued; calls made
+  // between the two runs at the stopped time queue behind them.
+  Engine engine;
+  OrderProbe probe(engine);
+  probe.at(10, "A", [&] {
+    probe.at(engine.now(), "A1", [&] { probe.at(engine.now(), "A1a"); });
+    probe.at(20, "A2");
+    probe.at(engine.now(), "A3");
+  });
+  probe.at(10, "B");
+  probe.at(20, "C");
+  EXPECT_EQ(engine.run(3), 3u);
+  EXPECT_EQ(probe.fired, (std::vector<std::string>{"A", "B", "A1"}));
+  EXPECT_FALSE(engine.idle());
+  EXPECT_EQ(engine.now(), 10u);
+  probe.at(engine.now(), "D");
+  probe.at(engine.now() + 5, "E");
+  engine.run();
+  EXPECT_EQ(probe.fired,
+            (std::vector<std::string>{"A", "B", "A1", "A3", "A1a", "D", "E", "C", "A2"}));
+  EXPECT_TRUE(probe.keys_increase());
+  EXPECT_TRUE(engine.idle());
+}
+
+TEST(Engine, ReadyQueueOrderUnderRandomScheduling) {
+  // Every event schedules a few more at now or a little later, from inside
+  // callbacks, with repeated stops and resumptions.
+  Engine engine;
+  OrderProbe probe(engine);
+  util::Rng rng(12345);
+  auto draw = [&rng](std::uint64_t n) { return rng.below(n); };
+  std::function<void()> spawn = [&] {
+    if (probe.scheduled >= 2000) return;
+    const auto children = draw(3);
+    for (std::uint64_t i = 0; i < children; ++i) {
+      probe.at(engine.now() + (draw(2) == 0 ? 0 : draw(4)), "x", spawn);
+    }
+  };
+  for (int i = 0; i < 8; ++i) probe.at(static_cast<Time>(draw(3)), "root", spawn);
+  while (!engine.idle()) {
+    engine.run(1 + draw(7));
+    if (draw(3) == 0) probe.at(engine.now(), "between", spawn);
+  }
+  EXPECT_GT(probe.scheduled, 1000);
+  EXPECT_EQ(probe.fired.size(), static_cast<std::size_t>(probe.scheduled));
+  EXPECT_TRUE(probe.keys_increase());
 }
 
 TEST(Engine, CurrentIsSetDuringRun) {

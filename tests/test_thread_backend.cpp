@@ -15,6 +15,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fuzz/generate.hpp"
@@ -314,7 +315,9 @@ TEST(ThreadBackend, TrafficShardsFoldToExactPerTypeCounts) {
   ThreadWorld world(small_world(4));
   std::vector<mem::GlobalAddress> areas;
   for (Rank r = 0; r < 4; ++r) {
-    areas.push_back(world.alloc(r, 8, "a" + std::to_string(r)));
+    std::string name = "a";  // appended: GCC 12 misreports "a" + ... under -Wrestrict.
+    name += std::to_string(r);
+    areas.push_back(world.alloc(r, 8, std::move(name)));
   }
   for (Rank r = 0; r < 4; ++r) {
     world.spawn(r, [&areas](ThreadProcess& p) {

@@ -1,12 +1,15 @@
 // Unit tests for dsmr::util — RNG determinism, statistics, table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "util/block_pool.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -79,6 +82,35 @@ TEST(Rng, ForkProducesIndependentStream) {
   Rng child3 = Rng(5).fork(0);
   for (int i = 0; i < 100; ++i) equal += child3.next() == other.next();
   EXPECT_LT(equal, 3);
+}
+
+TEST(BlockPool, RecyclesLifoWithinAClassUpToItsRetentionBound) {
+  // A fresh thread starts with empty lists, and its exit drains them.
+  std::thread([] {
+    using util::pool_detail::kRetainBytes;
+    using util::pool_detail::t_lists;
+    constexpr std::size_t kBytes = 64;
+    const std::size_t kept = kRetainBytes / kBytes;
+    std::vector<void*> first(2 * kept);
+    for (void*& block : first) block = util::pool_allocate(kBytes);
+    for (void* block : first) util::pool_release(block, kBytes);
+    const std::size_t c = util::pool_detail::class_of(kBytes);
+    EXPECT_EQ(t_lists.retained[c], kRetainBytes);  // the rest went back to malloc.
+
+    // Another class never hands out a retained 64 B block.
+    void* other = util::pool_allocate(2 * kBytes);
+    EXPECT_EQ(std::count(first.begin(), first.begin() + static_cast<std::ptrdiff_t>(kept), other),
+              0);
+    util::pool_release(other, 2 * kBytes);
+
+    std::vector<void*> second(kept);
+    for (std::size_t i = 0; i < kept; ++i) {
+      second[i] = util::pool_allocate(kBytes);
+      EXPECT_EQ(second[i], first[kept - 1 - i]) << i;
+    }
+    EXPECT_EQ(t_lists.retained[c], 0u);
+    for (void* block : second) util::pool_release(block, kBytes);
+  }).join();
 }
 
 TEST(OnlineStats, MeanAndVariance) {
