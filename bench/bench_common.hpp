@@ -22,6 +22,7 @@
 
 #include "runtime/process.hpp"
 #include "runtime/world.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace dsmr::bench {
@@ -86,11 +87,11 @@ class JsonReport {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       std::fprintf(out, "%s\n    {\"name\": \"%s\", \"params\": {", i ? "," : "",
-                   escaped(e.name).c_str());
+                   util::json_escape(e.name).c_str());
       for (std::size_t p = 0; p < e.params.size(); ++p) {
         std::fprintf(out, "%s\"%s\": \"%s\"", p ? ", " : "",
-                     escaped(e.params[p].first).c_str(),
-                     escaped(e.params[p].second).c_str());
+                     util::json_escape(e.params[p].first).c_str(),
+                     util::json_escape(e.params[p].second).c_str());
       }
       std::fprintf(out, "}, \"ns_per_op\": %.4f, \"bytes_per_op\": %.4f}", e.ns_per_op,
                    e.bytes_per_op);
@@ -107,20 +108,6 @@ class JsonReport {
     double ns_per_op;
     double bytes_per_op;
   };
-
-  static std::string escaped(const std::string& in) {
-    std::string out;
-    out.reserve(in.size());
-    for (const char c : in) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out.push_back(c);
-    }
-    return out;
-  }
 
   std::string bench_name_;
   bool enabled_ = false;

@@ -19,26 +19,15 @@
 using namespace dsmr;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv,
-                "[--ranks N] [--seeds N] [--workload histogram|random] [--threads N] "
-                "[--perturbations K] [--perturb-max NS]");
-  const auto ranks = static_cast<int>(cli.get_int("ranks", 4));
-  // get_uint: a negative count must be a loud error, not a 2^64 wrap.
-  const auto seeds = cli.get_uint("seeds", 20);
-  const std::string workload = cli.get_string("workload", "histogram");
-  const auto threads =
-      static_cast<int>(cli.get_int("threads", util::ThreadPool::hardware_threads()));
+  util::Cli cli(argc, argv);
+  const int ranks = cli.get_int("ranks", 4, 1);
+  const auto seeds = cli.get_uint("seeds", 20, 1);
+  const std::string workload = cli.get_choice("workload", "histogram", {"histogram", "random"});
+  const int threads =
+      cli.get_int("threads", util::ThreadPool::hardware_threads(), 1, util::kMaxThreads);
   const auto perturbations = cli.get_uint("perturbations", 2);
-  const std::int64_t perturb_max_raw = cli.get_int("perturb-max", 4'000);
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
-  if (perturb_max_raw < 0) {
-    std::fprintf(stderr, "--perturb-max must be >= 0\n");
-    return 1;
-  }
-  const auto perturb_max = static_cast<sim::Time>(perturb_max_raw);
+  const sim::Time perturb_max = cli.get_uint("perturb-max", 4'000);
+  if (!cli.ok()) return 2;
 
   runtime::WorldConfig base;
   base.nprocs = ranks;
@@ -51,7 +40,7 @@ int main(int argc, char** argv) {
       wl.increments_per_rank = 6;  // light contention: races are schedule-luck.
       workload::spawn_histogram(world, wl);
     };
-  } else if (workload == "random") {
+  } else {
     spawn = [](runtime::World& world) {
       workload::RandomConfig wl;
       wl.areas = 6;
@@ -59,9 +48,6 @@ int main(int argc, char** argv) {
       wl.write_fraction = 0.4;
       workload::spawn_random(world, wl);
     };
-  } else {
-    std::fprintf(stderr, "unknown --workload %s\n", workload.c_str());
-    return 1;
   }
 
   analysis::SweepOptions options;

@@ -16,17 +16,13 @@
 using namespace dsmr;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv,
-                "[--ranks N] [--bins N] [--increments N] [--locked] [--seed S]");
-  const auto ranks = static_cast<int>(cli.get_int("ranks", 4));
-  const auto bins = static_cast<int>(cli.get_int("bins", 8));
-  const auto increments = static_cast<int>(cli.get_int("increments", 32));
+  util::Cli cli(argc, argv);
+  const int ranks = cli.get_int("ranks", 4, 1);
+  const int bins = cli.get_int("bins", 8, 1);
+  const int increments = cli.get_int("increments", 32, 0);
   const bool locked = cli.get_flag("locked");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
+  const auto seed = cli.get_uint("seed", 3);
+  if (!cli.ok()) return 2;
 
   runtime::WorldConfig world_config;
   world_config.nprocs = ranks;

@@ -5,6 +5,7 @@
 //
 //   ./master_worker [--workers N] [--tasks N] [--seed S]
 #include <cstdio>
+#include <limits>
 
 #include "runtime/process.hpp"
 #include "runtime/world.hpp"
@@ -43,14 +44,11 @@ sim::Task master(runtime::Process& p, mem::GlobalAddress result_slot) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv, "[--workers N] [--tasks N] [--seed S]");
-  const auto workers = static_cast<int>(cli.get_int("workers", 3));
-  const auto tasks = static_cast<int>(cli.get_int("tasks", 2));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
+  util::Cli cli(argc, argv);
+  const int workers = cli.get_int("workers", 3, 1, std::numeric_limits<int>::max() - 1);
+  const int tasks = cli.get_int("tasks", 2, 0);
+  const auto seed = cli.get_uint("seed", 7);
+  if (!cli.ok()) return 2;
 
   runtime::WorldConfig config;
   config.nprocs = workers + 1;

@@ -22,13 +22,11 @@
 using namespace dsmr;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv, "[--ranks N] [--variant barrier|unsynced|collective]");
-  const auto ranks = static_cast<int>(cli.get_int("ranks", 4));
-  const std::string variant = cli.get_string("variant", "barrier");
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
+  util::Cli cli(argc, argv);
+  const int ranks = cli.get_int("ranks", 4, 1);
+  const std::string variant =
+      cli.get_choice("variant", "barrier", {"barrier", "unsynced", "collective"});
+  if (!cli.ok()) return 2;
 
   runtime::WorldConfig config;
   config.nprocs = ranks;

@@ -31,14 +31,11 @@ sim::Task incrementer(runtime::Process& p, mem::GlobalAddress counter, int incre
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv, "[--locked] [--increments N] [--seed S]");
+  util::Cli cli(argc, argv);
   const bool locked = cli.get_flag("locked");
-  const auto increments = static_cast<int>(cli.get_int("increments", 10));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
+  const int increments = cli.get_int("increments", 10, 0);
+  const auto seed = cli.get_uint("seed", 1);
+  if (!cli.ok()) return 2;
 
   runtime::WorldConfig config;
   config.nprocs = 3;

@@ -22,17 +22,14 @@
 using namespace dsmr;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv,
-                "[--workload stencil|histogram|masterworker] [--buggy] [--ranks N] "
-                "[--out PREFIX]");
-  const std::string workload = cli.get_string("workload", "stencil");
+  util::Cli cli(argc, argv);
+  const std::string workload =
+      cli.get_choice("workload", "stencil", {"stencil", "histogram", "masterworker"});
   const bool buggy = cli.get_flag("buggy");
-  const auto ranks = static_cast<int>(cli.get_int("ranks", 4));
+  const int ranks = cli.get_int("ranks", 4, 1);
   const std::string prefix = cli.get_string("out", "dsmr_trace");
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
+  cli.check(workload != "masterworker" || ranks >= 2, "masterworker needs --ranks >= 2");
+  if (!cli.ok()) return 2;
 
   runtime::WorldConfig config;
   config.nprocs = ranks;
@@ -51,11 +48,8 @@ int main(int argc, char** argv) {
     wl.increments_per_rank = 10;
     wl.locked = !buggy;
     workload::spawn_histogram(world, wl);
-  } else if (workload == "masterworker") {
-    workload::spawn_master_worker(world, workload::MasterWorkerConfig{});
   } else {
-    std::fprintf(stderr, "unknown --workload %s\n", workload.c_str());
-    return 1;
+    workload::spawn_master_worker(world, workload::MasterWorkerConfig{});
   }
 
   const auto report = world.run();

@@ -19,15 +19,12 @@
 using namespace dsmr;
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv, "[--ranks N] [--cells N] [--iters N] [--buggy]");
-  const auto ranks = static_cast<int>(cli.get_int("ranks", 4));
-  const auto cells = static_cast<int>(cli.get_int("cells", 16));
-  const auto iters = static_cast<int>(cli.get_int("iters", 8));
+  util::Cli cli(argc, argv);
+  const int ranks = cli.get_int("ranks", 4, 1);
+  const int cells = cli.get_int("cells", 16, 2);
+  const int iters = cli.get_int("iters", 8, 0);
   const bool buggy = cli.get_flag("buggy");
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
+  if (!cli.ok()) return 2;
 
   runtime::WorldConfig world_config;
   world_config.nprocs = ranks;

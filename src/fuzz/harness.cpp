@@ -456,13 +456,6 @@ std::optional<ScheduleMode> parse_schedule_mode(const std::string& text) {
   return std::nullopt;
 }
 
-ScheduleMode schedule_mode_from_name(const std::string& text) {
-  const auto mode = parse_schedule_mode(text);
-  DSMR_REQUIRE(mode.has_value(),
-               "unknown schedule mode '" << text << "' (uniform|coverage)");
-  return *mode;
-}
-
 namespace {
 
 /// Log2 magnitude bucket: 0, 1, 2, 3-4, 5-8, ... collapse to bit_width.

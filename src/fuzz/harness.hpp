@@ -208,9 +208,6 @@ bool reproduces(const Repro& repro, int threads = 1);
 enum class ScheduleMode : std::uint8_t { kUniform, kCoverage };
 const char* to_string(ScheduleMode mode);
 std::optional<ScheduleMode> parse_schedule_mode(const std::string& text);
-/// Strict variant for library callers: panics on unknown names (the CLI
-/// pre-validates with parse_schedule_mode and exits 2 instead).
-ScheduleMode schedule_mode_from_name(const std::string& text);
 
 /// The compact behavior fingerprint of one (program, verdict): expectation
 /// and bug kind, log2-bucketed op-kind histogram (the wire-transport mix:

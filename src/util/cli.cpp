@@ -1,11 +1,14 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
-
+#include <sstream>
+#include <system_error>
 
 namespace dsmr::util {
 
@@ -30,6 +33,25 @@ bool strict_double_text(const std::string& text) {
     if (!ok) return false;
   }
   return true;
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  if (!strict_double_text(text)) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  // ERANGE underflow still yields the nearest representable value (a
+  // denormal or 0) — accept it; only reject overflow to ±infinity.
+  const bool overflow = errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL);
+  if (overflow || end != text.c_str() + text.size()) return std::nullopt;
+  return value;
+}
+
+template <typename T>
+std::string to_text(T value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
 }
 
 }  // namespace
@@ -88,13 +110,13 @@ std::optional<SeedRange> parse_seed_range(const std::string& text,
   return SeedRange{*lo, count};
 }
 
-Cli::Cli(int argc, char** argv, const std::string& usage) {
-  program_ = argc > 0 ? argv[0] : "dsmr";
+Cli::Cli(int argc, char** argv) {
+  program_ = argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "dsmr";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      std::printf("usage: %s %s\n", program_.c_str(), usage.c_str());
-      std::exit(0);
+      help_requested_ = true;
+      continue;
     }
     if (arg.rfind("--", 0) != 0) {
       fail("flags must start with --, got: " + arg);
@@ -116,72 +138,149 @@ void Cli::fail(const std::string& message) {
   if (error_.empty()) error_ = message;
 }
 
-const std::string* Cli::lookup(const std::string& name) {
-  consumed_[name] = true;
+void Cli::check(bool ok, const std::string& message) {
+  if (!ok) fail(message);
+}
+
+const std::string* Cli::lookup(const std::string& name, const std::string& value_name,
+                               const std::string& detail) {
+  if (consumed_.insert(name).second) {
+    help_.emplace_back("--" + name + (value_name.empty() ? "" : " " + value_name), detail);
+  }
   const auto it = values_.find(name);
   return it == values_.end() ? nullptr : &it->second;
 }
 
-template <typename T>
-T Cli::or_fail(const std::optional<T>& value, T default_value, const std::string& message) {
-  if (value) return *value;
-  fail(message);
+template <typename T, typename V>
+T Cli::read_number(const std::string& name, const char* value_name, const char* expects,
+                   T default_value, T min, T max,
+                   std::optional<V> (*parse)(const std::string&)) {
+  std::string bounds;
+  if (min != std::numeric_limits<T>::lowest() && max != std::numeric_limits<T>::max()) {
+    bounds = "in [" + to_text(min) + ", " + to_text(max) + "]";
+  } else if (min != std::numeric_limits<T>::lowest()) {
+    bounds = ">= " + to_text(min);
+  } else if (max != std::numeric_limits<T>::max()) {
+    bounds = "<= " + to_text(max);
+  }
+  const std::string detail =
+      "default " + to_text(default_value) + (bounds.empty() ? "" : ", " + bounds);
+  const std::string* text = lookup(name, value_name, detail);
+  if (text == nullptr) return default_value;
+  const std::optional<V> value = parse(*text);
+  if (!value) {
+    fail("--" + name + " expects " + expects + ", got '" + *text + "'");
+  } else if (*value < min || *value > max) {
+    fail("--" + name + " must be " + bounds + ", got " + *text);
+  } else {
+    return static_cast<T>(*value);
+  }
   return default_value;
 }
 
-std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value) {
-  const std::string* text = lookup(name);
-  if (text == nullptr) return default_value;
-  return or_fail(parse_i64(*text), default_value,
-                 "--" + name + " expects an integer, got '" + *text + "'");
+int Cli::get_int(const std::string& name, int default_value, int min, int max) {
+  return read_number(name, "INT", "an integer", default_value, min, max, parse_i64);
 }
 
-std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t default_value) {
-  const std::string* text = lookup(name);
-  if (text == nullptr) return default_value;
-  return or_fail(parse_u64(*text), default_value,
-                 "--" + name + " expects a non-negative integer, got '" + *text + "'");
+std::uint64_t Cli::get_uint(const std::string& name, std::uint64_t default_value,
+                            std::uint64_t min, std::uint64_t max) {
+  return read_number(name, "N", "a non-negative integer", default_value, min, max, parse_u64);
 }
 
-double Cli::get_double(const std::string& name, double default_value) {
-  const std::string* text = lookup(name);
-  if (text == nullptr) return default_value;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text->c_str(), &end);
-  // ERANGE underflow still yields the nearest representable value (a
-  // denormal or 0) — accept it; only reject overflow to ±infinity.
-  const bool overflow = errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL);
-  const bool ok = strict_double_text(*text) && !overflow && end == text->c_str() + text->size();
-  return or_fail(ok ? std::optional<double>(value) : std::nullopt, default_value,
-                 "--" + name + " expects a number, got '" + *text + "'");
+double Cli::get_double(const std::string& name, double default_value, double min,
+                       double max) {
+  return read_number(name, "X", "a number", default_value, min, max, parse_double);
 }
 
 std::string Cli::get_string(const std::string& name, const std::string& default_value) {
-  const std::string* text = lookup(name);
+  const std::string* text =
+      lookup(name, "TEXT", default_value.empty() ? "" : "default " + default_value);
   return text == nullptr ? default_value : *text;
 }
 
 bool Cli::get_flag(const std::string& name) {
-  const std::string* text = lookup(name);
+  const std::string* text = lookup(name, "", "");
   return text != nullptr && *text != "false" && *text != "0";
 }
 
+std::string Cli::get_choice(const std::string& name, const std::string& default_value,
+                            const std::vector<std::string>& choices) {
+  std::string names;
+  for (const auto& choice : choices) names += (names.empty() ? "" : "|") + choice;
+  const std::string* text = lookup(name, "NAME", "default " + default_value + ", one of " + names);
+  if (text == nullptr) return default_value;
+  if (std::find(choices.begin(), choices.end(), *text) != choices.end()) return *text;
+  fail("--" + name + " must be one of " + names + ", got '" + *text + "'");
+  return default_value;
+}
+
 SeedRange Cli::get_seed_range(const std::string& name, const SeedRange& default_value) {
-  const std::string* text = lookup(name);
+  const std::string* text =
+      lookup(name, "N|LO..HI",
+             "default " + to_text(default_value.first) + ".." +
+                 to_text(default_value.first + default_value.count - 1));
   if (text == nullptr) return default_value;
   std::string error;
   const auto range = parse_seed_range(*text, default_value.first, &error);
-  return or_fail(range, default_value, "--" + name + ": " + error);
+  if (range) return *range;
+  fail("--" + name + ": " + error);
+  return default_value;
 }
 
-std::string Cli::finish() const {
-  if (!error_.empty()) return error_;
+OutputFile& Cli::get_output_file(const std::string& name) {
+  const std::string* text = lookup(name, "FILE", "written when given");
+  OutputFile& file = files_[name];
+  file.path = text == nullptr ? "" : *text;
+  return file;
+}
+
+std::string Cli::get_output_dir(const std::string& name) {
+  const std::string* text = lookup(name, "DIR", "created when given");
+  if (text == nullptr) return "";
+  dirs_.emplace_back(name, *text);
+  return *text;
+}
+
+std::string Cli::finish() {
+  // A typo outranks every other error: it usually explains them.
   for (const auto& [name, value] : values_) {
     (void)value;
-    if (consumed_.count(name) == 0) return "unknown flag --" + name + " (try --help)";
+    if (consumed_.count(name) == 0) {
+      error_ = "unknown flag --" + name + " (try --help)";
+      break;
+    }
   }
-  return "";
+  if (!error_.empty() || finished_) return error_;
+  finished_ = true;
+  // Outputs are prepared only once every flag is good, and before any work:
+  // a bad path is an argv error, not a failure after minutes of running.
+  for (const auto& [name, dir] : dirs_) {
+    if (!error_.empty()) break;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) fail("cannot create --" + name + " " + dir + ": " + ec.message());
+  }
+  for (auto& [name, file] : files_) {
+    if (file.path.empty() || !error_.empty()) continue;
+    file.out.open(file.path);
+    if (!file.out) fail("cannot write --" + name + " " + file.path);
+  }
+  return error_;
+}
+
+bool Cli::ok() {
+  if (help_requested_) {
+    std::printf("usage: %s [flags]\n", program_.c_str());
+    std::size_t width = 0;
+    for (const auto& [flag, detail] : help_) width = std::max(width, flag.size());
+    for (const auto& [flag, detail] : help_) {
+      std::printf("  %-*s  %s\n", static_cast<int>(width), flag.c_str(), detail.c_str());
+    }
+    std::exit(0);
+  }
+  const std::string error = finish();
+  if (!error.empty()) std::fprintf(stderr, "%s: %s\n", program_.c_str(), error.c_str());
+  return error.empty();
 }
 
 }  // namespace dsmr::util

@@ -7,12 +7,6 @@
 
 namespace dsmr::util {
 
-namespace {
-/// Guard against pathological --threads values; far above any real machine
-/// this code targets, low enough to keep thread-spawn cost bounded.
-constexpr int kMaxThreads = 256;
-}  // namespace
-
 ThreadPool::ThreadPool(int threads) {
   DSMR_REQUIRE(threads >= 1, "thread pool needs at least one worker");
   const int n = std::min(threads, kMaxThreads);

@@ -21,9 +21,14 @@
 
 namespace dsmr::util {
 
+/// The most OS threads one pool (or one threaded run) starts: far above any
+/// real machine this code targets, low enough to keep thread-spawn cost
+/// bounded, so a mistyped count cannot start thousands of threads.
+inline constexpr int kMaxThreads = 256;
+
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (≥1; values above a sane cap are clamped).
+  /// Spawns `threads` workers (≥1; values above kMaxThreads are clamped).
   explicit ThreadPool(int threads);
   ~ThreadPool();  ///< drains the queue, then joins.
 

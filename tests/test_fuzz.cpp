@@ -828,13 +828,8 @@ TEST(FuzzRepro, CompanionLogReRecordsByteIdentically) {
 TEST(FuzzCoverage, ScheduleModeNamesRoundTrip) {
   for (const ScheduleMode mode : {ScheduleMode::kUniform, ScheduleMode::kCoverage}) {
     EXPECT_EQ(parse_schedule_mode(to_string(mode)), mode);
-    EXPECT_EQ(schedule_mode_from_name(to_string(mode)), mode);
   }
   EXPECT_FALSE(parse_schedule_mode("bogus").has_value());
-}
-
-TEST(FuzzCoverageDeath, UnknownScheduleModePanics) {
-  EXPECT_DEATH(schedule_mode_from_name("no-such-schedule"), "unknown schedule mode");
 }
 
 TEST(FuzzCoverageDeath, CorpusDirMustBeUsable) {

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <numeric>
 #include <thread>
@@ -14,6 +18,7 @@
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dsmr::util {
 namespace {
@@ -185,7 +190,7 @@ TEST(Table, FormatHelpers) {
 
 TEST(Cli, ParsesAllForms) {
   const char* argv[] = {"prog", "--alpha", "3", "--beta=2.5", "--gamma", "--name", "xyz"};
-  Cli cli(7, const_cast<char**>(argv), "usage");
+  Cli cli(7, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(cli.get_double("beta", 0.0), 2.5);
   EXPECT_TRUE(cli.get_flag("gamma"));
@@ -195,7 +200,7 @@ TEST(Cli, ParsesAllForms) {
 
 TEST(Cli, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
-  Cli cli(1, const_cast<char**>(argv), "usage");
+  Cli cli(1, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("missing", 42), 42);
   EXPECT_DOUBLE_EQ(cli.get_double("missing2", 1.5), 1.5);
   EXPECT_FALSE(cli.get_flag("missing3"));
@@ -205,7 +210,7 @@ TEST(Cli, DefaultsWhenAbsent) {
 
 TEST(Cli, FlagFalseValues) {
   const char* argv[] = {"prog", "--a=false", "--b=0", "--c=true"};
-  Cli cli(4, const_cast<char**>(argv), "usage");
+  Cli cli(4, const_cast<char**>(argv));
   EXPECT_FALSE(cli.get_flag("a"));
   EXPECT_FALSE(cli.get_flag("b"));
   EXPECT_TRUE(cli.get_flag("c"));
@@ -284,26 +289,26 @@ TEST(SeedRange, CountFormOverflowAtTheU64Boundary) {
 
 TEST(Cli, SeedRangeFlagSharedGrammar) {
   const char* argv[] = {"prog", "--seeds", "7..9"};
-  Cli cli(3, const_cast<char**>(argv), "usage");
+  Cli cli(3, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_seed_range("seeds", SeedRange{1, 32}), (SeedRange{7, 3}));
   EXPECT_EQ(cli.finish(), "");
 
   const char* argv2[] = {"prog"};
-  Cli defaults(1, const_cast<char**>(argv2), "usage");
+  Cli defaults(1, const_cast<char**>(argv2));
   EXPECT_EQ(defaults.get_seed_range("seeds", SeedRange{5, 16}), (SeedRange{5, 16}));
   EXPECT_EQ(defaults.finish(), "");
 }
 
 TEST(Cli, MalformedSeedRangeIsAnError) {
   const char* argv[] = {"prog", "--seeds", "20..10"};
-  Cli cli(3, const_cast<char**>(argv), "usage");
+  Cli cli(3, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_seed_range("seeds", SeedRange{1, 32}), (SeedRange{1, 32}));
   EXPECT_NE(cli.finish().find("--seeds"), std::string::npos) << cli.finish();
 }
 
 TEST(Cli, MalformedIntegerIsAnErrorNotATruncation) {
   const char* argv[] = {"prog", "--alpha", "12abc", "--beta", "xyz"};
-  Cli cli(5, const_cast<char**>(argv), "usage");
+  Cli cli(5, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("alpha", 0), 0);
   EXPECT_EQ(cli.get_int("beta", 0), 0);
   // The first error wins.
@@ -312,7 +317,7 @@ TEST(Cli, MalformedIntegerIsAnErrorNotATruncation) {
 
 TEST(Cli, DoubleAcceptsPlainDecimalIncludingDenormals) {
   const char* argv[] = {"prog", "--a", "0.25", "--b=-1.5e2", "--c", "1e-320"};
-  Cli cli(6, const_cast<char**>(argv), "usage");
+  Cli cli(6, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(cli.get_double("a", 0.0), 0.25);
   EXPECT_DOUBLE_EQ(cli.get_double("b", 0.0), -150.0);
   // Underflow to a denormal is a valid value, not an error.
@@ -323,7 +328,7 @@ TEST(Cli, DoubleAcceptsPlainDecimalIncludingDenormals) {
 TEST(Cli, DoubleRejectsNonDecimalForms) {
   for (const char* text : {"nan", "inf", "0x1A", "1e400"}) {  // 1e400: overflow.
     const char* argv[] = {"prog", "--a", text};
-    Cli cli(3, const_cast<char**>(argv), "usage");
+    Cli cli(3, const_cast<char**>(argv));
     EXPECT_DOUBLE_EQ(cli.get_double("a", 0.5), 0.5) << text;
     EXPECT_NE(cli.finish().find("expects a number"), std::string::npos) << text;
   }
@@ -331,13 +336,13 @@ TEST(Cli, DoubleRejectsNonDecimalForms) {
 
 TEST(Cli, UnknownFlagIsAnErrorOnFinish) {
   const char* argv[] = {"prog", "--tpyo", "1"};
-  Cli cli(3, const_cast<char**>(argv), "usage");
+  Cli cli(3, const_cast<char**>(argv));
   EXPECT_EQ(cli.finish(), "unknown flag --tpyo (try --help)");
 }
 
 TEST(Cli, NonFlagArgumentIsAnError) {
   const char* argv[] = {"prog", "stray", "--a", "1"};
-  Cli cli(4, const_cast<char**>(argv), "usage");
+  Cli cli(4, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("a", 0), 1);
   EXPECT_EQ(cli.finish(), "flags must start with --, got: stray");
 }
@@ -347,22 +352,79 @@ TEST(Cli, NonFlagArgumentIsAnError) {
 TEST(Cli, ToolBadFlagCasesReturnErrors) {
   {
     const char* argv[] = {"dsmr_replay", "--bogus"};
-    Cli cli(2, const_cast<char**>(argv), "usage");
+    Cli cli(2, const_cast<char**>(argv));
     (void)cli.get_string("log", "");
     EXPECT_EQ(cli.finish(), "unknown flag --bogus (try --help)");
   }
   {
     const char* argv[] = {"dsmr_fuzz", "--seeds", "abc"};
-    Cli cli(3, const_cast<char**>(argv), "usage");
+    Cli cli(3, const_cast<char**>(argv));
     EXPECT_EQ(cli.get_seed_range("seeds", SeedRange{1, 64}), (SeedRange{1, 64}));
     EXPECT_NE(cli.finish().find("'abc' is not a seed count"), std::string::npos);
   }
   {
     const char* argv[] = {"dsmr_explore", "--trace-dir", "x"};
-    Cli cli(3, const_cast<char**>(argv), "usage");
+    Cli cli(3, const_cast<char**>(argv));
     (void)cli.get_string("witness-dir", "");
     EXPECT_EQ(cli.finish(), "unknown flag --trace-dir (try --help)");
   }
+
+  // Every contract kind a tool states through its getters: ranges (a value
+  // that would wrap at a cast included), choices, parsed text, cross-flag
+  // rules and output paths. `run` reads flags the way the tools do.
+  const auto scratch = std::filesystem::temp_directory_path() /
+                       ("dsmr_cli_test_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(scratch);
+  const std::string file = (scratch / "a-file").string();
+  std::ofstream(file) << "x";
+  const auto run = [](std::vector<std::string> args) {
+    std::vector<char*> argv{const_cast<char*>("tool")};
+    for (auto& arg : args) argv.push_back(arg.data());
+    Cli cli(static_cast<int>(argv.size()), argv.data());
+    const std::string backend = cli.get_choice("backend", "sim", {"sim", "threaded", "both"});
+    cli.get_int("ranks", 4, 1, backend == "sim" ? 1024 : kMaxThreads);
+    cli.get_uint("area-bytes", 8, 1, 1 << 16);
+    cli.get_uint("schedule-seeds", 3, 1);
+    cli.get_uint("seed", 1);
+    cli.get_double("planted-fraction", 0.5, 0.0, 1.0);
+    cli.get_parsed("kinds", "all", [](const std::string& text, std::string* error) {
+      if (text != "all" && text != "none") *error = "unknown kind '" + text + "'";
+      return text == "all" || text == "none" ? std::optional<std::string>(text) : std::nullopt;
+    });
+    const auto perturb_min = cli.get_uint("perturb-min", 0);
+    const auto perturb_max = cli.get_uint("perturb-max", 4'000);
+    cli.check(perturb_min <= perturb_max, "--perturb-min must be <= --perturb-max");
+    cli.get_output_file("json");
+    cli.get_output_dir("repro-dir");
+    return cli.finish();
+  };
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--ranks", "0"}, "--ranks must be in [1, 1024], got 0"},
+      {{"--ranks", "4294967297"}, "--ranks must be in [1, 1024], got 4294967297"},
+      {{"--backend", "threaded", "--ranks", "1000"}, "--ranks must be in [1, 256], got 1000"},
+      {{"--area-bytes", "4294967297"}, "--area-bytes must be in [1, 65536], got 4294967297"},
+      {{"--schedule-seeds", "0"}, "--schedule-seeds must be >= 1, got 0"},
+      {{"--seed", "-1"}, "--seed expects a non-negative integer, got '-1'"},
+      {{"--planted-fraction", "2"}, "--planted-fraction must be in [0, 1], got 2"},
+      {{"--backend", "bogus"}, "--backend must be one of sim|threaded|both, got 'bogus'"},
+      {{"--kinds", "bogus"}, "--kinds: unknown kind 'bogus'"},
+      {{"--perturb-min", "5", "--perturb-max", "1"}, "--perturb-min must be <= --perturb-max"},
+      {{"--repro-dir", file + "/x"}, "cannot create --repro-dir " + file + "/x: Not a directory"},
+      {{"--json", file + "/x.json"}, "cannot write --json " + file + "/x.json"},
+      // A typo outranks the errors it may explain.
+      {{"--rnaks", "2", "--ranks", "0"}, "unknown flag --rnaks (try --help)"},
+  };
+  for (const auto& [args, expected] : cases) EXPECT_EQ(run(args), expected) << args[0];
+
+  // Outputs are prepared only on a good command line, and then before any
+  // work: the file exists once finish() returns.
+  const std::string json = (scratch / "out.json").string();
+  EXPECT_NE(run({"--json", json, "--ranks", "0"}), "");
+  EXPECT_FALSE(std::filesystem::exists(json));
+  EXPECT_EQ(run({"--json", json, "--repro-dir", (scratch / "r").string()}), "");
+  EXPECT_TRUE(std::filesystem::is_regular_file(json));
+  EXPECT_TRUE(std::filesystem::is_directory(scratch / "r"));
+  std::filesystem::remove_all(scratch);
 }
 
 TEST(JsonEscape, EscapesSpecials) {

@@ -49,14 +49,13 @@
 // net/fault.hpp), and the conformance layer checks fault transparency and
 // clean failure.
 //
-// Exit status (both modes share dsmr_replay's discipline):
+// Exit status (docs/testing.md, "Exit codes"):
 //   0  everything conforms / certifies;
 //   1  divergence: a conformance disagreement, a missed planted bug, a
 //      racy interleaving of a clean program, a DPOR-vs-naive signature
 //      mismatch, or nondeterministic exploration counts;
-//   2  invalid input or tripped limits: bad flags, unwritable --json /
-//      --witness-dir, too few --ranks for a selected scenario, ineligible
-//      program sizes, or a --max-interleavings /
+//   2  a bad command line, before any run (util::Cli checks every flag and
+//      prepares --json and --witness-dir), or a --max-interleavings /
 //      --max-ops budget that left an exploration incomplete (an incomplete
 //      exploration certifies nothing, which is an input problem, not a
 //      detector verdict).
@@ -65,8 +64,7 @@
 // or witness log replays deterministically on any machine (docs/testing.md
 // walks through both loops).
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,26 +84,43 @@ using namespace dsmr;
 
 namespace {
 
-std::vector<std::string> split_names(const std::string& csv) {
-  std::vector<std::string> names;
-  std::stringstream stream(csv);
-  std::string name;
-  while (std::getline(stream, name, ',')) {
-    if (!name.empty()) names.push_back(name);
+/// `--scenario`: `all` or a comma list of builtin scenario names.
+std::optional<std::vector<const analysis::Scenario*>> parse_scenarios(const std::string& csv,
+                                                                      std::string* error) {
+  std::vector<const analysis::Scenario*> selected;
+  if (csv == "all") {
+    for (const auto& scenario : analysis::builtin_scenarios()) selected.push_back(&scenario);
+    return selected;
   }
-  return names;
+  std::stringstream stream(csv);
+  for (std::string name; std::getline(stream, name, ',');) {
+    if (name.empty()) continue;
+    const auto* scenario = analysis::find_scenario(name);
+    if (scenario == nullptr) {
+      *error = "unknown scenario " + name + " (try --list)";
+      return std::nullopt;
+    }
+    selected.push_back(scenario);
+  }
+  return selected;
 }
 
-/// Creates --witness-dir up front (no-op when unset); false, after a
-/// message, when it cannot be created.
-bool make_witness_dir(const std::string& dir) {
-  if (dir.empty()) return true;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (!ec) return true;
-  std::fprintf(stderr, "cannot create --witness-dir %s: %s\n", dir.c_str(),
-               ec.message().c_str());
-  return false;
+/// The generator slice --exhaustive certifies: small programs by
+/// construction. Two phases (one boundary) keeps partial-barrier plantable,
+/// areas = nprocs + 1 keeps ack-window plantable, and one filler op per rank
+/// per phase keeps even the largest planted prologue (ack-window's producer:
+/// up to 6 ops) inside the --max-ops 8 eligibility gate, so nothing in the
+/// slice is silently under-certified.
+fuzz::GenConfig exhaustive_slice(int ranks) {
+  fuzz::GenConfig base;
+  base.nprocs = ranks;
+  base.areas = ranks + 1;
+  base.area_bytes = 8;
+  base.phases = 2;
+  base.max_ops_per_rank = 1;
+  base.max_sync_edges = 1;
+  base.collective_fraction = 0.0;
+  return base;
 }
 
 struct ExhaustiveParams {
@@ -120,7 +135,6 @@ struct ExhaustiveParams {
   bool compare_naive = false;
   bool single_pass = false;
   bool skip_sample = false;
-  std::string json_path;
   bool verbose = false;
 };
 
@@ -149,56 +163,8 @@ bool same_counters(const explore::ExploreReport& a, const explore::ExploreReport
          a.planted_flagged == b.planted_flagged && a.signatures == b.signatures;
 }
 
-int run_exhaustive(const ExhaustiveParams& params) {
-  // Pre-validate everything (exit 2 before any work, the dsmr_replay
-  // discipline): ranks within the certification contract, kinds plantable
-  // in the generator slice, output paths writable.
-  if (params.ranks < 2 || params.ranks > 3) {
-    std::fprintf(stderr,
-                 "--exhaustive needs --ranks 2 or 3 (the certification "
-                 "contract caps programs at 3 ranks)\n");
-    return 2;
-  }
-  if (params.max_ops < 1 || params.max_ops > 8) {
-    std::fprintf(stderr, "--max-ops must be in 1..8 (the certification cap)\n");
-    return 2;
-  }
-
-  // The generator slice: small programs by construction. Two phases (one
-  // boundary) keeps partial-barrier plantable, areas = nprocs + 1 keeps
-  // ack-window plantable, and one filler op per rank per phase keeps even
-  // the largest planted prologue (ack-window's producer: up to 6 ops)
-  // inside the --max-ops 8 eligibility gate, so nothing in the slice is
-  // silently under-certified.
-  fuzz::GenConfig base;
-  base.nprocs = params.ranks;
-  base.areas = params.ranks + 1;
-  base.area_bytes = 8;
-  base.phases = 2;
-  base.max_ops_per_rank = 1;
-  base.max_sync_edges = 1;
-  base.collective_fraction = 0.0;
-  for (const fuzz::BugKind kind : params.kinds) {
-    if (!fuzz::bug_kind_eligible(base, kind)) {
-      std::fprintf(stderr,
-                   "bug kind %s is not plantable in the exhaustive slice "
-                   "(ranks=%d areas=%d phases=%d)\n",
-                   fuzz::to_string(kind), base.nprocs, base.areas,
-                   static_cast<int>(base.phases));
-      return 2;
-    }
-  }
-
-  std::ofstream json;
-  if (!params.json_path.empty()) {
-    json.open(params.json_path);
-    if (!json) {
-      std::fprintf(stderr, "cannot write --json %s\n", params.json_path.c_str());
-      return 2;
-    }
-  }
-  if (!make_witness_dir(params.witness_dir)) return 2;
-
+int run_exhaustive(const ExhaustiveParams& params, util::OutputFile& json) {
+  const fuzz::GenConfig base = exhaustive_slice(params.ranks);
   std::printf("--- dsmr_explore --exhaustive: %llu program(s), ranks=%d, "
               "max-ops=%d, max-interleavings=%llu ---\n",
               static_cast<unsigned long long>(params.seeds.count), params.ranks,
@@ -433,49 +399,49 @@ int run_exhaustive(const ExhaustiveParams& params) {
     std::printf("LIMIT %s\n", failure.c_str());
   }
 
-  if (json.is_open()) {
-    json << "{\"tool\":\"dsmr_explore\",\"mode\":\"exhaustive\""
-         << ",\"ranks\":" << params.ranks
-         << ",\"first_seed\":" << params.seeds.first
-         << ",\"seeds\":" << params.seeds.count
-         << ",\"max_ops\":" << params.max_ops
-         << ",\"max_interleavings\":" << params.max_interleavings
-         << ",\"programs\":" << explored
-         << ",\"clean_programs\":" << clean_programs
-         << ",\"sometimes_programs\":" << sometimes_programs
-         << ",\"racy_programs\":" << racy_programs
-         << ",\"skipped_ineligible\":" << skipped
-         << ",\"interleavings\":" << total_interleavings
-         << ",\"pruned_branches\":" << total_pruned
-         << ",\"sleep_blocked\":" << total_sleep_blocked
-         << ",\"found\":" << found << ",\"found_rate\":" << found_rate
-         << ",\"certified_clean\":" << certified
-         << ",\"racy_passed\":" << racy_pass
-         << ",\"deterministic\":" << (deterministic ? "true" : "false");
+  if (json.out.is_open()) {
+    json.out << "{\"tool\":\"dsmr_explore\",\"mode\":\"exhaustive\""
+             << ",\"ranks\":" << params.ranks
+             << ",\"first_seed\":" << params.seeds.first
+             << ",\"seeds\":" << params.seeds.count
+             << ",\"max_ops\":" << params.max_ops
+             << ",\"max_interleavings\":" << params.max_interleavings
+             << ",\"programs\":" << explored
+             << ",\"clean_programs\":" << clean_programs
+             << ",\"sometimes_programs\":" << sometimes_programs
+             << ",\"racy_programs\":" << racy_programs
+             << ",\"skipped_ineligible\":" << skipped
+             << ",\"interleavings\":" << total_interleavings
+             << ",\"pruned_branches\":" << total_pruned
+             << ",\"sleep_blocked\":" << total_sleep_blocked
+             << ",\"found\":" << found << ",\"found_rate\":" << found_rate
+             << ",\"certified_clean\":" << certified
+             << ",\"racy_passed\":" << racy_pass
+             << ",\"deterministic\":" << (deterministic ? "true" : "false");
     if (!params.skip_sample) {
-      json << ",\"sampled\":{\"manifested\":" << sampled_manifested
-           << ",\"completed\":" << sampled_completed
-           << ",\"rate\":" << sampled_rate << "}";
+      json.out << ",\"sampled\":{\"manifested\":" << sampled_manifested
+               << ",\"completed\":" << sampled_completed
+               << ",\"rate\":" << sampled_rate << "}";
     }
     if (params.compare_naive) {
-      json << ",\"naive\":{\"programs\":" << naive_programs
-           << ",\"naive_interleavings\":" << naive_total
-           << ",\"dpor_interleavings\":" << naive_dpor_total
-           << ",\"pruning_ratio\":" << pruning_ratio
-           << ",\"capped\":" << naive_capped << "}";
+      json.out << ",\"naive\":{\"programs\":" << naive_programs
+               << ",\"naive_interleavings\":" << naive_total
+               << ",\"dpor_interleavings\":" << naive_dpor_total
+               << ",\"pruning_ratio\":" << pruning_ratio
+               << ",\"capped\":" << naive_capped << "}";
     }
-    json << ",\"witnesses\":[";
+    json.out << ",\"witnesses\":[";
     for (std::size_t i = 0; i < witness_paths.size(); ++i) {
-      if (i > 0) json << ",";
-      json << "\"" << util::json_escape(witness_paths[i]) << "\"";
+      if (i > 0) json.out << ",";
+      json.out << "\"" << util::json_escape(witness_paths[i]) << "\"";
     }
-    json << "],\"failures\":[";
+    json.out << "],\"failures\":[";
     for (std::size_t i = 0; i < failures.size(); ++i) {
-      if (i > 0) json << ",";
-      json << "\"" << util::json_escape(failures[i]) << "\"";
+      if (i > 0) json.out << ",";
+      json.out << "\"" << util::json_escape(failures[i]) << "\"";
     }
-    json << "],\"limit_failures\":" << limit_failures.size() << "}\n";
-    std::printf("wrote %s\n", params.json_path.c_str());
+    json.out << "],\"limit_failures\":" << limit_failures.size() << "}\n";
+    std::printf("wrote %s\n", json.path.c_str());
   }
 
   if (!failures.empty() || !deterministic) {
@@ -498,89 +464,60 @@ int run_exhaustive(const ExhaustiveParams& params) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv,
-                "[--list] [--exhaustive] [--scenario name[,name...]|all] "
-                "[--ranks N] [--seeds N|LO..HI] [--first-seed N] [--threads N] "
-                "[--perturbations K] [--perturb-min NS] [--perturb-max NS] "
-                "[--faults PLAN[;PLAN...]] [--max-ops N] "
-                "[--max-interleavings N] [--bug-kinds K1,K2|all|none] "
-                "[--planted-fraction F] [--witness-dir DIR] [--max-witnesses N] "
-                "[--compare-naive] [--single-pass] [--skip-sample] "
-                "[--json FILE] [--verbose]");
+  util::Cli cli(argc, argv);
   const bool list = cli.get_flag("list");
   const bool exhaustive = cli.get_flag("exhaustive");
-  const std::string scenario_csv = cli.get_string("scenario", "all");
-  const auto ranks = static_cast<int>(cli.get_int("ranks", exhaustive ? 3 : 4));
+  const auto selected = cli.get_parsed("scenario", "all", parse_scenarios);
+  // The certification contract caps --exhaustive programs at 3 ranks and 8
+  // ops per rank.
+  const int ranks = exhaustive ? cli.get_int("ranks", 3, 2, 3) : cli.get_int("ranks", 4, 1);
   const auto default_first = cli.get_uint("first-seed", 1);
   const auto seed_range = cli.get_seed_range(
       "seeds", util::SeedRange{default_first, exhaustive ? 64u : 32u});
   const std::uint64_t seeds = seed_range.count;
   const std::uint64_t first_seed = seed_range.first;
-  const auto threads =
-      static_cast<int>(cli.get_int("threads", util::ThreadPool::hardware_threads()));
+  const int threads =
+      cli.get_int("threads", util::ThreadPool::hardware_threads(), 1, util::kMaxThreads);
   const auto perturbations = cli.get_uint("perturbations", 2);
-  const std::int64_t perturb_min_raw = cli.get_int("perturb-min", 0);
-  const std::int64_t perturb_max_raw = cli.get_int("perturb-max", 4'000);
-  const std::string faults_text = cli.get_string("faults", "");
-  const std::string json_path = cli.get_string("json", "");
+  const sim::Time perturb_min = cli.get_uint("perturb-min", 0);
+  const sim::Time perturb_max = cli.get_uint("perturb-max", 4'000);
+  cli.check(perturb_min <= perturb_max, "--perturb-min must be <= --perturb-max");
+  const auto fault_plans = cli.get_parsed("faults", "", net::parse_fault_plan_list);
+  util::OutputFile& json = cli.get_output_file("json");
   const bool verbose = cli.get_flag("verbose");
 
   ExhaustiveParams params;
   params.ranks = ranks;
   params.seeds = seed_range;
-  params.planted_fraction = cli.get_double("planted-fraction", 0.5);
+  params.planted_fraction = cli.get_double("planted-fraction", 0.5, 0.0, 1.0);
   params.max_interleavings =
       cli.get_uint("max-interleavings", params.max_interleavings);
-  params.max_ops = static_cast<int>(cli.get_int("max-ops", params.max_ops));
+  params.max_ops = cli.get_int("max-ops", params.max_ops, 1, 8);
   params.max_witnesses =
       static_cast<std::size_t>(cli.get_uint("max-witnesses", 4));
-  params.witness_dir = cli.get_string("witness-dir", "");
+  params.witness_dir = cli.get_output_dir("witness-dir");
   params.compare_naive = cli.get_flag("compare-naive");
   params.single_pass = cli.get_flag("single-pass");
   params.skip_sample = cli.get_flag("skip-sample");
-  params.json_path = json_path;
   params.verbose = verbose;
-  const std::string bug_kinds_text =
-      cli.get_string("bug-kinds", "partial-barrier,ack-window");
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
+  // "none" yields an all-clean slice — the only option below 3 ranks,
+  // where no bug kind is plantable.
+  params.kinds =
+      cli.get_parsed("bug-kinds", "partial-barrier,ack-window", fuzz::parse_bug_kinds);
+  for (const fuzz::BugKind kind : params.kinds) {
+    cli.check(!exhaustive || fuzz::bug_kind_eligible(exhaustive_slice(ranks), kind),
+              std::string("bug kind ") + fuzz::to_string(kind) +
+                  " is not plantable in the exhaustive slice at --ranks " +
+                  std::to_string(ranks));
   }
+  for (const auto* scenario : selected) {
+    cli.check(exhaustive || ranks >= scenario->min_ranks,
+              "scenario " + scenario->name + " needs --ranks >= " +
+                  std::to_string(scenario->min_ranks) + ", got " + std::to_string(ranks));
+  }
+  if (!cli.ok()) return 2;
 
-  if (exhaustive) {
-    if (params.planted_fraction < 0.0 || params.planted_fraction > 1.0) {
-      std::fprintf(stderr, "--planted-fraction must be in [0, 1]\n");
-      return 2;
-    }
-    // "none" yields an all-clean slice — the only option below 3 ranks,
-    // where no bug kind is plantable.
-    std::string bug_kinds_error;
-    const auto kinds = fuzz::parse_bug_kinds(bug_kinds_text, &bug_kinds_error);
-    if (!kinds) {
-      std::fprintf(stderr, "bad --bug-kinds: %s\n", bug_kinds_error.c_str());
-      return 2;
-    }
-    params.kinds = *kinds;
-    return run_exhaustive(params);
-  }
-
-  if (perturb_min_raw < 0 || perturb_max_raw < 0 || perturb_min_raw > perturb_max_raw) {
-    std::fprintf(stderr, "--perturb-min/--perturb-max must satisfy 0 <= min <= max\n");
-    return 2;
-  }
-  const auto perturb_min = static_cast<sim::Time>(perturb_min_raw);
-  const auto perturb_max = static_cast<sim::Time>(perturb_max_raw);
-
-  std::vector<net::FaultPlan> fault_plans;
-  if (!faults_text.empty()) {
-    std::string fault_error;
-    const auto parsed = net::parse_fault_plan_list(faults_text, &fault_error);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "bad --faults: %s\n", fault_error.c_str());
-      return 2;
-    }
-    fault_plans = *parsed;
-  }
+  if (exhaustive) return run_exhaustive(params, json);
 
   if (list) {
     util::Table table({"scenario", "expect", "description"});
@@ -592,28 +529,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<const analysis::Scenario*> selected;
-  if (scenario_csv == "all") {
-    for (const auto& scenario : analysis::builtin_scenarios()) selected.push_back(&scenario);
-  } else {
-    for (const auto& name : split_names(scenario_csv)) {
-      const auto* scenario = analysis::find_scenario(name);
-      if (scenario == nullptr) {
-        std::fprintf(stderr, "unknown --scenario %s (try --list)\n", name.c_str());
-        return 2;
-      }
-      selected.push_back(scenario);
-    }
-  }
-  for (const auto* scenario : selected) {
-    if (ranks < scenario->min_ranks) {
-      std::fprintf(stderr, "scenario %s needs --ranks >= %d, got %d\n",
-                   scenario->name.c_str(), scenario->min_ranks, ranks);
-      return 2;
-    }
-  }
-  if (!make_witness_dir(params.witness_dir)) return 2;
-
   analysis::ConformanceOptions options;
   options.base.nprocs = ranks;
   options.first_seed = first_seed;
@@ -623,17 +538,6 @@ int main(int argc, char** argv) {
   options.perturbations = sim::perturb_variants(perturb_min, perturb_max, perturbations);
   for (const auto& plan : fault_plans) {
     if (plan.wire_enabled()) options.fault_plans.push_back(plan);
-  }
-
-  // Open --json up front: an unwritable path is a usage error (exit 2) and
-  // should fail before the grid burns minutes, not after.
-  std::ofstream json_out;
-  if (!json_path.empty()) {
-    json_out.open(json_path);
-    if (!json_out) {
-      std::fprintf(stderr, "cannot write --json %s\n", json_path.c_str());
-      return 2;
-    }
   }
 
   std::printf("--- dsmr_explore: %zu scenario(s) × %llu seeds × %zu schedule "
@@ -678,21 +582,21 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
 
-  if (json_out.is_open()) {
-    json_out << "{\"tool\":\"dsmr_explore\",\"ranks\":" << ranks << ",\"seeds\":" << seeds
+  if (json.out.is_open()) {
+    json.out << "{\"tool\":\"dsmr_explore\",\"ranks\":" << ranks << ",\"seeds\":" << seeds
              << ",\"first_seed\":" << first_seed << ",\"threads\":" << threads
              << ",\"variants\":" << options.perturbations.size() << ",\"faults\":[";
     for (std::size_t i = 0; i < options.fault_plans.size(); ++i) {
-      if (i > 0) json_out << ",";
-      json_out << "\"" << options.fault_plans[i].to_string() << "\"";
+      if (i > 0) json.out << ",";
+      json.out << "\"" << util::json_escape(options.fault_plans[i].to_string()) << "\"";
     }
-    json_out << "],\"reports\":[";
+    json.out << "],\"reports\":[";
     for (std::size_t i = 0; i < reports.size(); ++i) {
-      if (i > 0) json_out << ",";
-      reports[i].write_json(json_out);
+      if (i > 0) json.out << ",";
+      reports[i].write_json(json.out);
     }
-    json_out << "]}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+    json.out << "]}\n";
+    std::printf("wrote %s\n", json.path.c_str());
   }
 
   if (!all_passed) {

@@ -46,9 +46,13 @@
 // informationally only — see docs/testing.md, "Backends". The summary
 // reports inline-detector throughput (checks/sec) over the threaded runs.
 //
-// Exit status: 0 when every program conforms (or a --replay reproduces its
-// recorded check), 1 on any disagreement (or a failed replay), 2 on usage
-// errors. `--faults` takes a ';'-list of fault plans (net/fault.hpp: presets
+// Exit status (docs/testing.md, "Exit codes"): 0 when every program
+// conforms (or a --replay reproduces its recorded check), 1 on any
+// disagreement (or a failed replay), 2 on a bad command line — util::Cli
+// checks every flag and prepares --json and the output directories before
+// any program runs — or an unreadable --replay input.
+//
+// `--faults` takes a ';'-list of fault plans (net/fault.hpp: presets
 // like `loss1`, `dupdelay`, `crash-restart`, `blackhole`, or the full
 // `drop=PPM,...` grammar): wire-enabled plans run next to every fault-free
 // schedule and are held to fault-transparency (recoverable) or
@@ -63,7 +67,6 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -72,6 +75,8 @@
 #include "fuzz/shrink.hpp"
 #include "fuzz/thread_harness.hpp"
 #include "net/fault.hpp"
+#include "record/log.hpp"
+#include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
@@ -82,22 +87,19 @@ using namespace dsmr;
 namespace {
 
 int run_replay(const std::string& path, int threads) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read --replay %s\n", path.c_str());
-    return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  // Read-time input: a repro (and its companion log) is disk input.
   std::string error;
-  const auto repro = fuzz::parse_repro(buffer.str(), &error);
+  const auto bytes = record::read_file(path, &error);
+  const std::string text =
+      bytes ? std::string(reinterpret_cast<const char*>(bytes->data()), bytes->size()) : "";
+  const auto repro = bytes ? fuzz::parse_repro(text, &error) : std::nullopt;
   if (!repro) {
-    std::fprintf(stderr, "malformed repro %s: %s\n", path.c_str(), error.c_str());
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
     return 2;
   }
   // Bit-identical round trip: the repro must re-serialize to exactly the
   // bytes on disk, so what replays is provably what was found.
-  if (fuzz::serialize_repro(*repro) != buffer.str()) {
+  if (fuzz::serialize_repro(*repro) != text) {
     std::fprintf(stderr, "repro %s does not round-trip byte-identically\n", path.c_str());
     return 1;
   }
@@ -105,25 +107,20 @@ int run_replay(const std::string& path, int threads) {
   // repro's coordinate — cross-process, cross-machine.
   if (!repro->record_log.empty()) {
     const auto log_path =
-        std::filesystem::path(path).parent_path() / repro->record_log;
-    std::ifstream log_in(log_path, std::ios::binary);
-    if (!log_in) {
-      std::fprintf(stderr, "cannot read companion log %s\n", log_path.c_str());
+        (std::filesystem::path(path).parent_path() / repro->record_log).string();
+    const auto raw = record::read_file(log_path, &error);
+    if (!raw) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 2;
     }
-    std::ostringstream log_buffer;
-    log_buffer << log_in.rdbuf();
-    const std::string raw = log_buffer.str();
-    const auto* data = reinterpret_cast<const std::byte*>(raw.data());
-    const std::string mismatch = fuzz::check_repro_log(
-        *repro, std::span<const std::byte>(data, raw.size()));
+    const std::string mismatch = fuzz::check_repro_log(*repro, *raw);
     if (!mismatch.empty()) {
       std::printf("companion log %s: %s\nLOG DIVERGED\n", log_path.c_str(),
                   mismatch.c_str());
       return 1;
     }
     std::printf("companion log %s: %zu bytes, re-recorded byte-identically\n",
-                log_path.c_str(), raw.size());
+                log_path.c_str(), raw->size());
   }
   const auto fired = fuzz::replay_repro(*repro, threads);
   std::printf("replay of %s: program_seed=%llu schedule_seed=%llu perturb=%s fault=%s "
@@ -161,67 +158,64 @@ struct FailureRecord {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv,
-                "[--seeds N|LO..HI] [--ranks N] [--areas N] [--phases N] [--ops N] "
-                "[--area-bytes N] [--profile mixed|write-heavy|read-heavy|lock-heavy|"
-                "sync-sparse|sync-rich] [--planted-fraction F] "
-                "[--bug-kinds all|none|dropped-edge,wrong-lock,partial-barrier,ack-window] "
-                "[--schedule uniform|coverage] [--corpus-dir DIR] [--schedule-seeds K] "
-                "[--perturbations K] [--perturb-min NS] [--perturb-max NS] "
-                "[--threads N] [--budget-ms MS] [--json FILE] [--repro-dir DIR] "
-                "[--record-dir DIR] [--no-shrink] [--exhaustive] "
-                "[--explore-max-interleavings N] [--faults PLAN;PLAN;...] "
-                "[--backend sim|threaded|both] [--thread-reps N] [--sim-seeds N] "
-                "[--shards N] [--thread-timeout-ms MS] [--verbose] | "
-                "--replay FILE");
+  util::Cli cli(argc, argv);
   const std::string replay_path = cli.get_string("replay", "");
-  const auto threads =
-      static_cast<int>(cli.get_int("threads", util::ThreadPool::hardware_threads()));
-  if (!replay_path.empty()) {
-    if (const std::string error = cli.finish(); !error.empty()) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-      return 2;
-    }
-    return run_replay(replay_path, threads);
-  }
-
+  const int threads =
+      cli.get_int("threads", util::ThreadPool::hardware_threads(), 1, util::kMaxThreads);
   const auto seeds = cli.get_seed_range("seeds", util::SeedRange{1, 64});
+  const std::string backend = cli.get_choice("backend", "sim", {"sim", "threaded", "both"});
   fuzz::GenConfig gen;
   // Profile first, explicit flags second: --phases/--ops passed alongside
   // --profile must override the profile's shape, not be overwritten by it.
-  const std::string profile = cli.get_string("profile", "mixed");
-  if (!fuzz::apply_profile(profile, gen)) {
-    std::fprintf(stderr, "unknown --profile %s (known:", profile.c_str());
-    for (const auto& name : fuzz::profile_names()) std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, ")\n");
-    return 2;
-  }
-  gen.nprocs = static_cast<int>(cli.get_int("ranks", gen.nprocs));
-  gen.areas = static_cast<int>(cli.get_int("areas", gen.areas));
-  gen.phases = static_cast<int>(cli.get_int("phases", gen.phases));
-  gen.max_ops_per_rank = static_cast<int>(cli.get_int("ops", gen.max_ops_per_rank));
-  gen.area_bytes =
-      static_cast<std::uint32_t>(cli.get_int("area-bytes", gen.area_bytes));
-  double planted_fraction = cli.get_double("planted-fraction", 0.5);
-  const std::string schedule_text = cli.get_string("schedule", "uniform");
-  const auto schedule = fuzz::parse_schedule_mode(schedule_text);
-  if (!schedule) {
-    std::fprintf(stderr, "unknown --schedule %s (uniform|coverage)\n",
-                 schedule_text.c_str());
-    return 2;
-  }
-  const std::string corpus_dir = cli.get_string("corpus-dir", "");
-  std::string bug_kinds_error;
-  const auto requested_kinds =
-      fuzz::parse_bug_kinds(cli.get_string("bug-kinds", "all"), &bug_kinds_error);
-  if (!requested_kinds) {
-    std::fprintf(stderr, "bad --bug-kinds: %s\n", bug_kinds_error.c_str());
-    return 2;
-  }
-  // Drop the kinds this program shape cannot host (loudly). An explicit
-  // request that leaves nothing plantable is a usage error.
+  const std::string profile = cli.get_choice("profile", "mixed", fuzz::profile_names());
+  fuzz::apply_profile(profile, gen);
+  // The generator's structural caps (fuzz/program.hpp); on the threaded
+  // backends every rank is an OS thread.
+  gen.nprocs = cli.get_int("ranks", gen.nprocs, 1,
+                           backend == "sim" ? fuzz::kMaxProcs : util::kMaxThreads);
+  gen.areas = cli.get_int("areas", gen.areas, 1, fuzz::kMaxAreas);
+  gen.phases = cli.get_int("phases", gen.phases, 1, static_cast<int>(fuzz::kMaxPhases));
+  gen.max_ops_per_rank =
+      cli.get_int("ops", gen.max_ops_per_rank, 1, static_cast<int>(fuzz::kMaxOpsPerRank));
+  gen.area_bytes = static_cast<std::uint32_t>(
+      cli.get_uint("area-bytes", gen.area_bytes, 1, fuzz::kMaxAreaBytes));
+  double planted_fraction = cli.get_double("planted-fraction", 0.5, 0.0, 1.0);
+  const auto schedule = *fuzz::parse_schedule_mode(
+      cli.get_choice("schedule", "uniform", {"uniform", "coverage"}));
+  const std::string corpus_dir = cli.get_output_dir("corpus-dir");
+  const auto requested_kinds = cli.get_parsed("bug-kinds", "all", fuzz::parse_bug_kinds);
+  const auto schedule_seeds = cli.get_uint("schedule-seeds", 3, 1);
+  const auto perturbations = cli.get_uint("perturbations", 1);
+  const sim::Time perturb_min = cli.get_uint("perturb-min", 0);
+  const sim::Time perturb_max = cli.get_uint("perturb-max", 4'000);
+  cli.check(perturb_min <= perturb_max, "--perturb-min must be <= --perturb-max");
+  const int budget_ms = cli.get_int("budget-ms", 0);
+  util::OutputFile& json = cli.get_output_file("json");
+  const std::string repro_dir = cli.get_output_dir("repro-dir");
+  const std::string record_dir = cli.get_output_dir("record-dir");
+  const bool no_shrink = cli.get_flag("no-shrink");
+  // Arm the exhaustive-exploration invariant per program (explore/dpor.hpp):
+  // programs inside the size gate (<= 3 ranks, <= 8 non-tick ops/rank) get
+  // their full reduced interleaving space checked on top of the sampled
+  // grid. Note dsmr_fuzz's default --ranks 4 leaves everything over the
+  // gate — pass --ranks 3 (or 2) for the invariant to bite.
+  const bool exhaustive = cli.get_flag("exhaustive");
+  const auto explore_cap = cli.get_uint("explore-max-interleavings", 1u << 20);
+  // --faults takes a ';'-list of plans (one plan, or the drop-live-reports
+  // alias, is a one-element list).
+  const auto fault_plans = cli.get_parsed("faults", "", net::parse_fault_plan_list);
+  const int thread_reps = cli.get_int("thread-reps", 3, 1);
+  const auto sim_seeds = cli.get_uint("sim-seeds", 2);
+  const int shards = cli.get_int("shards", 8, 1);
+  const int thread_timeout_ms = cli.get_int("thread-timeout-ms", 10'000, 1);
+  const bool verbose = cli.get_flag("verbose");
+  if (!cli.ok()) return 2;
+
+  if (!replay_path.empty()) return run_replay(replay_path, threads);
+
+  // Drop the kinds this program shape cannot host (loudly).
   std::vector<fuzz::BugKind> bug_kinds;
-  for (const auto kind : *requested_kinds) {
+  for (const auto kind : requested_kinds) {
     if (fuzz::bug_kind_eligible(gen, kind)) {
       bug_kinds.push_back(kind);
     } else {
@@ -235,59 +229,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "note: no feasible bug kinds; generating clean programs only\n");
     planted_fraction = 0.0;
   }
-  const auto schedule_seeds = cli.get_uint("schedule-seeds", 3);
-  const auto perturbations = cli.get_uint("perturbations", 1);
-  const std::int64_t perturb_min = cli.get_int("perturb-min", 0);
-  const std::int64_t perturb_max = cli.get_int("perturb-max", 4'000);
-  if (perturb_min < 0 || perturb_max < 0 || perturb_min > perturb_max) {
-    std::fprintf(stderr, "--perturb-min/--perturb-max must satisfy 0 <= min <= max\n");
-    return 2;
-  }
-  const auto budget_ms = cli.get_int("budget-ms", 0);
-  const std::string json_path = cli.get_string("json", "");
-  const std::string repro_dir = cli.get_string("repro-dir", "");
-  const std::string record_dir = cli.get_string("record-dir", "");
-  const bool no_shrink = cli.get_flag("no-shrink");
-  // Arm the exhaustive-exploration invariant per program (explore/dpor.hpp):
-  // programs inside the size gate (<= 3 ranks, <= 8 non-tick ops/rank) get
-  // their full reduced interleaving space checked on top of the sampled
-  // grid. Note dsmr_fuzz's default --ranks 4 leaves everything over the
-  // gate — pass --ranks 3 (or 2) for the invariant to bite.
-  const bool exhaustive = cli.get_flag("exhaustive");
-  const auto explore_cap = cli.get_uint("explore-max-interleavings", 1u << 20);
-  // --faults takes a ';'-list of plans (one plan, or the drop-live-reports
-  // alias, is a one-element list).
-  std::string fault_error;
-  const std::string faults_text = cli.get_string("faults", "");
-  const auto parsed_plans = net::parse_fault_plan_list(faults_text, &fault_error);
-  if (!parsed_plans) {
-    std::fprintf(stderr, "bad --faults '%s': %s\n", faults_text.c_str(),
-                 fault_error.c_str());
-    return 2;
-  }
-  const std::vector<net::FaultPlan>& fault_plans = *parsed_plans;
   const bool drop_live_armed =
       std::any_of(fault_plans.begin(), fault_plans.end(),
                   [](const net::FaultPlan& p) { return p.drop_live_reports; });
-  const std::string backend = cli.get_string("backend", "sim");
-  const auto thread_reps = static_cast<int>(cli.get_int("thread-reps", 3));
-  const auto sim_seeds = cli.get_uint("sim-seeds", 2);
-  const auto shards = static_cast<int>(cli.get_int("shards", 8));
-  const auto thread_timeout_ms = cli.get_int("thread-timeout-ms", 10'000);
-  if (backend != "sim" && backend != "threaded" && backend != "both") {
-    std::fprintf(stderr, "unknown --backend %s (sim|threaded|both)\n", backend.c_str());
-    return 2;
-  }
-  if (thread_reps <= 0 || shards <= 0 || thread_timeout_ms <= 0) {
-    std::fprintf(stderr,
-                 "--thread-reps, --shards and --thread-timeout-ms must be positive\n");
-    return 2;
-  }
-  const bool verbose = cli.get_flag("verbose");
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
 
   if (backend != "sim") {
     fuzz::ThreadSweepConfig tsweep;
@@ -341,28 +285,23 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.checks), gen.nprocs,
                 result.checks_per_sec());
 
-    if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write --json %s\n", json_path.c_str());
-        return 2;
-      }
-      out << "{\"tool\":\"dsmr_fuzz\",\"backend\":\"" << util::json_escape(backend)
-          << "\",\"first_seed\":" << seeds.first << ",\"seed_count\":" << seeds.count
-          << ",\"ranks\":" << gen.nprocs << ",\"thread_reps\":" << thread_reps
-          << ",\"programs\":" << result.programs << ",\"clean\":" << result.clean_programs
-          << ",\"racy\":" << result.racy_programs
-          << ",\"sometimes\":" << result.sometimes_programs
-          << ",\"thread_runs\":" << result.thread_runs
-          << ",\"thread_manifested\":" << result.thread_manifested
-          << ",\"sim_runs\":" << result.sim_runs
-          << ",\"sim_manifested\":" << result.sim_manifested
-          << ",\"checks\":" << result.checks
-          << ",\"checks_per_sec\":" << result.checks_per_sec()
-          << ",\"elapsed_ms\":" << ms
-          << ",\"divergences\":" << result.divergences.size()
-          << ",\"passed\":" << (result.divergences.empty() ? "true" : "false") << "}\n";
-      std::printf("wrote %s\n", json_path.c_str());
+    if (json.out.is_open()) {
+      json.out << "{\"tool\":\"dsmr_fuzz\",\"backend\":\"" << util::json_escape(backend)
+               << "\",\"first_seed\":" << seeds.first << ",\"seed_count\":" << seeds.count
+               << ",\"ranks\":" << gen.nprocs << ",\"thread_reps\":" << thread_reps
+               << ",\"programs\":" << result.programs << ",\"clean\":" << result.clean_programs
+               << ",\"racy\":" << result.racy_programs
+               << ",\"sometimes\":" << result.sometimes_programs
+               << ",\"thread_runs\":" << result.thread_runs
+               << ",\"thread_manifested\":" << result.thread_manifested
+               << ",\"sim_runs\":" << result.sim_runs
+               << ",\"sim_manifested\":" << result.sim_manifested
+               << ",\"checks\":" << result.checks
+               << ",\"checks_per_sec\":" << result.checks_per_sec()
+               << ",\"elapsed_ms\":" << ms
+               << ",\"divergences\":" << result.divergences.size()
+               << ",\"passed\":" << (result.divergences.empty() ? "true" : "false") << "}\n";
+      std::printf("wrote %s\n", json.path.c_str());
     }
 
     if (!result.divergences.empty()) {
@@ -379,7 +318,7 @@ int main(int argc, char** argv) {
   fuzz::FuzzSweepConfig sweep;
   sweep.base = gen;
   sweep.profile = profile;
-  sweep.mode = *schedule;
+  sweep.mode = schedule;
   sweep.seeds = seeds;
   sweep.planted_fraction = planted_fraction;
   sweep.bug_kinds = bug_kinds;
@@ -397,8 +336,7 @@ int main(int argc, char** argv) {
   // Same semantics as dsmr_explore: K extra salted variants on top of the
   // always-present base schedule.
   sweep.check.perturbations =
-      sim::perturb_variants(static_cast<sim::Time>(perturb_min),
-                            static_cast<sim::Time>(perturb_max), perturbations);
+      sim::perturb_variants(perturb_min, perturb_max, perturbations);
 
   const auto start = std::chrono::steady_clock::now();
   auto elapsed_ms = [&start]() {
@@ -414,7 +352,7 @@ int main(int argc, char** argv) {
               "schedule seed(s) × %zu variant(s), %d thread(s)%s ---\n",
               static_cast<unsigned long long>(seeds.first),
               static_cast<unsigned long long>(seeds.first + seeds.count - 1),
-              profile.c_str(), fuzz::to_string(*schedule),
+              profile.c_str(), fuzz::to_string(schedule),
               static_cast<unsigned long long>(schedule_seeds),
               sweep.check.perturbations.size(), threads,
               fault_plans.empty() ? "" : " [FAULT INJECTION ON]");
@@ -442,11 +380,7 @@ int main(int argc, char** argv) {
     // the generation), then minimize the first failure and write its repro.
     std::string parse_error;
     const auto program = fuzz::parse_program(outcome.program_text, &parse_error);
-    if (!program) {
-      std::fprintf(stderr, "internal: failing program does not re-parse: %s\n",
-                   parse_error.c_str());
-      return 2;
-    }
+    DSMR_CHECK_MSG(program.has_value(), "failing program does not re-parse: " << parse_error);
     const auto& first = outcome.failures.front();
     FailureRecord record;
     record.program_seed = outcome.program_seed;
@@ -503,33 +437,21 @@ int main(int argc, char** argv) {
     record.ops_after = repro.program.op_count();
 
     if (!repro_dir.empty()) {
-      std::filesystem::create_directories(repro_dir);
       const std::string stem =
           "fuzz-s" + std::to_string(outcome.program_seed) + "-" + record.check;
       // With --record-dir on, pair the repro with the ordering log of its
       // exact (shrunk program, seed, perturbation, fault) coordinate; the
       // pair replays byte-identically cross-process (`--replay` verifies).
       if (!record_dir.empty()) {
-        const auto bytes =
-            fuzz::record_coordinate(repro.program, repro.program_seed,
-                                    repro.schedule_seed, repro.perturb, repro.fault);
         repro.record_log = stem + ".dsmrlog";
-        const std::string log_path = repro_dir + "/" + repro.record_log;
-        std::ofstream log_out(log_path, std::ios::binary);
-        log_out.write(reinterpret_cast<const char*>(bytes.data()),
-                      static_cast<std::streamsize>(bytes.size()));
-        if (!log_out.good()) {
-          std::fprintf(stderr, "cannot write recorded log %s\n", log_path.c_str());
-          return 2;
-        }
+        record::write_file(repro_dir + "/" + repro.record_log,
+                           fuzz::record_coordinate(repro.program, repro.program_seed,
+                                                   repro.schedule_seed, repro.perturb,
+                                                   repro.fault));
       }
       record.repro_path = repro_dir + "/" + stem + ".repro";
-      std::ofstream out(record.repro_path);
-      out << fuzz::serialize_repro(repro);
-      if (!out.good()) {
-        std::fprintf(stderr, "cannot write repro %s\n", record.repro_path.c_str());
-        return 2;
-      }
+      const std::string text = fuzz::serialize_repro(repro);
+      record::write_file(record.repro_path, std::as_bytes(std::span(text)));
     }
     std::printf("FAILURE s%llu [%s]: %s (seed=%llu perturb=%s fault=%s, %zu -> %zu "
                 "ops%s%s)\n",
@@ -592,16 +514,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.explore_skipped_programs));
   }
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write --json %s\n", json_path.c_str());
-      return 2;
-    }
+  if (json.out.is_open()) {
+    std::ofstream& out = json.out;
     out << "{\"tool\":\"dsmr_fuzz\",\"first_seed\":" << seeds.first
         << ",\"seed_count\":" << seeds.count << ",\"profile\":\""
         << util::json_escape(profile) << "\",\"schedule\":\""
-        << fuzz::to_string(*schedule) << "\",\"ranks\":" << gen.nprocs
+        << fuzz::to_string(schedule) << "\",\"ranks\":" << gen.nprocs
         << ",\"schedule_seeds\":" << schedule_seeds
         << ",\"variants\":" << sweep.check.perturbations.size() << ",\"faults\":\"";
     for (std::size_t i = 0; i < fault_plans.size(); ++i) {
@@ -645,7 +563,7 @@ int main(int argc, char** argv) {
           << ",\"repro\":\"" << util::json_escape(f.repro_path) << "\"}";
     }
     out << "]}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+    std::printf("wrote %s\n", json.path.c_str());
   }
 
   if (!failures.empty()) {

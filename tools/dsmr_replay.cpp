@@ -18,11 +18,10 @@
 //   dsmr_replay --log FILE [--mode header|off|single|dual] [--json FILE]
 //               [--trace-jsonl FILE] [--trace-chrome FILE] [--quiet]
 //
-// Exit status: 0 verdicts reproduced, 1 fold diverges from the footer,
-// 2 unreadable/corrupt log or usage error.
+// Exit status (docs/testing.md, "Exit codes"): 0 verdicts reproduced, 1 fold
+// diverges from the footer, 2 a bad command line or an unreadable/corrupt log.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,34 +53,24 @@ std::uint64_t payload_bytes(const record::Event& event) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Cli cli(argc, argv,
-                "--log FILE [--mode header|off|single|dual] [--json FILE] "
-                "[--trace-jsonl FILE] [--trace-chrome FILE] [--quiet]");
+  util::Cli cli(argc, argv);
   const std::string path = cli.get_string("log", "");
-  const std::string mode_text = cli.get_string("mode", "header");
-  const std::string json_path = cli.get_string("json", "");
-  const std::string jsonl_path = cli.get_string("trace-jsonl", "");
-  const std::string chrome_path = cli.get_string("trace-chrome", "");
+  const std::string mode_text =
+      cli.get_choice("mode", "header", {"header", "off", "single", "dual"});
+  util::OutputFile& json = cli.get_output_file("json");
+  util::OutputFile& jsonl = cli.get_output_file("trace-jsonl");
+  util::OutputFile& chrome = cli.get_output_file("trace-chrome");
   const bool quiet = cli.get_flag("quiet");
-  if (const std::string error = cli.finish(); !error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
-  if (path.empty()) {
-    std::fprintf(stderr, "dsmr_replay needs --log FILE\n");
-    return 2;
-  }
+  cli.check(!path.empty(), "needs --log FILE");
+  if (!cli.ok()) return 2;
 
+  // Read-time input: the log is disk input, never trusted. The structured
+  // diagnostic ([truncated], [bad-magic], [bad-version],
+  // [checksum-mismatch], ...) is the contract for corrupt input.
   std::string error;
   const auto bytes = record::read_file(path, &error);
-  if (!bytes) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  const auto log = record::Log::parse(*bytes, &error);
+  const auto log = bytes ? record::Log::parse(*bytes, &error) : std::nullopt;
   if (!log) {
-    // The structured diagnostic ([truncated], [bad-magic], [bad-version],
-    // [checksum-mismatch], ...) is the contract for corrupt input.
     std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
     return 2;
   }
@@ -93,10 +82,6 @@ int main(int argc, char** argv) {
     fold_mode = core::DetectorMode::kSingleClock;
   } else if (mode_text == "dual") {
     fold_mode = core::DetectorMode::kDualClock;
-  } else if (mode_text != "header") {
-    std::fprintf(stderr, "unknown --mode %s (header|off|single|dual)\n",
-                 mode_text.c_str());
-    return 2;
   }
 
   std::printf("--- dsmr_replay: %s ---\n", path.c_str());
@@ -161,46 +146,31 @@ int main(int argc, char** argv) {
   std::printf("verdict: %s\n", folded.signature.to_string().c_str());
   std::printf("footer:  %s\n", log->live.to_string().c_str());
 
-  if (!jsonl_path.empty()) {
-    std::ofstream out(jsonl_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write --trace-jsonl %s\n", jsonl_path.c_str());
-      return 2;
-    }
-    trace::write_jsonl(out, *log, folded.reports);
-    std::printf("wrote %s\n", jsonl_path.c_str());
+  if (jsonl.out.is_open()) {
+    trace::write_jsonl(jsonl.out, *log, folded.reports);
+    std::printf("wrote %s\n", jsonl.path.c_str());
   }
-  if (!chrome_path.empty()) {
-    std::ofstream out(chrome_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write --trace-chrome %s\n", chrome_path.c_str());
-      return 2;
-    }
-    trace::write_chrome(out, *log, folded.reports);
-    std::printf("wrote %s\n", chrome_path.c_str());
+  if (chrome.out.is_open()) {
+    trace::write_chrome(chrome.out, *log, folded.reports);
+    std::printf("wrote %s\n", chrome.path.c_str());
   }
 
   // The divergence gate: fold at the RECORDED mode must reproduce the
   // embedded live footer bit-for-bit, whatever --mode was used for display.
   const std::string divergence = record::check_record_replay(*log);
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write --json %s\n", json_path.c_str());
-      return 2;
-    }
-    out << "{\"tool\":\"dsmr_replay\",\"log\":\"" << util::json_escape(path)
-        << "\",\"backend\":\"" << record::to_string(log->header.backend)
-        << "\",\"nprocs\":" << log->header.nprocs << ",\"recorded_mode\":\""
-        << core::to_string(log->header.mode) << "\",\"fold_mode\":\""
-        << core::to_string(fold_mode) << "\",\"events\":" << log->events.size()
-        << ",\"checks\":" << folded.checks
-        << ",\"payload_bytes\":" << total_bytes
-        << ",\"races\":" << folded.signature.races.size()
-        << ",\"completed\":" << (log->live.completed ? "true" : "false")
-        << ",\"diverged\":" << (divergence.empty() ? "false" : "true") << "}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+  if (json.out.is_open()) {
+    json.out << "{\"tool\":\"dsmr_replay\",\"log\":\"" << util::json_escape(path)
+             << "\",\"backend\":\"" << record::to_string(log->header.backend)
+             << "\",\"nprocs\":" << log->header.nprocs << ",\"recorded_mode\":\""
+             << core::to_string(log->header.mode) << "\",\"fold_mode\":\""
+             << core::to_string(fold_mode) << "\",\"events\":" << log->events.size()
+             << ",\"checks\":" << folded.checks
+             << ",\"payload_bytes\":" << total_bytes
+             << ",\"races\":" << folded.signature.races.size()
+             << ",\"completed\":" << (log->live.completed ? "true" : "false")
+             << ",\"diverged\":" << (divergence.empty() ? "false" : "true") << "}\n";
+    std::printf("wrote %s\n", json.path.c_str());
   }
   if (!divergence.empty()) {
     std::printf("DIVERGENCE: %s\n", divergence.c_str());
