@@ -30,6 +30,16 @@ int main(int argc, char** argv) {
   const std::string prefix = cli.get_string("out", "dsmr_trace");
   cli.check(workload != "masterworker" || ranks >= 2, "masterworker needs --ranks >= 2");
   if (!cli.ok()) return 2;
+  // Both outputs are opened before the run: a bad prefix is an argv error.
+  const std::string jsonl_path = prefix + ".jsonl";
+  const std::string chrome_path = prefix + ".chrome.json";
+  std::ofstream jsonl(jsonl_path);
+  std::ofstream chrome(chrome_path);
+  if (!jsonl || !chrome) {
+    std::fprintf(stderr, "record_trace: cannot write --out %s\n",
+                 (!jsonl ? jsonl_path : chrome_path).c_str());
+    return 2;
+  }
 
   runtime::WorldConfig config;
   config.nprocs = ranks;
@@ -60,16 +70,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::string jsonl_path = prefix + ".jsonl";
-  {
-    std::ofstream out(jsonl_path);
-    trace::write_jsonl(out, log, folded.reports);
-  }
-  const std::string chrome_path = prefix + ".chrome.json";
-  {
-    std::ofstream out(chrome_path);
-    trace::write_chrome(out, log, folded.reports);
-  }
+  trace::write_jsonl(jsonl, log, folded.reports);
+  trace::write_chrome(chrome, log, folded.reports);
 
   std::printf("workload:   %s%s on %d ranks\n", workload.c_str(),
               buggy ? " (buggy)" : "", ranks);

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/ground_truth.hpp"
 #include "baseline/lockset.hpp"
 #include "record/recorder.hpp"
 #include "record/replay.hpp"

@@ -50,16 +50,21 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "analysis/seed_sweep.hpp"
 #include "net/fault.hpp"
 #include "runtime/world.hpp"
 #include "sim/perturb.hpp"
 
 namespace dsmr::analysis {
+
+/// The workload under test: given a configured World (seed already set),
+/// allocate data and spawn the programs. Must be reentrant — a parallel
+/// grid invokes it concurrently from pool workers, one World per call.
+using WorkloadFn = std::function<void(runtime::World&)>;
 
 /// What a scenario promises about races across *all* legal schedules.
 enum class RaceExpectation {

@@ -11,7 +11,7 @@
 //     including the §V.B one-sided reduction.
 //   analysis::*                       — offline ground truth, accuracy
 //     metrics and the clock-truncation ablation, all folds of a record
-//     log; seed sweeps.
+//     log.
 //   baseline::LocksetDetector         — the Eraser-style comparison point.
 //   record::Recorder / replay_fold    — the ordering log of a run and its
 //     offline fold back to race reports.
@@ -20,7 +20,6 @@
 #pragma once
 
 #include "analysis/ground_truth.hpp"
-#include "analysis/seed_sweep.hpp"
 #include "baseline/lockset.hpp"
 #include "clocks/vector_clock.hpp"
 #include "core/race_report.hpp"

@@ -10,7 +10,6 @@
 #include <system_error>
 #include <utility>
 
-#include "explore/dpor.hpp"
 #include "record/recorder.hpp"
 #include "record/replay.hpp"
 #include "util/assert.hpp"
@@ -169,40 +168,6 @@ ProgramVerdict check_program(const Program& program, const FuzzCheckOptions& opt
         verdict.failures.push_back(analysis::Divergence{
             scenario.name, run.seed, run.perturb, run.fault, "fault-transparency",
             detail.str(), ""});
-      }
-    }
-  }
-
-  // The exhaustive invariant (ROADMAP item 4): small programs get every
-  // reduced interleaving of the threaded op model, turning the sampled
-  // grid's rates into proofs — a kSometimes bug must EXIST somewhere in
-  // the space, a clean program must have NO racy interleaving anywhere.
-  if (options.exhaustive) {
-    const explore::Eligibility okay = explore::exhaustive_eligible(program);
-    if (!okay.eligible) {
-      verdict.explore_skipped = okay.reason;
-    } else {
-      explore::ExploreOptions explore_options;
-      explore_options.max_interleavings = options.exhaustive_max_interleavings;
-      explore_options.max_witnesses = 0;  // the CLI exports its own.
-      const explore::ExploreReport explored =
-          explore::explore_program(program, explore_options);
-      verdict.explored = true;
-      verdict.explored_interleavings = explored.interleavings;
-      verdict.explored_pruned = explored.pruned_branches;
-      verdict.explored_racy = explored.racy_interleavings;
-      verdict.explored_planted_flagged = explored.planted_flagged;
-      verdict.explore_signatures = explored.signatures.size();
-      for (const std::string& failure :
-           explore::check_exhaustive(program, explored)) {
-        const std::size_t colon = failure.find(": ");
-        analysis::Divergence divergence;
-        divergence.scenario = scenario.name;
-        divergence.check =
-            colon == std::string::npos ? failure : failure.substr(0, colon);
-        divergence.detail =
-            colon == std::string::npos ? "" : failure.substr(colon + 2);
-        verdict.failures.push_back(std::move(divergence));
       }
     }
   }
@@ -578,6 +543,15 @@ BugKind kind_for_seed(std::uint64_t program_seed, const std::vector<BugKind>& ki
   return kinds[hash % kinds.size()];
 }
 
+GenConfig config_for_seed(const GenConfig& base, std::uint64_t program_seed,
+                          double planted_fraction, const std::vector<BugKind>& kinds) {
+  GenConfig gen = base;
+  gen.seed = program_seed;
+  gen.plant_bug = !kinds.empty() && plant_for_seed(program_seed, planted_fraction);
+  if (gen.plant_bug) gen.bug_kind = kind_for_seed(program_seed, kinds);
+  return gen;
+}
+
 namespace {
 
 /// One scheduled generation: everything a pool worker needs.
@@ -625,10 +599,6 @@ SweepOutcome run_draw(const Draw& draw, const FuzzCheckOptions& check,
   out.ops = program.op_count();
   out.signature = coverage_signature(program, verdict);
   out.recorded = recorded;
-  out.explored = verdict.explored;
-  out.explore_skipped = verdict.explore_skipped;
-  out.explored_interleavings = verdict.explored_interleavings;
-  out.explored_racy = verdict.explored_racy;
   out.failures = verdict.failures;
   if (!verdict.failures.empty()) out.program_text = serialize(program);
   if (verbose) {
@@ -724,9 +694,6 @@ FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
     result.fault_runs += outcome.fault_runs;
     result.watchdog_runs += outcome.watchdog_runs;
     if (outcome.recorded) ++result.recorded_logs;
-    if (outcome.explored) ++result.explored_programs;
-    if (!outcome.explore_skipped.empty()) ++result.explore_skipped_programs;
-    result.explored_interleavings += outcome.explored_interleavings;
     run_signatures.insert(outcome.signature);
     outcome.novel = corpus.add(outcome.signature, outcome.arm, outcome.program_seed);
     if (outcome.novel) ++result.corpus_new;
@@ -758,13 +725,8 @@ FuzzSweepResult run_fuzz_sweep(const FuzzSweepConfig& config) {
         pool.submit([offset, &config, &result] {
           Draw draw;
           draw.program_seed = config.seeds.first + offset;
-          draw.gen = config.base;
-          draw.gen.seed = draw.program_seed;
-          draw.gen.plant_bug = !config.bug_kinds.empty() &&
-                               plant_for_seed(draw.program_seed, config.planted_fraction);
-          if (draw.gen.plant_bug) {
-            draw.gen.bug_kind = kind_for_seed(draw.program_seed, config.bug_kinds);
-          }
+          draw.gen = config_for_seed(config.base, draw.program_seed,
+                                     config.planted_fraction, config.bug_kinds);
           draw.arm = config.profile + "/" +
                      (draw.gen.plant_bug ? to_string(draw.gen.bug_kind) : "clean");
           result.outcomes[offset] =

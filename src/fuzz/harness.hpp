@@ -42,11 +42,17 @@
 // manifestation) that `dsmr_fuzz --replay` re-runs bit-identically — the
 // full (seed, perturbation, fault-plan) replay coordinate round-trips.
 //
+// Every check here samples schedules. Certifying a small program over ALL
+// its interleavings is the explorer's job (explore/dpor.hpp), driven by
+// `dsmr_explore --exhaustive`, which also runs check_program on each
+// program it certifies.
+//
 // The sweep layer (`run_fuzz_sweep`) turns program seeds into verdicts at
 // scale, under one of two seed schedules:
 //
 //  * uniform  — the classic sweep: sequential seeds, one op-mix profile,
-//    planted kinds hash-assigned; bit-identical across thread counts.
+//    planted kinds hash-assigned (config_for_seed, the draw every
+//    seed-indexed sweep shares); bit-identical across thread counts.
 //  * coverage — a novelty bandit (UCB over profile × {clean, bug kind}
 //    arms): each finished program folds into a compact *coverage
 //    signature* (sync/op/transport mix + verdict path), and arms that
@@ -88,17 +94,6 @@ struct FuzzCheckOptions {
   /// arms the test-only detector-silence hook for the whole grid.
   std::vector<net::FaultPlan> fault_plans;
   std::string scenario_name = "fuzz";
-  /// Arm the exhaustive-exploration invariant (explore/dpor.hpp): programs
-  /// within explore::exhaustive_eligible size limits are run through
-  /// optimal-DPOR exploration of the threaded op model — every
-  /// kSometimes planted bug must be FOUND, kRacy must flag on every
-  /// interleaving, and clean programs must CERTIFY clean over the reduced
-  /// space. Off by default: exploration cost is exponential in program
-  /// size, and the sampled grid stays the default contract.
-  bool exhaustive = false;
-  /// Budget for the exhaustive invariant; tripping it is a failure
-  /// ("explore-limit" — an incomplete exploration certifies nothing).
-  std::uint64_t exhaustive_max_interleavings = 1 << 20;
 };
 
 struct ProgramVerdict {
@@ -114,18 +109,6 @@ struct ProgramVerdict {
   /// grid; fault runs are instead held to transparency/clean-failure.
   std::uint64_t manifested_runs = 0;
   std::uint64_t completed_runs = 0;
-
-  /// Exhaustive-exploration summary (FuzzCheckOptions::exhaustive). When
-  /// the program is too large for the size gate, `explored` stays false
-  /// and `explore_skipped` names the reason; otherwise the counters mirror
-  /// explore::ExploreReport.
-  bool explored = false;
-  std::string explore_skipped;
-  std::uint64_t explored_interleavings = 0;
-  std::uint64_t explored_pruned = 0;
-  std::uint64_t explored_racy = 0;
-  std::uint64_t explored_planted_flagged = 0;
-  std::uint64_t explore_signatures = 0;
 
   bool passed() const { return failures.empty(); }
   double manifestation_rate() const {
@@ -268,13 +251,6 @@ struct SweepOutcome {
   bool novel = false;             ///< first sighting (run + corpus).
   bool recorded = false;          ///< a log was written under record_dir.
   std::vector<analysis::Divergence> failures;
-  /// Exhaustive-exploration mirror (FuzzCheckOptions::exhaustive): whether
-  /// this program was explored, why it was skipped when not, and the
-  /// explored/racy interleaving counts (ProgramVerdict's counters).
-  bool explored = false;
-  std::string explore_skipped;
-  std::uint64_t explored_interleavings = 0;
-  std::uint64_t explored_racy = 0;
   /// Canonical text of the failing program (empty when it passed): repro
   /// writing must not depend on regenerating — under coverage scheduling
   /// the arm, not just the seed, determines the program.
@@ -337,9 +313,6 @@ struct FuzzSweepResult {
   std::uint64_t distinct_signatures = 0;  ///< distinct within this run.
   std::uint64_t corpus_new = 0;           ///< new vs the loaded corpus.
   std::uint64_t recorded_logs = 0;        ///< logs written under record_dir.
-  std::uint64_t explored_programs = 0;    ///< exhaustive invariant ran (opt-in).
-  std::uint64_t explore_skipped_programs = 0;  ///< over the exhaustive size gate.
-  std::uint64_t explored_interleavings = 0;    ///< total across explored programs.
   bool budget_hit = false;
   /// Keyed by "clean" / bug-kind name.
   std::map<std::string, KindStats> kinds;
@@ -351,6 +324,12 @@ struct FuzzSweepResult {
 bool plant_for_seed(std::uint64_t program_seed, double planted_fraction);
 /// Deterministic kind pick among `kinds` for a planted seed.
 BugKind kind_for_seed(std::uint64_t program_seed, const std::vector<BugKind>& kinds);
+/// The seed→program draw every seed-indexed sweep shares (the uniform sim
+/// sweep, run_thread_sweep, dsmr_explore --exhaustive): `base` at
+/// `program_seed`, planted with kind_for_seed's pick when `kinds` is
+/// non-empty and plant_for_seed says so, clean otherwise.
+GenConfig config_for_seed(const GenConfig& base, std::uint64_t program_seed,
+                          double planted_fraction, const std::vector<BugKind>& kinds);
 
 /// Runs the sweep: generates programs per the schedule mode, checks each
 /// across the grid on `threads` pool workers, folds outcomes and coverage

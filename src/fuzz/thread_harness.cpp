@@ -267,11 +267,8 @@ ThreadSweepResult run_thread_sweep(const ThreadSweepConfig& config) {
   ThreadSweepResult result;
   for (std::uint64_t i = 0; i < config.seeds.count; ++i) {
     const std::uint64_t seed = config.seeds.first + i;
-    GenConfig gen = config.base;
-    gen.seed = seed;
-    gen.plant_bug = !config.bug_kinds.empty() &&
-                    plant_for_seed(seed, config.planted_fraction);
-    if (gen.plant_bug) gen.bug_kind = kind_for_seed(seed, config.bug_kinds);
+    const GenConfig gen =
+        config_for_seed(config.base, seed, config.planted_fraction, config.bug_kinds);
     const Program program = generate_program(gen);
 
     ++result.programs;

@@ -117,8 +117,8 @@ BackendDiffResult check_program_backends(const Program& program,
                                          const BackendDiffOptions& options);
 
 /// The `dsmr_fuzz --backend threaded|both` sweep: generates programs with
-/// the same seed→(clean | planted kind) mapping as the uniform sim sweep
-/// (plant_for_seed / kind_for_seed), runs each through
+/// the same seed→(clean | planted kind) draw as the uniform sim sweep
+/// (config_for_seed), runs each through
 /// check_program_backends, and aggregates.
 struct ThreadSweepConfig {
   GenConfig base;

@@ -421,7 +421,11 @@ std::vector<std::byte> ThreadProcess::wait_signal(std::uint64_t tag) {
   return std::move(message->payload);
 }
 
-void ThreadProcess::sleep(std::uint64_t ns) {
+void ThreadProcess::sleep(std::uint64_t ns) { tick_and_pause(ns, kMaxSleep); }
+
+void ThreadProcess::compute(std::uint64_t ns) { tick_and_pause(ns, kMaxCompute); }
+
+void ThreadProcess::tick_and_pause(std::uint64_t ns, std::chrono::microseconds cap) {
   record::Recorder* const rec = world_.config_.recorder;
   world_.replay_enter(rank_, record::EventKind::kTick, 0);
   clock_.tick(rank_);
@@ -429,23 +433,7 @@ void ThreadProcess::sleep(std::uint64_t ns) {
   // The pause only shakes the live scheduler; under the gate the
   // interleaving is already forced, so replay skips it.
   if (world_.config_.replay == nullptr) {
-    const auto pause = capped(ns, kMaxSleep);
-    if (pause.count() > 0) {
-      std::this_thread::sleep_for(pause);
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  world_.replay_advance();
-}
-
-void ThreadProcess::compute(std::uint64_t ns) {
-  record::Recorder* const rec = world_.config_.recorder;
-  world_.replay_enter(rank_, record::EventKind::kTick, 0);
-  clock_.tick(rank_);
-  if (rec != nullptr) rec->record_thread(rank_, record::EventKind::kTick);
-  if (world_.config_.replay == nullptr) {
-    const auto pause = capped(ns, kMaxCompute);
+    const auto pause = capped(ns, cap);
     if (pause.count() > 0) {
       std::this_thread::sleep_for(pause);
     } else {

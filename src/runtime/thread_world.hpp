@@ -257,6 +257,9 @@ class ThreadProcess {
   /// Flat area-table index for the recorder / replay gate. Valid only while
   /// a recorder or replay log is attached.
   std::uint64_t recorded_area(Rank home, mem::AreaId area_id) const;
+  /// sleep/compute: one kTick event, then a real pause of the virtual `ns`
+  /// capped at `cap` (skipped under the replay gate).
+  void tick_and_pause(std::uint64_t ns, std::chrono::microseconds cap);
 
   Rank rank_;
   ThreadWorld& world_;

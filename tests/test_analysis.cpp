@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ground_truth.hpp"
-#include "analysis/seed_sweep.hpp"
 #include "runtime/process.hpp"
 #include "runtime/world.hpp"
 #include "workload/workloads.hpp"
@@ -195,91 +194,6 @@ TEST(Truncation, NarrowClocksMissRacesOnRealWorkloads) {
     total_missed_at_1 += sweep.front().missed;
   }
   EXPECT_GT(total_missed_at_1, 0u);
-}
-
-
-TEST(SeedSweep, RacyWorkloadManifestsAcrossSchedules) {
-  runtime::WorldConfig base;
-  base.nprocs = 4;
-  const auto summary = seed_sweep(base, 1, 8, [](World& world) {
-    workload::HistogramConfig wl;
-    wl.bins = 3;
-    wl.increments_per_rank = 10;
-    workload::spawn_histogram(world, wl);
-  });
-  EXPECT_EQ(summary.outcomes.size(), 8u);
-  EXPECT_EQ(summary.incomplete_runs, 0u);
-  EXPECT_GT(summary.seeds_with_reports, 0u);
-  EXPECT_DOUBLE_EQ(summary.min_precision, 1.0);
-  ASSERT_TRUE(summary.first_racy_seed.has_value());
-  EXPECT_GE(*summary.first_racy_seed, 1u);
-  EXPECT_FALSE(summary.render().empty());
-}
-
-TEST(SeedSweep, CleanWorkloadNeverManifests) {
-  runtime::WorldConfig base;
-  base.nprocs = 3;
-  const auto summary = seed_sweep(base, 1, 6, [](World& world) {
-    workload::StencilConfig wl;
-    wl.cells_per_rank = 4;
-    wl.iters = 2;
-    workload::spawn_stencil(world, wl);
-  });
-  EXPECT_EQ(summary.seeds_with_reports, 0u);
-  EXPECT_EQ(summary.seeds_with_truth, 0u);
-  EXPECT_DOUBLE_EQ(summary.manifestation_rate(), 0.0);
-  EXPECT_FALSE(summary.first_racy_seed.has_value());
-}
-
-TEST(SeedSweep, FirstRacySeedReplaysDeterministically) {
-  runtime::WorldConfig base;
-  base.nprocs = 4;
-  const auto workload_fn = [](World& world) {
-    workload::RandomConfig wl;
-    wl.areas = 2;
-    wl.ops_per_proc = 15;
-    wl.write_fraction = 0.8;
-    workload::spawn_random(world, wl);
-  };
-  const auto summary = seed_sweep(base, 10, 5, workload_fn);
-  ASSERT_TRUE(summary.first_racy_seed.has_value());
-  // Replaying the exposed seed reproduces the exact report count.
-  const auto replay = [&](std::uint64_t seed) {
-    runtime::WorldConfig config = base;
-    config.seed = seed;
-    World world(config);
-    workload_fn(world);
-    world.run();
-    return world.races().count();
-  };
-  const auto expected =
-      summary.outcomes[*summary.first_racy_seed - 10].races_reported;
-  EXPECT_EQ(replay(*summary.first_racy_seed), expected);
-  EXPECT_EQ(replay(*summary.first_racy_seed), replay(*summary.first_racy_seed));
-}
-
-TEST(SeedSweep, DetectsDeadlocksAcrossSeeds) {
-  runtime::WorldConfig base;
-  base.nprocs = 2;
-  const auto summary = seed_sweep(base, 1, 3, [](World& world) {
-    const auto a = world.alloc(0, 8, "a");
-    const auto b = world.alloc(1, 8, "b");
-    world.spawn(0, [a, b](Process& p) -> sim::Task {
-      co_await p.lock(a);
-      co_await p.compute(10'000);
-      co_await p.lock(b);
-      co_await p.unlock(b);
-      co_await p.unlock(a);
-    });
-    world.spawn(1, [a, b](Process& p) -> sim::Task {
-      co_await p.lock(b);
-      co_await p.compute(10'000);
-      co_await p.lock(a);
-      co_await p.unlock(a);
-      co_await p.unlock(b);
-    });
-  });
-  EXPECT_EQ(summary.incomplete_runs, 3u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for schedule exploration at scale: the thread pool, the parallel
-// seed sweep (bit-identical to serial), the delay-bound perturbation layer,
-// and the differential conformance harness.
+// conformance grid (bit-identical to serial, replayable coordinates), the
+// delay-bound perturbation layer, and the differential conformance harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "analysis/conformance.hpp"
-#include "analysis/seed_sweep.hpp"
 #include "record/log.hpp"
 #include "record/replay.hpp"
 #include "runtime/process.hpp"
@@ -74,7 +74,7 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel seed sweep — bit-identical to serial
+// The grid — parallel bit-identical to serial, coordinates replayable
 // ---------------------------------------------------------------------------
 
 WorkloadFn contended_histogram() {
@@ -86,70 +86,149 @@ WorkloadFn contended_histogram() {
   };
 }
 
-void expect_outcomes_identical(const std::vector<SeedOutcome>& a,
-                               const std::vector<SeedOutcome>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].seed, b[i].seed) << "slot " << i;
-    EXPECT_EQ(a[i].perturb, b[i].perturb) << "slot " << i;
-    EXPECT_EQ(a[i].completed, b[i].completed) << "slot " << i;
-    EXPECT_EQ(a[i].races_reported, b[i].races_reported) << "slot " << i;
-    EXPECT_EQ(a[i].truth_pairs, b[i].truth_pairs) << "slot " << i;
+/// A racy workload declared `sometimes`: its reports are tracked, not failed.
+Scenario sometimes_scenario(WorkloadFn spawn) {
+  Scenario scenario;
+  scenario.name = "sometimes";
+  scenario.expect = RaceExpectation::kSometimes;
+  scenario.min_ranks = 1;
+  scenario.spawn = std::move(spawn);
+  return scenario;
+}
+
+/// One unrecorded World at a grid coordinate: what a user replaying a
+/// reported (seed, perturbation) runs.
+runtime::RunReport run_at(const WorldConfig& base, std::uint64_t seed,
+                          const sim::PerturbConfig& perturb, const WorkloadFn& workload) {
+  WorldConfig config = base;
+  config.seed = seed;
+  config.perturb = perturb;
+  World world(config);
+  workload(world);
+  return world.run();
+}
+
+void expect_runs_identical(const ConformanceReport& a, const ConformanceReport& b) {
+  ASSERT_EQ(a.runs.size(), b.runs.size());
+  for (std::size_t i = 0; i < a.runs.size(); ++i) {
+    const RunVerdicts& x = a.runs[i];
+    const RunVerdicts& y = b.runs[i];
+    EXPECT_EQ(x.seed, y.seed) << "slot " << i;
+    EXPECT_EQ(x.perturb, y.perturb) << "slot " << i;
+    EXPECT_EQ(x.fault, y.fault) << "slot " << i;
+    EXPECT_EQ(x.completed, y.completed) << "slot " << i;
+    EXPECT_EQ(x.hit_event_cap, y.hit_event_cap) << "slot " << i;
+    EXPECT_EQ(x.diagnostic, y.diagnostic) << "slot " << i;
+    EXPECT_EQ(x.signature, y.signature) << "slot " << i;
+    EXPECT_EQ(x.live_reports, y.live_reports) << "slot " << i;
+    EXPECT_EQ(x.truth_pairs, y.truth_pairs) << "slot " << i;
+    EXPECT_EQ(x.truth_areas, y.truth_areas) << "slot " << i;
+    EXPECT_EQ(x.fast_flagged, y.fast_flagged) << "slot " << i;
+    EXPECT_EQ(x.oracle_flagged, y.oracle_flagged) << "slot " << i;
+    EXPECT_EQ(x.dual_flagged, y.dual_flagged) << "slot " << i;
+    EXPECT_EQ(x.single_flagged, y.single_flagged) << "slot " << i;
+    EXPECT_EQ(x.lockset_warnings, y.lockset_warnings) << "slot " << i;
+    EXPECT_EQ(x.lockset_covers_truth, y.lockset_covers_truth) << "slot " << i;
     // Doubles compared exactly: both sides must be the same computation.
-    EXPECT_EQ(a[i].precision, b[i].precision) << "slot " << i;
-    EXPECT_EQ(a[i].area_recall, b[i].area_recall) << "slot " << i;
-    EXPECT_EQ(a[i].end_time, b[i].end_time) << "slot " << i;
-    EXPECT_EQ(a[i].engine_events, b[i].engine_events) << "slot " << i;
+    EXPECT_EQ(x.area_recall, y.area_recall) << "slot " << i;
+    EXPECT_EQ(x.failed_checks, y.failed_checks) << "slot " << i;
   }
-}
-
-TEST(ParallelSweep, BitIdenticalToSerialOnFourThreads) {
-  WorldConfig base;
-  base.nprocs = 4;
-  const auto workload = contended_histogram();
-
-  SweepOptions serial;
-  serial.threads = 1;
-  SweepOptions parallel;
-  parallel.threads = 4;
-
-  const auto a = seed_sweep(base, 1, 12, workload, serial);
-  const auto b = seed_sweep(base, 1, 12, workload, parallel);
-  expect_outcomes_identical(a.outcomes, b.outcomes);
-  EXPECT_EQ(a.seeds_with_reports, b.seeds_with_reports);
-  EXPECT_EQ(a.seeds_with_truth, b.seeds_with_truth);
+  EXPECT_EQ(a.runs_with_reports, b.runs_with_reports);
+  EXPECT_EQ(a.runs_with_truth, b.runs_with_truth);
   EXPECT_EQ(a.incomplete_runs, b.incomplete_runs);
-  EXPECT_EQ(a.first_racy_seed, b.first_racy_seed);
-  EXPECT_EQ(a.min_precision, b.min_precision);
-  EXPECT_EQ(a.races_per_schedule.count(), b.races_per_schedule.count());
-  EXPECT_EQ(a.races_per_schedule.mean(), b.races_per_schedule.mean());
+  EXPECT_EQ(a.lockset_divergences, b.lockset_divergences);
+  EXPECT_EQ(a.record_replay_checked, b.record_replay_checked);
+  EXPECT_EQ(a.min_area_recall, b.min_area_recall);
+  EXPECT_EQ(a.disagreements.size(), b.disagreements.size());
 }
 
-TEST(ParallelSweep, BitIdenticalWithPerturbationVariants) {
-  WorldConfig base;
-  base.nprocs = 3;
-  const auto workload = contended_histogram();
+TEST(ParallelGrid, BitIdenticalToSerialOnFourThreads) {
+  const Scenario scenario = sometimes_scenario(contended_histogram());
+  ConformanceOptions options;  // default variants: the base schedule only.
+  options.base.nprocs = 4;
+  options.seeds = 12;
+  options.threads = 1;
+  const auto serial = run_conformance(scenario, options);
+  options.threads = 4;
+  const auto parallel = run_conformance(scenario, options);
+  ASSERT_EQ(serial.runs.size(), 12u);
+  for (const auto& run : serial.runs) EXPECT_FALSE(run.perturb.enabled());
+  EXPECT_TRUE(serial.passed()) << serial.render();
+  EXPECT_GT(serial.runs_with_reports, 0u);
+  expect_runs_identical(serial, parallel);
+}
 
-  SweepOptions options;
-  options.perturbations = {sim::PerturbConfig{},
-                           sim::PerturbConfig{0, 3'000, 1},
+TEST(ParallelGrid, BitIdenticalWithPerturbationVariants) {
+  const Scenario scenario = sometimes_scenario(contended_histogram());
+  ConformanceOptions options;
+  options.base.nprocs = 3;
+  options.first_seed = 5;
+  options.seeds = 6;
+  options.perturbations = {sim::PerturbConfig{}, sim::PerturbConfig{0, 3'000, 1},
                            sim::PerturbConfig{500, 5'000, 2}};
   options.threads = 1;
-  const auto serial = seed_sweep(base, 5, 6, workload, options);
+  const auto serial = run_conformance(scenario, options);
   options.threads = 4;
-  const auto parallel = seed_sweep(base, 5, 6, workload, options);
-  EXPECT_EQ(serial.outcomes.size(), 18u);  // 6 seeds × 3 variants.
-  expect_outcomes_identical(serial.outcomes, parallel.outcomes);
+  const auto parallel = run_conformance(scenario, options);
+  EXPECT_EQ(serial.runs.size(), 18u);  // 6 seeds × 3 variants.
+  expect_runs_identical(serial, parallel);
 }
 
-TEST(ParallelSweep, LegacyEntryPointUnchanged) {
-  WorldConfig base;
-  base.nprocs = 4;
-  const auto summary = seed_sweep(base, 1, 4, contended_histogram());
-  EXPECT_EQ(summary.outcomes.size(), 4u);
-  for (const auto& outcome : summary.outcomes) {
-    EXPECT_FALSE(outcome.perturb.enabled());
-  }
+TEST(Grid, FirstRacyCoordinateReplaysToTheSameLiveReportCount) {
+  const Scenario scenario = sometimes_scenario([](World& world) {
+    workload::RandomConfig wl;
+    wl.areas = 2;
+    wl.ops_per_proc = 15;
+    wl.write_fraction = 0.8;
+    workload::spawn_random(world, wl);
+  });
+  ConformanceOptions options;
+  options.base.nprocs = 4;
+  options.first_seed = 10;
+  options.seeds = 5;
+  const auto report = run_conformance(scenario, options);
+  EXPECT_TRUE(report.passed()) << report.render();
+  const auto first_racy = std::find_if(report.runs.begin(), report.runs.end(),
+                                       [](const RunVerdicts& run) { return run.live_reports > 0; });
+  ASSERT_NE(first_racy, report.runs.end());
+  // Replaying the coordinate, unrecorded, reproduces the exact report count.
+  const auto replay = [&] {
+    return run_at(options.base, first_racy->seed, first_racy->perturb, scenario.spawn)
+        .race_count;
+  };
+  EXPECT_EQ(replay(), first_racy->live_reports);
+  EXPECT_EQ(replay(), replay());
+}
+
+TEST(Grid, DeadlockingScheduleIsCountedNotFailedWhenAllowed) {
+  Scenario scenario;
+  scenario.name = "lock_order_inversion";
+  scenario.expect = RaceExpectation::kSometimes;
+  scenario.may_deadlock = true;
+  scenario.spawn = [](World& world) {
+    const auto a = world.alloc(0, 8, "a");
+    const auto b = world.alloc(1, 8, "b");
+    world.spawn(0, [a, b](runtime::Process& p) -> sim::Task {
+      co_await p.lock(a);
+      co_await p.compute(10'000);
+      co_await p.lock(b);
+      co_await p.unlock(b);
+      co_await p.unlock(a);
+    });
+    world.spawn(1, [a, b](runtime::Process& p) -> sim::Task {
+      co_await p.lock(b);
+      co_await p.compute(10'000);
+      co_await p.lock(a);
+      co_await p.unlock(a);
+      co_await p.unlock(b);
+    });
+  };
+  ConformanceOptions options;
+  options.base.nprocs = 2;
+  options.seeds = 3;
+  const auto report = run_conformance(scenario, options);
+  EXPECT_EQ(report.incomplete_runs, 3u);
+  EXPECT_TRUE(report.passed()) << report.render();
 }
 
 // ---------------------------------------------------------------------------
@@ -159,40 +238,37 @@ TEST(ParallelSweep, LegacyEntryPointUnchanged) {
 TEST(Perturbation, DisabledConfigIsBitIdenticalToBaseline) {
   WorldConfig base;
   base.nprocs = 4;
-  const auto baseline = run_schedule(base, 7, sim::PerturbConfig{}, contended_histogram());
+  const auto baseline = run_at(base, 7, sim::PerturbConfig{}, contended_histogram());
   // An explicitly-disabled perturbation (max == 0) must not shift anything:
   // the RNG is never consulted.
-  const auto disabled =
-      run_schedule(base, 7, sim::PerturbConfig{0, 0, 99}, contended_histogram());
+  const auto disabled = run_at(base, 7, sim::PerturbConfig{0, 0, 99}, contended_histogram());
   EXPECT_EQ(baseline.end_time, disabled.end_time);
   EXPECT_EQ(baseline.engine_events, disabled.engine_events);
-  EXPECT_EQ(baseline.races_reported, disabled.races_reported);
-  EXPECT_EQ(baseline.truth_pairs, disabled.truth_pairs);
+  EXPECT_EQ(baseline.race_count, disabled.race_count);
 }
 
 TEST(Perturbation, SameCoordinateReplaysDeterministically) {
   WorldConfig base;
   base.nprocs = 4;
   const sim::PerturbConfig perturb{100, 6'000, 3};
-  const auto first = run_schedule(base, 11, perturb, contended_histogram());
-  const auto second = run_schedule(base, 11, perturb, contended_histogram());
+  const auto first = run_at(base, 11, perturb, contended_histogram());
+  const auto second = run_at(base, 11, perturb, contended_histogram());
   EXPECT_EQ(first.end_time, second.end_time);
   EXPECT_EQ(first.engine_events, second.engine_events);
-  EXPECT_EQ(first.races_reported, second.races_reported);
-  EXPECT_EQ(first.truth_pairs, second.truth_pairs);
+  EXPECT_EQ(first.race_count, second.race_count);
 }
 
 TEST(Perturbation, SaltsExploreDistinctSchedules) {
   WorldConfig base;
   base.nprocs = 4;
-  const auto baseline = run_schedule(base, 3, sim::PerturbConfig{}, contended_histogram());
+  const auto baseline = run_at(base, 3, sim::PerturbConfig{}, contended_histogram());
   // Across several salts, at least one perturbed run must land on a
   // different schedule (virtual end time is a cheap fingerprint — skew
   // shifts delivery times even when the interleaving survives).
   bool any_differs = false;
   for (std::uint64_t salt = 1; salt <= 4 && !any_differs; ++salt) {
     const auto perturbed =
-        run_schedule(base, 3, sim::PerturbConfig{0, 5'000, salt}, contended_histogram());
+        run_at(base, 3, sim::PerturbConfig{0, 5'000, salt}, contended_histogram());
     any_differs = perturbed.end_time != baseline.end_time;
   }
   EXPECT_TRUE(any_differs);
@@ -217,15 +293,14 @@ TEST(Perturbation, WidensTheExploredScheduleSpace) {
   std::set<std::pair<sim::Time, std::uint64_t>> fingerprints;
   const auto workload = contended_histogram();
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto outcome = run_schedule(base, seed, {}, workload);
-    fingerprints.insert({outcome.end_time, outcome.engine_events});
+    const auto report = run_at(base, seed, {}, workload);
+    fingerprints.insert({report.end_time, report.engine_events});
   }
   const auto base_count = fingerprints.size();
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     for (std::uint64_t salt = 1; salt <= 2; ++salt) {
-      const auto outcome =
-          run_schedule(base, seed, sim::PerturbConfig{0, 8'000, salt}, workload);
-      fingerprints.insert({outcome.end_time, outcome.engine_events});
+      const auto report = run_at(base, seed, sim::PerturbConfig{0, 8'000, salt}, workload);
+      fingerprints.insert({report.end_time, report.engine_events});
     }
   }
   EXPECT_GT(fingerprints.size(), base_count);
@@ -381,9 +456,9 @@ TEST(Conformance, DisagreementsCarryTheReproCoordinate) {
   ASSERT_FALSE(report.passed());
   const auto& divergence = report.disagreements.front();
   // Replaying the coordinate reproduces a racy schedule deterministically.
-  const auto replay = run_schedule(options.base, divergence.seed, divergence.perturb,
-                                   mislabeled.spawn);
-  EXPECT_GT(replay.races_reported, 0u);
+  const auto replay = run_at(options.base, divergence.seed, divergence.perturb,
+                             mislabeled.spawn);
+  EXPECT_GT(replay.race_count, 0u);
 }
 
 TEST(Conformance, ReportRendersAndWritesJson) {

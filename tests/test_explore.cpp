@@ -7,8 +7,8 @@
 // trace, no sleep-blocked run), witness logs that replay through the
 // offline fold AND back onto real OS threads via ReplayGate, deterministic
 // counters, pinned totals for the stateful search (each DFS edge executed
-// once), Executor::undo as the exact inverse of execute, the eligibility
-// size gate, and the fuzz-harness integration (FuzzCheckOptions::exhaustive).
+// once), Executor::undo as the exact inverse of execute, and the
+// eligibility size gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,13 +88,8 @@ fuzz::GenConfig slice_config(std::uint64_t seed, int nprocs = 3) {
 /// slice_config with dsmr_explore's default planting: half the seeds get a
 /// partial-barrier or ack-window bug.
 fuzz::GenConfig planted_slice_config(std::uint64_t seed) {
-  fuzz::GenConfig config = slice_config(seed);
-  if (fuzz::plant_for_seed(seed, 0.5)) {
-    config.plant_bug = true;
-    config.bug_kind = fuzz::kind_for_seed(
-        seed, {fuzz::BugKind::kPartialBarrier, fuzz::BugKind::kAckWindow});
-  }
-  return config;
+  return fuzz::config_for_seed(slice_config(seed), seed, 0.5,
+                               {fuzz::BugKind::kPartialBarrier, fuzz::BugKind::kAckWindow});
 }
 
 /// Full model state under one interleaving: scheduler state (cursors,
@@ -821,44 +816,6 @@ TEST(Eligibility, GateOnRanksAndNonTickOps) {
   ticks.push_back(make_access(fuzz::OpKind::kPut, 0));
   ticks.push_back(make_access(fuzz::OpKind::kPut, 0));
   EXPECT_TRUE(exhaustive_eligible(make_program(2, 1, {ticks, {}})).eligible);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: the fuzz-harness integration (FuzzCheckOptions::exhaustive).
-// ---------------------------------------------------------------------------
-
-TEST(HarnessIntegration, ExhaustiveInvariantRunsInsideCheckProgram) {
-  fuzz::GenConfig config = slice_config(4);
-  config.plant_bug = true;
-  config.bug_kind = fuzz::BugKind::kPartialBarrier;
-  const fuzz::Program program = fuzz::generate_program(config);
-
-  fuzz::FuzzCheckOptions options;
-  options.schedule_seeds = 1;
-  options.exhaustive = true;
-  const fuzz::ProgramVerdict verdict = fuzz::check_program(program, options);
-  EXPECT_TRUE(verdict.explored);
-  EXPECT_TRUE(verdict.explore_skipped.empty()) << verdict.explore_skipped;
-  EXPECT_GE(verdict.explored_interleavings, 1u);
-  EXPECT_GE(verdict.explored_planted_flagged, 1u);
-  for (const auto& failure : verdict.failures) {
-    ADD_FAILURE() << failure.check << ": " << failure.detail;
-  }
-}
-
-TEST(HarnessIntegration, OversizedProgramsAreSkippedNotFailed) {
-  fuzz::GenConfig config = slice_config(2, 3);
-  config.nprocs = 4;  // over the rank gate.
-  config.areas = 5;
-  const fuzz::Program program = fuzz::generate_program(config);
-  fuzz::FuzzCheckOptions options;
-  options.schedule_seeds = 1;
-  options.exhaustive = true;
-  const fuzz::ProgramVerdict verdict = fuzz::check_program(program, options);
-  EXPECT_FALSE(verdict.explored);
-  EXPECT_FALSE(verdict.explore_skipped.empty());
-  EXPECT_TRUE(verdict.passed())
-      << verdict.failures.front().check << ": " << verdict.failures.front().detail;
 }
 
 }  // namespace

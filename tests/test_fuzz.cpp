@@ -880,6 +880,18 @@ TEST(FuzzSweep, SeedHashingIsDeterministic) {
   EXPECT_FALSE(plant_for_seed(7, 0.0));
   const auto kinds = all_bug_kinds();
   EXPECT_EQ(kind_for_seed(11, kinds), kind_for_seed(11, kinds));
+  // config_for_seed, the one seed→program draw, is these two hashes.
+  const GenConfig base = small_config(0, false);
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    const GenConfig gen = config_for_seed(base, seed, 0.5, kinds);
+    EXPECT_EQ(gen.seed, seed);
+    EXPECT_EQ(gen.plant_bug, plant_for_seed(seed, 0.5)) << seed;
+    if (gen.plant_bug) {
+      EXPECT_EQ(gen.bug_kind, kind_for_seed(seed, kinds)) << seed;
+    }
+    // No kinds to draw from: every program is clean.
+    EXPECT_FALSE(config_for_seed(base, seed, 1.0, {}).plant_bug);
+  }
 }
 
 FuzzSweepConfig sweep_config(ScheduleMode mode, std::uint64_t programs) {
@@ -905,6 +917,13 @@ TEST(FuzzSweep, UniformSweepIsThreadCountInvariant) {
     EXPECT_EQ(serial.outcomes[i].arm, threaded.outcomes[i].arm);
     EXPECT_EQ(serial.outcomes[i].signature, threaded.outcomes[i].signature);
     EXPECT_EQ(serial.outcomes[i].manifested, threaded.outcomes[i].manifested);
+    // The sweep draws each program through the shared seed draw.
+    const GenConfig drawn = config_for_seed(config.base, serial.outcomes[i].program_seed,
+                                            config.planted_fraction, config.bug_kinds);
+    ASSERT_EQ(serial.outcomes[i].bug.has_value(), drawn.plant_bug) << i;
+    if (drawn.plant_bug) {
+      EXPECT_EQ(*serial.outcomes[i].bug, drawn.bug_kind) << i;
+    }
   }
   EXPECT_EQ(serial.distinct_signatures, threaded.distinct_signatures);
   EXPECT_EQ(serial.programs, 12u);

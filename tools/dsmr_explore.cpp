@@ -189,19 +189,13 @@ int run_exhaustive(const ExhaustiveParams& params, util::OutputFile& json) {
 
   for (std::uint64_t i = 0; i < params.seeds.count; ++i) {
     const std::uint64_t seed = params.seeds.first + i;
-    fuzz::GenConfig config = base;
-    config.seed = seed;
-    const bool plant = fuzz::plant_for_seed(seed, params.planted_fraction) &&
-                       !params.kinds.empty();
-    if (plant) {
-      config.plant_bug = true;
-      config.bug_kind = fuzz::kind_for_seed(seed, params.kinds);
-    }
+    const fuzz::GenConfig config =
+        fuzz::config_for_seed(base, seed, params.planted_fraction, params.kinds);
     const fuzz::Program program = fuzz::generate_program(config);
 
     ProgramOutcome outcome;
     outcome.seed = seed;
-    outcome.arm = plant ? fuzz::to_string(config.bug_kind) : "clean";
+    outcome.arm = config.plant_bug ? fuzz::to_string(config.bug_kind) : "clean";
     outcome.expect = program.expect;
 
     const auto eligibility =

@@ -11,7 +11,10 @@
 // one schedule, never produce clean-schedule noise, and report a measured
 // manifestation rate. Every generated program runs through the full
 // differential conformance grid (epoch fast path vs full-VC oracle vs live
-// reports vs offline ground truth).
+// reports vs offline ground truth). Those grids sample schedules; the
+// exhaustive proof over every interleaving of a small program is
+// `dsmr_explore --exhaustive`, which runs the same check_program next to
+// its explorer.
 //
 // Seed scheduling (`--schedule`): `uniform` sweeps the seed range with one
 // op-mix profile; `coverage` lets a novelty bandit pick (profile, bug-kind)
@@ -194,13 +197,6 @@ int main(int argc, char** argv) {
   const std::string repro_dir = cli.get_output_dir("repro-dir");
   const std::string record_dir = cli.get_output_dir("record-dir");
   const bool no_shrink = cli.get_flag("no-shrink");
-  // Arm the exhaustive-exploration invariant per program (explore/dpor.hpp):
-  // programs inside the size gate (<= 3 ranks, <= 8 non-tick ops/rank) get
-  // their full reduced interleaving space checked on top of the sampled
-  // grid. Note dsmr_fuzz's default --ranks 4 leaves everything over the
-  // gate — pass --ranks 3 (or 2) for the invariant to bite.
-  const bool exhaustive = cli.get_flag("exhaustive");
-  const auto explore_cap = cli.get_uint("explore-max-interleavings", 1u << 20);
   // --faults takes a ';'-list of plans (one plan, or the drop-live-reports
   // alias, is a one-element list).
   const auto fault_plans = cli.get_parsed("faults", "", net::parse_fault_plan_list);
@@ -327,8 +323,6 @@ int main(int argc, char** argv) {
   sweep.corpus_dir = corpus_dir;
   sweep.record_dir = record_dir;
   sweep.check.schedule_seeds = schedule_seeds;
-  sweep.check.exhaustive = exhaustive;
-  sweep.check.exhaustive_max_interleavings = explore_cap;
   // Parallelism lives on the *program* axis (the independent one); each
   // program's own grid runs serially on its worker.
   sweep.check.threads = 1;
@@ -506,13 +500,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(budget_ms),
                 static_cast<unsigned long long>(result.programs));
   }
-  if (exhaustive) {
-    std::printf("exhaustive: %llu program(s) explored (%llu interleavings), "
-                "%llu over the size gate\n",
-                static_cast<unsigned long long>(result.explored_programs),
-                static_cast<unsigned long long>(result.explored_interleavings),
-                static_cast<unsigned long long>(result.explore_skipped_programs));
-  }
 
   if (json.out.is_open()) {
     std::ofstream& out = json.out;
@@ -529,9 +516,6 @@ int main(int argc, char** argv) {
         << ",\"clean\":" << result.clean << ",\"schedules\":" << result.schedules
         << ",\"fault_runs\":" << result.fault_runs
         << ",\"watchdog_runs\":" << result.watchdog_runs
-        << ",\"explored_programs\":" << result.explored_programs
-        << ",\"explore_skipped\":" << result.explore_skipped_programs
-        << ",\"explored_interleavings\":" << result.explored_interleavings
         << ",\"signatures\":" << result.distinct_signatures
         << ",\"corpus_new\":" << result.corpus_new << ",\"elapsed_ms\":" << elapsed_ms()
         << ",\"budget_hit\":" << (result.budget_hit ? "true" : "false")
