@@ -71,7 +71,7 @@ void PublicSegment::flush_tail() {
       by_offset_.end(),
       [](const IndexEntry& a, const IndexEntry& b) { return a.offset < b.offset; });
   tail_.clear();
-  first_by_granule_.clear();
+  granules_.clear();
   index_granules(0);
 }
 
@@ -79,9 +79,9 @@ void PublicSegment::index_granules(std::size_t from) {
   // Areas are disjoint, so sorted starts mean sorted ends: each granule's
   // first area ending past it is the first entry reached whose end does.
   for (std::size_t i = from; i < by_offset_.size(); ++i) {
-    const std::uint64_t end = by_offset_[i].end;
-    while ((std::uint64_t{first_by_granule_.size()} << kGranuleShift) < end) {
-      first_by_granule_.push_back(static_cast<std::uint32_t>(i));
+    const IndexEntry& entry = by_offset_[i];
+    while ((std::uint64_t{granules_.size()} << kGranuleShift) < entry.end) {
+      granules_.push_back(Granule{entry, static_cast<std::uint32_t>(i)});
     }
   }
 }
@@ -100,25 +100,23 @@ const Area& PublicSegment::area(AreaId id) const {
   return areas_[id];
 }
 
-Area* PublicSegment::find_area(std::uint32_t offset, std::uint32_t len) {
-  const std::uint64_t last = std::uint64_t{offset} + len;
+AreaId PublicSegment::find_area_id_scan(std::uint32_t offset, std::uint64_t last) const {
   // Every prefix entry before the granule's first one ends at or below the
   // granule start, so the forward scan stops one past the last area that
   // starts at or below `offset` — the only prefix area that can hold it.
   const std::size_t granule = offset >> kGranuleShift;
-  std::size_t i = granule < first_by_granule_.size() ? first_by_granule_[granule]
-                                                     : by_offset_.size();
+  std::size_t i = granule < granules_.size() ? granules_[granule].pos : by_offset_.size();
   while (i < by_offset_.size() && by_offset_[i].offset <= offset) ++i;
-  if (i > 0 && last <= by_offset_[i - 1].end) return &areas_[by_offset_[i - 1].id];
+  if (i > 0 && last <= by_offset_[i - 1].end) return by_offset_[i - 1].id;
   for (const IndexEntry& entry : tail_) {
-    if (offset >= entry.offset && last <= entry.end) return &areas_[entry.id];
+    if (offset >= entry.offset && last <= entry.end) return entry.id;
   }
-  return nullptr;
+  return kNoArea;
 }
 
 std::size_t PublicSegment::index_bytes() const {
   return (by_offset_.capacity() + tail_.capacity()) * sizeof(IndexEntry) +
-         first_by_granule_.capacity() * sizeof(std::uint32_t);
+         granules_.capacity() * sizeof(Granule);
 }
 
 std::span<std::byte> PublicSegment::bytes(std::uint32_t offset, std::uint32_t len) {

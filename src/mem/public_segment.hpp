@@ -11,13 +11,17 @@
 // paths.
 //
 // Area lookup is the single hottest metadata operation (every one-sided
-// access resolves its target area), so it is O(1): a sorted index of
-// {offset, end, id} entries plus a granule table holding, for every 64-byte
-// granule of the registered extent [0, highest end), the first index
-// position whose area ends past that granule's start. A lookup reads one
-// table slot and scans forward over the few areas that end inside the
-// granule — no Area is touched until the hit. The table costs one uint32
-// per 64 registered bytes, however large the segment.
+// access resolves its target area), so it is O(1) and returns the dense
+// AreaId straight from the index: a sorted index of {offset, end, id}
+// entries plus a granule table holding, for every 64-byte granule of the
+// registered extent [0, highest end), a copy of the first index entry whose
+// area ends past that granule's start, and that entry's index position. A
+// lookup whose target is its granule's first area (every lookup into areas
+// of 64 bytes or more that start on a granule boundary) is one table load;
+// any other lookup scans forward from that position over the few areas that
+// end inside the granule. No Area is touched: find_area_id never reads one,
+// and find_area reads only the one it returns. The table costs one 16-byte
+// entry per 64 registered bytes, however large the segment.
 //
 // Insertion is amortized: bump-allocated areas (the production path —
 // monotonically increasing offsets) append to the index and extend the
@@ -45,6 +49,9 @@
 namespace dsmr::mem {
 
 using AreaId = std::uint32_t;
+
+/// find_area_id's answer when no single registered area holds the range.
+inline constexpr AreaId kNoArea = ~AreaId{0};
 
 /// A registered shared area: addressing and identity only. Detection
 /// metadata for the area lives in detect::ShardedDetector under this id.
@@ -80,12 +87,26 @@ class PublicSegment {
   const Area& area(AreaId id) const;
   std::size_t area_count() const { return areas_.size(); }
 
-  /// The area containing [offset, offset+len), or nullptr if the range is
-  /// unregistered or straddles an area boundary. Pointers stay valid for
-  /// the segment's lifetime (areas are never deregistered), so callers may
-  /// cache the result for ranges inside the same area. Read-only and safe
-  /// to call concurrently once registrations have quiesced.
-  Area* find_area(std::uint32_t offset, std::uint32_t len);
+  /// The id of the area containing [offset, offset+len), or kNoArea if the
+  /// range is unregistered or straddles an area boundary. A zero-length
+  /// range resolves like the byte at `offset`. Read-only and safe to call
+  /// concurrently once registrations have quiesced.
+  AreaId find_area_id(std::uint32_t offset, std::uint32_t len) const {
+    const std::uint64_t last = std::uint64_t{offset} + (len == 0 ? 1 : len);
+    const std::size_t granule = offset >> kGranuleShift;
+    if (granule < granules_.size()) {
+      const IndexEntry& first = granules_[granule].first;
+      if (first.offset <= offset && last <= first.end) return first.id;
+    }
+    return find_area_id_scan(offset, last);
+  }
+
+  /// &area(find_area_id(offset, len)), or nullptr on kNoArea. Pointers stay
+  /// valid for the segment's lifetime (areas are never deregistered).
+  Area* find_area(std::uint32_t offset, std::uint32_t len) {
+    const AreaId id = find_area_id(offset, len);
+    return id == kNoArea ? nullptr : &areas_[id];
+  }
 
   /// Bytes held by the lookup index (sorted entries, tail and granule
   /// table): grows with the registered extent, not with size().
@@ -112,6 +133,17 @@ class PublicSegment {
   static constexpr std::size_t kMaxTail = 64;
   static constexpr std::uint32_t kGranuleShift = 6;  ///< 64-byte granules.
 
+  /// One 64-byte granule: the first sorted entry whose area ends past the
+  /// granule's start, by value (the lookup's one load) and by position
+  /// (where the scan past it starts).
+  struct Granule {
+    IndexEntry first;
+    std::uint32_t pos;
+  };
+
+  /// find_area_id past its granule's first area: the forward scan over the
+  /// sorted prefix, then the tail. `last` is the range's end (> offset).
+  AreaId find_area_id_scan(std::uint32_t offset, std::uint64_t last) const;
   void flush_tail();
   /// Extends the granule table over sorted entries [from, end).
   void index_granules(std::size_t from);
@@ -122,9 +154,9 @@ class PublicSegment {
   std::vector<std::byte> bytes_;  ///< reserved to capacity_; sized to the extent.
   std::deque<Area> areas_;              ///< deque: stable Area* across growth.
   std::vector<IndexEntry> by_offset_;   ///< sorted prefix.
-  /// granule g → first by_offset_ position whose area ends past g * 64;
+  /// granule g → the first by_offset_ entry whose area ends past g * 64;
   /// covers the granules below the prefix's highest end.
-  std::vector<std::uint32_t> first_by_granule_;
+  std::vector<Granule> granules_;
   std::vector<IndexEntry> tail_;        ///< unsorted tail; linearly scanned.
   std::uint32_t bump_ = 0;
 };

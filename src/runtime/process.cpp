@@ -1,5 +1,6 @@
 #include "runtime/process.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "record/recorder.hpp"
@@ -104,7 +105,8 @@ sim::Future<void> Process::lock(mem::GlobalAddress addr) {
   const mem::Area* area = nic().resolve(addr.rank, addr.offset, 1);
   DSMR_REQUIRE(area != nullptr, "lock on unregistered memory at " << addr.to_string());
   const std::uint64_t identity = lock_identity(addr.rank, area->id);
-  DSMR_REQUIRE(held_locks_.count(identity) == 0,
+  DSMR_REQUIRE(std::find(held_locks_.begin(), held_locks_.end(), identity) ==
+                   held_locks_.end(),
                "re-entrant user lock on " << addr.to_string());
   const nic::UserLockResult result = co_await nic().user_lock(addr);
   // Acquisition is an event; merging the previous releaser's clock creates
@@ -114,14 +116,15 @@ sim::Future<void> Process::lock(mem::GlobalAddress addr) {
   }
   world_.node_clock(rank_).tick(rank_);
   if (!result.handoff.empty()) world_.node_clock(rank_).merge_from(result.handoff);
-  held_locks_.insert(identity);
+  held_locks_.push_back(identity);
 }
 
 sim::Future<void> Process::unlock(mem::GlobalAddress addr) {
   const mem::Area* area = nic().resolve(addr.rank, addr.offset, 1);
   DSMR_REQUIRE(area != nullptr, "unlock on unregistered memory at " << addr.to_string());
   const std::uint64_t identity = lock_identity(addr.rank, area->id);
-  DSMR_REQUIRE(held_locks_.count(identity) == 1,
+  const auto held = std::find(held_locks_.begin(), held_locks_.end(), identity);
+  DSMR_REQUIRE(held != held_locks_.end(),
                "unlock of a lock this process does not hold: " << addr.to_string());
   if (auto* rec = world_.recorder()) {
     rec->record(record::EventKind::kUnlockIssue, rank_,
@@ -129,7 +132,8 @@ sim::Future<void> Process::unlock(mem::GlobalAddress addr) {
   }
   world_.node_clock(rank_).tick(rank_);  // release is an event.
   nic().user_unlock(addr, clock());
-  held_locks_.erase(identity);
+  *held = held_locks_.back();
+  held_locks_.pop_back();
   // The unlock message is fire-and-forget; co_return keeps the signature
   // uniform with lock() for callers.
   co_return;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstring>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -117,8 +116,10 @@ class Process {
 
   World& world_;
   Rank rank_;
-  /// User locks held, for the re-entrant-lock and unlock-ownership checks.
-  std::set<std::uint64_t> held_locks_;
+  /// Identities of the user locks held, for the re-entrant-lock and
+  /// unlock-ownership checks. A process holds a few at once, so a flat
+  /// vector scanned linearly; its buffer is reused across acquires.
+  std::vector<std::uint64_t> held_locks_;
 };
 
 }  // namespace dsmr::runtime

@@ -185,13 +185,13 @@ void ThreadWorld::replay_advance() {
 }
 
 void ThreadWorld::record_race(core::AccessKind kind, Rank accessor, Rank home,
-                              const mem::Area& area,
-                              const clocks::VectorClock& accessor_clock,
+                              mem::AreaId area, const clocks::VectorClock& accessor_clock,
                               const core::Verdict& verdict, std::uint64_t event_id) {
+  const Node& node = *nodes_[static_cast<std::size_t>(home)];
   core::RaceReport report;
   report.home = home;
-  report.area = area.id;
-  report.area_name = area.name;
+  report.area = area;
+  report.area_name = node.segment.area(area).name;
   report.accessor = accessor;
   report.kind = kind;
   report.event_id = event_id;
@@ -199,9 +199,8 @@ void ThreadWorld::record_race(core::AccessKind kind, Rank accessor, Rank home,
   report.against = verdict.against;
   // Caller holds the area's shard mutex and the store has not run yet, so
   // these reads describe the access the verdict was decided against.
-  const detect::ShardedDetector& det = nodes_[static_cast<std::size_t>(home)]->detector;
-  report.stored_clock = det.prior_clock(area.id, verdict.against);
-  report.prior_event_id = det.prior_event(area.id, verdict.against);
+  report.stored_clock = node.detector.prior_clock(area, verdict.against);
+  report.prior_event_id = node.detector.prior_event(area, verdict.against);
   std::lock_guard<std::mutex> guard(races_mutex_);
   races_.record(std::move(report));
 }
@@ -220,9 +219,9 @@ ThreadProcess::Resolved ThreadProcess::resolve(mem::GlobalAddress addr,
   DSMR_REQUIRE(addr.rank >= 0 && addr.rank < world_.nprocs(),
                "access to rank " << addr.rank << " out of range");
   ThreadWorld::Node* node = world_.nodes_[static_cast<std::size_t>(addr.rank)].get();
-  mem::Area* area = node->segment.find_area(addr.offset, len);
-  DSMR_REQUIRE(area != nullptr, "access to unregistered range " << addr.to_string()
-                                                                << "+" << len);
+  const mem::AreaId area = node->segment.find_area_id(addr.offset, len);
+  DSMR_REQUIRE(area != mem::kNoArea, "access to unregistered range " << addr.to_string()
+                                                                     << "+" << len);
   return Resolved{node, area};
 }
 
@@ -237,7 +236,7 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
   record::Recorder* const rec = world_.config_.recorder;
   auto [node, area] = resolve(dst, static_cast<std::uint32_t>(data.size()));
   const std::uint64_t flat = (rec != nullptr || world_.config_.replay != nullptr)
-                                 ? recorded_area(dst.rank, area->id)
+                                 ? recorded_area(dst.rank, area)
                                  : 0;
   world_.replay_enter(rank_, record::EventKind::kThreadPut, flat);
   clock_.tick(rank_);
@@ -246,19 +245,19 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
   clocks::VectorClock completion;  ///< pre-update V ∨ W, merged on ack.
   {
     detect::ShardedDetector& det = node->detector;
-    std::lock_guard<std::mutex> guard(det.shard_mutex(area->id));
+    std::lock_guard<std::mutex> guard(det.shard_mutex(area));
     ++checks_;
     // Linearization point: the stamp is taken under the shard mutex, from
     // the shard's stamp, so the merged log orders this op against every
     // other op on the area exactly as the run did.
     if (rec != nullptr) {
-      rec->record_thread(rank_, det.record_stamp(area->id), record::EventKind::kThreadPut,
+      rec->record_thread(rank_, det.record_stamp(area), record::EventKind::kThreadPut,
                          flat, data.size());
     }
     completion = detect::thread_access(
-        det, world_.config_.mode, core::AccessKind::kWrite, rank_, clock_, area->id,
+        det, world_.config_.mode, core::AccessKind::kWrite, rank_, clock_, area,
         acked, event_id, [&](const core::Verdict& verdict) {
-          world_.record_race(core::AccessKind::kWrite, rank_, dst.rank, *area, clock_,
+          world_.record_race(core::AccessKind::kWrite, rank_, dst.rank, area, clock_,
                              verdict, event_id);
         });
     node->segment.write_bytes(dst.offset, data);
@@ -278,7 +277,7 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
   record::Recorder* const rec = world_.config_.recorder;
   auto [node, area] = resolve(src, len);
   const std::uint64_t flat = (rec != nullptr || world_.config_.replay != nullptr)
-                                 ? recorded_area(src.rank, area->id)
+                                 ? recorded_area(src.rank, area)
                                  : 0;
   world_.replay_enter(rank_, record::EventKind::kThreadGet, flat);
   clock_.tick(rank_);
@@ -287,16 +286,16 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
   std::vector<std::byte> data;
   {
     detect::ShardedDetector& det = node->detector;
-    std::lock_guard<std::mutex> guard(det.shard_mutex(area->id));
+    std::lock_guard<std::mutex> guard(det.shard_mutex(area));
     ++checks_;
     if (rec != nullptr) {
-      rec->record_thread(rank_, det.record_stamp(area->id), record::EventKind::kThreadGet,
+      rec->record_thread(rank_, det.record_stamp(area), record::EventKind::kThreadGet,
                          flat, len);
     }
     reads_from = detect::thread_access(
-        det, world_.config_.mode, core::AccessKind::kRead, rank_, clock_, area->id,
+        det, world_.config_.mode, core::AccessKind::kRead, rank_, clock_, area,
         world_.config_.acked_puts, event_id, [&](const core::Verdict& verdict) {
-          world_.record_race(core::AccessKind::kRead, rank_, src.rank, *area, clock_,
+          world_.record_race(core::AccessKind::kRead, rank_, src.rank, area, clock_,
                              verdict, event_id);
         });
     data = node->segment.read_bytes(src.offset, len);
@@ -316,13 +315,13 @@ void ThreadProcess::lock(mem::GlobalAddress addr) {
   record::Recorder* const rec = world_.config_.recorder;
   auto [node, area] = resolve(addr, 1);
   const std::uint64_t flat = (rec != nullptr || world_.config_.replay != nullptr)
-                                 ? recorded_area(addr.rank, area->id)
+                                 ? recorded_area(addr.rank, area)
                                  : 0;
   // Gate BEFORE taking a ticket: the FIFO queue then hands out tickets in
   // the logged grant order, so the grant is immediate (the logged previous
   // holder's unlock has already executed and advanced the gate).
   world_.replay_enter(rank_, record::EventKind::kThreadLock, flat);
-  ThreadWorld::UserLock& user_lock = *node->user_locks[area->id];
+  ThreadWorld::UserLock& user_lock = *node->user_locks[area];
   std::unique_lock<std::mutex> guard(user_lock.mutex);
   const std::uint64_t ticket = user_lock.next_ticket++;
   const bool granted = user_lock.turn.wait_until(
@@ -355,15 +354,15 @@ void ThreadProcess::unlock(mem::GlobalAddress addr) {
   record::Recorder* const rec = world_.config_.recorder;
   auto [node, area] = resolve(addr, 1);
   const std::uint64_t flat = (rec != nullptr || world_.config_.replay != nullptr)
-                                 ? recorded_area(addr.rank, area->id)
+                                 ? recorded_area(addr.rank, area)
                                  : 0;
   world_.replay_enter(rank_, record::EventKind::kThreadUnlock, flat);
-  ThreadWorld::UserLock& user_lock = *node->user_locks[area->id];
+  ThreadWorld::UserLock& user_lock = *node->user_locks[area];
   clock_.tick(rank_);
   {
     std::lock_guard<std::mutex> guard(user_lock.mutex);
     DSMR_REQUIRE(user_lock.now_serving < user_lock.next_ticket,
-                 "unlock of an unheld lock on area " << area->name);
+                 "unlock of an unheld lock on area " << node->segment.area(area).name);
     if (world_.config_.lock_clock_handoff) detect::hand_off(user_lock.handoff, clock_);
     if (rec != nullptr) {
       rec->record_thread(rank_, user_lock.record_stamp, record::EventKind::kThreadUnlock,

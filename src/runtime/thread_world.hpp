@@ -191,9 +191,9 @@ class ThreadWorld {
   const record::Event* replay_enter(Rank rank, record::EventKind kind,
                                     std::uint64_t detail);
   void replay_advance();
-  void record_race(core::AccessKind kind, Rank accessor, Rank home,
-                   const mem::Area& area, const clocks::VectorClock& accessor_clock,
-                   const core::Verdict& verdict, std::uint64_t event_id);
+  void record_race(core::AccessKind kind, Rank accessor, Rank home, mem::AreaId area,
+                   const clocks::VectorClock& accessor_clock, const core::Verdict& verdict,
+                   std::uint64_t event_id);
 
   ThreadWorldConfig config_;
   net::ThreadFabric fabric_;
@@ -248,9 +248,12 @@ class ThreadProcess {
  private:
   friend class ThreadWorld;
 
+  /// An op's target: the home's node and the area's id, straight from the
+  /// segment index. put/get/lock/unlock never read the mem::Area itself;
+  /// only a race report or a lock diagnostic looks up its name.
   struct Resolved {
     ThreadWorld::Node* node;
-    mem::Area* area;
+    mem::AreaId area;
   };
   Resolved resolve(mem::GlobalAddress addr, std::uint32_t len);
   std::uint64_t next_event_id() { return (static_cast<std::uint64_t>(rank_) << 40) | ++ops_; }

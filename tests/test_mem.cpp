@@ -9,6 +9,7 @@
 #include "detect/sharded_detector.hpp"
 #include "mem/public_segment.hpp"
 #include "nic/nic.hpp"
+#include "runtime/thread_world.hpp"
 #include "runtime/world.hpp"
 #include "util/rng.hpp"
 
@@ -264,6 +265,11 @@ struct Layout {
     return std::all_of(owner.begin() + offset, owner.begin() + offset + size,
                        [](std::int64_t o) { return o < 0; });
   }
+  /// Registers [offset, offset+size) when every byte of it is free.
+  void add(std::uint32_t offset, std::uint32_t size) {
+    if (!free(offset, size)) return;
+    claim(seg.register_area(offset, size, area_name(seg.area_count())));
+  }
   void claim(AreaId id) {
     const Area& area = seg.area(id);
     if (area.offset < bump) ++below_bump;
@@ -288,30 +294,25 @@ struct Layout {
 /// the highest end: these land in the unsorted tail and force flushes).
 void grow(Layout& layout, util::Rng& rng, int registrations) {
   const auto size = static_cast<std::uint32_t>(layout.owner.size());
-  const auto add = [&](std::uint32_t offset, std::uint32_t bytes) {
-    if (!layout.free(offset, bytes)) return;
-    const std::string name = area_name(layout.seg.area_count());
-    layout.claim(layout.seg.register_area(offset, bytes, name));
-  };
   for (int i = 0; i < registrations; ++i) {
     switch (rng.below(5)) {
       case 0:  // bump allocation: the next area starts at the highest end
-        add(layout.bump, static_cast<std::uint32_t>(1 + rng.below(200)));
+        layout.add(layout.bump, static_cast<std::uint32_t>(1 + rng.below(200)));
         break;
       case 1:  // a gap, then an area
-        add(layout.bump + 1 + static_cast<std::uint32_t>(rng.below(300)),
-            static_cast<std::uint32_t>(1 + rng.below(100)));
+        layout.add(layout.bump + 1 + static_cast<std::uint32_t>(rng.below(300)),
+                   static_cast<std::uint32_t>(1 + rng.below(100)));
         break;
       case 2: {  // 1-byte areas, several to a granule
         const std::uint64_t n = 2 + rng.below(6);
         for (std::uint64_t k = 0; k < n; ++k) {
-          add(layout.bump + static_cast<std::uint32_t>(rng.below(3)), 1);
+          layout.add(layout.bump + static_cast<std::uint32_t>(rng.below(3)), 1);
         }
         break;
       }
       default:  // arbitrary offset
-        add(static_cast<std::uint32_t>(rng.below(size)),
-            static_cast<std::uint32_t>(1 + rng.below(rng.chance(0.5) ? 4 : 150)));
+        layout.add(static_cast<std::uint32_t>(rng.below(size)),
+                   static_cast<std::uint32_t>(1 + rng.below(rng.chance(0.5) ? 4 : 150)));
         break;
     }
   }
@@ -353,10 +354,69 @@ TEST(PublicSegment, FindAreaMatchesBruteForceOverMixedLayouts) {
   }
 }
 
+/// The id lookup's reference: a linear scan of every registered area for
+/// one that holds [offset, offset+len).
+AreaId scan_for_area(const PublicSegment& seg, std::uint32_t offset, std::uint32_t len) {
+  for (AreaId id = 0; id < seg.area_count(); ++id) {
+    const Area& area = seg.area(id);
+    if (area.offset <= offset && std::uint64_t{offset} + len <= area.end()) return id;
+  }
+  return kNoArea;
+}
+
+/// Checks find_area_id against the linear scan, and find_area against
+/// &area(id) or nullptr, for one range.
+void expect_id_lookup(Layout& layout, std::uint32_t offset, std::uint32_t len) {
+  const AreaId id = layout.seg.find_area_id(offset, len);
+  ASSERT_EQ(id, scan_for_area(layout.seg, offset, len))
+      << "find_area_id(" << offset << ", " << len << ") over " << layout.seg.area_count()
+      << " areas";
+  ASSERT_EQ(layout.seg.find_area(offset, len),
+            id == kNoArea ? nullptr : &layout.seg.area(id));
+}
+
+TEST(PublicSegment, FindAreaIdMatchesALinearScanOverRandomLayouts) {
+  // Layouts mix areas below and above the 64-byte granule, areas spanning
+  // several granules at unaligned offsets, gaps, packed 1-byte areas, and
+  // registrations below the highest end that sit in the unsorted tail or
+  // have been merged from it. Queries hit inside areas, straddle from an
+  // area into its neighbour or the gap after it, and miss in gaps.
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    util::Rng rng(seed);
+    const auto size = static_cast<std::uint32_t>(8192 + rng.below(8192));
+    Layout layout(size);
+    for (int round = 0; round < 6; ++round) {
+      grow(layout, rng, 30);
+      for (int k = 0; k < 4; ++k) {  // large areas anywhere: multi-granule, often tail
+        layout.add(static_cast<std::uint32_t>(rng.below(size)),
+                   static_cast<std::uint32_t>(64 + rng.below(400)));
+      }
+      for (int q = 0; q < 200; ++q) {
+        expect_id_lookup(layout, static_cast<std::uint32_t>(rng.below(size + 128)),
+                         static_cast<std::uint32_t>(1 + rng.below(rng.chance(0.5) ? 8 : 200)));
+        if (HasFatalFailure()) return;
+      }
+      for (AreaId id = 0; id < layout.seg.area_count(); ++id) {
+        const Area area = layout.seg.area(id);
+        const auto inner = static_cast<std::uint32_t>(rng.below(area.size));
+        // A sub-range, the whole area, and a range leaving it by 1..8 bytes.
+        expect_id_lookup(layout, area.offset + inner,
+                         1 + static_cast<std::uint32_t>(rng.below(area.size - inner)));
+        expect_id_lookup(layout, area.offset, area.size);
+        expect_id_lookup(layout, area.offset + inner,
+                         area.size - inner + 1 + static_cast<std::uint32_t>(rng.below(8)));
+        if (HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(layout.below_bump, 0) << "seed " << seed;
+  }
+}
+
 TEST(PublicSegment, ConcurrentLookupsAreExact) {
-  // Once registrations stop, find_area is read-only: four threads resolving
-  // at once (the ThreadWorld shape) must each see the single-threaded
-  // answers. Some areas stay in the unsorted tail, so that path runs too.
+  // Once registrations stop, find_area and find_area_id are read-only: four
+  // threads resolving at once (the ThreadWorld shape) must each see the
+  // single-threaded answers. Some areas stay in the unsorted tail, so that
+  // path runs too.
   util::Rng rng(77);
   Layout layout(16384);
   grow(layout, rng, 300);
@@ -375,7 +435,10 @@ TEST(PublicSegment, ConcurrentLookupsAreExact) {
       for (int pass = 0; pass < 20; ++pass) {
         for (std::size_t q = 0; q < queries.size(); ++q) {
           const std::size_t i = (q + static_cast<std::size_t>(t) * 500) % queries.size();
-          if (layout.seg.find_area(queries[i].first, queries[i].second) != answers[i]) {
+          const auto [offset, len] = queries[i];
+          const AreaId id = layout.seg.find_area_id(offset, len);
+          const Area* area = layout.seg.find_area(offset, len);
+          if (area != answers[i] || (area == nullptr ? id != kNoArea : id != area->id)) {
             ++wrong[static_cast<std::size_t>(t)];
           }
         }
@@ -388,12 +451,29 @@ TEST(PublicSegment, ConcurrentLookupsAreExact) {
 
 TEST(PublicSegment, IndexGrowsWithRegisteredBytesNotSegmentSize) {
   // 64 KB registered in a 16 MB segment: the granule table covers the
-  // registered extent only (one uint32 per 64 bytes would be 1 MB here).
+  // registered extent only (16 bytes per 64 bytes of the whole segment
+  // would be 4 MB here).
   PublicSegment seg(0, 16u << 20, 2);
   for (int i = 0; i < 1000; ++i) seg.allocate_area(64, area_name(static_cast<std::uint64_t>(i)));
   EXPECT_LT(seg.index_bytes(), 64u * 1024u);
   EXPECT_EQ(seg.find_area(999 * 64, 64)->id, 999u);
   EXPECT_EQ(seg.find_area(1000 * 64, 1), nullptr);
+}
+
+TEST(ThreadWorldDeath, AccessToUnregisteredRangeFails) {
+  // The threaded ops resolve by id; a miss must still be a diagnostic, not
+  // an out-of-range lane index.
+  runtime::ThreadWorldConfig config;
+  config.nprocs = 2;
+  runtime::ThreadWorld world(config);
+  const GlobalAddress a = world.alloc(1, 64, "a");
+  world.alloc(1, 32, "b");
+  runtime::ThreadProcess& p = world.process(0);
+  const std::vector<std::byte> payload(8);
+  EXPECT_DEATH(p.put(a.plus(96), payload), "access to unregistered range P1\\+96\\+8");
+  EXPECT_DEATH(p.put(a.plus(60), payload), "access to unregistered range");  // a into b.
+  EXPECT_DEATH((void)p.get(a.plus(90), 8), "access to unregistered range");  // b past its end.
+  EXPECT_DEATH(p.lock(a.plus(4096)), "access to unregistered range");
 }
 
 TEST(GlobalAddress, PlusAndToString) {
