@@ -11,8 +11,6 @@
 //  * piggybacking both area clocks charges the second as a delta against the
 //    first — exact deterministic bytes per message, equal clocks collapsing
 //    to two bytes.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -105,6 +103,13 @@ double scalar_ns_per_check(const ShardedDetector& det, const VectorClock& issue,
          (static_cast<double>(passes) * static_cast<double>(det.area_count()));
 }
 
+/// Keeps `value` observable so the compiler cannot drop the call that made
+/// it: an empty asm that reads it and clobbers memory.
+template <typename T>
+void keep(const T& value) {
+  asm volatile("" : : "m"(value) : "memory");
+}
+
 /// ns per op with 8 threads doing check+store rounds against one detector
 /// partitioned into `shards` shards — the ThreadWorld inline-path shape.
 double contended_ns_per_op(int shards) {
@@ -132,7 +137,7 @@ double contended_ns_per_op(int shards) {
         const auto verdict =
             det.check_one(core::DetectorMode::kDualClock, core::AccessKind::kWrite,
                           rank, clk, id);
-        benchmark::DoNotOptimize(verdict);
+        keep(verdict);
         det.store_access(id, rank, clk, /*is_write=*/true, rank, i + 1);
       }
     });
@@ -176,33 +181,6 @@ double piggyback_clock_bytes(bool diverged) {
   }
   return static_cast<double>(m.charged_clock_bytes());
 }
-
-// ---------------------------------------------------------------------------
-// google-benchmark registrations (CI smoke filter: BM_DetectCheckRange).
-// ---------------------------------------------------------------------------
-
-void BM_DetectCheckRange(benchmark::State& state) {
-  const auto nprocs = static_cast<std::size_t>(state.range(0));
-  const bool hot = state.range(1) != 0;
-  const auto det = make_detector(nprocs, 8, hot);
-  const Rank accessor = 1;
-  const VectorClock issue = issue_clock(nprocs, accessor);
-  std::uint64_t races = 0;
-  for (auto _ : state) {
-    const auto batch = det->check_range(
-        core::DetectorMode::kDualClock, core::AccessKind::kWrite, accessor, issue,
-        AreaSpan{0, static_cast<std::uint32_t>(kAreas)});
-    races += batch.races;
-    benchmark::DoNotOptimize(batch);
-  }
-  DSMR_CHECK(races == 0);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kAreas));
-}
-BENCHMARK(BM_DetectCheckRange)
-    ->ArgsProduct({{64, 1024}, {0, 1}})
-    ->ArgNames({"n", "hot"})
-    ->Unit(benchmark::kMillisecond);
 
 void print_summary() {
   {
@@ -288,11 +266,5 @@ void print_summary() {
 }  // namespace dsmr::bench
 
 int main(int argc, char** argv) {
-  dsmr::bench::init_json(&argc, argv, "detect_scale");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dsmr::bench::print_summary();
-  dsmr::bench::write_json();
-  return 0;
+  return dsmr::bench::run_bench(argc, argv, "detect_scale", dsmr::bench::print_summary);
 }

@@ -13,8 +13,6 @@
 //    virtual ns/op as unrecorded ones (deterministic, exact-gated).
 //  * log density — bytes per recorded event and per op for a fixed sim
 //    schedule (deterministic: LEB128 sizes of a seeded run).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstring>
 #include <vector>
@@ -44,12 +42,13 @@ struct ThreadCost {
 
 /// One threaded run: every rank hammers its own area with put+get pairs
 /// (disjoint areas — pure per-op engine + recorder cost, no contention
-/// beyond detector-shard sharing). Median of `reps` wall times.
-ThreadCost measure_thread(core::DetectorMode mode, bool record, int reps = 3) {
+/// beyond detector-shard sharing). Median of three wall times.
+ThreadCost measure_thread(core::DetectorMode mode, bool record) {
+  constexpr int kReps = 3;
   const double ops = static_cast<double>(kRanks) * kOpsPerRank * 2;
   std::vector<double> walls;
   double log_bytes = 0;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     ThreadWorldConfig config;
     config.nprocs = kRanks;
     config.mode = mode;
@@ -136,17 +135,6 @@ LogDensity measure_log_density() {
   return density;
 }
 
-void BM_ThreadOpRecorded(benchmark::State& state) {
-  const auto mode = static_cast<core::DetectorMode>(state.range(0));
-  const bool record = state.range(1) != 0;
-  ThreadCost cost;
-  for (auto _ : state) cost = measure_thread(mode, record, 1);
-  state.counters["wall_ns_per_op"] = cost.wall_ns_per_op;
-}
-BENCHMARK(BM_ThreadOpRecorded)
-    ->ArgsProduct({{0, 2}, {0, 1}})
-    ->ArgNames({"mode", "record"});
-
 void print_summary() {
   struct Config {
     const char* label;
@@ -210,11 +198,5 @@ void print_summary() {
 }  // namespace dsmr::bench
 
 int main(int argc, char** argv) {
-  dsmr::bench::init_json(&argc, argv, "record_overhead");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  dsmr::bench::print_summary();
-  dsmr::bench::write_json();
-  return 0;
+  return dsmr::bench::run_bench(argc, argv, "record_overhead", dsmr::bench::print_summary);
 }

@@ -66,7 +66,8 @@ std::vector<Scenario> make_builtin_scenarios() {
                }});
   s.push_back({"stencil_sparse",
                "stencil barrier-synchronized only every 2nd iteration — the "
-               "race is schedule-dependent",
+               "halo race is on every schedule; whether the detector reports "
+               "it is not (only the latest access is compared)",
                RaceExpectation::kSometimes, 2, false, [](World& w) {
                  workload::StencilConfig c;
                  c.cells_per_rank = 6;
@@ -109,7 +110,8 @@ std::vector<Scenario> make_builtin_scenarios() {
                }});
   s.push_back({"pipeline_window2",
                "token ring whose producers run 2 tokens ahead of the acks — "
-               "races only when the producer outpaces the consumer",
+               "the overwrite race is on every schedule; which accesses the "
+               "detector reports varies (only the latest access is compared)",
                RaceExpectation::kSometimes, 2, false, [](World& w) {
                  workload::PipelineConfig c;
                  c.tokens = 6;

@@ -7,7 +7,7 @@
 // the area locks each initiator held at issue: the locks its lock and
 // unlock events have taken and not yet given back.
 //
-// The comparison the benches draw out (bench_precision):
+// The comparison bench/paper_tables.cpp draws out (CLAIM-IV.D + BASE):
 //  * lockset flags *locking-discipline* violations: it reports races that a
 //    happens-before detector misses when a lucky schedule ordered them, but
 //    it also flags correctly synchronized programs that order accesses with

@@ -8,7 +8,7 @@
 // consecutive local elements share one registered area, i.e. one lock and
 // one (V, W) clock pair. Chunk = 1 gives per-element detection precision at
 // maximal clock memory; larger chunks trade precision for space — the
-// granularity ablation in bench_clock_memory quantifies both directions
+// granularity ablation in bench/paper_tables.cpp quantifies both directions
 // (the analogue of false sharing for detection).
 #pragma once
 

@@ -82,9 +82,10 @@ struct StencilConfig {
   bool buggy = false;  ///< drop the barriers: halo traffic races.
   /// Barrier-synchronize only every `barrier_period`-th iteration (1 = every
   /// iteration, the race-free default). Periods > 1 leave some phases
-  /// unsynchronized, so the halo race becomes *schedule-dependent* — it
-  /// manifests only under unlucky timing, which is exactly what the
-  /// exploration harness hunts. 0 behaves like `buggy` (never synchronize).
+  /// unsynchronized: the halo accesses then race on every schedule, but
+  /// whether the detector reports the race depends on the schedule, since
+  /// it compares each access only with the latest one to its area.
+  /// 0 behaves like `buggy` (never synchronize).
   int barrier_period = 1;
 };
 
@@ -130,9 +131,9 @@ struct PipelineConfig {
   bool backpressure = true;  ///< false: deliberately racy variant.
   /// Credit window: with backpressure, a producer may run `ack_window`
   /// tokens ahead of its consumer's acks. 1 (default) is race-free; wider
-  /// windows reintroduce the overwrite race, but only in schedules where
-  /// the producer actually outpaces the consumer — a timing-dependent bug
-  /// for the exploration harness to expose.
+  /// windows reintroduce the overwrite race on every schedule. Which of the
+  /// racing accesses the detector reports depends on the schedule, since it
+  /// compares each access only with the latest one to its area.
   int ack_window = 1;
 };
 

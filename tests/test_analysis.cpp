@@ -196,5 +196,42 @@ TEST(Truncation, NarrowClocksMissRacesOnRealWorkloads) {
   EXPECT_GT(total_missed_at_1, 0u);
 }
 
+TEST(Truncation, HomeOnLastRankHidesARaceBelowFullWidth) {
+  // §IV.C at program level: "the size of the vector clocks must be at
+  // least n". The area lives on rank n-1 and puts are unacked, so rank 0
+  // never learns the home's clock. Rank 0 puts, then signals rank 1, which
+  // puts: rank 1 knows everything rank 0 did, but not the home's apply of
+  // the first put, which it lacks only in component n-1. Truncation keeps
+  // the first k components, so every width k < n orders the two puts.
+  // (At n = 2 the second writer is the home itself: no race.)
+  for (const int n : {3, 4, 8, 16}) {
+    WorldConfig config = config_for(n);
+    config.acked_puts = false;
+    World world(config);
+    world.record();
+    const auto x = world.alloc(static_cast<Rank>(n - 1), 8, "x");
+    world.spawn(0, [x](Process& p) -> sim::Task {
+      co_await p.put_value(x, std::uint64_t{1});
+      p.signal(1, 1);
+    });
+    world.spawn(1, [x](Process& p) -> sim::Task {
+      co_await p.wait_signal(1);
+      co_await p.put_value(x, std::uint64_t{2});
+    });
+    ASSERT_TRUE(world.run().completed) << n;
+    EXPECT_EQ(compute_ground_truth(world.log()).pairs.size(), 1u) << n;
+    EXPECT_EQ(world.races().count(), 1u) << n;  // the live detector sees it.
+
+    const auto sweep = truncation_sweep(world.log(), static_cast<std::size_t>(n));
+    ASSERT_EQ(sweep.size(), static_cast<std::size_t>(n));
+    for (std::size_t k = 1; k < sweep.size(); ++k) {
+      EXPECT_EQ(sweep[k - 1].detected, 0u) << "n=" << n << " k=" << k;
+      EXPECT_EQ(sweep[k - 1].missed, 1u) << "n=" << n << " k=" << k;
+    }
+    EXPECT_EQ(sweep.back().detected, 1u) << n;
+    EXPECT_EQ(sweep.back().missed, 0u) << n;
+  }
+}
+
 }  // namespace
 }  // namespace dsmr::analysis

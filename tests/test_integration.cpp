@@ -1,6 +1,7 @@
 // Cross-module integration: full workloads through the full stack, with the
 // clock detector, ground truth and the lockset baseline compared side by
-// side — the qualitative table bench/bench_precision.cpp prints.
+// side — the qualitative version of the CLAIM-IV.D + BASE table that
+// bench/paper_tables.cpp prints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +29,7 @@ WorldConfig config_for(int nprocs, std::uint64_t seed = 5) {
 
 TEST(Integration, DetectorComparisonMatrix) {
   // One row per workload; the qualitative verdicts every detector family
-  // must produce. (The quantitative version is bench_precision.)
+  // must produce. (The quantitative version is in paper_tables.)
   struct Row {
     const char* name;
     bool truly_racy;       // ground truth.
