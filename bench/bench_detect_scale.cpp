@@ -33,7 +33,7 @@ constexpr std::size_t kBlock = 64;  ///< areas per same-state block (hot pattern
 
 /// Builds the bench detector: `hot` stores one distinct event per 4th block
 /// of 64 areas (a mixed hot/cold lane with real run boundaries); cold leaves
-/// every area aliasing the shared zero clock.
+/// every area pristine.
 std::unique_ptr<ShardedDetector> make_detector(std::size_t nprocs, int shards,
                                                bool hot) {
   auto det = std::make_unique<ShardedDetector>(nprocs, /*home=*/0, shards);

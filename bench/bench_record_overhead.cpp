@@ -7,13 +7,17 @@
 //    off + recorder (the "always-on recording" production config), full
 //    dual-clock live, and dual-clock + recorder. The record/off ratio is
 //    the headline number and is gated (tools/bench_gate.py) against
-//    bench/baseline.json: machine speed cancels in the ratio.
+//    bench/baseline.json: machine speed cancels in the ratio. Each
+//    recorded config runs in alternating pairs with its unrecorded one and
+//    reports the median of the per-pair ratios, so one slow run or a
+//    machine-wide drift between configs does not move the gated number.
 //  * virtual-time invariance on the simulator — the recorder hooks the
 //    engine, not the wire, so recorded runs must cost EXACTLY the same
 //    virtual ns/op as unrecorded ones (deterministic, exact-gated).
 //  * log density — bytes per recorded event and per op for a fixed sim
 //    schedule (deterministic: LEB128 sizes of a seeded run).
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -33,56 +37,95 @@ using runtime::ThreadWorldConfig;
 using runtime::World;
 
 constexpr int kRanks = 4;
-constexpr int kOpsPerRank = 5'000;  // × 2 ops (put + get) per iteration.
-
-struct ThreadCost {
-  double wall_ns_per_op = 0;
-  double log_bytes_per_op = 0;
-};
+constexpr int kOpsPerRank = 50'000;  // × 2 ops (put + get) per iteration.
+constexpr int kPairs = 9;            // unrecorded/recorded pairs per config.
 
 /// One threaded run: every rank hammers its own area with put+get pairs
 /// (disjoint areas — pure per-op engine + recorder cost, no contention
-/// beyond detector-shard sharing). Median of three wall times.
-ThreadCost measure_thread(core::DetectorMode mode, bool record) {
-  constexpr int kReps = 3;
+/// beyond detector-shard sharing). Returns wall ns per op from the first
+/// body's start to the last body's end, so thread spawn and join are not
+/// timed. When recording, stores the serialized log's bytes per op in
+/// `*log_bytes_per_op`.
+double run_thread(core::DetectorMode mode, bool record, double* log_bytes_per_op) {
+  using Clock = std::chrono::steady_clock;
   const double ops = static_cast<double>(kRanks) * kOpsPerRank * 2;
-  std::vector<double> walls;
-  double log_bytes = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    ThreadWorldConfig config;
-    config.nprocs = kRanks;
-    config.mode = mode;
-    record::Recorder recorder(kRanks, record::Backend::kThread, mode,
-                              config.lock_clock_handoff, config.acked_puts);
-    if (record) config.recorder = &recorder;
-    ThreadWorld world(config);
-    std::vector<GlobalAddress> areas;
-    for (int r = 0; r < kRanks; ++r) {
-      std::string name = "a";
-      name += std::to_string(r);
-      areas.push_back(world.alloc(r, 8, name));
-    }
-    for (int r = 0; r < kRanks; ++r) {
-      world.spawn(r, [r, areas](ThreadProcess& p) {
-        std::vector<std::byte> value(8);
-        for (int i = 0; i < kOpsPerRank; ++i) {
-          std::memcpy(value.data(), &i, sizeof(i));
-          p.put(areas[static_cast<std::size_t>(r)], value);
-          p.get(areas[static_cast<std::size_t>(r)], 8);
-        }
-      });
-    }
-    const auto report = world.run();
-    DSMR_CHECK(report.completed);
-    walls.push_back(static_cast<double>(report.wall_ns) / ops);
-    if (record) {
-      recorder.finish(world.races().reports(), report.completed,
-                      report.stuck_ranks);
-      log_bytes = static_cast<double>(recorder.log().serialize().size()) / ops;
-    }
+  ThreadWorldConfig config;
+  config.nprocs = kRanks;
+  config.mode = mode;
+  record::Recorder recorder(kRanks, record::Backend::kThread, mode,
+                            config.lock_clock_handoff, config.acked_puts);
+  if (record) config.recorder = &recorder;
+  ThreadWorld world(config);
+  std::vector<GlobalAddress> areas;
+  for (int r = 0; r < kRanks; ++r) {
+    std::string name = "a";
+    name += std::to_string(r);
+    areas.push_back(world.alloc(r, 8, name));
   }
-  std::sort(walls.begin(), walls.end());
-  return ThreadCost{walls[walls.size() / 2], log_bytes};
+  std::vector<Clock::time_point> starts(kRanks);
+  std::vector<Clock::time_point> ends(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    world.spawn(r, [r, &areas, &starts, &ends](ThreadProcess& p) {
+      const auto me = static_cast<std::size_t>(r);
+      starts[me] = Clock::now();
+      std::vector<std::byte> value(8);
+      for (int i = 0; i < kOpsPerRank; ++i) {
+        std::memcpy(value.data(), &i, sizeof(i));
+        p.put(areas[me], value);
+        p.get(areas[me], 8);
+      }
+      ends[me] = Clock::now();
+    });
+  }
+  const auto report = world.run();
+  DSMR_CHECK(report.completed);
+  if (record) {
+    recorder.finish(world.races().reports(), report.completed, report.stuck_ranks);
+    *log_bytes_per_op = static_cast<double>(recorder.log().serialize().size()) / ops;
+  }
+  const auto wall = *std::max_element(ends.begin(), ends.end()) -
+                    *std::min_element(starts.begin(), starts.end());
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(wall).count()) /
+         ops;
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+struct PairedCost {
+  double plain_ns_per_op = 0;     ///< median unrecorded run.
+  double recorded_ns_per_op = 0;  ///< plain × the median per-pair ratio.
+  double log_bytes_per_op = 0;
+};
+
+/// kPairs unrecorded/recorded pairs of `mode`, the order swapped every
+/// other pair. The recorded cost is reported as the plain median times the
+/// median of the per-pair recorded/plain ratios, so the gate's quotient of
+/// the two is exactly that median.
+PairedCost measure_pairs(core::DetectorMode mode) {
+  std::vector<double> plain;
+  std::vector<double> ratios;
+  PairedCost cost;
+  run_thread(mode, false, nullptr);  // warm-up, untimed.
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double unrecorded = 0;
+    double recorded = 0;
+    if (pair % 2 == 0) {
+      unrecorded = run_thread(mode, false, nullptr);
+      recorded = run_thread(mode, true, &cost.log_bytes_per_op);
+    } else {
+      recorded = run_thread(mode, true, &cost.log_bytes_per_op);
+      unrecorded = run_thread(mode, false, nullptr);
+    }
+    plain.push_back(unrecorded);
+    ratios.push_back(recorded / unrecorded);
+  }
+  cost.plain_ns_per_op = median(plain);
+  cost.recorded_ns_per_op = cost.plain_ns_per_op * median(ratios);
+  return cost;
 }
 
 /// Virtual put cost on the sim backend with a recorder attached — must be
@@ -138,33 +181,33 @@ LogDensity measure_log_density() {
 void print_summary() {
   struct Config {
     const char* label;
-    core::DetectorMode mode;
-    bool record;
+    double ns_per_op;
+    double log_bytes_per_op;
   };
+  const PairedCost off = measure_pairs(core::DetectorMode::kOff);
+  const PairedCost dual = measure_pairs(core::DetectorMode::kDualClock);
   const Config configs[] = {
-      {"off", core::DetectorMode::kOff, false},
-      {"off+record", core::DetectorMode::kOff, true},
-      {"dual-clock", core::DetectorMode::kDualClock, false},
-      {"dual-clock+record", core::DetectorMode::kDualClock, true},
+      {"off", off.plain_ns_per_op, 0},
+      {"off+record", off.recorded_ns_per_op, off.log_bytes_per_op},
+      {"dual-clock", dual.plain_ns_per_op, 0},
+      {"dual-clock+record", dual.recorded_ns_per_op, dual.log_bytes_per_op},
   };
   util::Table table({"config", "wall ns/op", "x off", "log B/op"});
-  std::vector<ThreadCost> costs;
-  for (const auto& config : configs) costs.push_back(measure_thread(config.mode, config.record));
-  const double off_ns = costs.front().wall_ns_per_op;  // the "off" row: x off = 1.00.
-  for (std::size_t i = 0; i < costs.size(); ++i) {
-    const Config& config = configs[i];
-    const ThreadCost& cost = costs[i];
-    table.add_row({config.label, util::Table::fmt(cost.wall_ns_per_op, 0),
-                   util::Table::fmt(cost.wall_ns_per_op / off_ns, 2),
-                   util::Table::fmt(cost.log_bytes_per_op, 1)});
-    json_add("record_op_wall",
-             {{"backend", "thread"}, {"config", config.label}},
-             cost.wall_ns_per_op);
+  for (const Config& config : configs) {
+    table.add_row({config.label, util::Table::fmt(config.ns_per_op, 0),
+                   util::Table::fmt(config.ns_per_op / off.plain_ns_per_op, 2),
+                   util::Table::fmt(config.log_bytes_per_op, 1)});
+    json_add("record_op_wall", {{"backend", "thread"}, {"config", config.label}},
+             config.ns_per_op);
   }
-  print_table(
+  std::string title =
       "=== recording overhead: threaded backend, wall clock per op (n=4) ===\n"
-      "(record/off is the gated ratio — the always-on production cost)",
-      table);
+      "(record/off is the gated ratio — the always-on production cost; each\n"
+      "recorded row is its plain row times the median recorded/plain ratio\n"
+      "over ";
+  title += std::to_string(kPairs);
+  title += " alternating pairs)";
+  print_table(title, table);
 
   {
     const double off = measure_sim_virtual(false);

@@ -50,8 +50,16 @@ class VectorClock {
   }
 
   VectorClock(const VectorClock& other) { copy_from(other); }
+  /// Equal widths copy the components into the buffer already held, so a
+  /// wide clock overwritten in place (a detector lane's store) costs no
+  /// block-pool round trip.
   VectorClock& operator=(const VectorClock& other) {
-    if (this != &other) {
+    if (this == &other) return *this;
+    if (size_ == other.size_) {
+      ClockValue* dst = data();
+      const ClockValue* src = other.data();
+      for (std::size_t i = 0; i < size_; ++i) dst[i] = src[i];
+    } else {
       release();
       copy_from(other);
     }

@@ -6,12 +6,12 @@
 // the same algorithm.
 //
 // Three implementations of the same predicate:
-//  * `check_span` — the production kernel. Walks a struct-of-arrays lane of
-//    per-area stored state (epoch witness, prior rank, clock handle) and
-//    emits ONE verdict per run of state-identical areas: within a run the
-//    epoch comparison (two integer compares, O(1)) or the vectorized full
-//    comparison happens once, however many areas the run covers. This is
-//    what detect::ShardedDetector::check_range feeds per shard.
+//  * `check_span` — the production kernel. Walks a lane of per-area stored
+//    state (clock, epoch witness, prior rank) and emits ONE verdict per run
+//    of state-identical areas: within a run the epoch comparison (two
+//    integer compares, O(1)) or the vectorized full comparison happens
+//    once, however many areas the run covers. This is what
+//    detect::ShardedDetector::check_range feeds per shard.
 //  * `check_access` — the legacy single-area entry point over arbitrary
 //    caller-assembled state, a thin wrapper over a one-element span. The
 //    protocols and the offline fold no longer call it (they go through
@@ -23,7 +23,9 @@
 //    debug builds cross-check every span verdict against it, per area).
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #include "clocks/epoch.hpp"
 #include "clocks/ordering.hpp"
@@ -62,16 +64,59 @@ struct StoredClocks {
   clocks::Epoch w_epoch{};
 };
 
-/// A struct-of-arrays view of one comparison lane (V or W) over a contiguous
-/// range of detector slots: parallel arrays of epoch witnesses, prior
-/// initiator ranks, and stored-clock handles. Clock handles are pointers so
-/// cold areas can all alias one shared zero clock — pointer equality is the
-/// run-batching predicate (equal handle ⇒ equal clock, no O(n) compare
-/// needed to extend a run).
+/// One comparison lane (V or W) of one area as a detector stores it, clock
+/// inline: the clock of the last event stored into the lane, that event's
+/// epoch witness (split into its two fields so the slot packs into one
+/// 64-byte line), the id of the access that stored it, and that access's
+/// initiator rank. An empty clock marks a pristine lane — never stored
+/// into, it reads as the zero clock and owns no clock storage.
+struct LaneState {
+  clocks::VectorClock clock;
+  ClockValue epoch_value = 0;
+  std::uint64_t event = 0;
+  Rank epoch_rank = kInvalidRank;
+  Rank prior = kInvalidRank;
+
+  clocks::Epoch epoch() const { return {epoch_rank, epoch_value}; }
+};
+
+/// A view of one comparison lane over a contiguous range of slots, shaped
+/// for long runs of identical state. Every slot holds the `shared` state
+/// (clock, epoch, prior) unless its bit in `own` is set, in which case its
+/// state is `slots[i * stride]`. A detector passes its pristine state as
+/// `shared` and a bitmap of the slots it has stored into, so a run of
+/// pristine slots is found from the bitmap alone; a caller with one slot of
+/// its own passes that slot as `shared` and no bitmap.
 struct SpanLane {
-  const clocks::Epoch* epochs = nullptr;
-  const Rank* prior_ranks = nullptr;
-  const clocks::VectorClock* const* clocks = nullptr;  ///< never-null entries.
+  const clocks::VectorClock* shared_clock = nullptr;  ///< never null.
+  clocks::Epoch shared_epoch{};
+  Rank shared_prior = kInvalidRank;
+  /// Bit `own_first + i` set: slot i holds its own state. Null: none does.
+  const std::uint64_t* own = nullptr;
+  std::size_t own_first = 0;
+  const LaneState* slots = nullptr;
+  std::size_t stride = 1;  ///< in LaneStates, between consecutive slots.
+
+  bool owns(std::size_t i) const {
+    const std::size_t bit = own_first + i;
+    return own != nullptr && ((own[bit / 64] >> (bit % 64)) & 1u) != 0;
+  }
+
+  /// The first slot in [from, count) holding its own state, or `count`.
+  std::size_t next_owned(std::size_t from, std::size_t count) const {
+    if (own == nullptr) return count;
+    std::size_t bit = own_first + from;
+    const std::size_t end = own_first + count;
+    while (bit < end) {
+      const std::uint64_t word = own[bit / 64] >> (bit % 64);
+      if (word != 0) {
+        bit += static_cast<std::size_t>(std::countr_zero(word));
+        break;
+      }
+      bit = (bit / 64 + 1) * 64;
+    }
+    return bit < end ? bit - own_first : count;
+  }
 };
 
 /// What a span walk did — the batch-vs-scalar accounting the benches report.
@@ -164,10 +209,10 @@ inline bool compares_against_v(DetectorMode mode, AccessKind kind) {
 }  // namespace detail
 
 /// The batched kernel: walks `count` slots of `lane` and calls
-/// `on_run(first, length, verdict)` once per maximal run of state-identical
-/// slots (same clock handle, same epoch, same prior rank — equal handle
-/// implies equal clock, so one comparison soundly decides the whole run).
-/// Covers every slot exactly once, in order.
+/// `on_run(first, length, verdict)` once per run: a maximal span of slots
+/// holding the shared state (one comparison soundly decides it, since every
+/// slot in it has the same clock, epoch and prior rank), or one slot holding
+/// its own. Covers every slot exactly once, in order.
 ///
 /// `trusted_epochs` distinguishes the two producers of lane state:
 ///  * true  — the lane belongs to a detect::ShardedDetector, where a valid
@@ -208,13 +253,18 @@ SpanStats check_span(DetectorMode mode, AccessKind kind, Rank accessor,
 
   std::size_t i = 0;
   while (i < count) {
-    const clocks::VectorClock* stored = lane.clocks[i];
-    const clocks::Epoch epoch = lane.epochs[i];
-    const Rank prior = lane.prior_ranks[i];
-    std::size_t j = i + 1;
-    while (j < count && lane.clocks[j] == stored && lane.epochs[j] == epoch &&
-           lane.prior_ranks[j] == prior) {
-      ++j;
+    const clocks::VectorClock* stored = lane.shared_clock;
+    clocks::Epoch epoch = lane.shared_epoch;
+    Rank prior = lane.shared_prior;
+    std::size_t j;
+    if (lane.owns(i)) {
+      const LaneState& slot = lane.slots[i * lane.stride];
+      stored = &slot.clock;
+      epoch = slot.epoch();
+      prior = slot.prior;
+      j = i + 1;
+    } else {
+      j = lane.next_owned(i + 1, count);
     }
 
     Verdict verdict;
@@ -258,10 +308,9 @@ inline Verdict check_access(DetectorMode mode, AccessKind kind, Rank accessor,
   // Bit-identical to the historical single-area implementation (untrusted
   // epochs → the full legacy applicability test decides the fast path).
   const bool use_v = detail::compares_against_v(mode, kind);
-  const clocks::VectorClock* clock = use_v ? &stored.v : &stored.w;
-  const clocks::Epoch epoch = use_v ? stored.v_epoch : stored.w_epoch;
-  const Rank prior = use_v ? stored.last_access_rank : stored.last_write_rank;
-  const SpanLane lane{&epoch, &prior, &clock};
+  const SpanLane lane{use_v ? &stored.v : &stored.w,
+                      use_v ? stored.v_epoch : stored.w_epoch,
+                      use_v ? stored.last_access_rank : stored.last_write_rank};
 
   Verdict verdict;
   check_span(mode, kind, accessor, accessor_clock, lane, 1,

@@ -1,5 +1,7 @@
 #include "detect/sharded_detector.hpp"
 
+#include <bit>
+
 namespace dsmr::detect {
 
 ShardedDetector::ShardedDetector(std::size_t nprocs, Rank home, int shards)
@@ -8,91 +10,73 @@ ShardedDetector::ShardedDetector(std::size_t nprocs, Rank home, int shards)
   DSMR_REQUIRE(home >= 0 && static_cast<std::size_t>(home) < nprocs,
                "detector home rank " << home << " out of range for " << nprocs
                                      << " processes");
+  // Fresh state is the zero clock as an event clock — the fictitious 0th
+  // event of the home rank — so a pristine lane starts epoch-summarized.
+  pristine_.epoch_rank = home_;
+  pristine_.epoch_value = 0;
   shards_.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) shards_.push_back(std::make_unique<Shard>());
+  for (int s = 0; s < shards; ++s) {
+    shards_.push_back(std::make_unique<Shard>());
+    // Room for four areas (512 bytes of lanes) from the start: a shard's
+    // first registrations do not reallocate.
+    shards_.back()->lanes.reserve(2 * 4);
+  }
+}
+
+void ShardedDetector::grow_shard(Shard& shard, std::size_t slots) {
+  shard.lanes.resize(2 * slots, pristine_);
+  for (std::vector<std::uint64_t>& bits : shard.stored) bits.resize((slots + 63) / 64, 0);
 }
 
 void ShardedDetector::register_area(AreaId id) {
   DSMR_REQUIRE(id == areas_, "areas register densely in allocation order: got id "
                                  << id << ", expected " << areas_);
   Shard& shard = shard_for(id);
-  for (Lane* lane : {&shard.v, &shard.w}) {
-    // Fresh state is the zero clock as an event clock — the fictitious 0th
-    // event of the home rank — so a cold area starts epoch-summarized.
-    lane->epoch.push_back(clocks::Epoch{home_, 0});
-    lane->prior.push_back(kInvalidRank);
-    lane->event.push_back(0);
-    lane->clock.push_back(&zero_clock_);
-    lane->owned.push_back(0);
-  }
+  grow_shard(shard, slot_of(id) + 1);
   ++areas_;
 }
 
 void ShardedDetector::register_areas(std::size_t count) {
   const std::size_t nshards = shards_.size();
-  const std::size_t first = areas_;
+  const std::size_t total = areas_ + count;
   for (std::size_t s = 0; s < nshards; ++s) {
     // Slots in shard s after growth: ids s, s+S, s+2S, ... below the new
     // area count.
-    const std::size_t total = first + count;
-    const std::size_t slots = total > s ? (total - s + nshards - 1) / nshards : 0;
-    Shard& shard = *shards_[s];
-    for (Lane* lane : {&shard.v, &shard.w}) {
-      lane->epoch.resize(slots, clocks::Epoch{home_, 0});
-      lane->prior.resize(slots, kInvalidRank);
-      lane->event.resize(slots, 0);
-      lane->clock.resize(slots, &zero_clock_);
-      lane->owned.resize(slots, 0);
-    }
+    grow_shard(*shards_[s], total > s ? (total - s + nshards - 1) / nshards : 0);
   }
-  areas_ += count;
-}
-
-ShardedDetector::SlotRef ShardedDetector::slot_ref(AreaId id) const {
-  DSMR_ASSERT(id < areas_);
-  const Shard& shard = shard_for(id);
-  const std::size_t slot = slot_of(id);
-  return {shard.v.clock[slot], shard.w.clock[slot], &shard, slot};
+  areas_ = total;
 }
 
 core::Verdict ShardedDetector::check_one(core::DetectorMode mode,
                                          core::AccessKind kind, Rank accessor,
                                          const clocks::VectorClock& accessor_clock,
                                          AreaId id) const {
-  DSMR_ASSERT(id < areas_);
-  const Shard& shard = shard_for(id);
-  const std::size_t slot = slot_of(id);
-  const Lane& lane =
-      core::detail::compares_against_v(mode, kind) ? shard.v : shard.w;
-  const core::SpanLane view{lane.epoch.data() + slot, lane.prior.data() + slot,
-                            lane.clock.data() + slot};
+  // The one slot goes in as the span's shared state: no bitmap to read.
+  const core::LaneState& slot = lane(id, !core::detail::compares_against_v(mode, kind));
+  const core::SpanLane view{&clock_of(slot), slot.epoch(), slot.prior};
   core::Verdict verdict;
-  core::check_span(mode, kind, accessor, accessor_clock, view, 1,
-                   /*trusted_epochs=*/true,
+  core::check_span(mode, kind, accessor, accessor_clock, view, 1, /*trusted_epochs=*/true,
                    [&](std::size_t, std::size_t, const core::Verdict& v) {
                      verdict = v;
                    });
   return verdict;
 }
 
-void ShardedDetector::store_lane(Shard& shard, Lane& lane, std::size_t slot,
-                                 Rank owner, const clocks::VectorClock& clk,
-                                 Rank accessor, std::uint64_t event_id) {
-  std::uint32_t idx = lane.owned[slot];
-  if (idx == 0) {
-    shard.pool.emplace_back(clk);
-    idx = static_cast<std::uint32_t>(shard.pool.size());
-    lane.owned[slot] = idx;
-  } else {
-    shard.pool[idx - 1] = clk;
-  }
-  lane.clock[slot] = &shard.pool[idx - 1];
+void ShardedDetector::store_lane(Shard& shard, std::size_t slot, bool w, Rank owner,
+                                 const clocks::VectorClock& clk, Rank accessor,
+                                 std::uint64_t event_id) {
+  DSMR_ASSERT(!clk.empty());  // an empty clock would read as pristine.
+  core::LaneState& lane = shard.lanes[lane_index(slot, w)];
+  if (lane.clock.empty()) mark_stored(shard, slot, w, true);
+  lane.clock = clk;
   // The stored state is the clock of one known event at `owner`,
   // summarized by its epoch (which comes out invalid — full-compare
   // fallback — if owner is out of range).
-  lane.epoch[slot] = clocks::Epoch::of_event(owner, clk);
-  lane.prior[slot] = accessor;
-  lane.event[slot] = event_id;
+  const clocks::Epoch epoch = clocks::Epoch::of_event(owner, clk);
+  lane.epoch_rank = epoch.rank;
+  lane.epoch_value = epoch.value;
+  lane.prior = accessor;
+  lane.event = event_id;
 }
 
 void ShardedDetector::store_access(AreaId id, Rank owner,
@@ -101,8 +85,8 @@ void ShardedDetector::store_access(AreaId id, Rank owner,
   DSMR_ASSERT(id < areas_);
   Shard& shard = shard_for(id);
   const std::size_t slot = slot_of(id);
-  store_lane(shard, shard.v, slot, owner, clk, accessor, event_id);
-  if (is_write) store_lane(shard, shard.w, slot, owner, clk, accessor, event_id);
+  store_lane(shard, slot, false, owner, clk, accessor, event_id);
+  if (is_write) store_lane(shard, slot, true, owner, clk, accessor, event_id);
 }
 
 void ShardedDetector::store_range(AreaSpan span, Rank owner,
@@ -121,93 +105,34 @@ void ShardedDetector::store_range(AreaSpan span, Rank owner,
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> guard(shard.mutex);
     for (std::size_t slot = lo_slot; slot < hi_slot; ++slot) {
-      store_lane(shard, shard.v, slot, owner, clk, accessor, event_id);
-      if (is_write) store_lane(shard, shard.w, slot, owner, clk, accessor, event_id);
+      store_lane(shard, slot, false, owner, clk, accessor, event_id);
+      if (is_write) store_lane(shard, slot, true, owner, clk, accessor, event_id);
     }
   }
-}
-
-LaneSnapshot ShardedDetector::lane_snapshot(AreaId id, bool w) const {
-  DSMR_ASSERT(id < areas_);
-  const Shard& shard = shard_for(id);
-  const Lane& lane = w ? shard.w : shard.v;
-  const std::size_t slot = slot_of(id);
-  LaneSnapshot snap;
-  snap.epoch = lane.epoch[slot];
-  snap.prior = lane.prior[slot];
-  snap.event = lane.event[slot];
-  snap.zero = lane.clock[slot] == &zero_clock_;
-  if (!snap.zero) snap.clock = *lane.clock[slot];
-  return snap;
 }
 
 void ShardedDetector::restore_lane(AreaId id, bool w, const LaneSnapshot& snap) {
   DSMR_ASSERT(id < areas_);
   Shard& shard = shard_for(id);
-  Lane& lane = w ? shard.w : shard.v;
   const std::size_t slot = slot_of(id);
-  lane.epoch[slot] = snap.epoch;
-  lane.prior[slot] = snap.prior;
-  lane.event[slot] = snap.event;
-  if (snap.zero) {
-    lane.clock[slot] = &zero_clock_;
-    return;
-  }
-  // A slot that held its own clock at snapshot time still owns a pool slot.
-  const std::uint32_t idx = lane.owned[slot];
-  DSMR_CHECK_MSG(idx != 0, "restore_lane of an owned clock into a slot with no pool clock");
-  shard.pool[idx - 1] = snap.clock;
-  lane.clock[slot] = &shard.pool[idx - 1];
+  const bool stored = !snap.clock.empty();
+  // Pristine lanes all hold the pristine state: check_range decides a
+  // pristine run from the stored bits alone.
+  DSMR_CHECK_MSG(stored || (snap.epoch() == pristine_.epoch() && snap.prior == pristine_.prior),
+                 "restore_lane of a pristine snapshot with a stored epoch or prior");
+  shard.lanes[lane_index(slot, w)] = snap;  // pristine: releases the clock storage.
+  mark_stored(shard, slot, w, stored);
 }
 
-clocks::Epoch ShardedDetector::v_epoch(AreaId id) const {
-  return shard_for(id).v.epoch[slot_of(id)];
-}
-
-clocks::Epoch ShardedDetector::w_epoch(AreaId id) const {
-  return shard_for(id).w.epoch[slot_of(id)];
-}
-
-Rank ShardedDetector::last_access_rank(AreaId id) const {
-  return shard_for(id).v.prior[slot_of(id)];
-}
-
-Rank ShardedDetector::last_write_rank(AreaId id) const {
-  return shard_for(id).w.prior[slot_of(id)];
-}
-
-std::uint64_t ShardedDetector::last_access_event(AreaId id) const {
-  return shard_for(id).v.event[slot_of(id)];
-}
-
-std::uint64_t ShardedDetector::last_write_event(AreaId id) const {
-  return shard_for(id).w.event[slot_of(id)];
-}
-
-std::size_t ShardedDetector::lane_storage_bytes(const Lane& lane,
-                                                std::size_t slot) const {
-  const clocks::Epoch epoch = lane.epoch[slot];
-  return lane.clock[slot]->wire_size() + (epoch.valid() ? epoch.wire_size() : 0);
-}
-
-std::size_t ShardedDetector::v_storage_bytes(AreaId id) const {
-  DSMR_ASSERT(id < areas_);
-  return lane_storage_bytes(shard_for(id).v, slot_of(id));
-}
-
-std::size_t ShardedDetector::w_storage_bytes(AreaId id) const {
-  DSMR_ASSERT(id < areas_);
-  return lane_storage_bytes(shard_for(id).w, slot_of(id));
+std::size_t ShardedDetector::lane_storage_bytes(const core::LaneState& lane) const {
+  const clocks::Epoch epoch = lane.epoch();
+  return clock_of(lane).wire_size() + (epoch.valid() ? epoch.wire_size() : 0);
 }
 
 std::size_t ShardedDetector::storage_bytes() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    for (const Lane* lane : {&shard->v, &shard->w}) {
-      for (std::size_t slot = 0; slot < lane->epoch.size(); ++slot) {
-        total += lane_storage_bytes(*lane, slot);
-      }
-    }
+    for (const core::LaneState& lane : shard->lanes) total += lane_storage_bytes(lane);
   }
   return total;
 }
@@ -215,8 +140,14 @@ std::size_t ShardedDetector::storage_bytes() const {
 std::size_t ShardedDetector::resident_clock_bytes() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    for (const clocks::VectorClock& clock : shard->pool) {
-      total += clock.fixed_wire_size();
+    for (const bool w : {false, true}) {
+      const std::vector<std::uint64_t>& bits = shard->stored[w ? 1 : 0];
+      for (std::size_t k = 0; k < bits.size(); ++k) {
+        for (std::uint64_t word = bits[k]; word != 0; word &= word - 1) {
+          const std::size_t slot = 64 * k + static_cast<std::size_t>(std::countr_zero(word));
+          total += shard->lanes[lane_index(slot, w)].clock.fixed_wire_size();
+        }
+      }
     }
   }
   return total;

@@ -1,24 +1,31 @@
 // The standalone detector core: every per-area detection fact that used to
 // live inside mem::Area (V/W clocks, epoch witnesses, prior initiator ranks
-// and event ids) now lives here, in a shape chosen for production scale:
+// and event ids) now lives here, in a shape chosen for the per-op path and
+// for production scale:
 //
-//  * Struct-of-arrays. Per-area metadata is parallel arrays (epoch, prior
-//    rank, event id, clock handle) sized for millions of areas — a check
-//    touches four small contiguous lanes, not a 100+-byte Area object.
-//  * Shared-zero clock handles. A registered-but-untouched area owns no
-//    clock storage at all: its handle aliases one detector-wide zero clock.
-//    Registering 10^6 areas materializes zero vector clocks; storage appears
-//    only when an area is actually written or read (one pool slot per lane,
-//    stable addresses via deque).
-//  * Sharding by `area_id % shards`. Each shard owns its slice of every
-//    lane plus one mutex; area id → (shard, slot) is two integer ops, and
+//  * One record per area, clocks inline. An area's state is two 64-byte
+//    core::LaneStates, V then W, each holding its clock by value beside the
+//    clock's epoch, prior rank and event id. An op finds everything at an
+//    address computed from its id: no clock pointer is loaded before the
+//    clock (for n <= VectorClock::kInlineCapacity the clock's components
+//    sit in the record itself).
+//  * Pristine lanes are empty clocks. A registered-but-untouched lane holds
+//    an empty VectorClock and reads as the detector's zero clock, so
+//    registering 10^6 areas materializes zero clock storage; a lane's
+//    clock appears at its first store and goes again when restore_lane
+//    returns it to pristine.
+//  * Sharding by `area_id % shards`. Each shard owns the records of its
+//    areas plus one mutex; area id → (shard, slot) is two integer ops, and
 //    writers on different shards never contend. ThreadWorld locks these
 //    shard mutexes on its put/get path; the sim backend and the offline
 //    fold use the same layout at shards=1.
-//  * Batched range checks. check_range walks each shard's contiguous lane
-//    slice through core::check_span: one epoch compare per *run* of
-//    state-identical areas (equal clock handle + epoch + prior rank), not
-//    per area — the cache-shaped API the benches drive to 10^6 areas.
+//  * Batched range checks. Each shard keeps one bit per slot and lane, set
+//    while the lane holds a stored clock. check_range walks a shard's slot
+//    range through core::check_span, which finds a run of pristine slots
+//    from those bits alone and decides it with one verdict; a stored slot
+//    is a run of its own. So a batch costs one verdict per pristine span
+//    plus one per stored area — the cache-shaped API the benches drive to
+//    10^6 areas.
 //
 // Concurrency contract: the detector does not lock for you on the per-area
 // fast path. check_one / store_access / the per-area accessors require the
@@ -39,7 +46,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -61,21 +67,14 @@ struct AreaSpan {
 };
 
 /// One lane (V or W) of one area, by value: what restore_lane needs to put
-/// the slot back exactly, including whether it aliased the shared zero
-/// clock (a cold slot) or held its own clock.
-struct LaneSnapshot {
-  clocks::Epoch epoch;
-  Rank prior = kInvalidRank;
-  std::uint64_t event = 0;
-  clocks::VectorClock clock;  ///< unset while `zero`.
-  bool zero = true;
-};
+/// the lane back exactly. An empty clock is a pristine lane.
+using LaneSnapshot = core::LaneState;
 
 /// What one check_range call found and did.
 struct BatchVerdict {
   std::uint64_t checked = 0;        ///< areas covered (== span.count).
   std::uint64_t races = 0;          ///< areas whose verdict flagged a race.
-  std::uint64_t runs = 0;           ///< state-identical runs, one verdict each.
+  std::uint64_t runs = 0;           ///< pristine spans plus stored areas.
   std::uint64_t epoch_compares = 0; ///< runs decided by the O(1) epoch path.
   std::uint64_t full_compares = 0;  ///< runs needing the full clock compare.
 };
@@ -118,10 +117,10 @@ class ShardedDetector {
                           Rank accessor, const clocks::VectorClock& accessor_clock,
                           AreaId id) const;
 
-  /// Batched check over a contiguous id range: walks each shard's lane
-  /// slice (locking that shard) and decides one verdict per run of
-  /// state-identical areas. `on_race(id, verdict)` fires for every area
-  /// whose verdict flags a race. Verdicts are identical to calling
+  /// Batched check over a contiguous id range: walks each shard's slot
+  /// range (locking that shard) and decides one verdict per run of pristine
+  /// areas and one per stored area. `on_race(id, verdict)` fires for every
+  /// area whose verdict flags a race. Verdicts are identical to calling
   /// check_one on every id in the span.
   template <typename OnRace>
   BatchVerdict check_range(core::DetectorMode mode, core::AccessKind kind,
@@ -153,19 +152,21 @@ class ShardedDetector {
 
   /// Area `id`'s W lane when `w`, else its V lane. record::Folder saves the
   /// lanes a step is about to store into, and restores them on undo.
-  LaneSnapshot lane_snapshot(AreaId id, bool w) const;
+  /// Restoring a pristine snapshot makes the lane pristine again: its clock
+  /// storage is released and resident_clock_bytes drops by it.
+  LaneSnapshot lane_snapshot(AreaId id, bool w) const { return lane(id, w); }
   void restore_lane(AreaId id, bool w, const LaneSnapshot& snap);
 
   // ---- per-area state accessors (caller-locked under concurrency) ----
 
-  const clocks::VectorClock& v_clock(AreaId id) const { return *slot_ref(id).v_clock; }
-  const clocks::VectorClock& w_clock(AreaId id) const { return *slot_ref(id).w_clock; }
-  clocks::Epoch v_epoch(AreaId id) const;
-  clocks::Epoch w_epoch(AreaId id) const;
-  Rank last_access_rank(AreaId id) const;
-  Rank last_write_rank(AreaId id) const;
-  std::uint64_t last_access_event(AreaId id) const;
-  std::uint64_t last_write_event(AreaId id) const;
+  const clocks::VectorClock& v_clock(AreaId id) const { return clock_of(lane(id, false)); }
+  const clocks::VectorClock& w_clock(AreaId id) const { return clock_of(lane(id, true)); }
+  clocks::Epoch v_epoch(AreaId id) const { return lane(id, false).epoch(); }
+  clocks::Epoch w_epoch(AreaId id) const { return lane(id, true).epoch(); }
+  Rank last_access_rank(AreaId id) const { return lane(id, false).prior; }
+  Rank last_write_rank(AreaId id) const { return lane(id, true).prior; }
+  std::uint64_t last_access_event(AreaId id) const { return lane(id, false).event; }
+  std::uint64_t last_write_event(AreaId id) const { return lane(id, true).event; }
 
   /// The stored clock / prior event id a verdict was decided against.
   const clocks::VectorClock& prior_clock(AreaId id, core::ComparedAgainst against) const {
@@ -184,64 +185,64 @@ class ShardedDetector {
   std::size_t area_storage_bytes(AreaId id) const {
     return v_storage_bytes(id) + w_storage_bytes(id);
   }
-  std::size_t v_storage_bytes(AreaId id) const;
-  std::size_t w_storage_bytes(AreaId id) const;
+  std::size_t v_storage_bytes(AreaId id) const { return lane_storage_bytes(lane(id, false)); }
+  std::size_t w_storage_bytes(AreaId id) const { return lane_storage_bytes(lane(id, true)); }
   std::size_t storage_bytes() const;  ///< sum over all registered areas.
 
-  /// Bytes of clock storage actually materialized (owned pool slots only —
-  /// areas still aliasing the shared zero clock cost nothing). This is the
-  /// number that stays 0 across 10^6 cold registrations.
+  /// Bytes of clock storage actually materialized (lanes holding a stored
+  /// clock — pristine lanes cost nothing). This is the number that stays 0
+  /// across 10^6 cold registrations.
   std::size_t resident_clock_bytes() const;
 
  private:
-  /// One comparison lane (V or W) of one shard, struct-of-arrays. `clock`
-  /// entries alias either the detector's shared zero clock or this shard's
-  /// pool; `owned[slot]` is 1 + the pool index of the slot's pool clock, or
-  /// 0 before the slot's first store. A slot keeps its pool clock once it
-  /// has one, even when restore_lane points it back at the zero clock. Each
-  /// lane owns its pool slot separately — V and W must not share storage, or
-  /// a later V-only event would retroactively corrupt W.
-  struct Lane {
-    std::vector<clocks::Epoch> epoch;
-    std::vector<Rank> prior;
-    std::vector<std::uint64_t> event;
-    std::vector<const clocks::VectorClock*> clock;
-    std::vector<std::uint32_t> owned;
-  };
+  static_assert(sizeof(core::LaneState) <= 64, "a lane fits one cache line's worth");
 
   struct Shard {
     mutable std::mutex mutex;
     std::uint64_t record_stamp = 0;  ///< guarded by `mutex`.
-    Lane v;
-    Lane w;
-    /// Materialized clock storage; deque for stable addresses under growth.
-    std::deque<clocks::VectorClock> pool;
-  };
-
-  /// A borrowed view of one area's state, both lanes.
-  struct SlotRef {
-    const clocks::VectorClock* v_clock;
-    const clocks::VectorClock* w_clock;
-    const Shard* shard;
-    std::size_t slot;
+    /// Slot s's V lane at 2s, its W lane at 2s + 1: one area's record is
+    /// two adjacent lanes. Each lane has its own clock — V and W must not
+    /// share storage, or a later V-only event would retroactively corrupt W.
+    std::vector<core::LaneState> lanes;
+    /// Bit `slot` of stored[w] is set while that lane holds a stored clock
+    /// (a non-empty LaneState::clock) — check_range finds pristine runs
+    /// here without reading the records.
+    std::vector<std::uint64_t> stored[2];
   };
 
   std::size_t shard_of(AreaId id) const { return id % shards_.size(); }
   std::size_t slot_of(AreaId id) const { return id / shards_.size(); }
   Shard& shard_for(AreaId id) const { return *shards_[shard_of(id)]; }
-  SlotRef slot_ref(AreaId id) const;
 
-  void store_lane(Shard& shard, Lane& lane, std::size_t slot, Rank owner,
-                  const clocks::VectorClock& clk, Rank accessor,
-                  std::uint64_t event_id);
-  std::size_t lane_storage_bytes(const Lane& lane, std::size_t slot) const;
+  /// Where slot `slot`'s V (W when `w`) lane sits in Shard::lanes.
+  static std::size_t lane_index(std::size_t slot, bool w) { return 2 * slot + (w ? 1 : 0); }
+  const core::LaneState& lane(AreaId id, bool w) const {
+    DSMR_ASSERT(id < areas_);
+    return shard_for(id).lanes[lane_index(slot_of(id), w)];
+  }
+  static void mark_stored(Shard& shard, std::size_t slot, bool w, bool stored) {
+    std::uint64_t& word = shard.stored[w ? 1 : 0][slot / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    word = stored ? word | bit : word & ~bit;
+  }
+  /// A lane's clock, the zero clock while pristine.
+  const clocks::VectorClock& clock_of(const core::LaneState& lane) const {
+    return lane.clock.empty() ? zero_clock_ : lane.clock;
+  }
+
+  void grow_shard(Shard& shard, std::size_t slots);
+  void store_lane(Shard& shard, std::size_t slot, bool w, Rank owner,
+                  const clocks::VectorClock& clk, Rank accessor, std::uint64_t event_id);
+  std::size_t lane_storage_bytes(const core::LaneState& lane) const;
 
   std::size_t nprocs_;
   Rank home_;
   std::size_t areas_ = 0;
-  /// The one clock every cold lane slot aliases. Never mutated after
+  /// What every pristine lane reads as: the zero clock as the event clock
+  /// of the fictitious 0th event of the home rank. Never mutated after
   /// construction, so concurrent readers across shards are safe.
   clocks::VectorClock zero_clock_;
+  core::LaneState pristine_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
@@ -276,10 +277,13 @@ BatchVerdict ShardedDetector::check_range(core::DetectorMode mode,
 
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> guard(shard.mutex);
-    const Lane& lane = use_v ? shard.v : shard.w;
-    const core::SpanLane view{lane.epoch.data() + lo_slot,
-                              lane.prior.data() + lo_slot,
-                              lane.clock.data() + lo_slot};
+    const core::SpanLane view{.shared_clock = &zero_clock_,
+                              .shared_epoch = pristine_.epoch(),
+                              .shared_prior = pristine_.prior,
+                              .own = shard.stored[use_v ? 0 : 1].data(),
+                              .own_first = lo_slot,
+                              .slots = &shard.lanes[lane_index(lo_slot, !use_v)],
+                              .stride = 2};
     const core::SpanStats stats = core::check_span(
         mode, kind, accessor, accessor_clock, view, hi_slot - lo_slot,
         /*trusted_epochs=*/true,

@@ -88,12 +88,11 @@ inline core::Verdict initiator_check(core::DetectorMode mode, core::AccessKind k
                                      const clocks::VectorClock& w, Rank prior_access_rank,
                                      Rank prior_write_rank) {
   const bool use_v = core::detail::compares_against_v(mode, kind);
-  const clocks::VectorClock* stored = use_v ? &v : &w;
-  const clocks::Epoch epoch = clocks::Epoch::of_event(home, *stored);
-  const Rank prior = use_v ? prior_access_rank : prior_write_rank;
+  const clocks::VectorClock& stored = use_v ? v : w;
+  const core::SpanLane lane{&stored, clocks::Epoch::of_event(home, stored),
+                            use_v ? prior_access_rank : prior_write_rank};
   core::Verdict verdict;
-  core::check_span(mode, kind, accessor, issue_clock, core::SpanLane{&epoch, &prior, &stored},
-                   1, /*trusted_epochs=*/true,
+  core::check_span(mode, kind, accessor, issue_clock, lane, 1, /*trusted_epochs=*/true,
                    [&](std::size_t, std::size_t, const core::Verdict& run) { verdict = run; });
   return verdict;
 }

@@ -283,7 +283,9 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
   clock_.tick(rank_);
   const std::uint64_t event_id = next_event_id();
   clocks::VectorClock reads_from;  ///< the stored W this get observed.
-  std::vector<std::byte> data;
+  // Sized here, filled under the shard mutex: no allocation inside the
+  // critical section other readers of the shard queue on.
+  std::vector<std::byte> data(len);
   {
     detect::ShardedDetector& det = node->detector;
     std::lock_guard<std::mutex> guard(det.shard_mutex(area));
@@ -298,7 +300,8 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
           world_.record_race(core::AccessKind::kRead, rank_, src.rank, area, clock_,
                              verdict, event_id);
         });
-    data = node->segment.read_bytes(src.offset, len);
+    const std::span<const std::byte> bytes = node->segment.bytes(src.offset, len);
+    std::copy(bytes.begin(), bytes.end(), data.begin());
   }
   clock_.merge_from(reads_from);
 

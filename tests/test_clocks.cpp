@@ -201,6 +201,54 @@ TEST(VectorClock, InlineAndHeapRepresentationsAgree) {
   EXPECT_FALSE(small == big);
 }
 
+/// A clock of width `n` whose components are `base`, `base + 1`, ...
+VectorClock counting_clock(std::size_t n, ClockValue base) {
+  VectorClock clock(n);
+  for (std::size_t i = 0; i < n; ++i) clock[i] = base + i;
+  return clock;
+}
+
+TEST(VectorClock, EqualWidthCopyAssignKeepsTheDestinationBuffer) {
+  // A detector lane's store overwrites a clock of the same width: the copy
+  // lands in the buffer already held (inline at n = 4, pooled at n = 8).
+  for (const std::size_t n : {std::size_t{4}, std::size_t{8}}) {
+    VectorClock dst = counting_clock(n, 100);
+    const VectorClock src = counting_clock(n, 7);
+    const ClockValue* buffer = &dst[0];
+    dst = src;
+    EXPECT_EQ(dst, src) << "n=" << n;
+    EXPECT_EQ(&dst[0], buffer) << "n=" << n;
+    // The copy is deep: the source keeps its value when the copy moves on.
+    dst.tick(0);
+    EXPECT_EQ(src[0], 7u) << "n=" << n;
+    EXPECT_EQ(dst[0], 8u) << "n=" << n;
+
+    VectorClock& alias = dst;
+    dst = alias;  // self-assignment is a no-op.
+    EXPECT_EQ(dst[0], 8u) << "n=" << n;
+  }
+}
+
+TEST(VectorClock, UnequalWidthCopyAssignResizes) {
+  // Every width pair across the inline/pooled boundary, and to and from
+  // the empty clock a pristine detector lane holds.
+  const std::size_t widths[] = {0, 4, 8, 16};
+  for (const std::size_t from : widths) {
+    for (const std::size_t to : widths) {
+      if (from == to) continue;
+      VectorClock dst = counting_clock(from, 50);
+      const VectorClock src = counting_clock(to, 3);
+      dst = src;
+      EXPECT_EQ(dst.size(), to) << from << " <- " << to;
+      EXPECT_EQ(dst, src) << from << " <- " << to;
+      if (to > 0) {
+        dst.tick(static_cast<Rank>(to - 1));
+        EXPECT_EQ(src[to - 1], 3 + to - 1) << from << " <- " << to;
+      }
+    }
+  }
+}
+
 TEST(Epoch, OfEventReadsTheOwnersComponent) {
   const VectorClock clock{3, 7, 2};
   const Epoch e = Epoch::of_event(1, clock);

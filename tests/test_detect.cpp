@@ -6,6 +6,7 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -175,6 +176,142 @@ TEST(ShardedDetector, StoreRangeMatchesPerAreaStores) {
     EXPECT_EQ(ranged.last_write_event(id), scalar.last_write_event(id)) << id;
   }
   EXPECT_EQ(ranged.storage_bytes(), scalar.storage_bytes());
+}
+
+// ---------------------------------------------------------------------------
+// Pristine bookkeeping: the stored bits check_range reads instead of records
+// ---------------------------------------------------------------------------
+
+TEST(ShardedDetector, BatchMatchesPerAreaAcrossWordAndRunBoundaries) {
+  // Stored lanes on both sides of the 64-slot bit-word boundaries and next
+  // to each other, read-only stores (V stored, W pristine), and lanes that
+  // restore_lane returned to pristine. Over spans that start and end
+  // mid-word, check_range must give check_one's verdicts, with one run per
+  // pristine span plus one per stored lane.
+  constexpr std::size_t kProcs = 4;
+  constexpr std::size_t kAreas = 260;
+  const std::set<AreaId> writes = {0, 63, 65, 127, 128, 192, 255, 259};
+  const std::set<AreaId> reads = {62, 191, 193};
+  const std::set<AreaId> undone = {1, 64, 126, 129, 200};
+  const std::set<AreaId> own_writes = {128};  // by the query's accessor.
+  const Rank accessor = 2;
+
+  for (const int shards : {1, 3}) {
+    ShardedDetector det(kProcs, /*home=*/0, shards);
+    det.register_areas(kAreas);
+    std::set<AreaId> stored_v;
+    std::set<AreaId> stored_w;
+    VectorClock rank1(kProcs);
+    VectorClock rank2(kProcs);
+    for (AreaId id = 0; id < kAreas; ++id) {
+      const bool write = writes.count(id) != 0;
+      if (!write && reads.count(id) == 0 && undone.count(id) == 0) continue;
+      const bool own = own_writes.count(id) != 0;
+      VectorClock& clk = own ? rank2 : rank1;
+      const Rank owner = own ? 2 : 1;
+      clk.tick(owner);
+      const LaneSnapshot v = det.lane_snapshot(id, false);
+      const LaneSnapshot w = det.lane_snapshot(id, true);
+      det.store_access(id, owner, clk, write || undone.count(id) != 0, owner, id + 1u);
+      if (undone.count(id) != 0) {
+        det.restore_lane(id, false, v);
+        det.restore_lane(id, true, w);
+        continue;
+      }
+      stored_v.insert(id);
+      if (write) stored_w.insert(id);
+    }
+    EXPECT_EQ(det.resident_clock_bytes(),
+              (stored_v.size() + stored_w.size()) * rank1.fixed_wire_size());
+
+    VectorClock issue(kProcs);
+    issue[2] = 1000;  // rank 2's event, concurrent with every rank-1 store.
+    const std::uint32_t starts[] = {0, 1, 30, 63, 64, 65, 100, 128, 190};
+    const std::uint32_t ends[] = {2, 64, 65, 66, 128, 129, 193, 256, 260};
+    for (const AccessKind kind : {AccessKind::kWrite, AccessKind::kRead}) {
+      const std::set<AreaId>& lane = kind == AccessKind::kWrite ? stored_v : stored_w;
+      for (const std::uint32_t first : starts) {
+        for (const std::uint32_t end : ends) {
+          if (end <= first) continue;
+          std::vector<AreaId> expected_races;
+          std::uint64_t expected_runs = 0;
+          for (int s = 0; s < shards; ++s) {
+            bool in_pristine_run = false;
+            for (AreaId id = first; id < end; ++id) {
+              if (static_cast<int>(id % static_cast<AreaId>(shards)) != s) continue;
+              const bool stored = lane.count(id) != 0;
+              if (stored || !in_pristine_run) ++expected_runs;
+              in_pristine_run = !stored;
+            }
+          }
+          for (AreaId id = first; id < end; ++id) {
+            const core::Verdict one =
+                det.check_one(DetectorMode::kDualClock, kind, accessor, issue, id);
+            if (one.race) expected_races.push_back(id);
+          }
+          std::vector<AreaId> batch_races;
+          const BatchVerdict batch = det.check_range(
+              DetectorMode::kDualClock, kind, accessor, issue, AreaSpan{first, end - first},
+              [&](AreaId id, const core::Verdict&) { batch_races.push_back(id); });
+          std::sort(batch_races.begin(), batch_races.end());
+          const std::string where = "shards " + std::to_string(shards) + " span [" +
+                                    std::to_string(first) + ", " + std::to_string(end) +
+                                    ") " + (kind == AccessKind::kWrite ? "write" : "read");
+          EXPECT_EQ(batch_races, expected_races) << where;
+          EXPECT_EQ(batch.races, expected_races.size()) << where;
+          EXPECT_EQ(batch.runs, expected_runs) << where;
+          EXPECT_EQ(batch.checked, end - first) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedDetector, PristineRestoreReleasesTheLanesClock) {
+  // record::Folder undoes a step by restoring the lanes it saved. A lane
+  // saved pristine goes back to pristine: its clock storage is released,
+  // it reads as the zero clock again and batches with its pristine
+  // neighbours. Inline (n = 4) and pooled (n = 8) clocks alike.
+  for (const std::size_t n : {std::size_t{4}, std::size_t{8}}) {
+    ShardedDetector det(n, /*home=*/0, /*shards=*/2);
+    det.register_areas(10);
+    const std::size_t cold_storage = det.storage_bytes();
+    const LaneSnapshot v0 = det.lane_snapshot(5, false);
+    const LaneSnapshot w0 = det.lane_snapshot(5, true);
+    EXPECT_TRUE(v0.clock.empty());
+
+    VectorClock clk(n);
+    clk[1] = 3;
+    det.store_access(5, /*owner=*/1, clk, /*is_write=*/true, /*accessor=*/1, 9);
+    EXPECT_EQ(det.resident_clock_bytes(), 2 * clk.fixed_wire_size());
+
+    // A stored snapshot restores in place and keeps its storage.
+    const LaneSnapshot v1 = det.lane_snapshot(5, false);
+    VectorClock later = clk;
+    later[1] = 4;
+    det.store_access(5, 1, later, /*is_write=*/false, /*accessor=*/3, 10);
+    det.restore_lane(5, false, v1);
+    EXPECT_EQ(det.v_clock(5), clk);
+    EXPECT_EQ(det.last_access_event(5), 9u);
+    EXPECT_EQ(det.last_access_rank(5), 1);
+    EXPECT_EQ(det.resident_clock_bytes(), 2 * clk.fixed_wire_size());
+
+    det.restore_lane(5, false, v0);
+    EXPECT_EQ(det.resident_clock_bytes(), clk.fixed_wire_size()) << "n=" << n;
+    det.restore_lane(5, true, w0);
+    EXPECT_EQ(det.resident_clock_bytes(), 0u) << "n=" << n;
+    EXPECT_EQ(det.v_clock(5), VectorClock(n));
+    EXPECT_EQ(det.w_clock(5), VectorClock(n));
+    EXPECT_EQ(det.v_epoch(5), (clocks::Epoch{0, 0}));
+    EXPECT_EQ(det.last_write_rank(5), kInvalidRank);
+    EXPECT_EQ(det.storage_bytes(), cold_storage);
+
+    VectorClock issue(n);
+    issue[2] = 1;
+    const BatchVerdict batch = det.check_range(DetectorMode::kDualClock, AccessKind::kWrite,
+                                               2, issue, AreaSpan{0, 10});
+    EXPECT_EQ(batch.runs, 2u);  // one pristine run per shard.
+  }
 }
 
 // ---------------------------------------------------------------------------

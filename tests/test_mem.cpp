@@ -136,8 +136,8 @@ TEST(DetectorState, ClockBytesAccounting) {
   EXPECT_EQ(per_state, 10u + (clocks::Epoch{0, 0}).wire_size());
   EXPECT_EQ(det.storage_bytes(), 2u * 2u * per_state);
   EXPECT_LT(det.storage_bytes(), 2u * 2u * 10u * sizeof(ClockValue));
-  // Cold areas alias the shared zero clock: no storage is materialized
-  // until an access is actually stored.
+  // Cold areas hold pristine (empty) clocks that read as zero: no clock
+  // storage is materialized until an access is actually stored.
   EXPECT_EQ(det.resident_clock_bytes(), 0u);
 }
 
