@@ -150,11 +150,12 @@ class ShardedDetector {
 
   // ---- lane undo (caller-locked under concurrency) ----
 
-  /// Area `id`'s W lane when `w`, else its V lane. record::Folder saves the
-  /// lanes a step is about to store into, and restores them on undo.
-  /// Restoring a pristine snapshot makes the lane pristine again: its clock
-  /// storage is released and resident_clock_bytes drops by it.
-  LaneSnapshot lane_snapshot(AreaId id, bool w) const { return lane(id, w); }
+  /// Area `id`'s W lane when `w`, else its V lane, valid until the lane's
+  /// next store or restore. record::Folder copies the lanes a step is about
+  /// to store into, and restores them on undo. Restoring a pristine
+  /// snapshot makes the lane pristine again: its clock storage is released
+  /// and resident_clock_bytes drops by it.
+  const LaneSnapshot& lane_snapshot(AreaId id, bool w) const { return lane(id, w); }
   void restore_lane(AreaId id, bool w, const LaneSnapshot& snap);
 
   // ---- per-area state accessors (caller-locked under concurrency) ----

@@ -190,6 +190,7 @@ class Explorer {
                  "exploration tracks ranks in 64-bit sets; got " << flat_.nprocs);
     const auto n = static_cast<std::size_t>(flat_.nprocs);
     cv_.assign(n, VectorClock(n));
+    nodes_.reserve(flat_.total_steps());  // one frame per step of a full run.
   }
 
   ExploreReport run() {

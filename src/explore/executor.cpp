@@ -1,5 +1,8 @@
 #include "explore/executor.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "util/assert.hpp"
 
 namespace dsmr::explore {
@@ -9,6 +12,12 @@ Executor::Executor(const FlatProgram* program) : program_(program) {
   const auto n = static_cast<std::size_t>(program_->nprocs);
   cursor_.assign(n, 0);
   count_.assign(n, 0);
+  // Room for a full run (a step logs at most three events), so the search
+  // never regrows these.
+  const std::size_t steps = program_->total_steps();
+  events_.reserve(3 * steps);
+  mail_.reserve(steps);
+  taken_.reserve(steps);
 }
 
 bool Executor::rank_done(Rank rank) const {
@@ -32,9 +41,14 @@ const Step* Executor::next_step(Rank rank) const {
 bool Executor::step_enabled(Rank rank) const {
   const Step* step = next_step(rank);
   if (step == nullptr) return false;
-  if (step->kind != StepKind::kWait) return true;
-  const auto queue = mail_.find({rank, step->tag});
-  return queue != mail_.end() && !queue->second.empty();
+  return step->kind != StepKind::kWait || first_mail(rank, step->tag) != nullptr;
+}
+
+const Executor::Mail* Executor::first_mail(Rank rank, std::uint64_t tag) const {
+  for (const Mail& mail : mail_) {
+    if (mail.dst == rank && mail.tag == tag) return &mail;
+  }
+  return nullptr;
 }
 
 std::vector<Rank> Executor::enabled() const {
@@ -62,16 +76,6 @@ std::vector<Rank> Executor::unfinished() const {
   return out;
 }
 
-std::pair<Rank, std::uint64_t> Executor::peek_match(Rank rank) const {
-  const Step* step = next_step(rank);
-  DSMR_CHECK_MSG(step != nullptr && step->kind == StepKind::kWait,
-                 "peek_match on a non-wait step");
-  const auto queue = mail_.find({rank, step->tag});
-  DSMR_CHECK_MSG(queue != mail_.end() && !queue->second.empty(),
-                 "peek_match on a blocked wait");
-  return queue->second.front();
-}
-
 ExecutedStep Executor::peek_executed(Rank rank) const {
   const Step* step = next_step(rank);
   DSMR_CHECK_MSG(step != nullptr, "peek_executed past the end of rank "
@@ -84,17 +88,19 @@ ExecutedStep Executor::peek_executed(Rank rank) const {
     // Every event ticks the clock once, so the send stamp is the count
     // after the signal's own event.
     exec.sent_d = count_[static_cast<std::size_t>(rank)] + 1;
-  } else if (step->kind == StepKind::kWait && step_enabled(rank)) {
-    const auto [src, d] = peek_match(rank);
-    exec.matched_src = src;
-    exec.matched_d = d;
+  } else if (step->kind == StepKind::kWait) {
+    if (const Mail* mail = first_mail(rank, step->tag)) {
+      exec.matched_src = mail->src;
+      exec.matched_d = mail->stamp;
+    }
   }
   return exec;
 }
 
 ExecutedStep Executor::execute(Rank rank) {
-  DSMR_CHECK_MSG(step_enabled(rank), "execute of a disabled rank " << rank);
   ExecutedStep exec = peek_executed(rank);
+  DSMR_CHECK_MSG(exec.step.kind != StepKind::kWait || exec.matched_src != -1,
+                 "execute of a disabled rank " << rank);
   const auto r = static_cast<std::size_t>(rank);
   const Step& step = exec.step;
   const auto a = static_cast<std::uint64_t>(rank);
@@ -125,12 +131,13 @@ ExecutedStep Executor::execute(Rank rank) {
       ++count_[r];
       events_.push_back({record::EventKind::kSignal, a,
                          static_cast<std::uint64_t>(step.peer), step.tag, 0});
-      mail_[{step.peer, step.tag}].push_back({rank, count_[r]});
+      mail_.push_back({step.peer, step.tag, rank, count_[r]});
       DSMR_CHECK_MSG(count_[r] == exec.sent_d, "send stamp out of step");
       break;
     case StepKind::kWait: {
-      auto& queue = mail_[{rank, step.tag}];
-      queue.pop_front();
+      const std::size_t at = static_cast<std::size_t>(first_mail(rank, step.tag) - mail_.data());
+      mail_.erase(mail_.begin() + static_cast<std::ptrdiff_t>(at));
+      taken_.push_back(at);
       ++count_[r];
       events_.push_back({record::EventKind::kWaitMatch, a,
                          static_cast<std::uint64_t>(exec.matched_src), step.tag,
@@ -158,15 +165,21 @@ void Executor::undo(const ExecutedStep& exec) {
     case StepKind::kAccess:
       break;
     case StepKind::kSignal: {
-      auto& queue = mail_[{step.peer, step.tag}];
-      DSMR_CHECK_MSG(!queue.empty() && queue.back() == std::make_pair(exec.rank, exec.sent_d),
-                     "undo of a signal that is not at its mailbox's back");
-      queue.pop_back();
+      DSMR_CHECK_MSG(!mail_.empty() && mail_.back().dst == step.peer &&
+                         mail_.back().tag == step.tag && mail_.back().src == exec.rank &&
+                         mail_.back().stamp == exec.sent_d,
+                     "undo of a signal that is not the last one sent");
+      mail_.pop_back();
       break;
     }
-    case StepKind::kWait:
-      mail_[{exec.rank, step.tag}].push_front({exec.matched_src, exec.matched_d});
+    case StepKind::kWait: {
+      DSMR_CHECK_MSG(!taken_.empty(), "undo of a wait that consumed nothing");
+      const std::size_t at = taken_.back();
+      taken_.pop_back();
+      mail_.insert(mail_.begin() + static_cast<std::ptrdiff_t>(at),
+                   Mail{exec.rank, step.tag, exec.matched_src, exec.matched_d});
       break;
+    }
   }
   count_[r] -= events;
   events_.resize(events_.size() - events);
@@ -187,21 +200,26 @@ std::string Executor::scheduler_digest() const {
     out += std::to_string(count_[r]);
     out += '\n';
   }
-  for (const auto& [key, queue] : mail_) {
-    if (queue.empty()) continue;
-    out += "mail r";
-    out += std::to_string(key.first);
-    out += " t";
-    out += std::to_string(key.second);
-    out += ':';
-    for (const auto& [src, d] : queue) {
-      out += ' ';
-      out += std::to_string(src);
-      out += '@';
-      out += std::to_string(d);
+  // Mailbox order, send order within a mailbox.
+  std::vector<Mail> mail = mail_;
+  const auto box = [](const Mail& m) { return std::make_pair(m.dst, m.tag); };
+  std::stable_sort(mail.begin(), mail.end(),
+                   [&](const Mail& x, const Mail& y) { return box(x) < box(y); });
+  for (std::size_t i = 0; i < mail.size(); ++i) {
+    if (i == 0 || box(mail[i - 1]) != box(mail[i])) {
+      if (i > 0) out += '\n';
+      out += "mail r";
+      out += std::to_string(mail[i].dst);
+      out += " t";
+      out += std::to_string(mail[i].tag);
+      out += ':';
     }
-    out += "\n";
+    out += ' ';
+    out += std::to_string(mail[i].src);
+    out += '@';
+    out += std::to_string(mail[i].stamp);
   }
+  if (!mail.empty()) out += '\n';
   return out;
 }
 

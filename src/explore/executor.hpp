@@ -4,19 +4,17 @@
 //
 // The executor holds ONLY scheduling state — per-rank step cursors,
 // per-rank event counts (each log event ticks the folding clock exactly
-// once, so a rank's clock component IS its event count), and FIFO signal
-// mailboxes per (destination, tag). It never touches detector state: the
-// caller folds the synthesized events through record::Folder, the single
-// source of truth for verdicts. That keeps the explorer and the detector
-// impossible to diverge by construction. `undo` takes back the last
-// executed step exactly, so a depth-first search walks back up its path
-// instead of re-running it from the start.
+// once, so a rank's clock component IS its event count), and the
+// undelivered signals, FIFO per (destination, tag) mailbox. It never
+// touches detector state: the caller folds the synthesized events through
+// record::Folder, the single source of truth for verdicts. That keeps the
+// explorer and the detector impossible to diverge by construction. `undo`
+// takes back the last executed step exactly, so a depth-first search walks
+// back up its path instead of re-running it from the start.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "core/rules.hpp"
@@ -57,13 +55,10 @@ class Executor {
 
   /// Reverts `exec`, which must be the most recently executed step not yet
   /// undone (what execute() returned): its cursor, event count and log
-  /// events, and the signal it queued (popped from the back) or the one it
-  /// consumed (pushed back at the front). Afterwards every observable —
+  /// events, and the signal it queued (taken off the back) or the one it
+  /// consumed (put back where it was). Afterwards every observable —
   /// scheduler_digest(), events() — is as it was before the execute.
   void undo(const ExecutedStep& exec);
-
-  /// For an enabled kWait next step: the (sender, stamp) it would consume.
-  std::pair<Rank, std::uint64_t> peek_match(Rank rank) const;
 
   /// The dynamic view of `rank`'s next step, as if executed now — what
   /// execute() would return. Used by the sleep-set filter and the
@@ -88,9 +83,21 @@ class Executor {
   const FlatProgram* program_;
   std::vector<std::size_t> cursor_;        ///< next step index per rank.
   std::vector<std::uint64_t> count_;       ///< events emitted per rank.
-  /// (dst, tag) -> FIFO of (src, sender stamp) for unconsumed signals.
-  std::map<std::pair<Rank, std::uint64_t>, std::deque<std::pair<Rank, std::uint64_t>>>
-      mail_;
+  /// An undelivered signal: its mailbox (dst, tag), sender and stamp.
+  struct Mail {
+    Rank dst = kInvalidRank;
+    std::uint64_t tag = 0;
+    Rank src = kInvalidRank;
+    std::uint64_t stamp = 0;
+  };
+  /// The first undelivered signal in `rank`'s `tag` mailbox, or nullptr.
+  const Mail* first_mail(Rank rank, std::uint64_t tag) const;
+
+  /// Undelivered signals in send order, so a mailbox's FIFO order is its
+  /// entries' order here. A consumed one is erased and its position goes
+  /// on `taken_`, where undo finds it (waits are undone in LIFO order).
+  std::vector<Mail> mail_;
+  std::vector<std::size_t> taken_;
   std::vector<record::Event> events_;
   std::size_t steps_executed_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "record/replay.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "detect/transitions.hpp"
 #include "util/assert.hpp"
@@ -46,39 +47,34 @@ bool Folder::step(const Event& event) {
 
 Folder::Mark Folder::checkpoint() {
   trailing_ = true;
-  return Mark{trail_.size(), result_.reports.size(), result_.checks,
-              result_.events, result_.ok()};
+  return Mark{clock_trail_.size(), lane_trail_.size(), queue_trail_.size(),
+              result_.reports.size(), result_.checks, result_.events, result_.ok()};
 }
 
 void Folder::restore(const Mark& mark) {
-  DSMR_CHECK_MSG(trailing_ && mark.trail <= trail_.size(),
+  DSMR_CHECK_MSG(trailing_ && mark.clocks <= clock_trail_.size() &&
+                     mark.lanes <= lane_trail_.size() && mark.queue <= queue_trail_.size(),
                  "restore to a mark this folder did not hand out");
-  while (trail_.size() > mark.trail) {
-    Undo& undo = trail_.back();
-    switch (undo.kind) {
-      case Undo::Kind::kClock:
-        clocks_[undo.index] = std::move(undo.payload.clock);
-        break;
-      case Undo::Kind::kHandoff:
-        handoffs_[undo.index] = std::move(undo.payload.clock);
-        break;
-      case Undo::Kind::kLane: {
-        const Where area = where_[undo.index];
-        detector(area).restore_lane(area.id, undo.w, undo.lane);
-        break;
-      }
-      case Undo::Kind::kPush:
-        undo.queue->pop_back();
-        break;
-      case Undo::Kind::kPop:
-        undo.queue->push_front(std::move(undo.payload));
-        break;
-      case Undo::Kind::kErase:
-        undo.queue->insert(undo.queue->begin() + static_cast<std::ptrdiff_t>(undo.index),
-                           std::move(undo.payload));
-        break;
+  while (clock_trail_.size() > mark.clocks) {
+    ClockSave& save = clock_trail_.back();
+    (save.handoff ? handoffs_ : clocks_)[save.index] = std::move(save.clock);
+    clock_trail_.pop_back();
+  }
+  while (lane_trail_.size() > mark.lanes) {
+    const LaneSave& save = lane_trail_.back();
+    const Where area = where_[save.index];
+    detector(area).restore_lane(area.id, save.w, save.lane);
+    lane_trail_.pop_back();
+  }
+  while (queue_trail_.size() > mark.queue) {
+    QueueSave& save = queue_trail_.back();
+    if (save.push) {
+      in_flight_.pop_back();
+    } else {
+      in_flight_.insert(in_flight_.begin() + static_cast<std::ptrdiff_t>(save.at),
+                        std::move(save.entry));
     }
-    trail_.pop_back();
+    queue_trail_.pop_back();
   }
   result_.reports.erase(result_.reports.begin() + static_cast<std::ptrdiff_t>(mark.reports),
                         result_.reports.end());
@@ -87,41 +83,37 @@ void Folder::restore(const Mark& mark) {
   if (mark.ok) result_.error.clear();
 }
 
+// The trail writers construct each entry in place from the state it saves.
 void Folder::save_clock(std::uint64_t rank) {
-  if (!trailing_) return;
-  Undo& undo = trail_.emplace_back();
-  undo.kind = Undo::Kind::kClock;
-  undo.index = rank;
-  undo.payload.clock = clocks_[rank];
+  if (trailing_) clock_trail_.emplace_back(static_cast<std::uint32_t>(rank), false, clocks_[rank]);
 }
 
 void Folder::save_handoff(std::uint64_t index) {
-  if (!trailing_) return;
-  Undo& undo = trail_.emplace_back();
-  undo.kind = Undo::Kind::kHandoff;
-  undo.index = index;
-  undo.payload.clock = handoffs_[index];
+  if (trailing_) {
+    clock_trail_.emplace_back(static_cast<std::uint32_t>(index), true, handoffs_[index]);
+  }
 }
 
 void Folder::save_lanes(std::uint64_t index, bool write) {
   if (!trailing_) return;
   const Where area = where_[index];
-  for (const bool w : {false, true}) {
-    if (w && !write) break;
-    Undo& undo = trail_.emplace_back();
-    undo.kind = Undo::Kind::kLane;
-    undo.index = index;
-    undo.w = w;
-    undo.lane = detector(area).lane_snapshot(area.id, w);
-  }
+  const auto i = static_cast<std::uint32_t>(index);
+  lane_trail_.emplace_back(i, false, detector(area).lane_snapshot(area.id, false));
+  if (write) lane_trail_.emplace_back(i, true, detector(area).lane_snapshot(area.id, true));
 }
 
-void Folder::push(Queue& queue, const VectorClock& clock, std::uint64_t id) {
-  queue.push_back(Payload{clock, id});
-  if (!trailing_) return;
-  Undo& undo = trail_.emplace_back();
-  undo.kind = Undo::Kind::kPush;
-  undo.queue = &queue;
+void Folder::push(Channel channel, std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                  const VectorClock& clock, std::uint64_t id) {
+  in_flight_.emplace_back(channel, a, b, c, clock, id);
+  if (trailing_) queue_trail_.emplace_back(0, true);
+}
+
+/// Erases in_flight_[at], copying it to `out` first when `out` is set.
+void Folder::consume(std::size_t at, InFlight* out) {
+  const auto it = in_flight_.begin() + static_cast<std::ptrdiff_t>(at);
+  if (out != nullptr) *out = *it;
+  if (trailing_) queue_trail_.emplace_back(static_cast<std::uint32_t>(at), false, std::move(*it));
+  in_flight_.erase(it);
 }
 
 void Folder::fail(const Event& event, const std::string& what) {
@@ -142,24 +134,19 @@ bool Folder::valid_area(const Event& event, std::uint64_t index) {
   return false;
 }
 
-/// Pops the single in-flight payload of (rank, area) from `queue`.
-bool Folder::pop(const Event& event, PayloadQueues& queue, std::uint64_t rank,
-                 std::uint64_t area, Payload* out, const char* what) {
-  auto it = queue.find({rank, area});
-  if (it == queue.end() || it->second.empty()) {
-    fail(event, std::string("no pending ") + what + " for rank " +
-                    std::to_string(rank) + " area " + std::to_string(area));
-    return false;
+/// Takes the oldest in-flight payload of (rank, area) on `channel`.
+bool Folder::pop(const Event& event, Channel channel, std::uint64_t rank, std::uint64_t area,
+                 InFlight* out, const char* what) {
+  for (std::size_t at = 0; at < in_flight_.size(); ++at) {
+    const InFlight& entry = in_flight_[at];
+    if (entry.channel == channel && entry.a == rank && entry.b == area) {
+      consume(at, out);
+      return true;
+    }
   }
-  *out = std::move(it->second.front());
-  it->second.pop_front();
-  if (trailing_) {
-    Undo& undo = trail_.emplace_back();
-    undo.kind = Undo::Kind::kPop;
-    undo.queue = &it->second;
-    undo.payload = *out;
-  }
-  return true;
+  fail(event, std::string("no pending ") + what + " for rank " + std::to_string(rank) +
+                  " area " + std::to_string(area));
+  return false;
 }
 
 /// Hands access `id` to the observer, with the area state it meets.
@@ -213,20 +200,20 @@ void Folder::fold(const Event& event) {
     case EventKind::kPutIssue:
     case EventKind::kGetIssue: {
       if (!valid_rank(event, event.a) || !valid_area(event, event.b)) return;
-      PayloadQueues& queue =
-          event.kind == EventKind::kPutIssue ? put_issue_ : get_issue_;
+      const Channel channel =
+          event.kind == EventKind::kPutIssue ? Channel::kPutIssue : Channel::kGetIssue;
       save_clock(event.a);
       clocks_[event.a].tick(static_cast<Rank>(event.a));
       // step() counts the event once it is folded: this is its log index.
-      push(queue[{event.a, event.b}], clocks_[event.a], result_.events + 1);
+      push(channel, event.a, event.b, 0, clocks_[event.a], result_.events + 1);
       return;
     }
     case EventKind::kPutApply:
     case EventKind::kGetApply: {
       if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
       const bool put = event.kind == EventKind::kPutApply;
-      Payload issue;
-      if (!pop(event, put ? put_issue_ : get_issue_, event.a, event.b, &issue,
+      InFlight issue;
+      if (!pop(event, put ? Channel::kPutIssue : Channel::kGetIssue, event.a, event.b, &issue,
                put ? "put issue" : "get issue"))
         return;
       const auto src = static_cast<Rank>(event.a);
@@ -247,19 +234,19 @@ void Folder::fold(const Event& event) {
                            report(issue.id, event.b, kind, src, issue.clock, verdict);
                          });
       if (!put) {
-        push(get_merge_[{event.a, event.b}], home_clock);
+        push(Channel::kGetMerge, event.a, event.b, 0, home_clock);
       } else if (log_.header.acked_puts) {
-        push(put_ack_[{event.a, event.b}], home_clock);
+        push(Channel::kPutAck, event.a, event.b, 0, home_clock);
       }
       return;
     }
     case EventKind::kPutAck:
     case EventKind::kGetMerge: {
       if (!valid_rank(event, event.a) || !valid_area(event, event.b)) return;
-      PayloadQueues& queue =
-          event.kind == EventKind::kPutAck ? put_ack_ : get_merge_;
-      Payload payload;
-      if (!pop(event, queue, event.a, event.b, &payload, "completion")) return;
+      const Channel channel =
+          event.kind == EventKind::kPutAck ? Channel::kPutAck : Channel::kGetMerge;
+      InFlight payload;
+      if (!pop(event, channel, event.a, event.b, &payload, "completion")) return;
       save_clock(event.a);
       clocks_[event.a].merge_from(payload.clock);
       return;
@@ -280,14 +267,14 @@ void Folder::fold(const Event& event) {
       save_clock(event.a);
       clocks_[event.a].tick(static_cast<Rank>(event.a));
       if (log_.header.lock_clock_handoff) {
-        push(unlock_release_[{event.a, event.b}], clocks_[event.a]);
+        push(Channel::kUnlockRelease, event.a, event.b, 0, clocks_[event.a]);
       }
       return;
     }
     case EventKind::kUnlockApply: {
       if (!valid_area(event, event.b) || !valid_rank(event, event.a)) return;
-      Payload release;
-      if (!pop(event, unlock_release_, event.a, event.b, &release,
+      InFlight release;
+      if (!pop(event, Channel::kUnlockRelease, event.a, event.b, &release,
                "unlock release"))
         return;
       save_handoff(event.b);
@@ -298,39 +285,32 @@ void Folder::fold(const Event& event) {
       if (!valid_rank(event, event.a) || !valid_rank(event, event.b)) return;
       save_clock(event.a);
       clocks_[event.a].tick(static_cast<Rank>(event.a));
-      push(signals_[{event.a, event.b, event.c}], clocks_[event.a]);
+      push(Channel::kSignal, event.a, event.b, event.c, clocks_[event.a]);
       return;
     }
     case EventKind::kWaitMatch: {
       if (!valid_rank(event, event.a) || !valid_rank(event, event.b)) return;
-      auto& queue = signals_[{event.b, event.a, event.c}];
       // Match by the sender's own component at send time (field d): the
       // sender ticks before every signal, so the component names exactly
       // one send even when same-channel signals arrive reordered.
-      auto it = std::find_if(queue.begin(), queue.end(),
-                             [&](const Payload& signal) {
-                               return signal.clock[static_cast<std::size_t>(event.b)] ==
-                                      event.d;
-                             });
-      if (it == queue.end()) {
+      const auto src = static_cast<std::size_t>(event.b);
+      const auto it = std::find_if(in_flight_.begin(), in_flight_.end(),
+                                   [&](const InFlight& signal) {
+                                     return signal.channel == Channel::kSignal &&
+                                            signal.a == event.b && signal.b == event.a &&
+                                            signal.c == event.c && signal.clock[src] == event.d;
+                                   });
+      if (it == in_flight_.end()) {
         fail(event, "no undelivered signal from rank " +
                         std::to_string(event.b) + " tag " +
                         std::to_string(event.c) + " with sender component " +
                         std::to_string(event.d));
         return;
       }
-      const VectorClock sender = std::move(it->clock);
-      if (trailing_) {
-        Undo& undo = trail_.emplace_back();
-        undo.kind = Undo::Kind::kErase;
-        undo.queue = &queue;
-        undo.index = static_cast<std::size_t>(it - queue.begin());
-        undo.payload.clock = sender;
-      }
-      queue.erase(it);
       save_clock(event.a);
       clocks_[event.a].tick(static_cast<Rank>(event.a));
-      clocks_[event.a].merge_from(sender);
+      clocks_[event.a].merge_from(it->clock);
+      consume(static_cast<std::size_t>(it - in_flight_.begin()), nullptr);
       return;
     }
     case EventKind::kThreadPut:
@@ -419,18 +399,28 @@ std::string Folder::state_digest() const {
         << " lw=" << det.last_write_rank(area.id) << " handoff="
         << (handoffs_[i].empty() ? "-" : handoffs_[i].to_string()) << "\n";
   }
-  queue_digest(out, "put_issue", put_issue_);
-  queue_digest(out, "put_ack", put_ack_);
-  queue_digest(out, "get_issue", get_issue_);
-  queue_digest(out, "get_merge", get_merge_);
-  queue_digest(out, "unlock_release", unlock_release_);
-  for (const auto& [key, queue] : signals_) {
-    if (queue.empty()) continue;
-    out << "signal " << std::get<0>(key) << "->" << std::get<1>(key) << " t"
-        << std::get<2>(key) << ":";
-    for (const Payload& signal : queue) out << " " << signal.clock.to_string();
-    out << "\n";
+  // Channel-key order, arrival order within a channel.
+  std::vector<const InFlight*> pending;
+  pending.reserve(in_flight_.size());
+  for (const InFlight& entry : in_flight_) pending.push_back(&entry);
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const InFlight* x, const InFlight* y) { return x->key_less(*y); });
+  static constexpr const char* kLabels[] = {"put_issue", "put_ack", "get_issue", "get_merge",
+                                            "unlock_release"};
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const InFlight& entry = *pending[i];
+    if (i == 0 || !pending[i - 1]->same_key(entry)) {
+      if (i > 0) out << "\n";
+      if (entry.channel == Channel::kSignal) {
+        out << "signal " << entry.a << "->" << entry.b << " t" << entry.c << ":";
+      } else {
+        out << kLabels[static_cast<std::size_t>(entry.channel)] << " (" << entry.a << ",a"
+            << entry.b << "):";
+      }
+    }
+    out << " " << entry.clock.to_string();
   }
+  if (!pending.empty()) out << "\n";
   for (const core::RaceReport& report : result_.reports) {
     out << "race a" << report.area << " by r" << report.accessor << " "
         << (report.kind == core::AccessKind::kWrite ? "W" : "R") << " vs "
@@ -444,16 +434,6 @@ std::string Folder::state_digest() const {
 std::string Folder::epoch_digest(clocks::Epoch epoch) {
   if (!epoch.valid()) return "full";
   return std::to_string(epoch.rank) + "@" + std::to_string(epoch.value);
-}
-
-void Folder::queue_digest(std::ostringstream& out, const char* label,
-                          const PayloadQueues& map) {
-  for (const auto& [key, queue] : map) {
-    if (queue.empty()) continue;
-    out << label << " (" << key.first << ",a" << key.second << "):";
-    for (const Payload& payload : queue) out << " " << payload.clock.to_string();
-    out << "\n";
-  }
 }
 
 ReplayResult replay_fold(const Log& log, core::DetectorMode mode,

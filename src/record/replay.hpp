@@ -6,7 +6,7 @@
 // vector clocks, one detect::ShardedDetector per home, lock handoff clocks,
 // in-flight ack/response queues — validating every event first (logs are
 // disk input). It can also take back what it folded: `checkpoint` marks
-// the state and `restore` returns to the mark through an undo trail, so a
+// the state and `restore` returns to the mark through undo trails, so a
 // search over event orders (explore/dpor.cpp) folds each event once. An
 // observer sees every access as it is applied, with the clocks the fold
 // re-derived for it: the offline analyses (analysis/ground_truth.hpp) are
@@ -25,12 +25,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -88,9 +85,11 @@ struct AppliedAccess {
 /// same transitions => the live verdicts, bit for bit.
 class Folder {
  public:
-  /// A point to restore to: the trail length and the result counters.
+  /// A point to restore to: each trail's length and the result counters.
   struct Mark {
-    std::size_t trail = 0;
+    std::size_t clocks = 0;
+    std::size_t lanes = 0;
+    std::size_t queue = 0;
     std::size_t reports = 0;
     std::uint64_t checks = 0;
     std::uint64_t events = 0;
@@ -135,16 +134,37 @@ class Folder {
   ReplayResult finish(bool completed, std::vector<Rank> stuck) &&;
 
  private:
-  /// An in-flight clock, with its access's id if it is an issue clock.
-  struct Payload {
+  /// What an in-flight payload is waiting for. The order is the digest's.
+  enum class Channel : std::uint8_t {
+    kPutIssue,
+    kPutAck,
+    kGetIssue,
+    kGetMerge,
+    kUnlockRelease,
+    kSignal,
+  };
+
+  /// One in-flight payload: its channel key — (initiator, flat area) for
+  /// the op queues, (src, dst, tag) for a signal — its clock, and its
+  /// access's id if it is an issue clock. Each initiator op is a blocking
+  /// await, so an op channel holds at most one entry; a malformed log that
+  /// violates that still folds FIFO.
+  struct InFlight {
+    Channel channel = Channel::kPutIssue;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    std::uint64_t c = 0;
     clocks::VectorClock clock;
     std::uint64_t id = 0;
+
+    /// Channel-key order: the order state_digest renders in.
+    bool key_less(const InFlight& other) const {
+      return std::tie(channel, a, b, c) < std::tie(other.channel, other.a, other.b, other.c);
+    }
+    bool same_key(const InFlight& other) const {
+      return channel == other.channel && a == other.a && b == other.b && c == other.c;
+    }
   };
-  /// In-flight payloads keyed by (initiator, area). Each initiator op is a
-  /// blocking await, so every queue's depth is at most 1; deques keep the
-  /// fold honest if a malformed log violates that.
-  using Queue = std::deque<Payload>;
-  using PayloadQueues = std::map<std::pair<std::uint64_t, std::uint64_t>, Queue>;
 
   /// A flat area-table index resolved to its home detector's area id.
   struct Where {
@@ -152,22 +172,27 @@ class Folder {
     detect::AreaId id;
   };
 
-  /// One trail entry: the value a step overwrote, and where it lives.
-  struct Undo {
-    enum class Kind : std::uint8_t {
-      kClock,    ///< clocks_[index] held `clock`.
-      kHandoff,  ///< handoffs_[index] held `clock`.
-      kLane,     ///< flat area `index`'s V (or W, when `w`) lane held `lane`.
-      kPush,     ///< `queue` had an entry pushed at its back.
-      kPop,      ///< `queue` had `clock` popped from its front.
-      kErase,    ///< `queue` had `clock` erased at position `index`.
-    };
-    Kind kind = Kind::kClock;
+  // The undo trails, one per kind of state. The kinds touch disjoint
+  // state, so restore() pops each trail on its own.
+
+  /// clocks_[index] (handoffs_[index] when `handoff`) held `clock`.
+  struct ClockSave {
+    std::uint32_t index = 0;
+    bool handoff = false;
+    clocks::VectorClock clock;
+  };
+  /// Flat area `index`'s V (W when `w`) lane held `lane`.
+  struct LaneSave {
+    std::uint32_t index = 0;
     bool w = false;
-    std::size_t index = 0;
-    Queue* queue = nullptr;
-    Payload payload;  ///< the clock (kClock, kHandoff) or queue entry.
     detect::LaneSnapshot lane;
+  };
+  /// A push appended at in_flight_'s back (`entry` unused), or a consume
+  /// erased `entry` from position `at`.
+  struct QueueSave {
+    std::uint32_t at = 0;
+    bool push = false;
+    InFlight entry;
   };
 
   detect::ShardedDetector& detector(Where area) const {
@@ -178,9 +203,11 @@ class Folder {
   void fail(const Event& event, const std::string& what);
   bool valid_rank(const Event& event, std::uint64_t rank);
   bool valid_area(const Event& event, std::uint64_t index);
-  bool pop(const Event& event, PayloadQueues& queue, std::uint64_t rank,
-           std::uint64_t area, Payload* out, const char* what);
-  void push(Queue& queue, const clocks::VectorClock& clock, std::uint64_t id = 0);
+  bool pop(const Event& event, Channel channel, std::uint64_t rank, std::uint64_t area,
+           InFlight* out, const char* what);
+  void push(Channel channel, std::uint64_t a, std::uint64_t b, std::uint64_t c,
+            const clocks::VectorClock& clock, std::uint64_t id = 0);
+  void consume(std::size_t at, InFlight* out);
   void observe(std::uint64_t id, Rank rank, core::AccessKind kind, std::uint64_t index,
                const clocks::VectorClock& issue, const clocks::VectorClock& applied) const;
   void report(std::uint64_t id, std::uint64_t index, core::AccessKind kind, Rank accessor,
@@ -192,8 +219,6 @@ class Folder {
   void save_lanes(std::uint64_t index, bool write);
 
   static std::string epoch_digest(clocks::Epoch epoch);
-  static void queue_digest(std::ostringstream& out, const char* label,
-                           const PayloadQueues& map);
 
   const Log& log_;
   core::DetectorMode mode_;
@@ -201,15 +226,17 @@ class Folder {
   std::vector<Where> where_;                 ///< per flat area index.
   std::vector<std::unique_ptr<detect::ShardedDetector>> detectors_;  ///< per home.
   std::vector<clocks::VectorClock> handoffs_;  ///< per flat area; empty = none yet.
-  PayloadQueues put_issue_, put_ack_, get_issue_, get_merge_, unlock_release_;
-  /// Undelivered signal clocks keyed by (src, dst, tag). Matching is by the
-  /// sender's own clock component (Event::d), not FIFO: same-channel signals
-  /// can be reordered by perturbation or fault retries.
-  std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>, Queue> signals_;
+  /// In-flight payloads in arrival order; a consumed one is erased, so a
+  /// scan covers only what is in flight. Signals match by the sender's own
+  /// clock component (Event::d), not FIFO: same-channel signals can be
+  /// reordered by perturbation or fault retries.
+  std::vector<InFlight> in_flight_;
   ReplayResult result_;
   Observer observer_;
   bool trailing_ = false;  ///< set by the first checkpoint.
-  std::vector<Undo> trail_;
+  std::vector<ClockSave> clock_trail_;
+  std::vector<LaneSave> lane_trail_;
+  std::vector<QueueSave> queue_trail_;
 };
 
 /// Folds `log` under detector `mode`. Pass `log.header.mode` to reproduce

@@ -580,6 +580,33 @@ TEST(Exhaustive, CertificateAndCrossCheckTotalsArePinned) {
   EXPECT_EQ(naive_total, 1880u);
 }
 
+// The same pin at explore_certify's generator config (3 phases, up to 2
+// ops per rank per phase): `dsmr_explore --exhaustive --seeds 1..64
+// --phases 3 --ops-per-rank 2`, whose totals CI asserts on the JSON. One
+// program (seed 2, ack-window) is over the 8-op gate and is skipped.
+TEST(Exhaustive, BenchmarkSizedCertificateTotalsArePinned) {
+  std::uint64_t eligible = 0, interleavings = 0, sleep_blocked = 0, pruned = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    fuzz::GenConfig base = slice_config(seed);
+    base.phases = 3;
+    base.max_ops_per_rank = 2;
+    const fuzz::Program program = fuzz::generate_program(fuzz::config_for_seed(
+        base, seed, 0.5, {fuzz::BugKind::kPartialBarrier, fuzz::BugKind::kAckWindow}));
+    if (!exhaustive_eligible(program).eligible) continue;
+    ++eligible;
+    const ExploreReport report = explore_program(program);
+    const std::vector<std::string> failures = check_exhaustive(program, report);
+    EXPECT_TRUE(failures.empty()) << "seed " << seed << ": " << failures.front();
+    interleavings += report.interleavings;
+    sleep_blocked += report.sleep_blocked;
+    pruned += report.pruned_branches;
+  }
+  EXPECT_EQ(eligible, 63u);
+  EXPECT_EQ(interleavings, 2145u);
+  EXPECT_EQ(sleep_blocked, 0u);
+  EXPECT_EQ(pruned, 17073u);
+}
+
 // The search is stateful: `transitions` counts DFS edges, each executed
 // once. Rank 0 ticks twice, then both ranks put area 0. The first run takes
 // tick, tick, put(r0), put(r1) (4 edges); the race between the puts puts

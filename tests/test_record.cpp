@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -23,6 +24,8 @@
 #include "analysis/ground_truth.hpp"
 #include "baseline/lockset.hpp"
 #include "detect/sharded_detector.hpp"
+#include "explore/executor.hpp"
+#include "explore/model.hpp"
 #include "fuzz/generate.hpp"
 #include "fuzz/program.hpp"
 #include "fuzz/thread_harness.hpp"
@@ -1252,6 +1255,113 @@ TEST(Folder, RestorePutsAReorderedSignalBackInPlace) {
   ASSERT_TRUE(folder.step(log.events[2]));
   ASSERT_TRUE(folder.step(log.events[3]));
   EXPECT_EQ(folder.state_digest(), replay_state_digest(log, core::DetectorMode::kDualClock));
+}
+
+/// Logs the explorer folds: random Executor schedules of the benchmark
+/// generator's config (3 ranks, 4 areas, 3 phases, 2 ops per rank), sealed
+/// by make_witness_log. Each log's signal tags are then collapsed to one
+/// tag per (src, dst) pair. Each wait still names its own send by the
+/// sender's component, so the log stays valid, but a wait may now consume
+/// a later same-channel send while an earlier one is still queued.
+/// `*reordered` counts those waits.
+std::vector<Log> explorer_logs(std::size_t* reordered) {
+  std::vector<Log> logs;
+  *reordered = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    fuzz::GenConfig gen;
+    gen.seed = seed;
+    gen.plant_bug = seed % 2 == 0;
+    gen.bug_kind = seed % 4 == 0 ? fuzz::BugKind::kAckWindow : fuzz::BugKind::kPartialBarrier;
+    gen.nprocs = 3;
+    gen.areas = 4;
+    gen.area_bytes = 8;
+    gen.phases = 3;
+    gen.max_ops_per_rank = 2;
+    gen.max_sync_edges = 1;
+    gen.collective_fraction = 0.0;
+    const explore::FlatProgram flat = explore::flatten_program(fuzz::generate_program(gen));
+    explore::Executor executor(&flat);
+    util::Rng rng(seed);
+    for (std::vector<Rank> enabled = executor.enabled(); !enabled.empty();
+         enabled = executor.enabled()) {
+      executor.execute(enabled[rng.below(enabled.size())]);
+    }
+    Log log = explore::make_witness_log(flat, executor.events(),
+                                        core::DetectorMode::kDualClock, {});
+    // Collapse the tags and count the waits that skip a queued send. A
+    // rank's clock component is its event count, so a send's stamp is the
+    // count after it.
+    std::vector<std::uint64_t> count(3, 0);
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<std::uint64_t>> queued;
+    for (Event& event : log.events) {
+      ++count[event.a];
+      if (event.kind == EventKind::kSignal) {
+        event.c = 0;
+        queued[{event.a, event.b}].push_back(count[event.a]);
+      } else if (event.kind == EventKind::kWaitMatch) {
+        event.c = 0;
+        std::vector<std::uint64_t>& channel = queued[{event.b, event.a}];
+        const auto it = std::find(channel.begin(), channel.end(), event.d);
+        EXPECT_NE(it, channel.end()) << "seed " << seed;
+        if (it != channel.begin()) ++*reordered;
+        if (it != channel.end()) channel.erase(it);
+      }
+    }
+    logs.push_back(std::move(log));
+  }
+  return logs;
+}
+
+// The explorer's own logs: thread events only, a few signals in flight at
+// once, and waits that consume a same-channel send out of send order.
+TEST(Folder, CheckpointRestoreOnExplorerLogs) {
+  std::size_t reordered = 0;
+  int restores = 0;
+  std::uint64_t seed = 0;
+  for (const Log& log : explorer_logs(&reordered)) {
+    restores += check_checkpoint_contract(log, core::DetectorMode::kDualClock, ++seed);
+  }
+  EXPECT_GE(reordered, 10u);
+  EXPECT_GT(restores, 1000);
+}
+
+// In-flight signals render in channel-key order, whatever order they were
+// sent in.
+TEST(Folder, StateDigestOrdersSignalsByChannel) {
+  Log log;
+  log.header.nprocs = 2;
+  log.header.backend = Backend::kThread;
+  log.areas = {{0, 8, "x"}};
+  log.events = {{EventKind::kSignal, 1, 0, 9}, {EventKind::kSignal, 0, 1, 7}};
+  const std::string digest = replay_state_digest(log, core::DetectorMode::kDualClock);
+  const std::size_t first = digest.find("signal 0->1 t7: 10\n");
+  const std::size_t second = digest.find("signal 1->0 t9: 01\n");
+  ASSERT_NE(first, std::string::npos) << digest;
+  ASSERT_NE(second, std::string::npos) << digest;
+  EXPECT_LT(first, second) << digest;
+}
+
+// A delivered signal leaves nothing behind: after each of 10^4
+// signal/wait pairs on distinct tags the digest shows no signal, and
+// restoring the mark taken before the first pair brings back the start.
+TEST(Folder, DeliveredSignalsLeaveNoTrace) {
+  constexpr std::uint64_t kPairs = 10'000;
+  Log log;
+  log.header.nprocs = 2;
+  log.header.backend = Backend::kThread;
+  log.areas = {{0, 8, "x"}};
+  Folder folder(log, core::DetectorMode::kDualClock);
+  const Folder::Mark mark = folder.checkpoint();
+  const std::string start = folder.state_digest();
+  for (std::uint64_t tag = 0; tag < kPairs; ++tag) {
+    // Rank 0's clock component after its signal is its signal count.
+    ASSERT_TRUE(folder.step({EventKind::kSignal, 0, 1, tag}));
+    ASSERT_TRUE(folder.step({EventKind::kWaitMatch, 1, 0, tag, tag + 1})) << folder.error();
+    const std::string digest = folder.state_digest();
+    ASSERT_EQ(digest.find("signal"), std::string::npos) << "pair " << tag << ":\n" << digest;
+  }
+  folder.restore(mark);
+  EXPECT_EQ(folder.state_digest(), start);
 }
 
 /// Checks that every report folded from `log` at dual-clock detection names

@@ -24,11 +24,16 @@
 // program must CERTIFY clean over the full reduced space.
 //
 //   dsmr_explore --exhaustive [--seeds N|LO..HI] [--first-seed N]
-//                [--ranks N<=3] [--max-ops N] [--max-interleavings N]
+//                [--ranks N<=3] [--phases N] [--ops-per-rank N]
+//                [--max-ops N] [--max-interleavings N]
 //                [--bug-kinds K1,K2|all|none] [--planted-fraction F]
 //                [--witness-dir DIR] [--max-witnesses N]
 //                [--compare-naive] [--single-pass] [--skip-sample]
 //                [--json FILE] [--verbose]
+//
+// --phases and --ops-per-rank size the generated slice (defaults 2 and 1,
+// the 64-program certificate); `--phases 3 --ops-per-rank 2` is the
+// explore_certify benchmark's generator config.
 //
 // Every racy interleaving is exported (--witness-dir) as a record/ log that
 // replays offline (`dsmr_replay --log`) and back onto real OS threads
@@ -106,18 +111,20 @@ std::optional<std::vector<const analysis::Scenario*>> parse_scenarios(const std:
 }
 
 /// The generator slice --exhaustive certifies: small programs by
-/// construction. Two phases (one boundary) keeps partial-barrier plantable,
-/// areas = nprocs + 1 keeps ack-window plantable, and one filler op per rank
-/// per phase keeps even the largest planted prologue (ack-window's producer:
-/// up to 6 ops) inside the --max-ops 8 eligibility gate, so nothing in the
-/// slice is silently under-certified.
-fuzz::GenConfig exhaustive_slice(int ranks) {
+/// construction. At the defaults (2 phases, 1 op per rank per phase), two
+/// phases (one boundary) keep partial-barrier plantable, areas = nprocs + 1
+/// keeps ack-window plantable, and one filler op per rank per phase keeps
+/// even the largest planted prologue (ack-window's producer: up to 6 ops)
+/// inside the --max-ops 8 eligibility gate, so nothing in the slice is
+/// silently under-certified. Larger slices can hold programs over the gate;
+/// those are reported as skipped and the run exits 2.
+fuzz::GenConfig exhaustive_slice(int ranks, int phases, int ops_per_rank) {
   fuzz::GenConfig base;
   base.nprocs = ranks;
   base.areas = ranks + 1;
   base.area_bytes = 8;
-  base.phases = 2;
-  base.max_ops_per_rank = 1;
+  base.phases = phases;
+  base.max_ops_per_rank = ops_per_rank;
   base.max_sync_edges = 1;
   base.collective_fraction = 0.0;
   return base;
@@ -125,6 +132,8 @@ fuzz::GenConfig exhaustive_slice(int ranks) {
 
 struct ExhaustiveParams {
   int ranks = 3;
+  int phases = 2;
+  int ops_per_rank = 1;  ///< generator cap per rank per phase.
   util::SeedRange seeds{1, 64};
   std::vector<fuzz::BugKind> kinds;
   double planted_fraction = 0.5;
@@ -164,11 +173,12 @@ bool same_counters(const explore::ExploreReport& a, const explore::ExploreReport
 }
 
 int run_exhaustive(const ExhaustiveParams& params, util::OutputFile& json) {
-  const fuzz::GenConfig base = exhaustive_slice(params.ranks);
-  std::printf("--- dsmr_explore --exhaustive: %llu program(s), ranks=%d, "
-              "max-ops=%d, max-interleavings=%llu ---\n",
+  const fuzz::GenConfig base =
+      exhaustive_slice(params.ranks, params.phases, params.ops_per_rank);
+  std::printf("--- dsmr_explore --exhaustive: %llu program(s), ranks=%d, phases=%d, "
+              "ops-per-rank=%d, max-ops=%d, max-interleavings=%llu ---\n",
               static_cast<unsigned long long>(params.seeds.count), params.ranks,
-              params.max_ops,
+              params.phases, params.ops_per_rank, params.max_ops,
               static_cast<unsigned long long>(params.max_interleavings));
 
   explore::ExploreOptions reduced;
@@ -396,6 +406,8 @@ int run_exhaustive(const ExhaustiveParams& params, util::OutputFile& json) {
   if (json.out.is_open()) {
     json.out << "{\"tool\":\"dsmr_explore\",\"mode\":\"exhaustive\""
              << ",\"ranks\":" << params.ranks
+             << ",\"phases\":" << params.phases
+             << ",\"ops_per_rank\":" << params.ops_per_rank
              << ",\"first_seed\":" << params.seeds.first
              << ",\"seeds\":" << params.seeds.count
              << ",\"max_ops\":" << params.max_ops
@@ -447,7 +459,7 @@ int run_exhaustive(const ExhaustiveParams& params, util::OutputFile& json) {
     std::printf("EXHAUSTIVE INCOMPLETE: %zu exploration(s) tripped a budget, "
                 "%llu program(s) over the size gate — nothing was certified "
                 "for them; raise --max-interleavings / --max-ops or shrink "
-                "the slice\n",
+                "the slice (--phases / --ops-per-rank)\n",
                 limit_failures.size(), static_cast<unsigned long long>(skipped));
     return 2;
   }
@@ -486,6 +498,8 @@ int main(int argc, char** argv) {
   params.planted_fraction = cli.get_double("planted-fraction", 0.5, 0.0, 1.0);
   params.max_interleavings =
       cli.get_uint("max-interleavings", params.max_interleavings);
+  params.phases = cli.get_int("phases", params.phases, 1, 8);
+  params.ops_per_rank = cli.get_int("ops-per-rank", params.ops_per_rank, 1, 8);
   params.max_ops = cli.get_int("max-ops", params.max_ops, 1, 8);
   params.max_witnesses =
       static_cast<std::size_t>(cli.get_uint("max-witnesses", 4));
@@ -499,10 +513,12 @@ int main(int argc, char** argv) {
   params.kinds =
       cli.get_parsed("bug-kinds", "partial-barrier,ack-window", fuzz::parse_bug_kinds);
   for (const fuzz::BugKind kind : params.kinds) {
-    cli.check(!exhaustive || fuzz::bug_kind_eligible(exhaustive_slice(ranks), kind),
+    cli.check(!exhaustive ||
+                  fuzz::bug_kind_eligible(
+                      exhaustive_slice(ranks, params.phases, params.ops_per_rank), kind),
               std::string("bug kind ") + fuzz::to_string(kind) +
                   " is not plantable in the exhaustive slice at --ranks " +
-                  std::to_string(ranks));
+                  std::to_string(ranks) + " --phases " + std::to_string(params.phases));
   }
   for (const auto* scenario : selected) {
     cli.check(exhaustive || ranks >= scenario->min_ranks,
