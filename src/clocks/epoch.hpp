@@ -12,7 +12,7 @@
 // the home NIC's post-event clock, an event at the home rank — and every
 // accessor clock is the initiator's post-tick clock, an event at the
 // initiator. So the full four-way comparison of Algorithm 3 collapses to
-// two integer compares (core::check_access's fast path), and the stored
+// two integer compares (core::check_lane's fast path), and the stored
 // state can be *summarized* by its epoch (detect::ShardedDetector keeps one
 // beside every stored clock).
 #pragma once

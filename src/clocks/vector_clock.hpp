@@ -108,7 +108,7 @@ class VectorClock {
   /// Same comparison, branchless inner loop: both domination predicates
   /// accumulate in a single pass with no early exit, so the compiler can
   /// vectorize it (`#pragma omp simd`; enabled by `-fopenmp-simd` when the
-  /// toolchain has it, harmless otherwise). This is the batched check path's
+  /// toolchain has it, harmless otherwise). This is core::check_lane's
   /// fallback compare — `compare` stays as the scalar oracle, and debug
   /// builds assert the two agree on every call.
   Ordering compare_vectorized(const VectorClock& other) const;

@@ -5,25 +5,24 @@
 // home NIC's atomic event (kHomeSide transport), so every transport applies
 // the same algorithm.
 //
-// Three implementations of the same predicate:
-//  * `check_span` — the production kernel. Walks a lane of per-area stored
-//    state (clock, epoch witness, prior rank) and emits ONE verdict per run
-//    of state-identical areas: within a run the epoch comparison (two
-//    integer compares, O(1)) or the vectorized full comparison happens
-//    once, however many areas the run covers. This is what
-//    detect::ShardedDetector::check_range feeds per shard.
-//  * `check_access` — the legacy single-area entry point over arbitrary
-//    caller-assembled state, a thin wrapper over a one-element span. The
-//    protocols and the offline fold no longer call it (they go through
-//    detect/transitions.hpp); the gated kernel benches and the
-//    bit-identity property suites do.
+// One kernel and its oracle:
+//  * `check_lane` — the production kernel: one access against one stored
+//    lane (clock, epoch witness, prior rank), one verdict. The O(1) epoch
+//    comparison (two integer compares) decides it when the epoch allows,
+//    the vectorized full comparison otherwise. Every live and offline
+//    verdict comes from it: detect::ShardedDetector::check_one (home-side
+//    apply, threaded put/get, the replay fold) and detect::initiator_check
+//    (the separate and piggyback transports).
+//  * `check_access` — the single-area entry point over arbitrary
+//    caller-assembled state: selects the lane and calls `check_lane` with
+//    untrusted epochs. The gated kernel bench and the bit-identity property
+//    suites call it.
 //  * `check_access_oracle` — the original always-O(n) full-vector-clock
-//    path, kept as the property-test oracle: all entry points must return
+//    path, kept as the property-test oracle: every entry point must return
 //    bit-identical verdicts on every input the protocols can produce (and
-//    debug builds cross-check every span verdict against it, per area).
+//    debug builds cross-check every `check_lane` verdict against it).
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -78,53 +77,6 @@ struct LaneState {
   Rank prior = kInvalidRank;
 
   clocks::Epoch epoch() const { return {epoch_rank, epoch_value}; }
-};
-
-/// A view of one comparison lane over a contiguous range of slots, shaped
-/// for long runs of identical state. Every slot holds the `shared` state
-/// (clock, epoch, prior) unless its bit in `own` is set, in which case its
-/// state is `slots[i * stride]`. A detector passes its pristine state as
-/// `shared` and a bitmap of the slots it has stored into, so a run of
-/// pristine slots is found from the bitmap alone; a caller with one slot of
-/// its own passes that slot as `shared` and no bitmap.
-struct SpanLane {
-  const clocks::VectorClock* shared_clock = nullptr;  ///< never null.
-  clocks::Epoch shared_epoch{};
-  Rank shared_prior = kInvalidRank;
-  /// Bit `own_first + i` set: slot i holds its own state. Null: none does.
-  const std::uint64_t* own = nullptr;
-  std::size_t own_first = 0;
-  const LaneState* slots = nullptr;
-  std::size_t stride = 1;  ///< in LaneStates, between consecutive slots.
-
-  bool owns(std::size_t i) const {
-    const std::size_t bit = own_first + i;
-    return own != nullptr && ((own[bit / 64] >> (bit % 64)) & 1u) != 0;
-  }
-
-  /// The first slot in [from, count) holding its own state, or `count`.
-  std::size_t next_owned(std::size_t from, std::size_t count) const {
-    if (own == nullptr) return count;
-    std::size_t bit = own_first + from;
-    const std::size_t end = own_first + count;
-    while (bit < end) {
-      const std::uint64_t word = own[bit / 64] >> (bit % 64);
-      if (word != 0) {
-        bit += static_cast<std::size_t>(std::countr_zero(word));
-        break;
-      }
-      bit = (bit / 64 + 1) * 64;
-    }
-    return bit < end ? bit - own_first : count;
-  }
-};
-
-/// What a span walk did — the batch-vs-scalar accounting the benches report.
-struct SpanStats {
-  std::size_t checked = 0;        ///< areas covered.
-  std::size_t runs = 0;           ///< state-identical runs, one verdict each.
-  std::size_t epoch_compares = 0; ///< runs decided by the O(1) epoch path.
-  std::size_t full_compares = 0;  ///< runs that fell back to the full compare.
 };
 
 /// Applies Corollary 1 to one access:
@@ -208,114 +160,67 @@ inline bool compares_against_v(DetectorMode mode, AccessKind kind) {
 
 }  // namespace detail
 
-/// The batched kernel: walks `count` slots of `lane` and calls
-/// `on_run(first, length, verdict)` once per run: a maximal span of slots
-/// holding the shared state (one comparison soundly decides it, since every
-/// slot in it has the same clock, epoch and prior rank), or one slot holding
-/// its own. Covers every slot exactly once, in order.
+/// One access against one stored lane: `stored` is the clock of the lane
+/// that (mode, kind) compares against, `epoch` its epoch witness and
+/// `prior` the initiator rank of the access that stored it.
 ///
 /// `trusted_epochs` distinguishes the two producers of lane state:
-///  * true  — the lane belongs to a detect::ShardedDetector, where a valid
-///    epoch is consistent with its clock *by construction* (both were
-///    written together by store_access), so the per-slot consistency probe
-///    of `epoch_fast_applicable` is skipped; only the accessor-side
-///    preconditions are checked (once, not per run).
-///  * false — the lane view was assembled from arbitrary caller state (the
-///    check_access shim): the full legacy applicability test runs per run,
-///    keeping verdicts bit-identical to the historical single-area path.
+///  * true  — a valid epoch is consistent with its clock *by construction*
+///    (ShardedDetector::store_access writes both from the same event;
+///    detect::initiator_check derives it from the fetched clock), so the
+///    consistency probe of `epoch_fast_applicable` is skipped; only the
+///    accessor-side preconditions are checked.
+///  * false — the lane was assembled from arbitrary caller state (the
+///    check_access shim): the full applicability test runs, keeping
+///    verdicts bit-identical to the historical single-area path.
 ///
-/// Debug builds cross-check every run's verdict against the full-VC oracle
-/// exactly as check_access always has: the selected lane is presented to the
-/// oracle as both V and W, which collapses the oracle's lane selection onto
-/// the same reference clock and prior rank regardless of (mode, kind).
-template <typename OnRun>
-SpanStats check_span(DetectorMode mode, AccessKind kind, Rank accessor,
-                     const clocks::VectorClock& accessor_clock,
-                     const SpanLane& lane, std::size_t count,
-                     bool trusted_epochs, OnRun&& on_run) {
-  SpanStats stats;
-  stats.checked = count;
-  if (count == 0) return stats;
-  if (mode == DetectorMode::kOff) {
-    stats.runs = 1;
-    on_run(std::size_t{0}, count, Verdict{});
-    return stats;
-  }
-
-  const ComparedAgainst against = detail::compares_against_v(mode, kind)
-                                      ? ComparedAgainst::kV
-                                      : ComparedAgainst::kW;
+/// Debug builds cross-check every verdict against the full-VC oracle
+/// exactly as check_access always has: the lane is presented to the oracle
+/// as both V and W, which collapses the oracle's lane selection onto the
+/// same reference clock and prior rank regardless of (mode, kind).
+inline Verdict check_lane(DetectorMode mode, AccessKind kind, Rank accessor,
+                          const clocks::VectorClock& accessor_clock,
+                          const clocks::VectorClock& stored, clocks::Epoch epoch,
+                          Rank prior, bool trusted_epochs) {
+  Verdict verdict;
+  if (mode == DetectorMode::kOff) return verdict;
+  verdict.against = detail::compares_against_v(mode, kind) ? ComparedAgainst::kV
+                                                           : ComparedAgainst::kW;
   const auto a = static_cast<std::size_t>(accessor);
-  // Accessor-side half of the fast-path precondition, hoisted out of the
-  // loop: valid rank, in-range component, genuinely post-tick clock.
-  const bool accessor_ok =
-      accessor >= 0 && a < accessor_clock.size() && accessor_clock[a] > 0;
-
-  std::size_t i = 0;
-  while (i < count) {
-    const clocks::VectorClock* stored = lane.shared_clock;
-    clocks::Epoch epoch = lane.shared_epoch;
-    Rank prior = lane.shared_prior;
-    std::size_t j;
-    if (lane.owns(i)) {
-      const LaneState& slot = lane.slots[i * lane.stride];
-      stored = &slot.clock;
-      epoch = slot.epoch();
-      prior = slot.prior;
-      j = i + 1;
-    } else {
-      j = lane.next_owned(i + 1, count);
-    }
-
-    Verdict verdict;
-    verdict.against = against;
-    const bool fast =
-        trusted_epochs
-            ? (epoch.valid() && accessor_ok &&
-               static_cast<std::size_t>(epoch.rank) < accessor_clock.size())
-            : detail::epoch_fast_applicable(accessor_clock, accessor, *stored, epoch);
-    if (fast) {
-      verdict.ordering =
-          detail::compare_event_clocks(accessor_clock, accessor, *stored, epoch);
-      ++stats.epoch_compares;
-    } else {
-      verdict.ordering = accessor_clock.compare_vectorized(*stored);
-      ++stats.full_compares;
-    }
-    // Same-initiator accesses are serialized by program order and the FIFO
-    // channel to the home NIC regardless of what the clocks can prove.
-    verdict.race =
-        verdict.ordering == clocks::Ordering::kConcurrent && prior != accessor;
+  // Accessor side of the fast-path precondition: valid rank, in-range
+  // component, genuinely post-tick clock.
+  const bool fast =
+      trusted_epochs
+          ? (epoch.valid() && accessor >= 0 && a < accessor_clock.size() &&
+             accessor_clock[a] > 0 &&
+             static_cast<std::size_t>(epoch.rank) < accessor_clock.size())
+          : detail::epoch_fast_applicable(accessor_clock, accessor, stored, epoch);
+  verdict.ordering = fast ? detail::compare_event_clocks(accessor_clock, accessor, stored, epoch)
+                          : accessor_clock.compare_vectorized(stored);
+  // Same-initiator accesses are serialized by program order and the FIFO
+  // channel to the home NIC regardless of what the clocks can prove.
+  verdict.race = verdict.ordering == clocks::Ordering::kConcurrent && prior != accessor;
 
 #ifndef NDEBUG
-    {
-      const StoredClocks shadow{*stored, *stored, prior, prior, epoch, epoch};
-      DSMR_ASSERT(verdict ==
-                  check_access_oracle(mode, kind, accessor, accessor_clock, shadow));
-    }
-#endif
-    ++stats.runs;
-    on_run(i, j - i, verdict);
-    i = j;
+  {
+    const StoredClocks shadow{stored, stored, prior, prior, epoch, epoch};
+    DSMR_ASSERT(verdict == check_access_oracle(mode, kind, accessor, accessor_clock, shadow));
   }
-  return stats;
+#endif
+  return verdict;
 }
 
 inline Verdict check_access(DetectorMode mode, AccessKind kind, Rank accessor,
                             const clocks::VectorClock& accessor_clock,
                             const StoredClocks& stored) {
-  // Deprecation shim: a one-element span over the caller's StoredClocks.
-  // Bit-identical to the historical single-area implementation (untrusted
-  // epochs → the full legacy applicability test decides the fast path).
+  // The caller's StoredClocks as one lane, with untrusted epochs: the full
+  // applicability test decides the fast path.
   const bool use_v = detail::compares_against_v(mode, kind);
-  const SpanLane lane{use_v ? &stored.v : &stored.w,
-                      use_v ? stored.v_epoch : stored.w_epoch,
-                      use_v ? stored.last_access_rank : stored.last_write_rank};
-
-  Verdict verdict;
-  check_span(mode, kind, accessor, accessor_clock, lane, 1,
-             /*trusted_epochs=*/false,
-             [&](std::size_t, std::size_t, const Verdict& v) { verdict = v; });
+  const Verdict verdict =
+      check_lane(mode, kind, accessor, accessor_clock, use_v ? stored.v : stored.w,
+                 use_v ? stored.v_epoch : stored.w_epoch,
+                 use_v ? stored.last_access_rank : stored.last_write_rank,
+                 /*trusted_epochs=*/false);
 #ifndef NDEBUG
   // Debug builds cross-check every verdict — including every live verdict of
   // every protocol run — against the full-vector-clock oracle.

@@ -19,30 +19,21 @@
 //    writers on different shards never contend. ThreadWorld locks these
 //    shard mutexes on its put/get path; the sim backend and the offline
 //    fold use the same layout at shards=1.
-//  * Batched range checks. Each shard keeps one bit per slot and lane, set
-//    while the lane holds a stored clock. check_range walks a shard's slot
-//    range through core::check_span, which finds a run of pristine slots
-//    from those bits alone and decides it with one verdict; a stored slot
-//    is a run of its own. So a batch costs one verdict per pristine span
-//    plus one per stored area — the cache-shaped API the benches drive to
-//    10^6 areas.
 //
-// Concurrency contract: the detector does not lock for you on the per-area
-// fast path. check_one / store_access / the per-area accessors require the
-// caller to hold shard_mutex(id) when other threads may touch that shard
-// (the ThreadWorld path), and need no lock single-threaded (the sim path and
+// Concurrency contract: the detector does not lock for you. check_one,
+// store_access and the per-area accessors require the caller to hold
+// shard_mutex(id) when other threads may touch that shard (the ThreadWorld
+// path), and need no lock single-threaded (the sim path and
 // record::replay_fold). The transitions that drive them live in
 // detect/transitions.hpp.
-// check_range and store_range acquire each shard's mutex themselves as they
-// walk it.
 //
-// Verdict equivalence: check_one/check_range run check_span with
+// Verdict equivalence: check_one runs core::check_lane with
 // trusted_epochs=true — a valid epoch here is consistent with its stored
 // clock *by construction* (store_access writes both from the same event),
 // so the per-area consistency probe of the legacy path is skipped. The
 // verdicts are bit-identical to core::check_access on the same state; the
-// shard-equivalence and batch≡per-area suites in tests/test_detect.cpp hold
-// this invariant under fuzzing.
+// per-area and shard-equivalence suites in tests/test_detect.cpp hold this
+// invariant under fuzzing.
 #pragma once
 
 #include <cstdint>
@@ -60,24 +51,9 @@ namespace dsmr::detect {
 
 using AreaId = std::uint32_t;
 
-/// A contiguous range of area ids: [first, first + count).
-struct AreaSpan {
-  AreaId first = 0;
-  std::uint32_t count = 0;
-};
-
 /// One lane (V or W) of one area, by value: what restore_lane needs to put
 /// the lane back exactly. An empty clock is a pristine lane.
 using LaneSnapshot = core::LaneState;
-
-/// What one check_range call found and did.
-struct BatchVerdict {
-  std::uint64_t checked = 0;        ///< areas covered (== span.count).
-  std::uint64_t races = 0;          ///< areas whose verdict flagged a race.
-  std::uint64_t runs = 0;           ///< pristine spans plus stored areas.
-  std::uint64_t epoch_compares = 0; ///< runs decided by the O(1) epoch path.
-  std::uint64_t full_compares = 0;  ///< runs needing the full clock compare.
-};
 
 class ShardedDetector {
  public:
@@ -117,23 +93,6 @@ class ShardedDetector {
                           Rank accessor, const clocks::VectorClock& accessor_clock,
                           AreaId id) const;
 
-  /// Batched check over a contiguous id range: walks each shard's slot
-  /// range (locking that shard) and decides one verdict per run of pristine
-  /// areas and one per stored area. `on_race(id, verdict)` fires for every
-  /// area whose verdict flags a race. Verdicts are identical to calling
-  /// check_one on every id in the span.
-  template <typename OnRace>
-  BatchVerdict check_range(core::DetectorMode mode, core::AccessKind kind,
-                           Rank accessor, const clocks::VectorClock& accessor_clock,
-                           AreaSpan span, OnRace&& on_race) const;
-
-  BatchVerdict check_range(core::DetectorMode mode, core::AccessKind kind,
-                           Rank accessor, const clocks::VectorClock& accessor_clock,
-                           AreaSpan span) const {
-    return check_range(mode, kind, accessor, accessor_clock, span,
-                       [](AreaId, const core::Verdict&) {});
-  }
-
   // ---- stores ----
 
   /// Records the event `clk` (the clock of event `event_id`, which occurred
@@ -141,12 +100,6 @@ class ShardedDetector {
   /// and into the W lane too when `is_write`. Caller-locked.
   void store_access(AreaId id, Rank owner, const clocks::VectorClock& clk,
                     bool is_write, Rank accessor, std::uint64_t event_id);
-
-  /// Bulk store over a contiguous id range (locks each shard as it goes):
-  /// every area in the span records the same event. Used by benches and
-  /// range-granular ingest; the per-area protocol paths use store_access.
-  void store_range(AreaSpan span, Rank owner, const clocks::VectorClock& clk,
-                   bool is_write, Rank accessor, std::uint64_t event_id);
 
   // ---- lane undo (caller-locked under concurrency) ----
 
@@ -205,10 +158,6 @@ class ShardedDetector {
     /// two adjacent lanes. Each lane has its own clock — V and W must not
     /// share storage, or a later V-only event would retroactively corrupt W.
     std::vector<core::LaneState> lanes;
-    /// Bit `slot` of stored[w] is set while that lane holds a stored clock
-    /// (a non-empty LaneState::clock) — check_range finds pristine runs
-    /// here without reading the records.
-    std::vector<std::uint64_t> stored[2];
   };
 
   std::size_t shard_of(AreaId id) const { return id % shards_.size(); }
@@ -221,19 +170,11 @@ class ShardedDetector {
     DSMR_ASSERT(id < areas_);
     return shard_for(id).lanes[lane_index(slot_of(id), w)];
   }
-  static void mark_stored(Shard& shard, std::size_t slot, bool w, bool stored) {
-    std::uint64_t& word = shard.stored[w ? 1 : 0][slot / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
-    word = stored ? word | bit : word & ~bit;
-  }
   /// A lane's clock, the zero clock while pristine.
   const clocks::VectorClock& clock_of(const core::LaneState& lane) const {
     return lane.clock.empty() ? zero_clock_ : lane.clock;
   }
 
-  void grow_shard(Shard& shard, std::size_t slots);
-  void store_lane(Shard& shard, std::size_t slot, bool w, Rank owner,
-                  const clocks::VectorClock& clk, Rank accessor, std::uint64_t event_id);
   std::size_t lane_storage_bytes(const core::LaneState& lane) const;
 
   std::size_t nprocs_;
@@ -246,61 +187,5 @@ class ShardedDetector {
   core::LaneState pristine_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
-
-// ---------------------------------------------------------------------------
-// check_range — header-inline because of the OnRace template; everything it
-// calls per run is the core::check_span kernel.
-// ---------------------------------------------------------------------------
-
-template <typename OnRace>
-BatchVerdict ShardedDetector::check_range(core::DetectorMode mode,
-                                          core::AccessKind kind, Rank accessor,
-                                          const clocks::VectorClock& accessor_clock,
-                                          AreaSpan span, OnRace&& on_race) const {
-  DSMR_CHECK_MSG(static_cast<std::size_t>(span.first) + span.count <= areas_,
-                 "check_range span [" << span.first << ", +" << span.count
-                                      << ") exceeds " << areas_ << " areas");
-  BatchVerdict batch;
-  batch.checked = span.count;
-  if (span.count == 0) return batch;
-
-  const std::size_t nshards = shards_.size();
-  const std::size_t lo_id = span.first;
-  const std::size_t hi_id = lo_id + span.count;  // exclusive
-  const bool use_v = core::detail::compares_against_v(mode, kind);
-
-  for (std::size_t s = 0; s < nshards; ++s) {
-    // Ids in this shard are slot * nshards + s; the span maps to the
-    // contiguous slot range [lo_slot, hi_slot).
-    const std::size_t lo_slot = lo_id > s ? (lo_id - s + nshards - 1) / nshards : 0;
-    const std::size_t hi_slot = hi_id > s ? (hi_id - s + nshards - 1) / nshards : 0;
-    if (lo_slot >= hi_slot) continue;
-
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> guard(shard.mutex);
-    const core::SpanLane view{.shared_clock = &zero_clock_,
-                              .shared_epoch = pristine_.epoch(),
-                              .shared_prior = pristine_.prior,
-                              .own = shard.stored[use_v ? 0 : 1].data(),
-                              .own_first = lo_slot,
-                              .slots = &shard.lanes[lane_index(lo_slot, !use_v)],
-                              .stride = 2};
-    const core::SpanStats stats = core::check_span(
-        mode, kind, accessor, accessor_clock, view, hi_slot - lo_slot,
-        /*trusted_epochs=*/true,
-        [&](std::size_t first, std::size_t count, const core::Verdict& verdict) {
-          if (!verdict.race) return;
-          batch.races += count;
-          for (std::size_t k = 0; k < count; ++k) {
-            const std::size_t slot = lo_slot + first + k;
-            on_race(static_cast<AreaId>(slot * nshards + s), verdict);
-          }
-        });
-    batch.runs += stats.runs;
-    batch.epoch_compares += stats.epoch_compares;
-    batch.full_compares += stats.full_compares;
-  }
-  return batch;
-}
 
 }  // namespace dsmr::detect

@@ -80,8 +80,8 @@ bool home_apply(ShardedDetector& detector, core::DetectorMode mode, core::Access
 /// fetched from `home`, with the initiator ranks of the events that stored
 /// them. The fetched clocks are the home's stored post-event clocks —
 /// event clocks of `home` — so their epochs are Epoch::of_event(home, ·)
-/// with no extra wire data, and the verdict comes from the same one-slot
-/// core::check_span call that ShardedDetector::check_one makes.
+/// with no extra wire data, and the verdict comes from the same
+/// core::check_lane call that ShardedDetector::check_one makes.
 inline core::Verdict initiator_check(core::DetectorMode mode, core::AccessKind kind,
                                      Rank accessor, const clocks::VectorClock& issue_clock,
                                      Rank home, const clocks::VectorClock& v,
@@ -89,12 +89,10 @@ inline core::Verdict initiator_check(core::DetectorMode mode, core::AccessKind k
                                      Rank prior_write_rank) {
   const bool use_v = core::detail::compares_against_v(mode, kind);
   const clocks::VectorClock& stored = use_v ? v : w;
-  const core::SpanLane lane{&stored, clocks::Epoch::of_event(home, stored),
-                            use_v ? prior_access_rank : prior_write_rank};
-  core::Verdict verdict;
-  core::check_span(mode, kind, accessor, issue_clock, lane, 1, /*trusted_epochs=*/true,
-                   [&](std::size_t, std::size_t, const core::Verdict& run) { verdict = run; });
-  return verdict;
+  return core::check_lane(mode, kind, accessor, issue_clock, stored,
+                          clocks::Epoch::of_event(home, stored),
+                          use_v ? prior_access_rank : prior_write_rank,
+                          /*trusted_epochs=*/true);
 }
 
 /// Lock handoff: a release joins the lock's handoff clock (empty until the

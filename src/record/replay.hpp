@@ -54,7 +54,7 @@ struct ReplayResult {
   /// the recording's to report).
   VerdictSignature signature;
   std::vector<core::RaceReport> reports;
-  std::uint64_t checks = 0;   ///< accesses run through check_access.
+  std::uint64_t checks = 0;   ///< accesses run through ShardedDetector::check_one.
   std::uint64_t events = 0;   ///< events folded.
 };
 

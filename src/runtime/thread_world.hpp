@@ -109,7 +109,7 @@ struct ThreadRunReport {
   bool completed = false;         ///< every spawned body ran to its end.
   std::vector<Rank> stuck_ranks;  ///< bodies that hit the deadline blocked.
   std::uint64_t race_count = 0;
-  std::uint64_t checks = 0;       ///< inline check_access invocations.
+  std::uint64_t checks = 0;       ///< inline ShardedDetector::check_one calls.
   std::uint64_t wall_ns = 0;      ///< run() wall time (checks/sec = checks/wall).
 };
 

@@ -1,4 +1,5 @@
-// The sharded detector core: batch ≡ per-area verdict equivalence, shard
+// The sharded detector core: per-area verdicts ≡ core::check_access ≡ the
+// full-clock oracle over stored, read-only and restored lanes, shard
 // partitioning as a pure locking concern (verdict-neutral at 1/2/8 shards on
 // fuzzed programs, sim bit-identical / threaded signature-equal), cold-area
 // storage behavior at production scale, the vectorized clock compare against
@@ -6,7 +7,6 @@
 // accounting.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -36,23 +36,31 @@ using core::DetectorMode;
 
 TEST(ShardedDetector, MillionColdAreasMaterializeNoClocks) {
   // Production scale: registering 10^6 areas must not allocate per-area
-  // clocks (every cold slot aliases the shared zero clock), and a batched
-  // check over the whole range must collapse to one run per shard.
+  // clocks (every cold lane reads as the shared zero clock), and every cold
+  // area must check as the zero clock does: ordered before any event, so
+  // no race.
   constexpr std::size_t kAreas = 1'000'000;
-  ShardedDetector det(4, /*home=*/0, /*shards=*/8);
+  constexpr std::size_t kProcs = 4;
+  ShardedDetector det(kProcs, /*home=*/0, /*shards=*/8);
   det.register_areas(kAreas);
   EXPECT_EQ(det.area_count(), kAreas);
   EXPECT_EQ(det.resident_clock_bytes(), 0u);
 
-  VectorClock issue(4);
+  VectorClock issue(kProcs);
   issue[2] = 1;  // rank 2's first event.
-  const BatchVerdict batch = det.check_range(
-      DetectorMode::kDualClock, AccessKind::kWrite, 2, issue,
-      AreaSpan{0, static_cast<std::uint32_t>(kAreas)});
-  EXPECT_EQ(batch.checked, kAreas);
-  EXPECT_EQ(batch.races, 0u);
-  EXPECT_EQ(batch.runs, 8u);  // all state-identical within each shard.
-  EXPECT_EQ(batch.epoch_compares + batch.full_compares, batch.runs);
+  const VectorClock zero(kProcs);
+  for (const AccessKind kind : {AccessKind::kWrite, AccessKind::kRead}) {
+    const core::Verdict cold = core::check_access_oracle(
+        DetectorMode::kDualClock, kind, 2, issue,
+        core::StoredClocks{zero, zero, kInvalidRank, kInvalidRank});
+    EXPECT_FALSE(cold.race);
+    std::size_t mismatches = 0;
+    for (AreaId id = 0; id < kAreas; ++id) {
+      if (det.check_one(DetectorMode::kDualClock, kind, 2, issue, id) != cold) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+  EXPECT_EQ(det.resident_clock_bytes(), 0u);  // checks materialize nothing.
 }
 
 TEST(ShardedDetector, StorageAppearsOnlyWhereAccessesLand) {
@@ -76,7 +84,7 @@ TEST(ShardedDetector, StorageAppearsOnlyWhereAccessesLand) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch ≡ per-area ≡ legacy check_access
+// check_one ≡ check_access ≡ check_access_oracle
 // ---------------------------------------------------------------------------
 
 /// Drives a detector into a random-but-consistent state: each rank keeps a
@@ -99,7 +107,14 @@ std::vector<VectorClock> seed_random_state(ShardedDetector& det, std::size_t npr
   return clocks;
 }
 
-TEST(ShardedDetector, BatchVerdictsMatchPerAreaChecksAtEveryShardCount) {
+/// Area `id`'s stored state as the legacy entry points take it.
+core::StoredClocks stored_clocks(const ShardedDetector& det, AreaId id) {
+  return {det.v_clock(id),          det.w_clock(id),
+          det.last_access_rank(id), det.last_write_rank(id),
+          det.v_epoch(id),          det.w_epoch(id)};
+}
+
+TEST(ShardedDetector, CheckOneMatchesCheckAccessAtEveryShardCount) {
   constexpr std::size_t kProcs = 5;
   constexpr std::size_t kAreas = 64;
   for (const int shards : {1, 2, 8}) {
@@ -117,83 +132,28 @@ TEST(ShardedDetector, BatchVerdictsMatchPerAreaChecksAtEveryShardCount) {
       const DetectorMode mode = rng.next() % 4 == 0
                                     ? DetectorMode::kSingleClock
                                     : DetectorMode::kDualClock;
-      const auto first = static_cast<AreaId>(rng.next() % kAreas);
-      const auto count =
-          static_cast<std::uint32_t>(rng.next() % (kAreas - first) + 1);
-
-      // Reference: per-area checks through both the detector's scalar entry
-      // point and the legacy check_access shim over reconstructed state.
-      std::vector<AreaId> expected_races;
-      std::uint64_t expected_race_count = 0;
-      for (AreaId id = first; id < first + count; ++id) {
-        const core::Verdict one = det.check_one(mode, kind, accessor, issue, id);
-        const core::StoredClocks stored{det.v_clock(id),          det.w_clock(id),
-                                        det.last_access_rank(id), det.last_write_rank(id),
-                                        det.v_epoch(id),          det.w_epoch(id)};
-        EXPECT_EQ(one, core::check_access(mode, kind, accessor, issue, stored))
+      for (AreaId id = 0; id < kAreas; ++id) {
+        EXPECT_EQ(det.check_one(mode, kind, accessor, issue, id),
+                  core::check_access(mode, kind, accessor, issue, stored_clocks(det, id)))
             << "area " << id << " shards " << shards;
-        if (one.race) {
-          expected_races.push_back(id);
-          ++expected_race_count;
-        }
       }
-
-      std::vector<AreaId> batch_races;
-      const BatchVerdict batch =
-          det.check_range(mode, kind, accessor, issue, AreaSpan{first, count},
-                          [&](AreaId id, const core::Verdict& v) {
-                            EXPECT_TRUE(v.race);
-                            batch_races.push_back(id);
-                          });
-      std::sort(batch_races.begin(), batch_races.end());
-      EXPECT_EQ(batch_races, expected_races) << "shards " << shards;
-      EXPECT_EQ(batch.races, expected_race_count);
-      EXPECT_EQ(batch.checked, count);
-      EXPECT_LE(batch.runs, count);
-      EXPECT_EQ(batch.epoch_compares + batch.full_compares, batch.runs);
     }
   }
 }
 
-TEST(ShardedDetector, StoreRangeMatchesPerAreaStores) {
-  constexpr std::size_t kProcs = 3;
-  ShardedDetector ranged(kProcs, 0, 4);
-  ShardedDetector scalar(kProcs, 0, 4);
-  ranged.register_areas(32);
-  scalar.register_areas(32);
-  VectorClock clk(kProcs);
-  clk[2] = 3;
-  clk[0] = 1;
-  ranged.store_range(AreaSpan{5, 20}, /*owner=*/2, clk, /*is_write=*/true,
-                     /*accessor=*/2, 77);
-  for (AreaId id = 5; id < 25; ++id) {
-    scalar.store_access(id, 2, clk, true, 2, 77);
-  }
-  for (AreaId id = 0; id < 32; ++id) {
-    EXPECT_EQ(ranged.v_clock(id), scalar.v_clock(id)) << id;
-    EXPECT_EQ(ranged.w_clock(id), scalar.w_clock(id)) << id;
-    EXPECT_EQ(ranged.v_epoch(id), scalar.v_epoch(id)) << id;
-    EXPECT_EQ(ranged.last_write_event(id), scalar.last_write_event(id)) << id;
-  }
-  EXPECT_EQ(ranged.storage_bytes(), scalar.storage_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Pristine bookkeeping: the stored bits check_range reads instead of records
-// ---------------------------------------------------------------------------
-
-TEST(ShardedDetector, BatchMatchesPerAreaAcrossWordAndRunBoundaries) {
-  // Stored lanes on both sides of the 64-slot bit-word boundaries and next
-  // to each other, read-only stores (V stored, W pristine), and lanes that
-  // restore_lane returned to pristine. Over spans that start and end
-  // mid-word, check_range must give check_one's verdicts, with one run per
-  // pristine span plus one per stored lane.
+TEST(ShardedDetector, CheckOneMatchesOracleOnStoredReadOnlyAndRestoredLanes) {
+  // Stored lanes on both sides of 64-slot boundaries and next to each
+  // other, read-only stores (V stored, W pristine), lanes that restore_lane
+  // returned to pristine, and a write initiated by the query's accessor
+  // (stored, as a home-side apply stores it, as rank 1's clock). Every
+  // area's check_one verdict must equal the full-clock oracle's, and flag a
+  // race exactly on the lanes another rank's access stored.
   constexpr std::size_t kProcs = 4;
   constexpr std::size_t kAreas = 260;
   const std::set<AreaId> writes = {0, 63, 65, 127, 128, 192, 255, 259};
   const std::set<AreaId> reads = {62, 191, 193};
   const std::set<AreaId> undone = {1, 64, 126, 129, 200};
-  const std::set<AreaId> own_writes = {128};  // by the query's accessor.
+  const std::set<AreaId> own_writes = {128};  // initiated by the query's accessor.
   const Rank accessor = 2;
 
   for (const int shards : {1, 3}) {
@@ -202,17 +162,15 @@ TEST(ShardedDetector, BatchMatchesPerAreaAcrossWordAndRunBoundaries) {
     std::set<AreaId> stored_v;
     std::set<AreaId> stored_w;
     VectorClock rank1(kProcs);
-    VectorClock rank2(kProcs);
     for (AreaId id = 0; id < kAreas; ++id) {
       const bool write = writes.count(id) != 0;
       if (!write && reads.count(id) == 0 && undone.count(id) == 0) continue;
-      const bool own = own_writes.count(id) != 0;
-      VectorClock& clk = own ? rank2 : rank1;
-      const Rank owner = own ? 2 : 1;
-      clk.tick(owner);
+      const Rank initiator = own_writes.count(id) != 0 ? accessor : 1;
+      rank1.tick(1);
       const LaneSnapshot v = det.lane_snapshot(id, false);
       const LaneSnapshot w = det.lane_snapshot(id, true);
-      det.store_access(id, owner, clk, write || undone.count(id) != 0, owner, id + 1u);
+      det.store_access(id, /*owner=*/1, rank1, write || undone.count(id) != 0, initiator,
+                       id + 1u);
       if (undone.count(id) != 0) {
         det.restore_lane(id, false, v);
         det.restore_lane(id, true, w);
@@ -226,41 +184,20 @@ TEST(ShardedDetector, BatchMatchesPerAreaAcrossWordAndRunBoundaries) {
 
     VectorClock issue(kProcs);
     issue[2] = 1000;  // rank 2's event, concurrent with every rank-1 store.
-    const std::uint32_t starts[] = {0, 1, 30, 63, 64, 65, 100, 128, 190};
-    const std::uint32_t ends[] = {2, 64, 65, 66, 128, 129, 193, 256, 260};
-    for (const AccessKind kind : {AccessKind::kWrite, AccessKind::kRead}) {
-      const std::set<AreaId>& lane = kind == AccessKind::kWrite ? stored_v : stored_w;
-      for (const std::uint32_t first : starts) {
-        for (const std::uint32_t end : ends) {
-          if (end <= first) continue;
-          std::vector<AreaId> expected_races;
-          std::uint64_t expected_runs = 0;
-          for (int s = 0; s < shards; ++s) {
-            bool in_pristine_run = false;
-            for (AreaId id = first; id < end; ++id) {
-              if (static_cast<int>(id % static_cast<AreaId>(shards)) != s) continue;
-              const bool stored = lane.count(id) != 0;
-              if (stored || !in_pristine_run) ++expected_runs;
-              in_pristine_run = !stored;
-            }
-          }
-          for (AreaId id = first; id < end; ++id) {
-            const core::Verdict one =
-                det.check_one(DetectorMode::kDualClock, kind, accessor, issue, id);
-            if (one.race) expected_races.push_back(id);
-          }
-          std::vector<AreaId> batch_races;
-          const BatchVerdict batch = det.check_range(
-              DetectorMode::kDualClock, kind, accessor, issue, AreaSpan{first, end - first},
-              [&](AreaId id, const core::Verdict&) { batch_races.push_back(id); });
-          std::sort(batch_races.begin(), batch_races.end());
-          const std::string where = "shards " + std::to_string(shards) + " span [" +
-                                    std::to_string(first) + ", " + std::to_string(end) +
-                                    ") " + (kind == AccessKind::kWrite ? "write" : "read");
-          EXPECT_EQ(batch_races, expected_races) << where;
-          EXPECT_EQ(batch.races, expected_races.size()) << where;
-          EXPECT_EQ(batch.runs, expected_runs) << where;
-          EXPECT_EQ(batch.checked, end - first) << where;
+    for (const DetectorMode mode : {DetectorMode::kDualClock, DetectorMode::kSingleClock}) {
+      for (const AccessKind kind : {AccessKind::kWrite, AccessKind::kRead}) {
+        const bool use_v = mode == DetectorMode::kSingleClock || kind == AccessKind::kWrite;
+        const std::set<AreaId>& lane = use_v ? stored_v : stored_w;
+        for (AreaId id = 0; id < kAreas; ++id) {
+          const core::Verdict one = det.check_one(mode, kind, accessor, issue, id);
+          const std::string where = "shards " + std::to_string(shards) + " area " +
+                                    std::to_string(id) +
+                                    (kind == AccessKind::kWrite ? " write" : " read") +
+                                    (use_v ? " vs V" : " vs W");
+          EXPECT_EQ(one, core::check_access_oracle(mode, kind, accessor, issue,
+                                                   stored_clocks(det, id)))
+              << where;
+          EXPECT_EQ(one.race, lane.count(id) != 0 && own_writes.count(id) == 0) << where;
         }
       }
     }
@@ -270,8 +207,8 @@ TEST(ShardedDetector, BatchMatchesPerAreaAcrossWordAndRunBoundaries) {
 TEST(ShardedDetector, PristineRestoreReleasesTheLanesClock) {
   // record::Folder undoes a step by restoring the lanes it saved. A lane
   // saved pristine goes back to pristine: its clock storage is released,
-  // it reads as the zero clock again and batches with its pristine
-  // neighbours. Inline (n = 4) and pooled (n = 8) clocks alike.
+  // it reads as the zero clock again and checks like a never-touched
+  // area. Inline (n = 4) and pooled (n = 8) clocks alike.
   for (const std::size_t n : {std::size_t{4}, std::size_t{8}}) {
     ShardedDetector det(n, /*home=*/0, /*shards=*/2);
     det.register_areas(10);
@@ -308,9 +245,35 @@ TEST(ShardedDetector, PristineRestoreReleasesTheLanesClock) {
 
     VectorClock issue(n);
     issue[2] = 1;
-    const BatchVerdict batch = det.check_range(DetectorMode::kDualClock, AccessKind::kWrite,
-                                               2, issue, AreaSpan{0, 10});
-    EXPECT_EQ(batch.runs, 2u);  // one pristine run per shard.
+    for (const AccessKind kind : {AccessKind::kWrite, AccessKind::kRead}) {
+      // Area 3 shares area 5's shard and was never touched.
+      EXPECT_EQ(det.check_one(DetectorMode::kDualClock, kind, 2, issue, 5),
+                det.check_one(DetectorMode::kDualClock, kind, 2, issue, 3))
+          << "n=" << n;
+    }
+  }
+}
+
+using ShardedDetectorDeathTest = ::testing::Test;
+
+TEST(ShardedDetectorDeathTest, RestoringAPristineSnapshotWithAStoredEpochOrPriorPanics) {
+  // check_one trusts a pristine lane's epoch against the zero clock, so a
+  // pristine snapshot carrying a stored epoch or prior must not go back.
+  ShardedDetector det(4, /*home=*/0, /*shards=*/2);
+  det.register_areas(4);
+  const LaneSnapshot pristine = det.lane_snapshot(1, true);
+  ASSERT_TRUE(pristine.clock.empty());
+  det.restore_lane(1, true, pristine);  // the pristine state itself restores.
+
+  LaneSnapshot epoch_value = pristine;
+  epoch_value.epoch_value = 3;
+  LaneSnapshot epoch_rank = pristine;
+  epoch_rank.epoch_rank = 2;
+  LaneSnapshot prior = pristine;
+  prior.prior = 1;
+  for (const LaneSnapshot& snap : {epoch_value, epoch_rank, prior}) {
+    EXPECT_DEATH(det.restore_lane(1, true, snap),
+                 "restore_lane of a pristine snapshot with a stored epoch or prior");
   }
 }
 

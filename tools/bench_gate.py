@@ -2,7 +2,7 @@
 """Bench regression gate: compare fresh BENCH_*.json output against the
 checked-in bench/baseline.json.
 
-Three classes of metric, treated differently:
+Five classes of metric, treated differently:
 
 * wall-clock (``detector_check_ordered``) — the epoch fast-path kernel
   cost, the headline perf claim. Absolute ns/op depends on the machine, so
@@ -22,15 +22,6 @@ Three classes of metric, treated differently:
   the change is intentional. ``piggyback_clock_bytes`` falls in this
   class: the delta-compressed dual-clock wire cost is a function of the
   codec alone, so its bytes/op must match the baseline exactly.
-* detect batched-check speedup (``detect_check_scale``) — batched
-  ``check_range`` over the sharded detector vs the legacy per-area
-  ``check_access`` pattern, same run, same 10^6-area detector. Two gates:
-  an ABSOLUTE floor (default 4.0x, the acceptance criterion of the
-  sharded-detector redesign) applied to ``pattern=cold`` axes only (the
-  production-scale claim; ``pattern=blocks64`` is reported but not floored
-  — warm runs are shorter so the batch win is structurally smaller), and
-  the usual relative-to-baseline mean-speedup floor shared with the epoch
-  gate (machine speed cancels in both).
 * shard scaling (``detect_shard_scaling``) — 8-thread contended ns/op at
   1, 2 and 8 shards from the same run. Fails when 8 shards is slower than
   2 shards by more than the slack allows (default: 8-shard throughput
@@ -51,7 +42,7 @@ Usage:
   tools/bench_gate.py compare build/BENCH_overhead.json build/BENCH_record_overhead.json
                               build/BENCH_detect_scale.json
                               [--baseline bench/baseline.json] [--threshold 0.25]
-                              [--record-threshold 0.5] [--detect-floor 4.0]
+                              [--record-threshold 0.5]
                               [--shard-slack 0.85] [--registration-ceiling 10.0]
   tools/bench_gate.py refresh build/BENCH_overhead.json build/BENCH_record_overhead.json
                               build/BENCH_detect_scale.json
@@ -110,19 +101,6 @@ def epoch_speedups(entries):
     return {n: paths["oracle"] / paths["epoch"]
             for n, paths in by_path.items()
             if "oracle" in paths and "epoch" in paths and paths["epoch"] > 0}
-
-
-def detect_speedups(entries):
-    """Per (n, pattern): scalar ns/check ÷ batched ns/check from the same run."""
-    by_axis = {}
-    for (name, params), entry in entries.items():
-        if name != "detect_check_scale":
-            continue
-        p = dict(params)
-        by_axis.setdefault((p["n"], p["pattern"]), {})[p["path"]] = entry["ns_per_op"]
-    return {axis: paths["scalar"] / paths["batch"]
-            for axis, paths in by_axis.items()
-            if paths.get("batch", 0) > 0 and "scalar" in paths}
 
 
 def shard_scaling_ns(entries):
@@ -215,39 +193,6 @@ def compare(args):
                     f"x{fresh_ratios[config]:.2f} exceeds x{ceiling:.2f} "
                     f"(+{args.record_threshold:.0%} of baseline)")
 
-    base_detect = detect_speedups(baseline)
-    fresh_detect = detect_speedups(fresh)
-    if fresh_detect or base_detect:
-        for axis in sorted(fresh_detect, key=lambda a: (int(a[0]), a[1])):
-            n, pattern = axis
-            line = (f"detect batch speedup at n={n} pattern={pattern}: "
-                    f"x{fresh_detect[axis]:.1f}")
-            if axis in base_detect:
-                line += f" (baseline x{base_detect[axis]:.1f})"
-            print(line)
-        cold = {a: s for a, s in fresh_detect.items() if a[1] == "cold"}
-        if not cold:
-            failures.append("no detect_check_scale pattern=cold batch/scalar "
-                            "pair found to gate on")
-        for axis, speedup in sorted(cold.items(), key=lambda kv: int(kv[0][0])):
-            if speedup < args.detect_floor:
-                failures.append(
-                    f"detect batched check at n={axis[0]} pattern=cold: "
-                    f"x{speedup:.1f} below the x{args.detect_floor:.1f} "
-                    f"absolute acceptance floor")
-        shared = sorted(set(base_detect) & set(fresh_detect))
-        if shared:
-            base_mean = sum(base_detect[a] for a in shared) / len(shared)
-            fresh_mean = sum(fresh_detect[a] for a in shared) / len(shared)
-            floor = base_mean * (1.0 - args.threshold)
-            print(f"detect batch mean speedup: baseline x{base_mean:.1f}, "
-                  f"now x{fresh_mean:.1f} (floor x{floor:.1f})")
-            if fresh_mean < floor:
-                failures.append(
-                    f"detect batched check regressed: mean speedup "
-                    f"x{fresh_mean:.1f} fell below x{floor:.1f} "
-                    f"(-{args.threshold:.0%} of baseline)")
-
     shards = shard_scaling_ns(fresh)
     if shards:
         if shards.get(2, 0) > 0 and 8 in shards:
@@ -318,9 +263,6 @@ def main():
     parser.add_argument("--record-threshold", type=float, default=0.5,
                         help="allowed fractional growth of the record/plain "
                              "wall-clock ratio")
-    parser.add_argument("--detect-floor", type=float, default=4.0,
-                        help="absolute minimum batched/scalar check speedup "
-                             "on detect_check_scale pattern=cold axes")
     parser.add_argument("--shard-slack", type=float, default=0.85,
                         help="minimum fraction of 2-shard contended "
                              "throughput that 8 shards must retain")
