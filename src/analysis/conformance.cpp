@@ -1,7 +1,6 @@
 #include "analysis/conformance.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <filesystem>
 #include <map>
@@ -358,16 +357,16 @@ std::string schedule_stem(const std::string& scenario, std::uint64_t seed,
   return out.str();
 }
 
-/// Runs `scenario` on one grid coordinate, recorded, and cross-checks it.
-/// With `log`, `*log` receives the serialized ordering log.
+/// Runs `scenario` on one grid coordinate, recorded, and cross-checks it;
+/// `log` receives the serialized ordering log.
 RunVerdicts run_coordinate(const Scenario& scenario, const runtime::WorldConfig& config,
-                           std::vector<std::byte>* log) {
+                           std::vector<std::byte>& log) {
   runtime::World world(config);
   world.record();
   scenario.spawn(world);
   const auto report = world.run();
   RunVerdicts verdicts = check_run(world, report);
-  if (log != nullptr) *log = world.log().serialize();
+  log = world.log().serialize();
   return verdicts;
 }
 
@@ -411,7 +410,6 @@ ConformanceReport run_conformance(const Scenario& scenario,
   // Fan out: one World per (seed, perturbation, plan), each job writing its
   // pre-assigned slot so aggregation order never depends on thread timing.
   std::vector<RunVerdicts> runs(total);
-  std::atomic<std::uint64_t> record_replay_checked{0};
   util::parallel_for(total, options.threads, [&](std::uint64_t index) {
     runtime::WorldConfig config = options.base;
     const std::uint64_t point = index / nplans;
@@ -420,16 +418,13 @@ ConformanceReport run_conformance(const Scenario& scenario,
     config.fault = plans[index % nplans];
     // Invariant 6 — record→replay: the ordering log this run emits, taken
     // through the full serialize→parse→fold pipeline, must reproduce the
-    // live verdict signature on this exact coordinate.
-    const bool record = options.record_replay_check;
+    // live verdict signature on this exact coordinate (every coordinate,
+    // every wire layout).
     std::vector<std::byte> log;
-    runs[index] = run_coordinate(scenario, config, record ? &log : nullptr);
-    if (record) {
-      const std::string mismatch = record::check_record_replay_bytes(log);
-      if (!mismatch.empty()) {
-        runs[index].failed_checks.push_back("record-replay: " + mismatch);
-      }
-      record_replay_checked.fetch_add(1, std::memory_order_relaxed);
+    runs[index] = run_coordinate(scenario, config, log);
+    const std::string mismatch = record::check_record_replay_bytes(log);
+    if (!mismatch.empty()) {
+      runs[index].failed_checks.push_back("record-replay: " + mismatch);
     }
   });
 
@@ -438,7 +433,7 @@ ConformanceReport run_conformance(const Scenario& scenario,
   summary.expect = scenario.expect;
   summary.runs = std::move(runs);
   summary.base_schedules = options.seeds * variants;
-  summary.record_replay_checked = record_replay_checked.load();
+  summary.record_replay_checked = total;
 
   auto diverge = [&summary, &scenario](const RunVerdicts& run, std::string check,
                                        std::string detail) {
@@ -559,7 +554,7 @@ ConformanceReport run_conformance(const Scenario& scenario,
       auto it = exported.find(stem);
       if (it == exported.end()) {
         std::vector<std::byte> log;
-        run_coordinate(scenario, config, &log);
+        run_coordinate(scenario, config, log);
         const std::string path = options.witness_dir + "/" + stem + ".dsmrlog";
         record::write_file(path, log);
         it = exported.emplace(stem, path).first;

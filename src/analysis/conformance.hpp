@@ -165,12 +165,6 @@ struct ConformanceOptions {
   /// legitimately re-roll). The clean-failure invariant on unrecoverable
   /// plans is always enforced.
   bool expect_fault_transparency = true;
-  /// Require that every grid run's ordering log (record/recorder.hpp — each
-  /// run is recorded, since every check folds it), serialized, parsed back
-  /// and folded offline, reproduces the live verdict signature exactly — on
-  /// every (seed, perturbation, fault plan) coordinate and every wire
-  /// layout.
-  bool record_replay_check = true;
 };
 
 struct ConformanceReport {
@@ -186,7 +180,7 @@ struct ConformanceReport {
   std::uint64_t lockset_divergences = 0;  ///< informational, never failures.
   std::uint64_t fault_runs = 0;              ///< runs under a fault plan.
   std::uint64_t fault_transparent_runs = 0;  ///< fault runs verdict-identical to base.
-  std::uint64_t record_replay_checked = 0;   ///< runs with the record→fold invariant on.
+  std::uint64_t record_replay_checked = 0;   ///< runs held to invariant 6 (record→fold).
   std::uint64_t watchdog_runs = 0;  ///< non-quiescent runs that produced a diagnostic.
   double min_area_recall = 1.0;           ///< worst "was the datum flagged" score.
   std::vector<Divergence> disagreements;  ///< hard failures.

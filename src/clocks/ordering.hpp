@@ -13,10 +13,6 @@ enum class Ordering {
   kConcurrent,  ///< a ∥ b: causally unordered.
 };
 
-/// True when the comparison proves a causal order (or identity) in either
-/// direction; a race is the negation of this for conflicting accesses.
-constexpr bool causally_ordered(Ordering o) { return o != Ordering::kConcurrent; }
-
 constexpr const char* to_string(Ordering o) {
   switch (o) {
     case Ordering::kBefore: return "before";

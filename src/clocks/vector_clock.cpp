@@ -168,38 +168,6 @@ VectorClock VectorClock::decode_delta(const VectorClock& base,
   return clock;
 }
 
-void VectorClock::encode(std::vector<std::byte>& out) const {
-  const std::size_t start = out.size();
-  out.resize(start + fixed_wire_size());
-  const ClockValue* values = data();
-  for (std::size_t i = 0; i < size_; ++i) {
-    ClockValue v = values[i];
-    for (std::size_t b = 0; b < sizeof(ClockValue); ++b) {
-      out[start + i * sizeof(ClockValue) + b] = static_cast<std::byte>(v & 0xff);
-      v >>= 8;
-    }
-  }
-}
-
-VectorClock VectorClock::decode(std::span<const std::byte> in, std::size_t n,
-                                std::size_t* offset) {
-  std::size_t pos = offset ? *offset : 0;
-  DSMR_REQUIRE(in.size() >= pos + n * sizeof(ClockValue),
-               "decode buffer too small for clock of size " << n);
-  VectorClock clock(n);
-  ClockValue* values = clock.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    ClockValue v = 0;
-    for (std::size_t b = sizeof(ClockValue); b-- > 0;) {
-      v = (v << 8) | static_cast<ClockValue>(in[pos + i * sizeof(ClockValue) + b]);
-    }
-    values[i] = v;
-  }
-  pos += n * sizeof(ClockValue);
-  if (offset) *offset = pos;
-  return clock;
-}
-
 std::string VectorClock::to_string() const {
   const ClockValue* values = data();
   const bool compact =

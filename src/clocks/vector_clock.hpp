@@ -136,8 +136,8 @@ class VectorClock {
   // (`wire_size`) and what the detection-metadata accounting reports: clock
   // components are small non-negative integers that grow with event counts,
   // so base-128 varints shrink the n×8-byte fixed layout by ~8x at
-  // debugging scale. The fixed layout survives as `encode`/`decode` for
-  // consumers needing random access (`fixed_wire_size` bytes).
+  // debugging scale. `fixed_wire_size` is the size of that fixed layout,
+  // which resident-memory accounting charges.
 
   /// Size in bytes of one component's LEB128 encoding (util/varint.hpp —
   /// the same encoding the record/replay event log uses).
@@ -174,11 +174,8 @@ class VectorClock {
                                   std::span<const std::byte> in,
                                   std::size_t* offset);
 
-  /// Fixed wire encoding: n little-endian u64 components.
+  /// Bytes of the fixed layout: n u64 components.
   std::size_t fixed_wire_size() const { return size_ * sizeof(ClockValue); }
-  void encode(std::vector<std::byte>& out) const;
-  static VectorClock decode(std::span<const std::byte> in, std::size_t n,
-                            std::size_t* offset);
 
   /// Rendering like the paper's figures: "110" when every component is a
   /// single digit, otherwise "[1,10,2]".

@@ -55,7 +55,7 @@ std::uint64_t footprint(const ExecutedStep& exec, int nprocs,
       return 0;
     case StepKind::kAccess: {
       if (independence.coarse_same_home) {
-        return hash_bit(1, static_cast<std::uint64_t>(step.area % nprocs), 0);
+        return hash_bit(1, static_cast<std::uint64_t>(fuzz::area_home(step.area, nprocs)), 0);
       }
       std::uint64_t mask = hash_bit(2, static_cast<std::uint64_t>(step.area), 0);
       if (step.lock != -1) mask |= hash_bit(3, static_cast<std::uint64_t>(step.lock), 0);
@@ -530,7 +530,7 @@ ExploreReport explore_program(const fuzz::Program& program,
 
 std::string planted_area_name(const fuzz::Program& program) {
   if (program.expect == fuzz::Expectation::kClean || !program.planted) return "";
-  return "fz" + std::to_string(program.planted->area);
+  return fuzz::area_name(program.planted->area);
 }
 
 Eligibility exhaustive_eligible(const fuzz::Program& program, int max_ranks,

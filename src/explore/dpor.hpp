@@ -124,7 +124,7 @@ Eligibility exhaustive_eligible(const fuzz::Program& program, int max_ranks = 3,
 std::vector<std::string> check_exhaustive(const fuzz::Program& program,
                                           const ExploreReport& report);
 
-/// Planted-bug area name ("fz<i>") for non-clean programs, "" for clean.
+/// Planted-bug area name (fuzz::area_name) for non-clean programs, "" for clean.
 std::string planted_area_name(const fuzz::Program& program);
 
 }  // namespace dsmr::explore

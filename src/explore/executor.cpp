@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "runtime/thread_world.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::explore {
@@ -230,13 +231,13 @@ record::Log make_witness_log(const FlatProgram& program,
   log.header.nprocs = static_cast<std::uint32_t>(program.nprocs);
   log.header.backend = record::Backend::kThread;
   log.header.mode = mode;
-  log.header.lock_clock_handoff = true;
-  log.header.acked_puts = true;
+  log.header.lock_clock_handoff = runtime::ThreadWorldConfig::lock_clock_handoff;
+  log.header.acked_puts = runtime::ThreadWorldConfig::acked_puts;
   for (int area = 0; area < program.areas; ++area) {
     record::AreaEntry entry;
-    entry.home = static_cast<Rank>(area % program.nprocs);
+    entry.home = fuzz::area_home(area, program.nprocs);
     entry.size = program.area_bytes;
-    entry.name = "fz" + std::to_string(area);
+    entry.name = fuzz::area_name(area);
     log.areas.push_back(entry);
   }
   log.events = events;

@@ -103,8 +103,9 @@ class Executor {
 };
 
 /// Seals an explored interleaving as a replayable witness log: kThread
-/// header (dual-clock, lock handoff, acked puts — the thread harness
-/// defaults), the program's "fz<i>" area table, the synthesized events,
+/// header (`mode`, and the threaded backend's one clock regime: lock
+/// handoff and acked puts), the program's area table (fuzz::area_home,
+/// fuzz::area_name), the synthesized events,
 /// and `live` — the verdict signature the caller folded from those events
 /// — in the live footer (the caller adds forensic metadata — program text,
 /// schedule — before export).

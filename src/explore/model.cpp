@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "fuzz/thread_harness.hpp"
 #include "util/assert.hpp"
 
 namespace dsmr::explore {
@@ -32,16 +31,21 @@ std::size_t FlatProgram::total_steps() const {
       [](std::size_t acc, const std::vector<Step>& s) { return acc + s.size(); });
 }
 
-std::size_t FlatProgram::max_rank_steps() const {
-  std::size_t best = 0;
-  for (const std::vector<Step>& s : steps) best = std::max(best, s.size());
-  return best;
-}
-
 namespace {
 
-/// The dissemination barrier for phase `ph`, rank `r` — the same rounds,
-/// tags, and signal-then-wait order as thread_harness.cpp run_boundary.
+/// Boundary-barrier tags: top byte distinct from user tags (< 2^56, see
+/// fuzz::kMaxSignalTag) and from pgas::Team's collective range (kinds 1..5
+/// in the top byte). Phase index and round share the low bits without
+/// collision: phases < 4096 (12 bits, shifted past the round) and rounds
+/// < 10 for fuzz::kMaxProcs = 1024.
+constexpr std::uint64_t kBoundaryTagBase = 0xB5ULL << 56;
+
+std::uint64_t boundary_signal_tag(std::size_t phase, std::uint32_t round) {
+  return kBoundaryTagBase | (static_cast<std::uint64_t>(phase) << 8) | round;
+}
+
+/// The dissemination barrier for phase `ph`, rank `r`, with the same
+/// sequential send-round-k / wait-round-k structure as pgas::Team::barrier.
 void flatten_boundary(const fuzz::Phase& phase, std::size_t ph, int nprocs,
                       Rank r, std::vector<Step>& out) {
   const bool arrive_only =
@@ -51,12 +55,12 @@ void flatten_boundary(const fuzz::Phase& phase, std::size_t ph, int nprocs,
     Step send;
     send.kind = StepKind::kSignal;
     send.peer = static_cast<Rank>((static_cast<int>(r) + dist) % nprocs);
-    send.tag = fuzz::boundary_signal_tag(ph, round);
+    send.tag = boundary_signal_tag(ph, round);
     out.push_back(send);
     if (!arrive_only) {
       Step wait;
       wait.kind = StepKind::kWait;
-      wait.tag = fuzz::boundary_signal_tag(ph, round);
+      wait.tag = boundary_signal_tag(ph, round);
       out.push_back(wait);
     }
   }
@@ -99,6 +103,8 @@ FlatProgram flatten_program(const fuzz::Program& program) {
           case fuzz::OpKind::kSleep:
           case fuzz::OpKind::kCompute:
             step.kind = StepKind::kTick;
+            step.compute = op.kind == fuzz::OpKind::kCompute;
+            step.duration = static_cast<std::uint64_t>(op.duration);
             break;
         }
         out.push_back(step);
@@ -117,7 +123,7 @@ bool dependent(const ExecutedStep& a, const ExecutedStep& b, int nprocs,
 
   if (sa.kind == StepKind::kAccess && sb.kind == StepKind::kAccess) {
     if (options.coarse_same_home) {
-      return sa.area % nprocs == sb.area % nprocs;
+      return fuzz::area_home(sa.area, nprocs) == fuzz::area_home(sb.area, nprocs);
     }
     if (sa.area == sb.area) return true;
     if (sa.lock != -1 && sa.lock == sb.lock) return true;  // grant order shows.

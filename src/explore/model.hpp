@@ -1,13 +1,17 @@
 // The transition model for exhaustive schedule exploration (ROADMAP item 4).
 //
-// Exploration enumerates interleavings of the *threaded-backend op model*:
-// each transition is one atomic micro-op of fuzz/thread_harness.cpp's
-// run_rank — a put/get (with its lock/unlock fused in), a signal, a wait,
-// or a tick — and every explored interleaving is a stream of kThread*
-// record events, so the verdict comes from the one true detector fold
-// (record::Folder, which replay_fold runs) and every racy interleaving is a
-// witness that replays byte-for-byte through dsmr_replay AND back onto
-// real OS threads via ReplayGate.
+// flatten_program is the one lowering of a fuzz::Program onto the
+// threaded-backend op model: per-rank sequences of atomic steps — a put/get
+// (with its lock/unlock fused in), a signal, a wait, or a tick — with each
+// phase boundary expanded into the dissemination barrier's signal/wait
+// rounds. The real-threads backend executes exactly these steps
+// (fuzz::spawn_program_threaded), and exploration enumerates interleavings
+// of them, so what the explorer certifies is the program the threads run.
+// Every explored interleaving is a stream of kThread* record events, so the
+// verdict comes from the one true detector fold (record::Folder, which
+// replay_fold runs) and every racy interleaving is a witness that replays
+// byte-for-byte through dsmr_replay AND back onto real OS threads via
+// ReplayGate.
 //
 // Why the thread model and not gated sim execution (the issue sketches
 // "over the sim engine"): the sim fabric merges the initiator's clock into
@@ -38,7 +42,8 @@
 namespace dsmr::explore {
 
 enum class StepKind : std::uint8_t {
-  kTick,    ///< sleep / compute — one kTick event, no shared state.
+  kTick,    ///< sleep / compute — one kTick event, no shared state; live
+            ///< threads pause for the op's duration.
   kAccess,  ///< put or get, lock/unlock fused when locked.
   kSignal,  ///< tagged signal to a peer.
   kWait,    ///< blocking wait; consumes the FIFO-front matching signal.
@@ -53,19 +58,21 @@ enum class StepKind : std::uint8_t {
 struct Step {
   StepKind kind = StepKind::kTick;
   bool write = false;      ///< kAccess: put (true) or get (false).
+  bool compute = false;    ///< kTick: a compute (true) or a sleep (false).
   int area = -1;           ///< kAccess: flat area index.
   int lock = -1;           ///< kAccess: flat lock-area index, -1 = unlocked.
   Rank peer = -1;          ///< kSignal: destination rank.
   std::uint64_t tag = 0;   ///< kSignal / kWait.
+  std::uint64_t duration = 0;  ///< kTick: the op's virtual ns.
 
   std::string to_string() const;
 };
 
-/// A fuzz::Program lowered to per-rank step sequences — op for op, phase
-/// boundaries expanded to the dissemination barrier's signal/wait rounds
-/// (tags from fuzz::boundary_signal_tag), exactly mirroring
-/// thread_harness.cpp run_rank so the synthesized event stream is the one
-/// a gated ThreadWorld will accept.
+/// A fuzz::Program lowered to per-rank step sequences — op for op, with
+/// every phase boundary (any BoundaryKind: each is a full happens-before
+/// frontier, and collective values never affect detection) expanded to the
+/// dissemination barrier's signal-then-wait rounds, and Phase::skip_rank to
+/// the arrive-only half (signals, no waits).
 struct FlatProgram {
   int nprocs = 0;
   int areas = 0;
@@ -73,7 +80,6 @@ struct FlatProgram {
   std::vector<std::vector<Step>> steps;  ///< [rank] -> transitions in order.
 
   std::size_t total_steps() const;
-  std::size_t max_rank_steps() const;
 };
 
 FlatProgram flatten_program(const fuzz::Program& program);
@@ -82,9 +88,9 @@ FlatProgram flatten_program(const fuzz::Program& program);
 /// match information that decides signal/wait dependence.
 struct ExecutedStep {
   Rank rank = -1;
+  Rank matched_src = -1;        ///< kWait: sender of the consumed signal.
   std::size_t step_index = 0;   ///< index into FlatProgram::steps[rank].
   Step step;
-  Rank matched_src = -1;        ///< kWait: sender of the consumed signal.
   std::uint64_t matched_d = 0;  ///< kWait: sender's clock stamp at the send.
   std::uint64_t sent_d = 0;     ///< kSignal: own clock stamp of the send.
 };

@@ -505,7 +505,7 @@ using runtime::World;
 /// Executes one phase-entry boundary for this rank. Every kind is a full
 /// happens-before frontier (see BoundaryKind); the payloads are this rank's
 /// stamp — the values never affect detection, only the signal edges do.
-sim::Future<void> run_boundary(pgas::Team& team, const Phase& phase, Rank rank) {
+sim::Future<void> cross_boundary(pgas::Team& team, const Phase& phase, Rank rank) {
   const Rank root = static_cast<Rank>(phase.entry.root);
   std::vector<std::byte> stamp(sizeof(std::uint64_t));
   const auto value = static_cast<std::uint64_t>(rank) + 1;
@@ -554,7 +554,7 @@ sim::Task program_task(Process& p, std::shared_ptr<const Program> program,
   // Deterministic payload stamp; the value itself never affects detection.
   std::uint64_t stamp = (static_cast<std::uint64_t>(p.rank()) + 1) << 32;
   for (std::size_t ph = 0; ph < program->phases.size(); ++ph) {
-    if (ph > 0) co_await run_boundary(team, program->phases[ph], p.rank());
+    if (ph > 0) co_await cross_boundary(team, program->phases[ph], p.rank());
     for (const Op& op : program->phases[ph].ops[rank]) {
       const auto lock_area = [&op]() {
         return static_cast<std::size_t>(op.lock == -1 ? op.area : op.lock);
@@ -593,6 +593,8 @@ sim::Task program_task(Process& p, std::shared_ptr<const Program> program,
 
 }  // namespace
 
+std::string area_name(int area) { return "fz" + std::to_string(area); }
+
 ProgramHandles spawn_program(World& world, std::shared_ptr<const Program> program) {
   DSMR_REQUIRE(program != nullptr, "spawn_program needs a program");
   std::string error;
@@ -600,12 +602,7 @@ ProgramHandles spawn_program(World& world, std::shared_ptr<const Program> progra
   DSMR_REQUIRE(world.nprocs() == program->nprocs,
                "program generated for " << program->nprocs << " ranks, world has "
                                         << world.nprocs());
-  ProgramHandles handles;
-  for (int a = 0; a < program->areas; ++a) {
-    const Rank home = static_cast<Rank>(a % program->nprocs);
-    handles.areas.push_back(
-        world.alloc(home, program->area_bytes, "fz" + std::to_string(a)));
-  }
+  ProgramHandles handles = alloc_areas(world, *program);
   for (Rank r = 0; r < world.nprocs(); ++r) {
     world.spawn(r, [program, areas = handles.areas](Process& p) {
       return program_task(p, program, areas);

@@ -190,6 +190,24 @@ struct ProgramHandles {
   std::vector<mem::GlobalAddress> areas;
 };
 
+/// The one area layout: area `area` of an `nprocs`-rank program is homed at
+/// rank area % nprocs and registered as "fz<area>" on every backend, in
+/// every log and in every race report.
+inline Rank area_home(int area, int nprocs) { return static_cast<Rank>(area % nprocs); }
+std::string area_name(int area);
+
+/// Registers the program's areas in that layout on a not-yet-run
+/// runtime::World or runtime::ThreadWorld; handles.areas[a] is area a.
+template <typename AnyWorld>
+ProgramHandles alloc_areas(AnyWorld& world, const Program& program) {
+  ProgramHandles handles;
+  for (int a = 0; a < program.areas; ++a) {
+    handles.areas.push_back(
+        world.alloc(area_home(a, program.nprocs), program.area_bytes, area_name(a)));
+  }
+  return handles;
+}
+
 /// Allocates the program's areas and installs one coroutine per rank on a
 /// not-yet-run World (world.nprocs() must equal program->nprocs).
 ProgramHandles spawn_program(runtime::World& world,

@@ -2,13 +2,15 @@
 // harness that compares backends by verdict signature.
 //
 // The same Program IR drives both backends: spawn_program (fuzz/program.hpp)
-// installs coroutines on the sim World, spawn_program_threaded installs the
-// blocking twin of the same interpreter on a ThreadWorld — op for op, with
-// every phase boundary executed as a dissemination barrier over tagged
-// signals (every BoundaryKind is a full happens-before frontier and the
-// collective *values* never affect detection, so the barrier is
-// verdict-equivalent; Phase::skip_rank maps to the arrive-only half, as in
-// pgas::Team::barrier_arrive).
+// installs coroutines on the sim World, and spawn_program_threaded runs the
+// explorer's lowering (explore::flatten_program) on a ThreadWorld, step for
+// step — every phase boundary a dissemination barrier over tagged signals
+// (every BoundaryKind is a full happens-before frontier and the collective
+// *values* never affect detection, so the barrier is verdict-equivalent;
+// Phase::skip_rank maps to the arrive-only half, as in
+// pgas::Team::barrier_arrive). One lowering means the program DPOR
+// certifies, and whose witnesses ReplayGate forces onto threads, is the
+// program the threads execute.
 //
 // The comparison contract is deliberately weaker than the sim-vs-sim grid:
 // real schedules are not seeded-replayable, so runs are compared by final
@@ -35,7 +37,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -48,20 +49,11 @@
 
 namespace dsmr::fuzz {
 
-/// Tag of the dissemination-barrier signal for (phase, round) on the
-/// threaded backend. Exported so explore/model.hpp flattens phase
-/// boundaries into exactly the signal/wait micro-ops run_boundary executes
-/// (one source of truth: a synthesized log replays through ReplayGate only
-/// if every tag matches).
-std::uint64_t boundary_signal_tag(std::size_t phase, std::uint32_t round);
-
 /// Knobs for one threaded execution of a program.
 struct ThreadRunOptions {
   int shards = 8;  ///< detector shards per home (ThreadWorldConfig::shards).
   std::chrono::milliseconds timeout{10'000};
   core::DetectorMode mode = core::DetectorMode::kDualClock;
-  bool lock_clock_handoff = true;
-  bool acked_puts = true;
   /// Record this run's ordering (record/recorder.hpp); finish() is called
   /// with the run's verdicts before run_program_threaded returns.
   record::Recorder* recorder = nullptr;
@@ -69,11 +61,10 @@ struct ThreadRunOptions {
   const record::Log* replay = nullptr;
 };
 
-/// Allocates the program's areas (same homes and "fz<i>" names as the sim
-/// spawn path) and installs the blocking interpreter on every rank of a
-/// not-yet-run ThreadWorld.
-ProgramHandles spawn_program_threaded(runtime::ThreadWorld& world,
-                                      std::shared_ptr<const Program> program);
+/// Allocates the program's areas (alloc_areas, the layout the sim spawn
+/// path uses) and has every rank of a not-yet-run ThreadWorld execute its
+/// steps of explore::flatten_program(program).
+ProgramHandles spawn_program_threaded(runtime::ThreadWorld& world, const Program& program);
 
 /// One threaded run's verdict signature.
 struct ThreadProgramOutcome {
@@ -90,22 +81,23 @@ ThreadProgramOutcome run_program_threaded(const Program& program,
 struct BackendDiffOptions {
   ThreadRunOptions thread;
   int thread_reps = 3;                  ///< real-schedule samples.
-  std::uint64_t sim_schedule_seeds = 2; ///< sim oracle runs (seeds 1..K).
+  /// Sim oracle: fuzz::check_program over schedule seeds 1..K.
+  std::uint64_t sim_schedule_seeds = 2;
   bool compare_sim = true;              ///< false: threaded self-check only.
-  /// Record one extra threaded run, fold its log offline, and gate-replay it
-  /// twice: fold and both replays must reproduce the recorded run's verdict
-  /// signature exactly. This turns kSometimes manifestations — informational
-  /// in the free-running reps — into replayable coordinates: whatever the
-  /// recorded schedule decided IS pinned and must re-derive identically.
-  bool record_replay = true;
 };
 
+/// Besides the free-running reps, every program gets one extra recorded
+/// threaded run whose log is folded offline and gate-replayed twice: fold
+/// and both replays must reproduce the recorded run's verdict signature
+/// exactly. This turns kSometimes manifestations — informational in the
+/// free-running reps — into replayable coordinates: whatever the recorded
+/// schedule decided IS pinned and must re-derive identically.
 struct BackendDiffResult {
   std::vector<std::string> failures;  ///< human-readable divergences.
   std::uint64_t thread_runs = 0;
   std::uint64_t thread_manifested = 0;  ///< threaded runs with >= 1 race.
-  std::uint64_t sim_runs = 0;
-  std::uint64_t sim_manifested = 0;
+  std::uint64_t sim_runs = 0;           ///< check_program grid runs.
+  std::uint64_t sim_manifested = 0;     ///< ... with a true race.
   std::uint64_t record_replay_checks = 0;  ///< recorded runs verified.
   std::uint64_t checks = 0;    ///< inline checks across threaded runs.
   std::uint64_t wall_ns = 0;   ///< summed threaded run() wall time.
@@ -126,7 +118,6 @@ struct ThreadSweepConfig {
   double planted_fraction = 0.5;
   std::vector<BugKind> bug_kinds;
   BackendDiffOptions diff;
-  bool verbose = false;
 };
 
 struct ThreadSweepDivergence {

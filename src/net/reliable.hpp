@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "net/message.hpp"
@@ -65,17 +64,6 @@ class SenderWindow {
   const std::map<std::uint64_t, Pending>& pending() const { return pending_; }
   const std::vector<Pending>& dead_letters() const { return dead_letters_; }
 
-  /// The in-flight or given-up message with the earliest original send time.
-  std::optional<Pending> oldest_unacked() const {
-    std::optional<Pending> oldest;
-    auto consider = [&oldest](const Pending& p) {
-      if (!oldest || p.first_sent < oldest->first_sent) oldest = p;
-    };
-    for (const auto& [seq, p] : pending_) consider(p);
-    for (const auto& p : dead_letters_) consider(p);
-    return oldest;
-  }
-
  private:
   std::uint64_t next_seq_ = 0;
   std::map<std::uint64_t, Pending> pending_;
@@ -124,7 +112,6 @@ class ReceiverWindow {
   }
 
   std::uint64_t next_expected() const { return next_expected_; }
-  std::size_t buffered_count() const { return buffered_.size(); }
 
  private:
   std::uint64_t next_expected_ = 0;

@@ -95,7 +95,6 @@ class SimFabric {
   void reset_counters() { counters_.reset(); }
 
   const LatencyModel& model() const { return model_; }
-  const FaultPlan& fault_plan() const { return fault_; }
 
   /// Messages the reliable transport has not confirmed: unacked in-flight
   /// sends and dead letters (retry cap exhausted), oldest first. Empty on

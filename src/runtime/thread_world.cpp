@@ -38,8 +38,8 @@ ThreadWorld::ThreadWorld(ThreadWorldConfig config)
     DSMR_REQUIRE(header.backend == record::Backend::kThread &&
                      header.nprocs == static_cast<std::uint32_t>(config_.nprocs) &&
                      header.mode == config_.mode &&
-                     header.lock_clock_handoff == config_.lock_clock_handoff &&
-                     header.acked_puts == config_.acked_puts,
+                     header.lock_clock_handoff == ThreadWorldConfig::lock_clock_handoff &&
+                     header.acked_puts == ThreadWorldConfig::acked_puts,
                  "recorder header does not match this ThreadWorld's config");
   }
   if (config_.replay != nullptr) {
@@ -50,8 +50,8 @@ ThreadWorld::ThreadWorld(ThreadWorldConfig config)
     DSMR_REQUIRE(header.nprocs == static_cast<std::uint32_t>(config_.nprocs),
                  "replay log has " << header.nprocs << " ranks, world has "
                                    << config_.nprocs);
-    DSMR_REQUIRE(header.lock_clock_handoff == config_.lock_clock_handoff &&
-                     header.acked_puts == config_.acked_puts,
+    DSMR_REQUIRE(header.lock_clock_handoff == ThreadWorldConfig::lock_clock_handoff &&
+                     header.acked_puts == ThreadWorldConfig::acked_puts,
                  "replay log was recorded under a different clock regime");
     gate_ = std::make_unique<record::ReplayGate>(*config_.replay);
   }
@@ -60,11 +60,6 @@ ThreadWorld::ThreadWorld(ThreadWorldConfig config)
     processes_.push_back(std::make_unique<ThreadProcess>(r, *this));
   }
   bodies_.resize(static_cast<std::size_t>(config_.nprocs));
-  if (config_.print_races) {
-    races_.add_observer([](const core::RaceReport& report) {
-      std::fprintf(stderr, "%s\n", report.describe().c_str());
-    });
-  }
 }
 
 ThreadWorld::~ThreadWorld() = default;
@@ -241,7 +236,6 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
   world_.replay_enter(rank_, record::EventKind::kThreadPut, flat);
   clock_.tick(rank_);
   const std::uint64_t event_id = next_event_id();
-  const bool acked = world_.config_.acked_puts;
   clocks::VectorClock completion;  ///< pre-update V ∨ W, merged on ack.
   {
     detect::ShardedDetector& det = node->detector;
@@ -256,20 +250,19 @@ void ThreadProcess::put(mem::GlobalAddress dst, const std::vector<std::byte>& da
     }
     completion = detect::thread_access(
         det, world_.config_.mode, core::AccessKind::kWrite, rank_, clock_, area,
-        acked, event_id, [&](const core::Verdict& verdict) {
+        ThreadWorldConfig::acked_puts, event_id, [&](const core::Verdict& verdict) {
           world_.record_race(core::AccessKind::kWrite, rank_, dst.rank, area, clock_,
                              verdict, event_id);
         });
     node->segment.write_bytes(dst.offset, data);
   }
-  if (acked) clock_.merge_from(completion);
+  clock_.merge_from(completion);
 
   // Wire-equivalent accounting, kHomeSide shapes: one commit carrying the
-  // payload and the initiator clock, one ack (carrying the completion clock
-  // when acked).
+  // payload and the initiator clock, one ack carrying the completion clock.
   net::TrafficCounters& traffic = world_.fabric_.shard(rank_);
   traffic.charge(net::MsgType::kPutCommit, data.size(), clock_.wire_size());
-  traffic.charge(net::MsgType::kPutCommitAck, 0, acked ? completion.wire_size() : 0);
+  traffic.charge(net::MsgType::kPutCommitAck, 0, completion.wire_size());
   world_.replay_advance();
 }
 
@@ -296,7 +289,7 @@ std::vector<std::byte> ThreadProcess::get(mem::GlobalAddress src, std::uint32_t 
     }
     reads_from = detect::thread_access(
         det, world_.config_.mode, core::AccessKind::kRead, rank_, clock_, area,
-        world_.config_.acked_puts, event_id, [&](const core::Verdict& verdict) {
+        ThreadWorldConfig::acked_puts, event_id, [&](const core::Verdict& verdict) {
           world_.record_race(core::AccessKind::kRead, rank_, src.rank, area, clock_,
                              verdict, event_id);
         });
@@ -337,19 +330,18 @@ void ThreadProcess::lock(mem::GlobalAddress addr) {
     throw ThreadWorld::StuckRank{};
   }
   clock_.tick(rank_);
-  // The handoff is non-empty only under lock_clock_handoff (see unlock).
+  // Empty until the lock's first release (see unlock).
   if (!user_lock.handoff.empty()) clock_.merge_from(user_lock.handoff);
   // Stamped under the user-lock mutex, from the lock's stamp: grant order
   // IS the logged order.
   if (rec != nullptr) {
     rec->record_thread(rank_, user_lock.record_stamp, record::EventKind::kThreadLock, flat);
   }
-  // A clockless request; a grant carrying the acquirer's clock when the
-  // handoff rides on it.
+  // A clockless request; a grant carrying the acquirer's clock, which the
+  // handoff rides on.
   net::TrafficCounters& traffic = world_.fabric_.shard(rank_);
   traffic.charge(net::MsgType::kLockRequest, 0, 0);
-  traffic.charge(net::MsgType::kLockGrant, 0,
-                 world_.config_.lock_clock_handoff ? clock_.wire_size() : 0);
+  traffic.charge(net::MsgType::kLockGrant, 0, clock_.wire_size());
   world_.replay_advance();
 }
 
@@ -366,7 +358,7 @@ void ThreadProcess::unlock(mem::GlobalAddress addr) {
     std::lock_guard<std::mutex> guard(user_lock.mutex);
     DSMR_REQUIRE(user_lock.now_serving < user_lock.next_ticket,
                  "unlock of an unheld lock on area " << node->segment.area(area).name);
-    if (world_.config_.lock_clock_handoff) detect::hand_off(user_lock.handoff, clock_);
+    detect::hand_off(user_lock.handoff, clock_);
     if (rec != nullptr) {
       rec->record_thread(rank_, user_lock.record_stamp, record::EventKind::kThreadUnlock,
                          flat);

@@ -24,17 +24,20 @@
 // sim, which stores the home NIC's post-event clock; both induce the same
 // verdicts on the generated-program families the differential harness
 // compares (fuzz/thread_harness.hpp explains why), but per-event clock
-// values differ — one more reason comparison is by signature.
+// values differ — one more reason comparison is by signature. Generated
+// programs run here as the explorer's lowering (explore::flatten_program):
+// the steps a certificate enumerates are the steps these threads execute.
 //
-// Happens-before edges beyond program order, all backed by real
-// synchronization (a mutex or mailbox the edge physically passes through):
+// One clock regime, the sim's default (ThreadWorldConfig::lock_clock_handoff
+// and acked_puts are constants). Happens-before edges beyond program order,
+// all backed by real synchronization (a mutex or mailbox the edge
+// physically passes through):
 //  * signal → wait_signal delivers the sender's clock (receive event);
 //  * user lock release → next acquire merges the handoff clock, the join
-//    of the releases (detect::hand_off; when lock_clock_handoff, as in the
-//    sim);
+//    of the releases (detect::hand_off);
 //  * a get merges the stored W it read from (reads-from edge);
-//  * an acked put merges the area's pre-update V ∨ W (completion edge),
-//    when acked_puts — matching the sim's ack-carries-home-clock regime.
+//  * a put merges the area's pre-update V ∨ W on its ack (completion
+//    edge), as the sim's ack carries the home clock.
 //
 // Logically racy programs stay *physically* race-free (TSan-clean): every
 // byte of shared payload moves under the area's detector shard mutex; a
@@ -75,10 +78,13 @@ namespace dsmr::runtime {
 class ThreadProcess;
 
 struct ThreadWorldConfig {
+  /// The threaded backend's one clock regime (see the header comment); a
+  /// recorder or replay log must carry the same header flags.
+  static constexpr bool lock_clock_handoff = true;
+  static constexpr bool acked_puts = true;
+
   int nprocs = 2;
   core::DetectorMode mode = core::DetectorMode::kDualClock;
-  bool lock_clock_handoff = true;
-  bool acked_puts = true;
   std::uint32_t segment_bytes = 1 << 20;  ///< public memory per rank.
   /// Shard count of each home's detect::ShardedDetector: concurrent ops on
   /// different areas of one home contend only when area ids collide mod
@@ -87,7 +93,6 @@ struct ThreadWorldConfig {
   /// Join watchdog: every blocking wait gives up this long after run()
   /// starts, turning any deadlock into stuck ranks instead of a hang.
   std::chrono::milliseconds run_timeout{20'000};
-  bool print_races = false;  ///< echo race reports to stderr (§IV.D).
   /// Ordering recorder (record/recorder.hpp), or null. Each op stamps one
   /// event at its linearization point (inside the shard / user-lock mutex),
   /// from the stamp of the sync object that orders it — the detector shard,
@@ -100,7 +105,7 @@ struct ThreadWorldConfig {
   /// the nondeterministic thread schedule back into the recorded
   /// linearization order — two replays of one log produce identical verdict
   /// signatures. The log's nprocs/backend/handoff/ack regime must match this
-  /// config (checked); the detector mode may differ (record cheap at kOff,
+  /// backend's (checked); the detector mode may differ (record cheap at kOff,
   /// replay under the full dual-clock detector).
   const record::Log* replay = nullptr;
 };
@@ -165,7 +170,7 @@ class ThreadWorld {
     /// skips them so one stuck rank doesn't wedge the whole queue.
     std::set<std::uint64_t> abandoned;
     /// Join of the releases (detect::hand_off); empty until the first
-    /// release, and always without lock_clock_handoff (as in the sim).
+    /// release.
     clocks::VectorClock handoff;
     /// Record stamp of the last lock/unlock (Recorder::record_thread's sync
     /// slot), so an unlock's stamp precedes the next grant's.
@@ -224,13 +229,12 @@ class ThreadProcess {
   const clocks::VectorClock& clock() const { return clock_; }
   std::uint64_t checks() const { return checks_; }
 
-  /// Blocking acked/unacked write of `data` to the area at `dst`.
+  /// Blocking acked write of `data` to the area at `dst`.
   void put(mem::GlobalAddress dst, const std::vector<std::byte>& data);
   /// Blocking read of `len` bytes from the area at `src`.
   std::vector<std::byte> get(mem::GlobalAddress src, std::uint32_t len);
 
-  /// User-visible NIC area lock (FIFO; merges the handoff clock when
-  /// lock_clock_handoff).
+  /// User-visible NIC area lock (FIFO; merges the handoff clock).
   void lock(mem::GlobalAddress addr);
   void unlock(mem::GlobalAddress addr);
 

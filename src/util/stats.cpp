@@ -27,8 +27,6 @@ double OnlineStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
 void OnlineStats::merge(const OnlineStats& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {

@@ -16,7 +16,6 @@ class OnlineStats {
   std::uint64_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
   double variance() const;
-  double stddev() const;
   double min() const { return n_ > 0 ? min_ : 0.0; }
   double max() const { return n_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }

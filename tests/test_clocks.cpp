@@ -77,28 +77,6 @@ TEST(VectorClock, MaxClockFreeFunction) {
   EXPECT_EQ(max_clock(a, a), a);
 }
 
-TEST(VectorClock, EncodeDecodeRoundTrip) {
-  const VectorClock original{7, 0, 1234567890123ULL, 42};
-  std::vector<std::byte> wire;
-  original.encode(wire);
-  EXPECT_EQ(wire.size(), original.fixed_wire_size());
-  std::size_t offset = 0;
-  const VectorClock decoded = VectorClock::decode(wire, 4, &offset);
-  EXPECT_EQ(decoded, original);
-  EXPECT_EQ(offset, wire.size());
-}
-
-TEST(VectorClock, EncodeAppendsTwoClocks) {
-  const VectorClock a{1, 2};
-  const VectorClock b{3, 4};
-  std::vector<std::byte> wire;
-  a.encode(wire);
-  b.encode(wire);
-  std::size_t offset = 0;
-  EXPECT_EQ(VectorClock::decode(wire, 2, &offset), a);
-  EXPECT_EQ(VectorClock::decode(wire, 2, &offset), b);
-}
-
 TEST(VectorClock, ToStringCompactLikeThePaper) {
   EXPECT_EQ((VectorClock{1, 1, 0}).to_string(), "110");
   EXPECT_EQ((VectorClock{2, 0, 2, 2}).to_string(), "2022");

@@ -373,7 +373,7 @@ TEST(ShardEquivalence, ThreadedContractHoldsAcrossShardCounts) {
               << "seed " << seed << " shards " << shards;
         } else {
           ASSERT_TRUE(program.planted.has_value());
-          const std::string planted_area = "fz" + std::to_string(program.planted->area);
+          const std::string planted_area = fuzz::area_name(program.planted->area);
           EXPECT_TRUE(outcome.racy_areas.count(planted_area) > 0)
               << "seed " << seed << " shards " << shards << ": planted area "
               << planted_area << " not flagged";

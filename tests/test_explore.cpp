@@ -7,8 +7,9 @@
 // trace, no sleep-blocked run), witness logs that replay through the
 // offline fold AND back onto real OS threads via ReplayGate, deterministic
 // counters, pinned totals for the stateful search (each DFS edge executed
-// once), Executor::undo as the exact inverse of execute, and the
-// eligibility size gate.
+// once), Executor::undo as the exact inverse of execute, the eligibility
+// size gate, and the one lowering: a live threaded run records, rank by
+// rank, the events the Executor synthesizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +32,7 @@
 #include "record/log.hpp"
 #include "record/recorder.hpp"
 #include "record/replay.hpp"
+#include "runtime/thread_world.hpp"
 #include "util/rng.hpp"
 
 namespace dsmr::explore {
@@ -692,6 +694,59 @@ TEST(Witness, ReplaysThroughFoldAndRealThreads) {
       EXPECT_TRUE(signature == parsed.live)
           << fuzz::to_string(kind) << ": thread replay " << signature.to_string()
           << " vs witness " << parsed.live.to_string();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One lowering: live threads execute the steps the explorer enumerates.
+// ---------------------------------------------------------------------------
+
+/// `rank`'s events in its program order, as the (kind, detail) pairs
+/// ReplayGate checks: a wait names its tag, every other kind its field b
+/// (area, lock or destination). A per-rank projection does not depend on
+/// the schedule.
+std::vector<std::string> rank_projection(const std::vector<record::Event>& events,
+                                         Rank rank) {
+  std::vector<std::string> out;
+  for (const record::Event& event : events) {
+    if (event.a != static_cast<std::uint64_t>(rank)) continue;
+    std::string line = record::to_string(event.kind);
+    line += '(';
+    line += std::to_string(event.kind == record::EventKind::kWaitMatch ? event.c : event.b);
+    line += ')';
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+// Over the 64-seed certificate slice, one free-running threaded run records,
+// rank by rank, exactly the events the Executor synthesizes for that rank's
+// steps: what a certificate enumerates is what the threads run.
+TEST(Lowering, LiveThreadsRecordTheEventsTheExecutorSynthesizes) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    const fuzz::Program program = fuzz::generate_program(planted_slice_config(seed));
+    const FlatProgram flat = flatten_program(program);
+    Executor executor(&flat);
+    while (!executor.all_done()) {
+      const std::vector<Rank> enabled = executor.enabled();
+      ASSERT_FALSE(enabled.empty()) << "seed " << seed << " deadlocked";
+      executor.execute(enabled.front());
+    }
+
+    record::Recorder recorder(static_cast<std::uint32_t>(program.nprocs),
+                              record::Backend::kThread, core::DetectorMode::kDualClock,
+                              runtime::ThreadWorldConfig::lock_clock_handoff,
+                              runtime::ThreadWorldConfig::acked_puts);
+    fuzz::ThreadRunOptions options;
+    options.recorder = &recorder;
+    const fuzz::ThreadProgramOutcome outcome = fuzz::run_program_threaded(program, options);
+    ASSERT_TRUE(outcome.report.completed) << "seed " << seed;
+    for (Rank r = 0; r < program.nprocs; ++r) {
+      const std::vector<std::string> live = rank_projection(recorder.log().events, r);
+      EXPECT_FALSE(live.empty()) << "seed " << seed << " rank " << r;
+      EXPECT_EQ(live, rank_projection(executor.events(), r))
+          << "seed " << seed << " rank " << r;
     }
   }
 }

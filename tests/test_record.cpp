@@ -1111,7 +1111,8 @@ std::vector<Log> fuzzed_thread_logs() {
     fuzz::ThreadRunOptions options;
     options.mode = seed % 3 == 0 ? core::DetectorMode::kOff : core::DetectorMode::kDualClock;
     Recorder recorder(static_cast<std::uint32_t>(program.nprocs), Backend::kThread,
-                      options.mode, options.lock_clock_handoff, options.acked_puts);
+                      options.mode, ThreadWorldConfig::lock_clock_handoff,
+                      ThreadWorldConfig::acked_puts);
     options.recorder = &recorder;
     fuzz::run_program_threaded(program, options);
     logs.push_back(recorder.log());

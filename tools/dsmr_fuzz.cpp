@@ -43,7 +43,8 @@
 // detector inline on the put/get path under its shard mutexes; `--shards`
 // sets the detector shards per home) and self-checks verdict signatures
 // against the program's construction contract; `both` additionally runs
-// the sim backend as the oracle and counts any clean/always-racy signature
+// the sim oracle — the same check_program a `sim` sweep runs, on
+// `--sim-seeds` schedule seeds — and counts any clean/always-racy signature
 // disagreement as a divergence (exit 1). Real schedules are not
 // seeded-replayable, so kSometimes manifestation is reported
 // informationally only — see docs/testing.md, "Backends". The summary
@@ -235,7 +236,6 @@ int main(int argc, char** argv) {
     tsweep.seeds = seeds;
     tsweep.planted_fraction = planted_fraction;
     tsweep.bug_kinds = bug_kinds;
-    tsweep.verbose = verbose;
     tsweep.diff.thread_reps = thread_reps;
     tsweep.diff.sim_schedule_seeds = sim_seeds;
     tsweep.diff.compare_sim = backend == "both";
@@ -292,6 +292,7 @@ int main(int argc, char** argv) {
                << ",\"thread_manifested\":" << result.thread_manifested
                << ",\"sim_runs\":" << result.sim_runs
                << ",\"sim_manifested\":" << result.sim_manifested
+               << ",\"record_replay_checks\":" << result.record_replay_checks
                << ",\"checks\":" << result.checks
                << ",\"checks_per_sec\":" << result.checks_per_sec()
                << ",\"elapsed_ms\":" << ms
